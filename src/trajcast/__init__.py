@@ -8,7 +8,7 @@ hand-written gradients; deterministic end to end.
 
 from .core import (AgentTrack, AugmentSpec, Frame, IDENTITY_FRAME, PredictionSet,
                    Scenario, TargetSet, Trajectory, TrajcastError, Waypoint, Window,
-                   agent_frame, augment, from_frame, to_frame)
+                   agent_frame, from_frame, to_frame)
 from .data import SyntheticSpec, generate, load_csv, make_shift_pair, make_window, save_csv
 from .ensemble import EnsembleBank, build_target_set, kmeans_trajectories, pool
 from .harness import Adam, TrainConfig, evaluate, jitter_score, run_grid, train
@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AgentTrack", "AugmentSpec", "Frame", "IDENTITY_FRAME", "PredictionSet",
     "Scenario", "TargetSet", "Trajectory", "TrajcastError", "Waypoint", "Window",
-    "agent_frame", "augment", "from_frame", "to_frame",
+    "agent_frame", "from_frame", "to_frame",
     "SyntheticSpec", "generate", "load_csv", "make_shift_pair", "make_window", "save_csv",
     "EnsembleBank", "build_target_set", "kmeans_trajectories", "pool",
     "Adam", "TrainConfig", "evaluate", "jitter_score", "run_grid", "train",

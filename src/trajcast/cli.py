@@ -20,7 +20,10 @@ def _parse_mode_mix(text: str) -> dict:
     mix = {}
     for part in text.split(","):
         name, _, weight = part.partition("=")
-        mix[name.strip()] = float(weight)
+        try:
+            mix[name.strip()] = float(weight)
+        except ValueError:
+            raise SystemExit(f"--mode-mix expects name=weight pairs, got {part!r}") from None
     return mix
 
 

@@ -164,10 +164,7 @@ class Scenario:
 
     @property
     def target(self) -> AgentTrack:
-        for a in self.agents:
-            if a.track_id == self.target_track_id:
-                return a
-        raise KeyError(self.target_track_id)
+        return self.track(self.target_track_id)
 
     def track(self, track_id: str) -> AgentTrack:
         for a in self.agents:
@@ -455,8 +452,3 @@ def apply_transform(scenario: Scenario, tf: SceneTransform) -> Scenario:
                     map_polylines=polylines, target_track_id=scenario.target_track_id,
                     history_len=scenario.history_len, future_len=scenario.future_len)
 
-
-def augment(scenario: Scenario, spec: AugmentSpec, rng_seed: int) -> Scenario:
-    """Randomly flip and rescale a scenario, deterministically for a seed."""
-    tf = sample_transform(spec, np.random.default_rng(rng_seed))
-    return apply_transform(scenario, tf)

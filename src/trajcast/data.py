@@ -269,11 +269,10 @@ def load_csv(path, history_len: int = HISTORY_LEN, future_len: int = FUTURE_LEN)
                     history_len=history_len, future_len=future_len)
 
 
-def load_dir(path, history_len: int = HISTORY_LEN, future_len: int = FUTURE_LEN,
-             strict: bool = False) -> list:
-    """Load every *.csv under a directory; bad files warn and skip by default."""
+def _load_all(files, history_len: int, future_len: int, strict: bool) -> list:
+    """load_csv over files in order; bad files warn and skip unless strict."""
     scenarios = []
-    for file in sorted(Path(path).glob("*.csv")):
+    for file in files:
         try:
             scenarios.append(load_csv(file, history_len, future_len))
         except TrajcastError as exc:
@@ -281,6 +280,12 @@ def load_dir(path, history_len: int = HISTORY_LEN, future_len: int = FUTURE_LEN,
                 raise
             log.warning("skipping %s: %s", file, exc)
     return scenarios
+
+
+def load_dir(path, history_len: int = HISTORY_LEN, future_len: int = FUTURE_LEN,
+             strict: bool = False) -> list:
+    """Load every *.csv under a directory; bad files warn and skip by default."""
+    return _load_all(sorted(Path(path).glob("*.csv")), history_len, future_len, strict)
 
 
 def save_dataset(scenarios, out_dir, val_fraction: float = 0.2) -> Path:
@@ -313,18 +318,9 @@ def load_manifest(manifest_path, split: str | None = None, strict: bool = False)
     """Scenarios listed in a manifest, optionally filtered by split."""
     mpath = Path(manifest_path)
     manifest = json.loads(mpath.read_text(encoding="utf-8"))
-    scenarios = []
-    for entry in manifest["scenarios"]:
-        if split is not None and entry["split"] != split:
-            continue
-        file = mpath.parent / entry["file"]
-        try:
-            scenarios.append(load_csv(file, manifest["history_len"], manifest["future_len"]))
-        except TrajcastError as exc:
-            if strict:
-                raise
-            log.warning("skipping %s: %s", file, exc)
-    return scenarios
+    files = [mpath.parent / entry["file"] for entry in manifest["scenarios"]
+             if split is None or entry["split"] == split]
+    return _load_all(files, manifest["history_len"], manifest["future_len"], strict)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import dataclasses
 import json
 import math
 import os
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -117,15 +118,8 @@ def _coerce(raw: str, kind):
 
 def make_config(overrides: dict | None = None, config_path=None) -> TrainConfig:
     """Config from defaults <- file <- overrides <- TRAJCAST_SEED env var."""
-    fields = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
-    kinds = {"epochs": int, "batch_size": int, "lr": float, "lr_decay": float,
-             "lr_decay_every": int, "k": int, "j": int, "s": int,
-             "strategy": str, "criterion": str, "use_goal": bool,
-             "use_refine": bool, "use_temp": bool, "use_spatial": bool,
-             "use_mpt": bool, "seed": int, "feature_dim": int, "horizon": int,
-             "history_len": int, "aug_flip": float, "aug_scale_lo": float,
-             "aug_scale_hi": float, "heading_jitter_deg": float,
-             "spatial_flip_prob": float, "spatial_noise": float}
+    # field name -> type; dataclasses.fields gives the types as strings here
+    kinds = typing.get_type_hints(TrainConfig)
     values = {}
     if config_path is not None:
         for n, line in enumerate(Path(config_path).read_text(encoding="utf-8").splitlines(), 1):
@@ -136,11 +130,11 @@ def make_config(overrides: dict | None = None, config_path=None) -> TrainConfig:
                 raise ValueError(f"{config_path}: line {n}: expected key = value")
             key, _, raw = stripped.partition("=")
             key = key.strip()
-            if key not in fields:
+            if key not in kinds:
                 raise ValueError(f"{config_path}: line {n}: unknown key {key!r}")
             values[key] = _coerce(raw.strip(), kinds[key])
     for key, val in (overrides or {}).items():
-        if key not in fields:
+        if key not in kinds:
             raise ValueError(f"unknown config key {key!r}")
         values[key] = _coerce(val, kinds[key]) if isinstance(val, str) else val
     env_seed = os.environ.get(SEED_ENV_VAR)

@@ -10,13 +10,14 @@ exact away from argmin ties.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Frame, PredictionSet, TargetSet, Trajectory, TrajcastError, to_frame_xy
-from .matching import SimilarityMatrix, match
+from .matching import match, pairwise_cost
 
 HUBER_DELTA = 1.0
 SOFTMIN_TAU = 1.0
@@ -128,16 +129,6 @@ def _wta_arrays(completion: np.ndarray, refined: np.ndarray, probs: np.ndarray,
 # temporal consistency
 
 
-def _overlap_cost(stack_a: np.ndarray, stack_b: np.ndarray, s: int, criterion: str) -> SimilarityMatrix:
-    # A's trailing T-s steps against B's leading T-s steps
-    t = stack_a.shape[1]
-    tail = stack_a[:, s:, :]
-    head = stack_b[:, : t - s, :]
-    d = np.linalg.norm(tail[:, None, :, :] - head[None, :, :, :], axis=3)
-    cost = d.mean(axis=2) if criterion == "ade" else d[:, :, -1]
-    return SimilarityMatrix(cost=cost, criterion=criterion)
-
-
 def temporal_consistency(preds_a: PredictionSet, preds_b: PredictionSet, s: int,
                          strategy: str = "bidirectional", criterion: str = "ade") -> float:
     """Disagreement between predictions from windows s frames apart.
@@ -159,7 +150,8 @@ def _temporal_arrays(stack_a: np.ndarray, stack_b: np.ndarray, s: int,
         raise InvalidShift("prediction sets must share a horizon")
     if not 1 <= s < t:
         raise InvalidShift(f"need 1 <= s < {t}, got s={s}")
-    pairs = match(_overlap_cost(stack_a, stack_b, s, criterion), strategy).pairs
+    # A's trailing T-s steps against B's leading T-s steps
+    pairs = match(pairwise_cost(stack_a[:, s:], stack_b[:, : t - s], criterion), strategy).pairs
     d_a = np.zeros_like(stack_a) if with_grads else None
     d_b = np.zeros_like(stack_b) if with_grads else None
     if not pairs:
@@ -233,9 +225,7 @@ def spatial_consistency(offsets: np.ndarray, anchors: np.ndarray, history: np.nd
     """
     a2, h2 = perm.apply(anchors, history)
     off2, _ = refine_fn(a2, h2)
-    mapped = perm.invert_offsets(off2)
-    k, t, _ = offsets.shape
-    return float(_huber_elem(offsets - mapped).sum()) / (k * t)
+    return _spatial_arrays(offsets, perm.invert_offsets(off2))[0]
 
 
 def _spatial_arrays(offsets: np.ndarray, mapped: np.ndarray):
@@ -273,8 +263,7 @@ class LossBreakdown:
             raise ValueError("total must equal the sum of its parts")
 
     def to_dict(self) -> dict:
-        return {"l_reg": self.l_reg, "l_cls": self.l_cls, "l_temp": self.l_temp,
-                "l_spa": self.l_spa, "total": self.total}
+        return dataclasses.asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)

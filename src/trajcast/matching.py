@@ -78,11 +78,13 @@ def similarity(set_a: Sequence[Trajectory], set_b: Sequence[Trajectory],
         raise EmptyOverlap(f"overlap {overlap} incompatible with lengths {len_a}, {len_b}")
     tail_a = np.stack([t.points[len_a - overlap:] for t in set_a])   # (Ka, L, 2)
     head_b = np.stack([t.points[:overlap] for t in set_b])           # (Kb, L, 2)
-    dists = np.linalg.norm(tail_a[:, None] - head_b[None, :], axis=-1)  # (Ka, Kb, L)
-    if criterion == "ade":
-        cost = dists.mean(axis=-1)
-    else:
-        cost = dists[..., -1]
+    return pairwise_cost(tail_a, head_b, criterion)
+
+
+def pairwise_cost(tail: np.ndarray, head: np.ndarray, criterion: str) -> SimilarityMatrix:
+    """ADE or FDE between every row of tail (K_a, L, 2) and of head (K_b, L, 2)."""
+    dists = np.linalg.norm(tail[:, None] - head[None, :], axis=-1)  # (Ka, Kb, L)
+    cost = dists.mean(axis=-1) if criterion == "ade" else dists[..., -1]
     return SimilarityMatrix(cost=cost, criterion=criterion)
 
 

@@ -8,6 +8,7 @@ acceptance checks.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -109,16 +110,7 @@ class MetricReport:
     n_scenarios: int
 
     def to_dict(self) -> dict:
-        return {
-            "minADE_1": self.minADE_1,
-            "minFDE_1": self.minFDE_1,
-            "MR_1": self.MR_1,
-            "minADE_6": self.minADE_6,
-            "minFDE_6": self.minFDE_6,
-            "MR_6": self.MR_6,
-            "brier_minFDE_6": self.brier_minFDE_6,
-            "n_scenarios": self.n_scenarios,
-        }
+        return dataclasses.asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)

@@ -14,6 +14,7 @@ inspectable.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
@@ -50,14 +51,7 @@ class ModelConfig:
             raise ValueError("all model dimensions must be >= 1")
 
     def to_dict(self) -> dict:
-        return {
-            "n_modes": self.n_modes,
-            "horizon": self.horizon,
-            "history_len": self.history_len,
-            "feature_dim": self.feature_dim,
-            "use_goal": self.use_goal,
-            "use_refine": self.use_refine,
-        }
+        return dataclasses.asdict(self)
 
 
 def _layer_shapes(cfg: ModelConfig) -> list:
@@ -216,39 +210,6 @@ class ForwardTrace:
     outputs: dict = field(default_factory=dict)
 
 
-def encode(params: ParamStore, window: Window) -> np.ndarray:
-    """Agent instance feature: per-point MLP features sum-pooled over points."""
-    points = featurize(window)
-    z1 = points @ params["enc.w1"] + params["enc.b1"]
-    h1 = _relu(z1)
-    z2 = h1 @ params["enc.w2"] + params["enc.b2"]
-    h2 = _relu(z2)
-    return h2.sum(axis=0)
-
-
-def predict_goals(params: ParamStore, cfg: ModelConfig, phi: np.ndarray) -> np.ndarray:
-    """K goal positions from the pooled feature, shape (K, 2)."""
-    g1 = _relu(phi @ params["goal.w1"] + params["goal.b1"])
-    flat = g1 @ params["goal.w2"] + params["goal.b2"]
-    return flat.reshape(cfg.n_modes, 2)
-
-
-def complete_trajectories(params: ParamStore, cfg: ModelConfig, phi: np.ndarray,
-                          goals: np.ndarray | None) -> np.ndarray:
-    """Decode K full trajectories, shape (K, T, 2), conditioned on the goals."""
-    k, t = cfg.n_modes, cfg.horizon
-    if cfg.use_goal:
-        if goals is None or goals.shape != (k, 2):
-            raise ValueError(f"need goals of shape ({k}, 2)")
-        comp_in = np.concatenate([np.tile(phi, (k, 1)), goals], axis=1)
-        c1 = _relu(comp_in @ params["comp.w1"] + params["comp.b1"])
-        flat = c1 @ params["comp.w2"] + params["comp.b2"]
-        return flat.reshape(k, t, 2)
-    c1 = _relu(phi @ params["comp.w1"] + params["comp.b1"])
-    flat = c1 @ params["comp.w2"] + params["comp.b2"]
-    return flat.reshape(k, t, 2)
-
-
 def refine_forward(params: ParamStore, cfg: ModelConfig, anchors: np.ndarray,
                    hist_flat: np.ndarray):
     """Refinement head: residual block over (anchor, history), linear outputs.
@@ -266,13 +227,6 @@ def refine_forward(params: ParamStore, cfg: ModelConfig, anchors: np.ndarray,
     raw_cls = (h @ params["ref.wcls"] + params["ref.bcls"]).ravel()
     trace = RefineTrace(anchors_flat=anchors_flat, r_in=r_in, h0=h0, z5=z5, a5=a5, h=h)
     return offsets, raw_cls, trace
-
-
-def refine(params: ParamStore, cfg: ModelConfig, anchors: np.ndarray,
-           hist_flat: np.ndarray):
-    """Value-only refinement: (offsets, raw_cls)."""
-    offsets, raw_cls, _ = refine_forward(params, cfg, anchors, hist_flat)
-    return offsets, raw_cls
 
 
 def refine_backward(params: ParamStore, cfg: ModelConfig, trace: RefineTrace,
@@ -391,17 +345,17 @@ def backward(params: ParamStore, trace: ForwardTrace, upstream: dict) -> dict:
         grads["cls.b"] += d_raw
         d_phi = d_phi + params["cls.w"] @ d_raw
 
-    # completion head
-    d_flat = d_completion.reshape(k, 2 * t)
+    # completion head; without goals comp_in is the single row phi[None, :]
+    d_flat = d_completion.reshape(trace.comp_in.shape[0], -1)
+    d_c1 = d_flat @ params["comp.w2"].T
+    grads["comp.w2"] += trace.c1.T @ d_flat
+    grads["comp.b2"] += d_flat.sum(axis=0)
+    d_z4 = d_c1 * (trace.z4 > 0)
+    grads["comp.w1"] += trace.comp_in.T @ d_z4
+    grads["comp.b1"] += d_z4.sum(axis=0)
+    d_comp_in = d_z4 @ params["comp.w1"].T
+    d_phi = d_phi + d_comp_in[:, :c].sum(axis=0)
     if cfg.use_goal:
-        d_c1 = d_flat @ params["comp.w2"].T
-        grads["comp.w2"] += trace.c1.T @ d_flat
-        grads["comp.b2"] += d_flat.sum(axis=0)
-        d_z4 = d_c1 * (trace.z4 > 0)
-        grads["comp.w1"] += trace.comp_in.T @ d_z4
-        grads["comp.b1"] += d_z4.sum(axis=0)
-        d_comp_in = d_z4 @ params["comp.w1"].T
-        d_phi = d_phi + d_comp_in[:, :c].sum(axis=0)
         d_goals = d_goals + d_comp_in[:, c:]
         # goal head
         d_goal_flat = d_goals.reshape(-1)
@@ -412,15 +366,6 @@ def backward(params: ParamStore, trace: ForwardTrace, upstream: dict) -> dict:
         grads["goal.w1"] += np.outer(trace.phi, d_z3)
         grads["goal.b1"] += d_z3
         d_phi = d_phi + params["goal.w1"] @ d_z3
-    else:
-        d_flat_vec = d_flat.reshape(-1)
-        d_c1 = d_flat_vec @ params["comp.w2"].T
-        grads["comp.w2"] += np.outer(trace.c1, d_flat_vec)
-        grads["comp.b2"] += d_flat_vec
-        d_z4 = d_c1 * (trace.z4.ravel() > 0)
-        grads["comp.w1"] += np.outer(trace.phi, d_z4)
-        grads["comp.b1"] += d_z4
-        d_phi = d_phi + params["comp.w1"] @ d_z4
 
     # encoder: phi = sum_n h2[n]
     d_h2 = np.tile(d_phi, (trace.points.shape[0], 1))

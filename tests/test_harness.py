@@ -1,6 +1,7 @@
 """Training harness: optimizer, config plumbing, evaluation, jitter, grid,
 and the CLI workflow end to end."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -11,8 +12,8 @@ from trajcast import cli
 from trajcast.core import PredictionSet, Trajectory
 from trajcast.data import SyntheticSpec, generate
 from trajcast.harness import (Adam, NonFiniteLoss, SEED_ENV_VAR, ShapeMismatch,
-                              TrainConfig, branch_coverage, evaluate,
-                              jitter_score, lr_at_epoch, make_config,
+                              TrainConfig, _scenario_step, branch_coverage,
+                              evaluate, jitter_score, lr_at_epoch, make_config,
                               run_grid, table2_rows, train)
 from trajcast.metrics import EmptyDataset
 from trajcast.predictor import ParamStore, init_params
@@ -97,6 +98,23 @@ def test_make_config_rejects_unknown_keys(tmp_path):
         make_config(config_path=path)
 
 
+@pytest.mark.parametrize("field", dataclasses.fields(TrainConfig), ids=lambda f: f.name)
+def test_make_config_coerces_every_field_from_text(field, tmp_path, monkeypatch):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    default = getattr(TrainConfig(), field.name)
+    texts = [str(default)] + ([str(not default)] if isinstance(default, bool) else [])
+    # use_refine = False is only valid with the spatial loss off
+    base = {} if field.name == "use_spatial" else {"use_spatial": "False"}
+    path = tmp_path / "run.cfg"
+    for text in texts:
+        expected = (text == "True") if isinstance(default, bool) else default
+        overrides = {**base, field.name: text}
+        path.write_text("".join(f"{key} = {val}\n" for key, val in overrides.items()))
+        for config in (make_config(overrides), make_config(config_path=path)):
+            value = getattr(config, field.name)
+            assert type(value) is type(default) and value == expected, (text, value)
+
+
 def test_env_seed_wins(monkeypatch):
     monkeypatch.setenv(SEED_ENV_VAR, "77")
     assert make_config({"seed": 5}).seed == 77
@@ -171,6 +189,50 @@ def test_train_nonfinite_loss_names_scenario():
 def test_train_rejects_empty_dataset():
     with pytest.raises(ValueError):
         train(_tiny_config(), [])
+
+
+# -- gradients of the production training step --------------------------------
+
+@pytest.mark.parametrize("strategy,criterion,s", [("bidirectional", "fde", 1),
+                                                  ("hungarian", "ade", 2)])
+def test_scenario_step_matches_finite_differences(strategy, criterion, s):
+    """Exact gradients of harness._scenario_step with every loss term and
+    augmentation on; the step's rng is re-created so each evaluation draws
+    the same transform, heading jitter and spatial permutation."""
+    config = TrainConfig(k=3, feature_dim=8, j=2, s=s, strategy=strategy, criterion=criterion,
+                         use_mpt=True, aug_flip=1.0, aug_scale_lo=0.8, aug_scale_hi=1.25,
+                         heading_jitter_deg=10.0)
+    model_cfg = config.model_config()
+    scenario = _dataset("junction", count=1, seed=9)[0]
+    gt = scenario.gt_future()
+    noise = np.random.default_rng(5)
+    pseudo = (tuple(Trajectory(points=gt.points + noise.normal(size=gt.points.shape), dt=gt.dt)
+                    for _ in range(2)), np.array([0.7, 0.4]))
+    params = init_params(model_cfg, seed=3)
+
+    def step():
+        return _scenario_step(params, model_cfg, config, scenario, pseudo,
+                              np.random.default_rng(11))
+
+    breakdown, grads = step()
+    assert breakdown.l_temp > 0 and breakdown.l_spa > 0
+    rng = np.random.default_rng(23)
+    h = 1e-5
+    names = sorted(params.keys())
+    worst = 0.0
+    for _ in range(100):
+        name = names[int(rng.integers(len(names)))]
+        arr = params.arrays[name]
+        idx = tuple(int(rng.integers(dim)) for dim in arr.shape)
+        orig = arr[idx]
+        arr[idx] = orig + h
+        up = step()[0].total
+        arr[idx] = orig - h
+        dn = step()[0].total
+        arr[idx] = orig
+        fd = (up - dn) / (2 * h)
+        worst = max(worst, abs(grads[name][idx] - fd) / max(1.0, abs(fd)))
+    assert worst < 1e-4
 
 
 # -- evaluation / jitter / coverage --------------------------------------------
@@ -315,3 +377,10 @@ def test_cli_workflow(tmp_path, capsys):
     chart = tmp_path / "loss.svg"
     assert cli.main(["report", "--log", str(log), "--out", str(chart)]) == 0
     assert chart.read_text().startswith("<svg")
+
+
+@pytest.mark.parametrize("mix", ["junction", "junction=1,straight"])
+def test_cli_generate_rejects_mode_mix_without_weight(tmp_path, mix):
+    with pytest.raises(SystemExit, match="--mode-mix expects name=weight"):
+        cli.main(["generate", "--out", str(tmp_path / "ds"), "--mode-mix", mix])
+    assert not (tmp_path / "ds").exists()

@@ -8,10 +8,8 @@ import pytest
 from conftest import straight_scenario
 from trajcast.core import Trajectory, Window, agent_frame
 from trajcast.predictor import (EmptyHistory, ModelConfig, StaleTrace,
-                                _layer_shapes, backward,
-                                complete_trajectories, encode, featurize,
-                                forward, init_params, load_checkpoint,
-                                predict, predict_goals, refine,
+                                _layer_shapes, backward, featurize, forward,
+                                init_params, load_checkpoint, predict,
                                 refine_backward, refine_forward,
                                 save_checkpoint, zero_params)
 
@@ -46,9 +44,7 @@ def test_empty_history_raises():
                  history_mask=np.zeros(0, dtype=bool),
                  map_polylines=sc.map_polylines, frame=agent_frame(sc))
     with pytest.raises(EmptyHistory):
-        encode(init_params(SMALL, 0), win)
-    with pytest.raises(EmptyHistory):
-        forward(init_params(SMALL, 0), SMALL, win)
+        forward(init_params(SMALL, 0), SMALL, win)[0]["phi"]
 
 
 def test_init_params_bounds_shapes_determinism():
@@ -85,7 +81,7 @@ def test_bias_propagates_through_sum_pool():
     win = make_window()
     params = zero_params(SMALL)
     params.arrays["enc.b2"][:] = 1.0
-    phi = encode(params, win)
+    phi = forward(params, SMALL, win)[0]["phi"]
     np.testing.assert_array_equal(phi, np.full(SMALL.feature_dim, 70.0))
 
 
@@ -131,21 +127,6 @@ def test_forward_is_bit_reproducible():
     for key, val in out1.items():
         if val is not None:
             np.testing.assert_array_equal(val, out2[key])
-
-
-def test_ops_compose_to_forward():
-    win = make_window()
-    params = init_params(SMALL, seed=2)
-    out, trace = forward(params, SMALL, win)
-    phi = encode(params, win)
-    np.testing.assert_array_equal(phi, out["phi"])
-    goals = predict_goals(params, SMALL, phi)
-    np.testing.assert_array_equal(goals, out["goals"])
-    completion = complete_trajectories(params, SMALL, phi, goals)
-    np.testing.assert_array_equal(completion, out["completion"])
-    offsets, raw_cls = refine(params, SMALL, completion, trace.hist_flat)
-    np.testing.assert_array_equal(offsets, out["offsets"])
-    np.testing.assert_array_equal(raw_cls, out["raw_cls"])
 
 
 def _scalar_and_grads(params, cfg, win, w_refined, w_probs):
