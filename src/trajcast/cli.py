@@ -13,7 +13,6 @@ import sys
 from pathlib import Path
 
 from . import data, ensemble, harness
-from .predictor import load_checkpoint, predict
 
 
 def _parse_mode_mix(text: str) -> dict:
@@ -45,11 +44,17 @@ def _load_split(data_path, split):
 
 def cmd_generate(args) -> int:
     mix = _parse_mode_mix(args.mode_mix) if args.mode_mix else {m: 0.2 for m in data.MODES}
-    branch_probs = tuple(float(p) for p in args.branch_probs.split(","))
-    spec = data.SyntheticSpec(scenario_count=args.count, mode_mix=mix,
-                              speed_range=(args.speed_lo, args.speed_hi),
-                              noise_sigma=args.noise, seed=args.seed,
-                              branch_probs=branch_probs)
+    try:
+        branch_probs = tuple(float(p) for p in args.branch_probs.split(","))
+    except ValueError:
+        raise SystemExit(f"--branch-probs expects numbers, got {args.branch_probs!r}") from None
+    try:
+        spec = data.SyntheticSpec(scenario_count=args.count, mode_mix=mix,
+                                  speed_range=(args.speed_lo, args.speed_hi),
+                                  noise_sigma=args.noise, seed=args.seed,
+                                  branch_probs=branch_probs)
+    except ValueError as exc:
+        raise SystemExit(f"generate: {exc}") from None
     scenarios = data.generate(spec)
     manifest = data.save_dataset(scenarios, args.out, val_fraction=args.val_fraction)
     print(manifest)
@@ -57,7 +62,10 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config = harness.make_config(_parse_overrides(args.set), config_path=args.config)
+    try:
+        config = harness.make_config(_parse_overrides(args.set), config_path=args.config)
+    except ValueError as exc:
+        raise SystemExit(f"train: {exc}") from None
     scenarios = _load_split(args.data, args.split)
     pseudo = ensemble.load_pseudo_targets(args.pseudo_targets) if args.pseudo_targets else None
     _, _, records = harness.train(config, scenarios, pseudo_targets=pseudo,
@@ -114,6 +122,10 @@ def cmd_grid(args) -> int:
     else:
         raise SystemExit("grid needs --spec or --preset table2")
     grid.setdefault("base", {}).update(_parse_overrides(args.set))
+    try:
+        harness.grid_configs(grid)
+    except ValueError as exc:
+        raise SystemExit(f"grid: {exc}") from None
     train_scenarios = _load_split(args.data, args.train_split)
     eval_scenarios = _load_split(args.data, args.eval_split)
     pseudo = ensemble.load_pseudo_targets(args.pseudo_targets) if args.pseudo_targets else None

@@ -105,21 +105,23 @@ class TrainConfig:
         return dataclasses.asdict(self)
 
 
-def _coerce(raw: str, kind):
-    if kind is bool:
-        lowered = raw.strip().lower()
-        if lowered in ("1", "true", "yes", "on"):
-            return True
-        if lowered in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"cannot parse boolean from {raw!r}")
-    return kind(raw)
+# field name -> type; dataclasses.fields gives the types as strings here
+_FIELD_TYPES = typing.get_type_hints(TrainConfig)
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+
+
+def _coerce(key: str, raw: str):
+    kind = _FIELD_TYPES[key]
+    try:
+        return _BOOLS[raw.strip().lower()] if kind is bool else kind(raw)
+    except (KeyError, ValueError):
+        name = "boolean" if kind is bool else kind.__name__
+        raise ValueError(f"config key {key!r}: cannot parse {name} from {raw!r}") from None
 
 
 def make_config(overrides: dict | None = None, config_path=None) -> TrainConfig:
     """Config from defaults <- file <- overrides <- TRAJCAST_SEED env var."""
-    # field name -> type; dataclasses.fields gives the types as strings here
-    kinds = typing.get_type_hints(TrainConfig)
     values = {}
     if config_path is not None:
         for n, line in enumerate(Path(config_path).read_text(encoding="utf-8").splitlines(), 1):
@@ -130,13 +132,13 @@ def make_config(overrides: dict | None = None, config_path=None) -> TrainConfig:
                 raise ValueError(f"{config_path}: line {n}: expected key = value")
             key, _, raw = stripped.partition("=")
             key = key.strip()
-            if key not in kinds:
+            if key not in _FIELD_TYPES:
                 raise ValueError(f"{config_path}: line {n}: unknown key {key!r}")
-            values[key] = _coerce(raw.strip(), kinds[key])
+            values[key] = _coerce(key, raw.strip())
     for key, val in (overrides or {}).items():
-        if key not in kinds:
+        if key not in _FIELD_TYPES:
             raise ValueError(f"unknown config key {key!r}")
-        values[key] = _coerce(val, kinds[key]) if isinstance(val, str) else val
+        values[key] = _coerce(key, val) if isinstance(val, str) else val
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None:
         values["seed"] = int(env_seed)
@@ -149,20 +151,19 @@ class Adam:
     def __init__(self, params: ParamStore, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8):
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.m = params.zeros_like()
-        self.v = params.zeros_like()
+        self.m = np.zeros_like(params.flat)
+        self.v = np.zeros_like(params.flat)
         self.t = 0
 
-    def step(self, params: ParamStore, grads: dict, lr: float) -> None:
+    def step(self, params: ParamStore, grads: ParamStore, lr: float) -> None:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        for key in sorted(params.keys()):
-            g = grads[key]
-            self.m[key] = b1 * self.m[key] + (1 - b1) * g
-            self.v[key] = b2 * self.v[key] + (1 - b2) * g * g
-            m_hat = self.m[key] / (1 - b1 ** self.t)
-            v_hat = self.v[key] / (1 - b2 ** self.t)
-            params.arrays[key] -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        g = grads.flat
+        self.m = b1 * self.m + (1 - b1) * g
+        self.v = b2 * self.v + (1 - b2) * g * g
+        m_hat = self.m / (1 - b1 ** self.t)
+        v_hat = self.v / (1 - b2 ** self.t)
+        params.flat -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
         params.bump()
 
 
@@ -185,15 +186,15 @@ def _target_set_for(scenario: Scenario, pseudo, transform) -> TargetSet:
 def _scenario_step(params: ParamStore, model_cfg: ModelConfig, config: TrainConfig,
                    scenario: Scenario, pseudo, rng: np.random.Generator):
     """Loss parts and parameter gradients for one (augmented) scenario."""
-    transform = sample_transform(config.augment_spec(), rng)
-    jitter_rad = sample_heading_jitter(config.augment_spec(), rng)
+    spec = config.augment_spec()
+    transform = sample_transform(spec, rng)
+    jitter_rad = sample_heading_jitter(spec, rng)
     sc = apply_transform(scenario, transform)
 
     if config.use_temp:
         window_a, window_b = make_shift_pair(sc, config.s, jitter_rad)
     else:
         window_a = make_window(sc, jitter_rad)
-        window_b = None
 
     out_a, trace_a = forward(params, model_cfg, window_a)
     grads = params.zeros_like()
@@ -202,11 +203,9 @@ def _scenario_step(params: ParamStore, model_cfg: ModelConfig, config: TrainConf
     targets_xy = np.stack([to_frame_xy(t.points, window_a.frame) for t in targets.targets])
     l_reg, l_cls, d_comp, d_ref, d_probs = losses.target_losses(
         out_a["completion"], out_a["refined"], out_a["probs"], targets_xy,
-        targets.confidences, with_grads=True, refined_reg=config.use_refine)
+        targets.confidences, refined_reg=config.use_refine)
 
     l_temp = 0.0
-    out_b = trace_b = None
-    d_ref_b = None
     if config.use_temp:
         out_b, trace_b = forward(params, model_cfg, window_b)
         frame_map = compose_frames(window_b.frame, window_a.frame)
@@ -216,19 +215,16 @@ def _scenario_step(params: ParamStore, model_cfg: ModelConfig, config: TrainConf
         d_ref = d_ref + d_a_temp
         d_ref_b = frame_map.backprop(d_b_in_a)
 
-    l_spa = 0.0
-    d_offsets = None
+    l_spa, d_offsets = 0.0, 0.0     # an offsets gradient of 0.0 is the same as none
     if config.use_spatial:
         perm = losses.sample_permutation(rng, out_a["completion"].shape,
                                          p_flip=config.spatial_flip_prob,
                                          noise_scale=config.spatial_noise)
-        hist = window_a.history_in_frame()
-        anchors2, hist2 = perm.apply(out_a["completion"], hist)
+        anchors2, hist2 = perm.apply(out_a["completion"], trace_a.hist_flat.reshape(-1, 2))
         offsets2, _, trace2 = refine_forward(params, model_cfg, anchors2, hist2.reshape(-1))
         mapped = perm.invert_offsets(offsets2)
         l_spa, d_offsets, d_mapped = losses._spatial_arrays(out_a["offsets"], mapped)
-        d_off2 = perm.backprop_inverse(d_mapped)
-        d_anchors2 = refine_backward(params, model_cfg, trace2, d_off2,
+        d_anchors2 = refine_backward(params, model_cfg, trace2, perm.backprop_inverse(d_mapped),
                                      np.zeros(model_cfg.n_modes), grads)
         d_comp = d_comp + perm.backprop_inverse(d_anchors2)
 
@@ -236,14 +232,10 @@ def _scenario_step(params: ParamStore, model_cfg: ModelConfig, config: TrainConf
     if not all(math.isfinite(p) for p in parts):
         raise NonFiniteLoss(f"{scenario.scenario_id}: loss parts {parts}")
 
-    upstream = {"completion": d_comp, "refined": d_ref, "probs": d_probs}
-    if d_offsets is not None:
-        upstream["offsets"] = d_offsets
-    for key, grad in backward(params, trace_a, upstream).items():
-        grads[key] += grad
+    upstream = {"completion": d_comp, "refined": d_ref, "probs": d_probs, "offsets": d_offsets}
+    grads.flat += backward(params, trace_a, upstream).flat
     if config.use_temp:
-        for key, grad in backward(params, trace_b, {"refined": d_ref_b}).items():
-            grads[key] += grad
+        grads.flat += backward(params, trace_b, {"refined": d_ref_b}).flat
     return losses.make_breakdown(*parts), grads
 
 
@@ -281,11 +273,9 @@ def train(config: TrainConfig, scenarios, pseudo_targets: dict | None = None,
                     breakdown, g = _scenario_step(params, model_cfg, config, sc, pseudo, rng)
                     sums += (breakdown.l_reg, breakdown.l_cls,
                              breakdown.l_temp, breakdown.l_spa)
-                    for key in grads:
-                        grads[key] += g[key]
+                    grads.flat += g.flat
                 n = len(batch)
-                for key in grads:
-                    grads[key] /= n
+                grads.flat /= n
                 optimizer.step(params, grads, lr)
                 mean = losses.make_breakdown(*(sums / n))
                 record = {"epoch": epoch, "step": step, "lr": lr, **mean.to_dict()}
@@ -413,25 +403,30 @@ def table2_rows() -> list:
     ]
 
 
+def grid_configs(grid: dict) -> list:
+    """(label, TrainConfig) for each row of a grid spec, all built up front:
+    grid = {"base": {config overrides}, "rows": [{"label", overrides...}]}."""
+    base = grid.get("base", {})
+    return [(row.get("label", ""),
+             make_config({**base, **{k: v for k, v in row.items() if k != "label"}}))
+            for row in grid["rows"]]
+
+
 def run_grid(grid: dict, train_scenarios, eval_scenarios,
              pseudo_targets: dict | None = None, out_csv=None) -> list:
     """Train and evaluate every row of a grid spec; returns the result rows.
 
-    grid = {"base": {config overrides}, "rows": [{"label", overrides...}]}.
-    Rows with use_mpt need pseudo_targets. Results optionally go to a CSV
-    whose columns mirror the toggle set plus the metric report.
+    The spec is read by `grid_configs`, so a bad row fails before any
+    training. Rows with use_mpt need pseudo_targets. Results optionally go
+    to a CSV whose columns mirror the toggle set plus the metric report.
     """
-    base = dict(grid.get("base", {}))
-    rows_spec = grid["rows"]
     results = []
-    for spec_row in rows_spec:
-        overrides = {k: v for k, v in spec_row.items() if k != "label"}
-        config = make_config({**base, **overrides})
+    for label, config in grid_configs(grid):
         if config.use_mpt and pseudo_targets is None:
-            raise ValueError(f"row {spec_row.get('label')!r} needs pseudo targets")
+            raise ValueError(f"row {label!r} needs pseudo targets")
         params, model_cfg, _ = train(config, train_scenarios, pseudo_targets=pseudo_targets)
         rep = evaluate(params, model_cfg, eval_scenarios)
-        row = {"label": spec_row.get("label", "")}
+        row = {"label": label}
         for name in TOGGLE_NAMES:
             row[name.replace("use_", "")] = getattr(config, name)
         row.update(rep.to_dict())

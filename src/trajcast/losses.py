@@ -1,9 +1,10 @@
 """Training objectives: winner-takes-all regression and classification per
 supervision target, temporal and spatial consistency terms, and the total.
 
-Every loss has a value form (public ops below) and a `_with_grads` form used
-by the training loop; the gradient forms return exact derivatives w.r.t. the
-predictor outputs they consume, computed by hand alongside the value. Winner
+The kernels `_wta_arrays`, `_temporal_arrays` and `_spatial_arrays` return
+each loss with its exact derivatives w.r.t. the predictor outputs it consumes,
+computed by hand; training calls them (WTA through `target_losses`). The
+public value forms call the same kernels and drop the gradients. Winner
 selection and matching indices are treated as locally constant, which is
 exact away from argmin ties.
 """
@@ -72,15 +73,12 @@ def wta_target_loss(preds: PredictionSet, target: Trajectory, confidence: float)
     the target's confidence.
     """
     stack = preds.stacked()
-    tgt = target.points
-    l_cls, l_reg, _, k_star, _, _, _ = _wta_arrays(stack, stack, preds.scores, tgt, confidence,
-                                                   with_grads=False)
+    l_cls, l_reg, _, k_star, *_ = _wta_arrays(stack, stack, preds.scores, target.points, confidence)
     return l_cls, l_reg, k_star
 
 
 def _wta_arrays(completion: np.ndarray, refined: np.ndarray, probs: np.ndarray,
-                target: np.ndarray, confidence: float, with_grads: bool = True,
-                refined_reg: bool = True):
+                target: np.ndarray, confidence: float, refined_reg: bool = True):
     """Core WTA computation on raw arrays.
 
     Regression supervises both the completion output and the refined output
@@ -105,9 +103,6 @@ def _wta_arrays(completion: np.ndarray, refined: np.ndarray, probs: np.ndarray,
     cls_target = softmin_scores(end_err)
     diff_cls = probs - cls_target
     l_cls = confidence / k * float(_huber_elem(diff_cls).sum())
-
-    if not with_grads:
-        return l_cls, l_reg_c, l_reg_r, k_star, None, None, None
 
     d_completion = np.zeros_like(completion)
     d_refined = np.zeros_like(refined)
@@ -137,14 +132,11 @@ def temporal_consistency(preds_a: PredictionSet, preds_b: PredictionSet, s: int,
     the requested matching strategy over the T-s overlapping steps, then the
     mean Huber over matched pairs and overlap steps is returned.
     """
-    l, _, _ = _temporal_arrays(preds_a.stacked(), preds_b.stacked(), s, strategy, criterion,
-                               with_grads=False)
-    return l
+    return _temporal_arrays(preds_a.stacked(), preds_b.stacked(), s, strategy, criterion)[0]
 
 
 def _temporal_arrays(stack_a: np.ndarray, stack_b: np.ndarray, s: int,
-                     strategy: str = "bidirectional", criterion: str = "ade",
-                     with_grads: bool = True):
+                     strategy: str = "bidirectional", criterion: str = "ade"):
     t = stack_a.shape[1]
     if stack_b.shape[1] != t:
         raise InvalidShift("prediction sets must share a horizon")
@@ -152,8 +144,8 @@ def _temporal_arrays(stack_a: np.ndarray, stack_b: np.ndarray, s: int,
         raise InvalidShift(f"need 1 <= s < {t}, got s={s}")
     # A's trailing T-s steps against B's leading T-s steps
     pairs = match(pairwise_cost(stack_a[:, s:], stack_b[:, : t - s], criterion), strategy).pairs
-    d_a = np.zeros_like(stack_a) if with_grads else None
-    d_b = np.zeros_like(stack_b) if with_grads else None
+    d_a = np.zeros_like(stack_a)
+    d_b = np.zeros_like(stack_b)
     if not pairs:
         return 0.0, d_a, d_b
     norm = len(pairs) * (t - s)
@@ -161,10 +153,9 @@ def _temporal_arrays(stack_a: np.ndarray, stack_b: np.ndarray, s: int,
     for i, j in pairs:
         diff = stack_a[i, s:, :] - stack_b[j, : t - s, :]
         total += float(_huber_elem(diff).sum())
-        if with_grads:
-            g = _huber_grad(diff) / norm
-            d_a[i, s:, :] += g
-            d_b[j, : t - s, :] -= g
+        g = _huber_grad(diff) / norm
+        d_a[i, s:, :] += g
+        d_b[j, : t - s, :] -= g
     return total / norm, d_a, d_b
 
 
@@ -277,29 +268,25 @@ def make_breakdown(l_reg: float, l_cls: float, l_temp: float = 0.0,
 
 def target_losses(completion: np.ndarray, refined: np.ndarray, probs: np.ndarray,
                   targets_xy: np.ndarray, confidences: np.ndarray,
-                  with_grads: bool = True, refined_reg: bool = True):
+                  refined_reg: bool = True):
     """Supervision terms summed over all targets.
 
     targets_xy is (J+1, T, 2) in the same frame as the predictions. Returns
-    (l_reg, l_cls, d_completion, d_refined, d_probs); gradient slots are None
-    when with_grads is False.
+    (l_reg, l_cls, d_completion, d_refined, d_probs).
     """
     l_reg = 0.0
     l_cls = 0.0
-    d_completion = np.zeros_like(completion) if with_grads else None
-    d_refined = np.zeros_like(refined) if with_grads else None
-    d_probs = np.zeros_like(probs) if with_grads else None
+    d_completion = np.zeros_like(completion)
+    d_refined = np.zeros_like(refined)
+    d_probs = np.zeros_like(probs)
     for j in range(targets_xy.shape[0]):
-        out = _wta_arrays(completion, refined, probs, targets_xy[j],
-                          float(confidences[j]), with_grads=with_grads,
-                          refined_reg=refined_reg)
-        cls_j, reg_c, reg_r, _, dc, dr, dp = out
+        cls_j, reg_c, reg_r, _, dc, dr, dp = _wta_arrays(
+            completion, refined, probs, targets_xy[j], float(confidences[j]), refined_reg)
         l_reg += reg_c + reg_r
         l_cls += cls_j
-        if with_grads:
-            d_completion += dc
-            d_refined += dr
-            d_probs += dp
+        d_completion += dc
+        d_refined += dr
+        d_probs += dp
     return l_reg, l_cls, d_completion, d_refined, d_probs
 
 
@@ -313,6 +300,5 @@ def total_loss(completion: np.ndarray, refined: np.ndarray, probs: np.ndarray,
     are computed by the caller (they need extra forward passes) and passed in.
     """
     targets_xy = np.stack([to_frame_xy(tr.points, frame) for tr in targets.targets])
-    l_reg, l_cls, _, _, _ = target_losses(completion, refined, probs, targets_xy,
-                                          targets.confidences, with_grads=False)
+    l_reg, l_cls = target_losses(completion, refined, probs, targets_xy, targets.confidences)[:2]
     return make_breakdown(l_reg, l_cls, l_temp, l_spa)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -89,16 +89,32 @@ def _layer_shapes(cfg: ModelConfig) -> list:
 class ParamStore:
     """Mutable parameter container with a version counter.
 
+    All values live in one float64 vector `flat`; `arrays[name]` is a view
+    into it, laid out in the order the names were given (`_layer_shapes`
+    order for a model). `zeros_like()` and `copy()` keep the layout, so
+    gradients and Adam state line up element for element with `flat`.
+
     Traces record the version they were built against; mutating parameters
     through `bump()` (as the optimizer does once per step) invalidates them.
     """
 
     def __init__(self, arrays: dict):
-        self.arrays = {k: np.array(v, dtype=np.float64) for k, v in arrays.items()}
+        arrays = {k: np.asarray(v, dtype=np.float64) for k, v in arrays.items()}
+        self.flat = np.concatenate([a.ravel() for a in arrays.values()])
+        self.arrays, start = {}, 0
+        for name, a in arrays.items():
+            self.arrays[name] = self.flat[start:start + a.size].reshape(a.shape)
+            start += a.size
         self.version = 0
 
     def __getitem__(self, key: str) -> np.ndarray:
         return self.arrays[key]
+
+    def __setitem__(self, key: str, value) -> None:
+        self.arrays[key][...] = value
+
+    def __iter__(self):
+        return iter(self.arrays)
 
     def keys(self):
         return self.arrays.keys()
@@ -109,11 +125,11 @@ class ParamStore:
     def bump(self) -> None:
         self.version += 1
 
-    def zeros_like(self) -> dict:
-        return {k: np.zeros_like(v) for k, v in self.arrays.items()}
+    def zeros_like(self) -> "ParamStore":
+        return ParamStore({k: np.zeros(v.shape) for k, v in self.arrays.items()})
 
     def copy(self) -> "ParamStore":
-        return ParamStore({k: v.copy() for k, v in self.arrays.items()})
+        return ParamStore(self.arrays)
 
 
 def init_params(cfg: ModelConfig, seed: int) -> ParamStore:
@@ -121,19 +137,11 @@ def init_params(cfg: ModelConfig, seed: int) -> ParamStore:
     rng = np.random.default_rng(seed)
     arrays = {}
     for name, shape in _layer_shapes(cfg):
-        fan_in = shape[0] if len(shape) == 2 else _fan_in_for_bias(name, cfg)
+        if len(shape) == 2:  # a bias follows its weight and takes the same fan-in
+            fan_in = shape[0]
         a = math.sqrt(1.0 / fan_in)
         arrays[name] = rng.uniform(-a, a, size=shape)
     return ParamStore(arrays)
-
-
-def _fan_in_for_bias(name: str, cfg: ModelConfig) -> int:
-    # bias bound follows its layer's weight fan-in
-    weight_name = name.replace(".b", ".w")
-    for n, shape in _layer_shapes(cfg):
-        if n == weight_name:
-            return shape[0]
-    raise KeyError(name)
 
 
 def zero_params(cfg: ModelConfig) -> ParamStore:
@@ -175,7 +183,6 @@ def featurize(window: Window) -> np.ndarray:
 
 @dataclass
 class RefineTrace:
-    anchors_flat: np.ndarray
     r_in: np.ndarray
     h0: np.ndarray
     z5: np.ndarray
@@ -185,7 +192,7 @@ class RefineTrace:
 
 @dataclass
 class ForwardTrace:
-    """Cached activations for exact backprop, tied to one parameter version."""
+    """The activations `backward` reads, tied to one parameter version."""
 
     params_id: int
     params_version: int
@@ -194,20 +201,15 @@ class ForwardTrace:
     z1: np.ndarray
     h1: np.ndarray
     z2: np.ndarray
-    h2: np.ndarray
     phi: np.ndarray
     z3: np.ndarray | None
     g1: np.ndarray | None
-    goals: np.ndarray | None
     comp_in: np.ndarray
     z4: np.ndarray
     c1: np.ndarray
-    completion: np.ndarray
     hist_flat: np.ndarray
     refine: RefineTrace | None
-    raw_cls: np.ndarray
     probs: np.ndarray
-    outputs: dict = field(default_factory=dict)
 
 
 def refine_forward(params: ParamStore, cfg: ModelConfig, anchors: np.ndarray,
@@ -217,15 +219,14 @@ def refine_forward(params: ParamStore, cfg: ModelConfig, anchors: np.ndarray,
     Returns (offsets (K, T, 2), raw_cls (K,), RefineTrace).
     """
     k, t = anchors.shape[0], cfg.horizon
-    anchors_flat = anchors.reshape(k, 2 * t)
-    r_in = np.concatenate([anchors_flat, np.tile(hist_flat, (k, 1))], axis=1)
+    r_in = np.concatenate([anchors.reshape(k, 2 * t), np.tile(hist_flat, (k, 1))], axis=1)
     h0 = r_in @ params["ref.w0"] + params["ref.b0"]
     z5 = h0 @ params["ref.w1"] + params["ref.b1"]
     a5 = _relu(z5)
     h = h0 + a5 @ params["ref.w2"] + params["ref.b2"]
     offsets = (h @ params["ref.wreg"] + params["ref.breg"]).reshape(k, t, 2)
     raw_cls = (h @ params["ref.wcls"] + params["ref.bcls"]).ravel()
-    trace = RefineTrace(anchors_flat=anchors_flat, r_in=r_in, h0=h0, z5=z5, a5=a5, h=h)
+    trace = RefineTrace(r_in=r_in, h0=h0, z5=z5, a5=a5, h=h)
     return offsets, raw_cls, trace
 
 
@@ -301,10 +302,9 @@ def forward(params: ParamStore, cfg: ModelConfig, window: Window):
     }
     trace = ForwardTrace(
         params_id=id(params), params_version=params.version, cfg=cfg,
-        points=points, z1=z1, h1=h1, z2=z2, h2=h2, phi=phi,
-        z3=z3, g1=g1, goals=goals, comp_in=comp_in, z4=z4, c1=c1,
-        completion=completion, hist_flat=hist_flat, refine=ref_trace,
-        raw_cls=raw_cls, probs=probs, outputs=outputs,
+        points=points, z1=z1, h1=h1, z2=z2, phi=phi, z3=z3, g1=g1,
+        comp_in=comp_in, z4=z4, c1=c1, hist_flat=hist_flat, refine=ref_trace,
+        probs=probs,
     )
     return outputs, trace
 
@@ -408,13 +408,18 @@ def save_checkpoint(path, params: ParamStore, cfg: ModelConfig, seed: int,
 
 
 def load_checkpoint(path):
-    """Returns (params, cfg, meta) where meta has seed, epoch, extra."""
+    """Returns (params, cfg, meta) where meta has seed, epoch, extra; ValueError
+    names the first stored layer that differs from `_layer_shapes(cfg)`."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if payload.get("format_version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {payload.get('format_version')}")
     cfg = ModelConfig(**payload["model"])
-    arrays = {}
-    for name, shape in payload["layer_shapes"].items():
-        arrays[name] = np.array(payload["params"][name], dtype=np.float64).reshape(shape)
+    declared = dict(_layer_shapes(cfg))
+    arrays = {name: np.array(v, dtype=np.float64) for name, v in payload["params"].items()}
+    for name in [*declared, *sorted(arrays)]:
+        found = arrays[name].shape if name in arrays else "absent"
+        if found != declared.get(name):
+            raise ValueError(f"{path}: layer {name!r} is {found} in the checkpoint but "
+                             f"{declared.get(name, 'undeclared')} in its model config")
     meta = {"seed": payload["seed"], "epoch": payload["epoch"], "extra": payload["extra"]}
-    return ParamStore(arrays), cfg, meta
+    return ParamStore({name: arrays[name] for name in declared}), cfg, meta

@@ -2,8 +2,10 @@
 
 import math
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import prediction_set, straight_scenario, straight_track
 from trajcast.core import (AgentTrack, AugmentSpec, Frame, IDENTITY_AUGMENT,
@@ -107,6 +109,30 @@ def test_compose_frames_matches_two_step():
     direct = compose_frames(fa, fb).apply(xy_in_a)
     two_step = to_frame_xy(from_frame_xy(xy_in_a, fa), fb)
     assert np.allclose(direct, two_step, atol=1e-12)
+
+
+# coordinates up to 1 km; float64 rounding over a few rotations stays far below 1e-9 m
+_coords = st.floats(-1e3, 1e3, allow_nan=False)
+_frames = st.builds(Frame, origin=st.builds(Waypoint, _coords, _coords),
+                    rotation=st.floats(-math.pi, math.pi, exclude_min=True))
+_points = hnp.arrays(np.float64, st.tuples(st.integers(1, 6), st.just(2)), elements=_coords)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_frames, _points)
+def test_frame_roundtrip_property(frame, xy):
+    np.testing.assert_allclose(from_frame_xy(to_frame_xy(xy, frame), frame), xy,
+                               rtol=0, atol=1e-9)
+    np.testing.assert_allclose(to_frame_xy(from_frame_xy(xy, frame), frame), xy,
+                               rtol=0, atol=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_frames, _frames, _points)
+def test_compose_frames_property(src, dst, xy):
+    two_step = to_frame_xy(from_frame_xy(xy, src), dst)
+    np.testing.assert_allclose(compose_frames(src, dst).apply(xy), two_step,
+                               rtol=0, atol=1e-9)
 
 
 def test_rigid_invariance_of_distances():

@@ -40,10 +40,10 @@ def test_adam_zero_grad_and_zero_lr_leave_params_unchanged():
     params = ParamStore({"w": np.array([1.0, -2.0]), "b": np.array([0.5])})
     before = {k: v.copy() for k, v in params.items()}
     opt = Adam(params)
-    opt.step(params, {k: np.zeros_like(v) for k, v in params.items()}, lr=0.1)
+    opt.step(params, params.zeros_like(), lr=0.1)
     for k in before:
         np.testing.assert_array_equal(params[k], before[k])
-    opt.step(params, {"w": np.ones(2), "b": np.ones(1)}, lr=0.0)
+    opt.step(params, ParamStore({"w": np.ones(2), "b": np.ones(1)}), lr=0.0)
     for k in before:
         np.testing.assert_array_equal(params[k], before[k])
     assert params.version == 2          # steps still invalidate traces
@@ -53,7 +53,7 @@ def test_adam_first_step_closed_form():
     params = ParamStore({"w": np.array([1.0, 2.0])})
     g = np.array([0.5, -2.0])
     opt = Adam(params)
-    opt.step(params, {"w": g}, lr=0.1)
+    opt.step(params, ParamStore({"w": g}), lr=0.1)
     expected = np.array([1.0, 2.0]) - 0.1 * g / (np.abs(g) + 1e-8)
     np.testing.assert_allclose(params["w"], expected, rtol=1e-12)
 
@@ -384,3 +384,22 @@ def test_cli_generate_rejects_mode_mix_without_weight(tmp_path, mix):
     with pytest.raises(SystemExit, match="--mode-mix expects name=weight"):
         cli.main(["generate", "--out", str(tmp_path / "ds"), "--mode-mix", mix])
     assert not (tmp_path / "ds").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["generate", "--branch-probs", "0.5,x"], "--branch-probs"),
+    (["generate", "--mode-mix", "junction=0.5"], "mode_mix"),
+    (["train", "--set", "epochs=abc"], "'epochs'"),
+    (["train", "--set", "bogus=1"], "'bogus'"),
+    (["grid", "--preset", "table2", "--set", "epochs=abc"], "'epochs'"),
+    (["grid", "--preset", "table2", "--set", "bogus=1"], "'bogus'"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_cli_rejects_bad_values_with_a_message(tmp_path, argv, message):
+    out = tmp_path / "out"
+    where = {"generate": ["--out", str(out)],
+             "train": ["--data", str(tmp_path / "ds"), "--out", str(out)],
+             "grid": ["--data", str(tmp_path / "ds"), "--out", str(out)]}[argv[0]]
+    with pytest.raises(SystemExit, match=message) as exc:
+        cli.main(argv + where)
+    assert "\n" not in str(exc.value)
+    assert not out.exists()

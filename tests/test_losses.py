@@ -393,11 +393,8 @@ def test_target_losses_sum_over_targets():
     t0 = rng.normal(size=(4, 2))
     t1 = rng.normal(size=(4, 2))
     joint = target_losses(completion, completion, probs,
-                          np.stack([t0, t1]), np.array([1.0, 0.25]),
-                          with_grads=False)
-    a = target_losses(completion, completion, probs, t0[None], np.array([1.0]),
-                      with_grads=False)
-    b = target_losses(completion, completion, probs, t1[None], np.array([0.25]),
-                      with_grads=False)
+                          np.stack([t0, t1]), np.array([1.0, 0.25]))
+    a = target_losses(completion, completion, probs, t0[None], np.array([1.0]))
+    b = target_losses(completion, completion, probs, t1[None], np.array([0.25]))
     assert joint[0] == pytest.approx(a[0] + b[0], rel=1e-12)
     assert joint[1] == pytest.approx(a[1] + b[1], rel=1e-12)

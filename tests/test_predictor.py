@@ -1,5 +1,6 @@
 """Predictor forward/backward, parameter handling, and checkpoints."""
 
+import json
 import math
 
 import numpy as np
@@ -236,6 +237,80 @@ def test_checkpoint_roundtrip(tmp_path):
     out_a, _ = forward(params, SMALL, win)
     out_b, _ = forward(loaded, SMALL, win)
     np.testing.assert_array_equal(out_a["refined"], out_b["refined"])
+
+
+def test_param_store_views_are_one_flat_vector():
+    params = init_params(SMALL, seed=5)
+    layout = _layer_shapes(SMALL)
+    assert list(params) == [name for name, _ in layout]
+    assert [a.shape for a in params.arrays.values()] == [shape for _, shape in layout]
+    # writes to flat show in the views, in declared order
+    params.flat[:] = np.arange(params.flat.size)
+    np.testing.assert_array_equal(
+        np.concatenate([params[name].ravel() for name in params]), params.flat)
+    # writes through a view, `store[name] =` and `store[name] +=` show in flat
+    params.arrays["enc.w1"][0, 0] = -1.0
+    params["ref.bcls"] = -2.0
+    params["enc.b2"] += 0.5
+    offset = dict(zip(params, np.cumsum([0] + [a.size for a in params.arrays.values()])))
+    assert params.flat[offset["enc.w1"]] == -1.0
+    assert params.flat[offset["ref.bcls"]] == -2.0
+    np.testing.assert_array_equal(
+        params.flat[offset["enc.b2"]:offset["enc.b2"] + SMALL.feature_dim],
+        np.arange(offset["enc.b2"], offset["enc.b2"] + SMALL.feature_dim) + 0.5)
+
+
+def test_param_store_zeros_like_and_copy_keep_the_layout():
+    params = init_params(SMALL, seed=6)
+    zeros, clone = params.zeros_like(), params.copy()
+    for other in (zeros, clone):
+        assert list(other) == list(params)
+        assert all(other[name].shape == params[name].shape for name in params)
+        assert not np.shares_memory(other.flat, params.flat)
+        assert all(np.shares_memory(other[name], other.flat) for name in other)
+    assert not zeros.flat.any()
+    np.testing.assert_array_equal(clone.flat, params.flat)
+    clone.flat += 1.0
+    np.testing.assert_array_equal(clone["enc.w1"], params["enc.w1"] + 1.0)
+
+
+@pytest.mark.parametrize("cfg", [
+    SMALL, ModelConfig(n_modes=2, horizon=3, history_len=20, feature_dim=8,
+                       use_goal=False, use_refine=False),
+], ids=["goal+refine", "base"])
+def test_checkpoint_roundtrip_keeps_the_flat_vector(tmp_path, cfg):
+    path = tmp_path / "model.json"
+    params = init_params(cfg, seed=14)
+    save_checkpoint(path, params, cfg, seed=14, epoch=0)
+    loaded, _, _ = load_checkpoint(path)
+    assert list(loaded) == list(params)
+    np.testing.assert_array_equal(loaded.flat, params.flat)
+
+
+def _rewrite_checkpoint(path, change):
+    payload = json.loads(path.read_text())
+    change(payload)
+    path.write_text(json.dumps(payload, sort_keys=True))
+
+
+@pytest.mark.parametrize("change, layer", [
+    (lambda p: p["params"].pop("ref.w0"), "ref.w0"),
+    (lambda p: p["params"].update({"ref.w9": [0.0]}), "ref.w9"),
+], ids=["missing", "unknown"])
+def test_checkpoint_rejects_missing_or_unknown_layers(tmp_path, change, layer):
+    path = tmp_path / "model.json"
+    save_checkpoint(path, init_params(SMALL, seed=0), SMALL, seed=0, epoch=0)
+    _rewrite_checkpoint(path, change)
+    with pytest.raises(ValueError, match=f"layer '{layer}'"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_a_config_its_arrays_disagree_with(tmp_path):
+    path = tmp_path / "model.json"
+    save_checkpoint(path, init_params(SMALL, seed=0), SMALL, seed=0, epoch=0)
+    _rewrite_checkpoint(path, lambda p: p["model"].update(feature_dim=9))
+    with pytest.raises(ValueError, match=r"layer 'enc.w1' is \(5, 8\).*\(5, 9\)"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_rejects_unknown_version(tmp_path):
