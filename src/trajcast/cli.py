@@ -36,9 +36,17 @@ def _parse_overrides(pairs) -> dict:
     return out
 
 
-def _load_split(data_path, split):
-    path = Path(data_path)
-    manifest = path / "manifest.json" if path.is_dir() else path
+def _need(args, flag: str, path):
+    """path, unless it was given and does not exist: then exit naming the flag."""
+    if path is not None and not Path(path).exists():
+        raise SystemExit(f"{args.command}: {flag} {path}: no such file or directory")
+    return path
+
+
+def _load_split(args, split):
+    """One split of the dataset --data names: a manifest, or a directory holding one."""
+    path = Path(_need(args, "--data", args.data))
+    manifest = _need(args, "--data", path / "manifest.json") if path.is_dir() else path
     return data.load_manifest(manifest, split=split)
 
 
@@ -63,10 +71,12 @@ def cmd_generate(args) -> int:
 
 def cmd_train(args) -> int:
     try:
-        config = harness.make_config(_parse_overrides(args.set), config_path=args.config)
+        config = harness.make_config(_parse_overrides(args.set),
+                                     config_path=_need(args, "--config", args.config))
     except ValueError as exc:
         raise SystemExit(f"train: {exc}") from None
-    scenarios = _load_split(args.data, args.split)
+    _need(args, "--pseudo-targets", args.pseudo_targets)
+    scenarios = _load_split(args, args.split)
     pseudo = ensemble.load_pseudo_targets(args.pseudo_targets) if args.pseudo_targets else None
     _, _, records = harness.train(config, scenarios, pseudo_targets=pseudo,
                                   log_path=args.log, checkpoint_path=args.out)
@@ -77,7 +87,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    scenarios = _load_split(args.data, args.split)
+    _need(args, "--checkpoint", args.checkpoint)
+    scenarios = _load_split(args, args.split)
     rep = harness.evaluate_checkpoint(args.checkpoint, scenarios, dump_path=args.dump)
     text = rep.to_json()
     if args.report:
@@ -87,14 +98,16 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_jitter(args) -> int:
-    scenarios = _load_split(args.data, args.split)
+    _need(args, "--checkpoint", args.checkpoint)
+    scenarios = _load_split(args, args.split)
     score = harness.jitter_checkpoint(args.checkpoint, scenarios, args.s)
     print(json.dumps({"jitter": score, "s": args.s}, sort_keys=True))
     return 0
 
 
 def cmd_ensemble_dump(args) -> int:
-    scenarios = _load_split(args.data, args.split)
+    _need(args, "--checkpoint", args.checkpoint)
+    scenarios = _load_split(args, args.split)
     harness.evaluate_checkpoint(args.checkpoint, scenarios, dump_path=args.out)
     print(args.out)
     return 0
@@ -106,7 +119,7 @@ def cmd_cluster(args) -> int:
         tag, sep, path = item.partition("=")
         if not sep:
             raise SystemExit(f"--dump expects tag=path, got {item!r}")
-        tagged.append((tag, path))
+        tagged.append((tag, _need(args, "--dump", path)))
     bank = ensemble.bank_from_dumps(tagged)
     results = ensemble.cluster_bank(bank, args.j, seed=args.seed)
     ensemble.save_pseudo_targets(args.out, results)
@@ -116,7 +129,7 @@ def cmd_cluster(args) -> int:
 
 def cmd_grid(args) -> int:
     if args.spec:
-        grid = json.loads(Path(args.spec).read_text(encoding="utf-8"))
+        grid = json.loads(Path(_need(args, "--spec", args.spec)).read_text(encoding="utf-8"))
     elif args.preset == "table2":
         grid = {"base": {}, "rows": harness.table2_rows()}
     else:
@@ -126,8 +139,9 @@ def cmd_grid(args) -> int:
         harness.grid_configs(grid)
     except ValueError as exc:
         raise SystemExit(f"grid: {exc}") from None
-    train_scenarios = _load_split(args.data, args.train_split)
-    eval_scenarios = _load_split(args.data, args.eval_split)
+    _need(args, "--pseudo-targets", args.pseudo_targets)
+    train_scenarios = _load_split(args, args.train_split)
+    eval_scenarios = _load_split(args, args.eval_split)
     pseudo = ensemble.load_pseudo_targets(args.pseudo_targets) if args.pseudo_targets else None
     rows = harness.run_grid(grid, train_scenarios, eval_scenarios,
                             pseudo_targets=pseudo, out_csv=args.out)
@@ -181,6 +195,8 @@ def render_line_chart(series: dict, title: str, width: int = 720, height: int = 
 
 
 def cmd_report(args) -> int:
+    _need(args, "--log", args.log)
+    _need(args, "--jitter", args.jitter)
     records = [json.loads(line) for line in Path(args.log).read_text(encoding="utf-8").splitlines()
                if line.strip()]
     if not records:

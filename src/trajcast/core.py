@@ -14,6 +14,8 @@ Conventions:
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
@@ -214,8 +216,12 @@ def track_frame(track: AgentTrack, end_index: int, heading_jitter: float = 0.0) 
     for idx in (end_index - 1, end_index):
         if not track.present[idx]:
             raise MissingTargetFrame(f"track {track.track_id} absent at frame {idx}")
-    p_prev = track.xy[end_index - 1]
-    p_now = track.xy[end_index]
+    return heading_frame(track.xy[end_index - 1], track.xy[end_index], heading_jitter)
+
+
+def heading_frame(p_prev: np.ndarray, p_now: np.ndarray, heading_jitter: float = 0.0) -> Frame:
+    """Frame with origin p_now whose rotation aligns p_prev -> p_now with the
+    positive x-axis (0 below STATIONARY_EPS), plus heading_jitter radians."""
     d = p_now - p_prev
     if float(np.hypot(d[0], d[1])) < STATIONARY_EPS:
         rotation = 0.0
@@ -440,8 +446,39 @@ def sample_heading_jitter(spec: AugmentSpec, rng: np.random.Generator) -> float:
     return float(rng.uniform(-bound, bound))
 
 
+@dataclass(frozen=True, eq=False)
+class ScenarioArrays:
+    """A scenario's training inputs, stacked once so that each step
+    transforms one array.
+
+    `xy` holds world-frame rows: the target track's `history_len` history
+    frames; then `future_len` rows per supervision target (the ground-truth
+    future first, then each pseudo target); then every map point. `columns[w]`
+    holds the constant (t_rel, is_map, present) encoder columns of window w:
+    the nominal window (w=0) and, when `shift` > 0, the window `shift` frames
+    later (w=1). `confidences` has one entry per target.
+    """
+
+    scenario_id: str
+    xy: np.ndarray
+    columns: tuple
+    confidences: np.ndarray
+    history_len: int
+    future_len: int
+    shift: int
+
+    @property
+    def map_start(self) -> int:
+        return self.history_len + len(self.confidences) * self.future_len
+
+
+@functools.singledispatch
 def apply_transform(scenario: Scenario, tf: SceneTransform) -> Scenario:
-    """Apply a flip/scale transform to every coordinate in the scenario."""
+    """Apply a flip/scale transform to every coordinate in the scenario.
+
+    A Scenario gives a new validated Scenario; ScenarioArrays give a copy
+    with `xy` transformed.
+    """
     agents = tuple(
         AgentTrack(track_id=a.track_id, object_type=a.object_type,
                    xy=tf.apply_xy(a.xy), present=a.present)
@@ -452,3 +489,7 @@ def apply_transform(scenario: Scenario, tf: SceneTransform) -> Scenario:
                     map_polylines=polylines, target_track_id=scenario.target_track_id,
                     history_len=scenario.history_len, future_len=scenario.future_len)
 
+
+@apply_transform.register(ScenarioArrays)
+def _(arrays: ScenarioArrays, tf: SceneTransform) -> ScenarioArrays:
+    return dataclasses.replace(arrays, xy=tf.apply_xy(arrays.xy))

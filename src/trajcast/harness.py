@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
-import math
 import os
 import typing
 from dataclasses import dataclass
@@ -21,15 +20,16 @@ from pathlib import Path
 import numpy as np
 
 from . import losses
-from .core import (AugmentSpec, Scenario, TargetSet, TrajcastError,
-                   apply_transform, compose_frames, sample_heading_jitter,
-                   sample_transform, to_frame_xy)
-from .data import FUTURE_LEN, HISTORY_LEN, branch_futures, make_shift_pair, make_window
+from .core import (AugmentSpec, MissingTargetFrame, Scenario, ScenarioArrays, TrajcastError,
+                   apply_transform, compose_frames, heading_frame, sample_heading_jitter,
+                   sample_transform, to_frame_xy, track_frame)
+from .data import (DT, FUTURE_LEN, HISTORY_LEN, InsufficientFrames, branch_futures,
+                   make_shift_pair, make_window)
 from .matching import CRITERIA, STRATEGIES, match, similarity
 from .metrics import MetricReport, fde, report
-from .predictor import (ModelConfig, ParamStore, backward, forward, init_params,
-                        load_checkpoint, predict, refine_backward, refine_forward,
-                        save_checkpoint)
+from .predictor import (FEATURE_DIM, ModelConfig, ParamStore, WindowBatch, backward,
+                        feature_columns, forward, init_params, load_checkpoint, predict,
+                        refine_backward, refine_forward, save_checkpoint)
 
 SEED_ENV_VAR = "TRAJCAST_SEED"
 
@@ -134,7 +134,10 @@ def make_config(overrides: dict | None = None, config_path=None) -> TrainConfig:
             key = key.strip()
             if key not in _FIELD_TYPES:
                 raise ValueError(f"{config_path}: line {n}: unknown key {key!r}")
-            values[key] = _coerce(key, raw.strip())
+            try:
+                values[key] = _coerce(key, raw.strip())
+            except ValueError as exc:
+                raise ValueError(f"{config_path}: line {n}: {exc}") from None
     for key, val in (overrides or {}).items():
         if key not in _FIELD_TYPES:
             raise ValueError(f"unknown config key {key!r}")
@@ -172,89 +175,187 @@ def lr_at_epoch(config: TrainConfig, epoch: int) -> float:
     return config.lr * config.lr_decay ** (epoch // config.lr_decay_every)
 
 
-def _target_set_for(scenario: Scenario, pseudo, transform) -> TargetSet:
-    """GT plus (optionally) pseudo targets, all under the step's augmentation."""
-    gt = scenario.gt_future()
-    if pseudo is None:
-        return TargetSet(targets=(gt,), confidences=np.array([1.0]))
-    trajs, confs = pseudo
-    extra = tuple(transform.apply_trajectory(t) for t in trajs)
-    return TargetSet(targets=(gt,) + extra,
-                     confidences=np.concatenate([[1.0], confs]))
+def _pseudo_target_arrays(scenario_id: str, entry, horizon: int):
+    """A pseudo-target entry (trajectories as Trajectory objects or (T, 2)
+    arrays, confidences) as ((J, T, 2) points, (J,) confidences), or a
+    ValueError naming the scenario if it could not be supervised on."""
+    trajs, confs = entry
+    confs = np.asarray(confs, dtype=np.float64)
+    where = f"pseudo targets for {scenario_id}"
+    if confs.shape != (len(trajs),):
+        raise ValueError(f"{where}: {confs.size} confidences for {len(trajs)} trajectories")
+    points = [np.asarray(getattr(traj, "points", traj), dtype=np.float64) for traj in trajs]
+    for i, pts in enumerate(points):
+        if pts.shape != (horizon, 2) or not np.all(np.isfinite(pts)):
+            raise ValueError(f"{where}: trajectory {i} must be finite ({horizon}, 2), "
+                             f"got shape {pts.shape}")
+    if not np.all((confs >= 0.0) & (confs <= 1.0)):
+        raise ValueError(f"{where}: confidences must lie in [0, 1], got {confs.tolist()}")
+    return np.reshape(points, (len(points), horizon, 2)), confs
+
+
+def _scenario_arrays(model_cfg: ModelConfig, scenario: Scenario, s: int, pseudo,
+                     n_pseudo: int, shared_columns: dict) -> ScenarioArrays:
+    """A scenario's ScenarioArrays for training, with its checks made here.
+
+    s is the second window's shift (0: no second window). pseudo is None or
+    ((J, T, 2) points, (J,) confidences) from `_pseudo_target_arrays`; it is
+    padded to n_pseudo targets with zero-confidence copies of the ground
+    truth, which add nothing to the loss or its gradients. Windows with the
+    same presence pattern and map size share one read-only feature-columns
+    array from shared_columns, which this call fills. Raises
+    ShapeMismatch, MissingTargetFrame or InsufficientFrames naming the
+    scenario when a window could not be cut from it.
+    """
+    _check_shapes(model_cfg, scenario)
+    m, target = scenario.history_len, scenario.target
+    try:  # each window's agent frame needs the target at its last two frames
+        for end in (m - 1, m + s - 1) if s else (m - 1,):
+            track_frame(target, end)
+    except MissingTargetFrame as exc:
+        raise MissingTargetFrame(f"{scenario.scenario_id}: {exc}") from None
+    if s and int(target.present.sum()) < m + s:
+        raise InsufficientFrames(
+            f"{scenario.scenario_id}: need {m + s} observed frames for shift {s}")
+    trajs, confs = pseudo if pseudo is not None else ((), ())
+    gt = target.xy[m:]
+    maps = [p.points for p in scenario.map_polylines]
+    xy = np.concatenate([target.xy[:m], gt, *trajs, *([gt] * (n_pseudo - len(trajs))), *maps])
+    n_map = sum(len(p) for p in maps)
+    columns = []
+    for w in (0, s) if s else (0,):
+        mask = target.present[w:w + m]
+        key = (mask.tobytes(), n_map)
+        if key not in shared_columns:
+            shared_columns[key] = feature_columns(mask, n_map, DT)
+            shared_columns[key].setflags(write=False)
+        columns.append(shared_columns[key])
+    confidences = np.zeros(1 + n_pseudo)
+    confidences[0] = 1.0
+    confidences[1:1 + len(trajs)] = confs
+    return ScenarioArrays(scenario_id=scenario.scenario_id, xy=xy, columns=tuple(columns),
+                          confidences=confidences, history_len=m,
+                          future_len=scenario.future_len, shift=s)
+
+
+def _window_inputs(arrays: ScenarioArrays, w: int, heading_jitter: float):
+    """(frame, (N, 5) encoder rows, every xy row in that frame) of window w
+    of (augmented) ScenarioArrays: 0 nominal, 1 shifted."""
+    m, s = arrays.history_len, w * arrays.shift
+    frame = heading_frame(arrays.xy[m + s - 2], arrays.xy[m + s - 1], heading_jitter)
+    in_frame = to_frame_xy(arrays.xy, frame)
+    cols = arrays.columns[w]
+    points = np.empty((cols.shape[0], FEATURE_DIM))
+    points[:m, :2] = in_frame[s:m + s]
+    points[m:, :2] = in_frame[arrays.map_start:]
+    points[:, 2:] = cols
+    return frame, points, in_frame
 
 
 def _scenario_step(params: ParamStore, model_cfg: ModelConfig, config: TrainConfig,
-                   scenario: Scenario, pseudo, rng: np.random.Generator):
-    """Loss parts and parameter gradients for one (augmented) scenario."""
+                   batch, rng: np.random.Generator):
+    """Loss parts and summed parameter gradients for a minibatch of (cached,
+    un-augmented) ScenarioArrays.
+
+    Per scenario, in batch order, the rng draws the flip/scale, the heading
+    jitter and then the spatial permutation. Every window of the batch (each
+    scenario's nominal window, then each one's shifted window) goes through
+    one forward and one backward pass, and the spatial second refine pass
+    runs once over the batch. Returns (parts, grads): parts is (B, 4) with
+    columns l_reg, l_cls, l_temp, l_spa per scenario; grads sums over the
+    batch. A batch of one is the single-scenario step.
+    """
     spec = config.augment_spec()
-    transform = sample_transform(spec, rng)
-    jitter_rad = sample_heading_jitter(spec, rng)
-    sc = apply_transform(scenario, transform)
+    k, t, m, s = model_cfg.n_modes, model_cfg.horizon, model_cfg.history_len, config.s
+    n = len(batch)
+    points, hists, targets, frame_maps, perms = ([], []), ([], []), [], [], []
+    for arrays in batch:
+        arrays = apply_transform(arrays, sample_transform(spec, rng))
+        jitter_rad = sample_heading_jitter(spec, rng)
+        if config.use_spatial:
+            perms.append(losses.sample_permutation(rng, (k, t, 2),
+                                                   p_flip=config.spatial_flip_prob,
+                                                   noise_scale=config.spatial_noise))
+        frame_a, points_a, in_a = _window_inputs(arrays, 0, jitter_rad)
+        points[0].append(points_a)
+        hists[0].append(in_a[:m].reshape(-1))
+        targets.append(in_a[m:arrays.map_start].reshape(-1, t, 2))
+        if config.use_temp:
+            frame_b, points_b, in_b = _window_inputs(arrays, 1, jitter_rad)
+            points[1].append(points_b)
+            hists[1].append(in_b[s:m + s].reshape(-1))
+            frame_maps.append(compose_frames(frame_b, frame_a))
 
-    if config.use_temp:
-        window_a, window_b = make_shift_pair(sc, config.s, jitter_rad)
-    else:
-        window_a = make_window(sc, jitter_rad)
-
-    out_a, trace_a = forward(params, model_cfg, window_a)
+    inputs = WindowBatch(points=tuple(points[0] + points[1]),
+                         hist_flat=np.stack(hists[0] + hists[1]))
+    out, trace = forward(params, model_cfg, inputs)
     grads = params.zeros_like()
-
-    targets = _target_set_for(sc, pseudo, transform)
-    targets_xy = np.stack([to_frame_xy(t.points, window_a.frame) for t in targets.targets])
+    completion, refined = out["completion"][:n], out["refined"][:n]
     l_reg, l_cls, d_comp, d_ref, d_probs = losses.target_losses(
-        out_a["completion"], out_a["refined"], out_a["probs"], targets_xy,
-        targets.confidences, refined_reg=config.use_refine)
+        completion, refined, out["probs"][:n], np.stack(targets),
+        np.stack([a.confidences for a in batch]), refined_reg=config.use_refine)
 
-    l_temp = 0.0
+    l_temp = l_spa = np.zeros(n)
     if config.use_temp:
-        out_b, trace_b = forward(params, model_cfg, window_b)
-        frame_map = compose_frames(window_b.frame, window_a.frame)
-        refined_b_in_a = frame_map.apply(out_b["refined"])
+        # window B's refined outputs mapped into window A's frame
+        matrix = np.stack([f.matrix for f in frame_maps])[:, None]       # (B, 1, 2, 2)
+        offset = np.stack([f.offset for f in frame_maps])[:, None, None]  # (B, 1, 1, 2)
+        refined_b_in_a = out["refined"][n:] @ matrix + offset
         l_temp, d_a_temp, d_b_in_a = losses._temporal_arrays(
-            out_a["refined"], refined_b_in_a, config.s, config.strategy, config.criterion)
+            refined, refined_b_in_a, s, config.strategy, config.criterion)
         d_ref = d_ref + d_a_temp
-        d_ref_b = frame_map.backprop(d_b_in_a)
+        d_ref_b = d_b_in_a @ matrix.swapaxes(-1, -2)
 
-    l_spa, d_offsets = 0.0, 0.0     # an offsets gradient of 0.0 is the same as none
+    upstream = {"completion": d_comp, "refined": d_ref, "probs": d_probs}
     if config.use_spatial:
-        perm = losses.sample_permutation(rng, out_a["completion"].shape,
-                                         p_flip=config.spatial_flip_prob,
-                                         noise_scale=config.spatial_noise)
-        anchors2, hist2 = perm.apply(out_a["completion"], trace_a.hist_flat.reshape(-1, 2))
-        offsets2, _, trace2 = refine_forward(params, model_cfg, anchors2, hist2.reshape(-1))
+        perm = losses.SpatialPermutation.stack(perms)
+        anchors2, hist2 = perm.apply(completion, inputs.hist_flat[:n].reshape(n, m, 2))
+        offsets2, _, trace2 = refine_forward(params, model_cfg, anchors2, hist2.reshape(n, -1))
         mapped = perm.invert_offsets(offsets2)
-        l_spa, d_offsets, d_mapped = losses._spatial_arrays(out_a["offsets"], mapped)
+        l_spa, upstream["offsets"], d_mapped = losses._spatial_arrays(out["offsets"][:n], mapped)
         d_anchors2 = refine_backward(params, model_cfg, trace2, perm.backprop_inverse(d_mapped),
-                                     np.zeros(model_cfg.n_modes), grads)
-        d_comp = d_comp + perm.backprop_inverse(d_anchors2)
+                                     np.zeros((n, k)), grads)
+        upstream["completion"] = d_comp + perm.backprop_inverse(d_anchors2)
 
-    parts = (l_reg, l_cls, l_temp, l_spa)
-    if not all(math.isfinite(p) for p in parts):
-        raise NonFiniteLoss(f"{scenario.scenario_id}: loss parts {parts}")
+    parts = np.stack([l_reg, l_cls, l_temp, l_spa], axis=1)
+    finite = np.isfinite(parts).all(axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise NonFiniteLoss(f"{batch[bad].scenario_id}: loss parts {tuple(parts[bad].tolist())}")
 
-    upstream = {"completion": d_comp, "refined": d_ref, "probs": d_probs, "offsets": d_offsets}
-    grads.flat += backward(params, trace_a, upstream).flat
-    if config.use_temp:
-        grads.flat += backward(params, trace_b, {"refined": d_ref_b}).flat
-    return losses.make_breakdown(*parts), grads
+    if config.use_temp:  # window B's only upstream gradient is its refined output's
+        upstream = {name: np.concatenate([g, d_ref_b if name == "refined" else np.zeros_like(g)])
+                    for name, g in upstream.items()}
+    grads.flat += backward(params, trace, upstream).flat
+    return parts, grads
 
 
 def train(config: TrainConfig, scenarios, pseudo_targets: dict | None = None,
           log_path=None, checkpoint_path=None, initial_params: ParamStore | None = None):
     """Run the optimization; returns (params, model_cfg, log record list).
 
-    Per-epoch shuffling, augmentation, and spatial permutations come from a
-    single generator seeded by config.seed. Each log record is one optimizer
-    step with batch-mean loss parts; the same records go to log_path as
-    JSON lines when given.
+    Every scenario (and its pseudo-target entry) is checked and stacked into
+    ScenarioArrays before step 0. Per-epoch shuffling, augmentation, and
+    spatial permutations come from a single generator seeded by config.seed.
+    Each log record is one optimizer step: batch-mean loss parts, the norm of
+    the batch-mean gradient and the parameter norm after the step; the same
+    records go to log_path as JSON lines when given.
     """
     if not scenarios:
         raise ValueError("cannot train on an empty dataset")
     model_cfg = config.model_config()
+    use_pseudo = config.use_mpt and pseudo_targets is not None
+    entries = [pseudo_targets.get(sc.scenario_id) if use_pseudo else None for sc in scenarios]
+    entries = [None if e is None else _pseudo_target_arrays(sc.scenario_id, e, model_cfg.horizon)
+               for sc, e in zip(scenarios, entries)]
+    n_pseudo = max((len(e[0]) for e in entries if e is not None), default=0)
+    shift, shared_columns = config.s if config.use_temp else 0, {}
+    cached = [_scenario_arrays(model_cfg, sc, shift, entry, n_pseudo, shared_columns)
+              for sc, entry in zip(scenarios, entries)]
+
     params = initial_params if initial_params is not None else init_params(model_cfg, config.seed)
     optimizer = Adam(params)
     rng = np.random.default_rng(config.seed)
-    use_pseudo = config.use_mpt and pseudo_targets is not None
 
     records = []
     log_file = open(log_path, "w", encoding="utf-8") if log_path else None
@@ -264,21 +365,16 @@ def train(config: TrainConfig, scenarios, pseudo_targets: dict | None = None,
             lr = lr_at_epoch(config, epoch)
             order = rng.permutation(len(scenarios))
             for start in range(0, len(order), config.batch_size):
-                batch = order[start:start + config.batch_size]
-                sums = np.zeros(4)
-                grads = params.zeros_like()
-                for idx in batch:
-                    sc = scenarios[int(idx)]
-                    pseudo = pseudo_targets.get(sc.scenario_id) if use_pseudo else None
-                    breakdown, g = _scenario_step(params, model_cfg, config, sc, pseudo, rng)
-                    sums += (breakdown.l_reg, breakdown.l_cls,
-                             breakdown.l_temp, breakdown.l_spa)
-                    grads.flat += g.flat
+                batch = [cached[int(idx)] for idx in order[start:start + config.batch_size]]
+                parts, grads = _scenario_step(params, model_cfg, config, batch, rng)
                 n = len(batch)
                 grads.flat /= n
+                grad_norm = float(np.linalg.norm(grads.flat))
                 optimizer.step(params, grads, lr)
-                mean = losses.make_breakdown(*(sums / n))
-                record = {"epoch": epoch, "step": step, "lr": lr, **mean.to_dict()}
+                mean = losses.make_breakdown(*(parts.sum(axis=0) / n).tolist())
+                record = {"epoch": epoch, "step": step, "lr": lr, **mean.to_dict(),
+                          "grad_norm": grad_norm,
+                          "param_norm": float(np.linalg.norm(params.flat))}
                 records.append(record)
                 if log_file:
                     log_file.write(json.dumps(record, sort_keys=True) + "\n")

@@ -3,10 +3,11 @@ supervision target, temporal and spatial consistency terms, and the total.
 
 The kernels `_wta_arrays`, `_temporal_arrays` and `_spatial_arrays` return
 each loss with its exact derivatives w.r.t. the predictor outputs it consumes,
-computed by hand; training calls them (WTA through `target_losses`). The
-public value forms call the same kernels and drop the gradients. Winner
-selection and matching indices are treated as locally constant, which is
-exact away from argmin ties.
+computed by hand; training calls them (WTA through `target_losses`). Leading
+array axes index scenarios, so one call scores a whole minibatch. The public
+value forms call the same kernels on one scenario and drop the gradients.
+Winner selection and matching indices are treated as locally constant, which
+is exact away from argmin ties.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Frame, PredictionSet, TargetSet, Trajectory, TrajcastError, to_frame_xy
-from .matching import match, pairwise_cost
+from .matching import pair_mask, pairwise_cost
 
 HUBER_DELTA = 1.0
 SOFTMIN_TAU = 1.0
@@ -48,16 +49,17 @@ def huber(a, b, delta: float = HUBER_DELTA) -> float:
 
 
 def softmin_scores(displacements, tau: float = SOFTMIN_TAU) -> np.ndarray:
-    """exp(-d/tau) normalized to probabilities; max-shift keeps it stable."""
+    """exp(-d/tau) normalized to probabilities over the last axis; max-shift
+    keeps it stable."""
     d = np.asarray(displacements, dtype=np.float64)
     z = -d / tau
-    e = np.exp(z - z.max())
-    return e / e.sum()
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _softmin_backprop(s: np.ndarray, d_s: np.ndarray, tau: float = SOFTMIN_TAU) -> np.ndarray:
     """Gradient w.r.t. the displacements given gradient w.r.t. the scores."""
-    return -s * (d_s - float(d_s @ s)) / tau
+    return -s * (d_s - (d_s * s).sum(axis=-1, keepdims=True)) / tau
 
 
 # ---------------------------------------------------------------------------
@@ -74,12 +76,12 @@ def wta_target_loss(preds: PredictionSet, target: Trajectory, confidence: float)
     """
     stack = preds.stacked()
     l_cls, l_reg, _, k_star, *_ = _wta_arrays(stack, stack, preds.scores, target.points, confidence)
-    return l_cls, l_reg, k_star
+    return float(l_cls), float(l_reg), int(k_star)
 
 
 def _wta_arrays(completion: np.ndarray, refined: np.ndarray, probs: np.ndarray,
-                target: np.ndarray, confidence: float, refined_reg: bool = True):
-    """Core WTA computation on raw arrays.
+                target: np.ndarray, confidence, refined_reg: bool = True):
+    """Core WTA computation on raw arrays, for one target per prediction set.
 
     Regression supervises both the completion output and the refined output
     at the shared winner (chosen on the refined endpoint error); the
@@ -91,32 +93,56 @@ def _wta_arrays(completion: np.ndarray, refined: np.ndarray, probs: np.ndarray,
     Returns (l_cls, l_reg_completion, l_reg_refined, k_star,
              d_completion, d_refined, d_probs).
     """
-    k, t, _ = refined.shape
-    end_err = np.linalg.norm(refined[:, -1, :] - target[-1], axis=1)
-    k_star = int(np.argmin(end_err))
+    *parts, d_completion, d_refined, d_probs = _wta_targets(
+        completion, refined, probs, target[..., None, :, :],
+        np.asarray(confidence, dtype=np.float64)[..., None], refined_reg)
+    return (*(part[..., 0] for part in parts), d_completion, d_refined, d_probs)
 
-    diff_comp = completion[k_star] - target
-    diff_ref = refined[k_star] - target
-    l_reg_c = confidence / t * float(_huber_elem(diff_comp).sum())
-    l_reg_r = confidence / t * float(_huber_elem(diff_ref).sum()) if refined_reg else 0.0
+
+def _wta_targets(completion: np.ndarray, refined: np.ndarray, probs: np.ndarray,
+                 targets: np.ndarray, confidences: np.ndarray, refined_reg: bool = True):
+    """`_wta_arrays` against J targets per prediction set at once.
+
+    Shapes: completion and refined (..., K, T, 2), probs (..., K), targets
+    (..., J, T, 2), confidences (..., J); leading axes index prediction sets
+    (scenarios). The losses and k_star come per target, (..., J); the
+    gradients are summed over the J targets, shaped like the predictions.
+    """
+    k, t = refined.shape[-3], refined.shape[-2]
+    end_diff = refined[..., None, :, -1, :] - targets[..., :, None, -1, :]  # (..., J, K, 2)
+    end_err = np.linalg.norm(end_diff, axis=-1)
+    k_star = np.argmin(end_err, axis=-1)                                   # (..., J)
+    # (..., K, J): which targets each mode wins, to sum per-target gradients
+    wins = (k_star[..., None, :] == np.arange(k)[:, None]).astype(np.float64)
+
+    def at_winner(stack):
+        return np.take_along_axis(stack, k_star[..., None, None], axis=-3)
+
+    def scatter_to_winners(per_target):  # (..., J, T, 2) -> (..., K, T, 2)
+        flat = per_target.reshape(per_target.shape[:-2] + (2 * t,))
+        return (wins @ flat).reshape(wins.shape[:-1] + (t, 2))
+
+    conf_t = (confidences / t)[..., None, None]
+    diff_comp = at_winner(completion) - targets
+    l_reg_c = confidences / t * _huber_elem(diff_comp).sum(axis=(-2, -1))
+    d_completion = scatter_to_winners(conf_t * _huber_grad(diff_comp))
+    if refined_reg:
+        diff_ref = at_winner(refined) - targets
+        l_reg_r = confidences / t * _huber_elem(diff_ref).sum(axis=(-2, -1))
+        d_refined = scatter_to_winners(conf_t * _huber_grad(diff_ref))
+    else:
+        l_reg_r = np.zeros_like(l_reg_c)
+        d_refined = np.zeros_like(d_completion)
 
     cls_target = softmin_scores(end_err)
-    diff_cls = probs - cls_target
-    l_cls = confidence / k * float(_huber_elem(diff_cls).sum())
-
-    d_completion = np.zeros_like(completion)
-    d_refined = np.zeros_like(refined)
-    d_completion[k_star] = confidence / t * _huber_grad(diff_comp)
-    if refined_reg:
-        d_refined[k_star] += confidence / t * _huber_grad(diff_ref)
-
-    g_cls = confidence / k * _huber_grad(diff_cls)
-    d_probs = g_cls.copy()
+    diff_cls = probs[..., None, :] - cls_target
+    l_cls = confidences / k * _huber_elem(diff_cls).sum(axis=-1)
+    g_cls = (confidences / k)[..., None] * _huber_grad(diff_cls)
+    d_probs = g_cls.sum(axis=-2)
     d_end = _softmin_backprop(cls_target, -g_cls)
     # endpoint error e_k = |refined[k,-1] - target[-1]|; grad is the unit vector
-    for i in range(k):
-        if end_err[i] > 0:
-            d_refined[i, -1] += d_end[i] * (refined[i, -1] - target[-1]) / end_err[i]
+    safe_err = np.where(end_err > 0, end_err, 1.0)[..., None]
+    d_refined[..., -1, :] += (d_end[..., None] * end_diff / safe_err).sum(axis=-3)
     return l_cls, l_reg_c, l_reg_r, k_star, d_completion, d_refined, d_probs
 
 
@@ -132,35 +158,47 @@ def temporal_consistency(preds_a: PredictionSet, preds_b: PredictionSet, s: int,
     the requested matching strategy over the T-s overlapping steps, then the
     mean Huber over matched pairs and overlap steps is returned.
     """
-    return _temporal_arrays(preds_a.stacked(), preds_b.stacked(), s, strategy, criterion)[0]
+    return float(_temporal_arrays(preds_a.stacked(), preds_b.stacked(), s, strategy, criterion)[0])
 
 
 def _temporal_arrays(stack_a: np.ndarray, stack_b: np.ndarray, s: int,
                      strategy: str = "bidirectional", criterion: str = "ade"):
-    t = stack_a.shape[1]
-    if stack_b.shape[1] != t:
+    """Value and gradients of the temporal term for (..., K, T, 2) stacks.
+
+    Leading axes index independent set pairs (a batch of scenarios); each
+    gets its own matching and its own value.
+    """
+    t = stack_a.shape[-2]
+    if stack_b.shape[-2] != t:
         raise InvalidShift("prediction sets must share a horizon")
     if not 1 <= s < t:
         raise InvalidShift(f"need 1 <= s < {t}, got s={s}")
     # A's trailing T-s steps against B's leading T-s steps
-    pairs = match(pairwise_cost(stack_a[:, s:], stack_b[:, : t - s], criterion), strategy).pairs
-    d_a = np.zeros_like(stack_a)
-    d_b = np.zeros_like(stack_b)
-    if not pairs:
-        return 0.0, d_a, d_b
-    norm = len(pairs) * (t - s)
-    total = 0.0
-    for i, j in pairs:
-        diff = stack_a[i, s:, :] - stack_b[j, : t - s, :]
-        total += float(_huber_elem(diff).sum())
-        g = _huber_grad(diff) / norm
-        d_a[i, s:, :] += g
-        d_b[j, : t - s, :] -= g
-    return total / norm, d_a, d_b
+    tail, head = stack_a[..., s:, :], stack_b[..., : t - s, :]
+    lead = stack_a.shape[:-3]
+    paired = pair_mask(pairwise_cost(tail, head, criterion), strategy)  # (..., K_a, K_b)
+    # one row per matched pair: scenario index into the flattened leading axes, i, j
+    where, i, j = np.nonzero(paired.reshape((-1,) + paired.shape[-2:]))
+    tail, head = tail.reshape((-1,) + tail.shape[-3:]), head.reshape((-1,) + head.shape[-3:])
+    diff = tail[where, i] - head[where, j]                                # (P, T-s, 2)
+    count = np.bincount(where, minlength=tail.shape[0])
+    norm = (np.maximum(count, 1) * (t - s)).astype(np.float64)
+    total = np.bincount(where, weights=_huber_elem(diff).sum(axis=(1, 2)),
+                        minlength=tail.shape[0]) / norm
+    g = _huber_grad(diff) / norm[where][:, None, None]
+    d_a = np.zeros(tail.shape[:1] + stack_a.shape[-3:])
+    d_b = np.zeros(head.shape[:1] + stack_b.shape[-3:])
+    np.add.at(d_a[..., s:, :], (where, i), g)
+    np.add.at(d_b[..., : t - s, :], (where, j), -g)
+    return (total.reshape(lead), d_a.reshape(stack_a.shape), d_b.reshape(stack_b.shape))
 
 
 # ---------------------------------------------------------------------------
 # spatial consistency
+
+
+_MIRROR = np.array([1.0, -1.0])
+_KEEP = np.array([1.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -170,17 +208,27 @@ class SpatialPermutation:
 
     `apply` perturbs (anchors, history); `invert_offsets` maps the perturbed
     head's offsets back: the noise is re-added (an anchor-compensating head
-    cancels it exactly) and the reflection is undone.
+    cancels it exactly) and the reflection is undone. `stack` joins B
+    permutations into one whose flip is a (B,) array, for (B, K, T, 2)
+    anchors and (B, M, 2) histories.
     """
 
-    flip: bool = False
-    noise: np.ndarray | None = None  # (K, T, 2) or None
+    flip: bool | np.ndarray = False
+    noise: np.ndarray | None = None  # (..., K, T, 2) or None
+
+    @classmethod
+    def stack(cls, perms) -> "SpatialPermutation":
+        return cls(flip=np.array([p.flip for p in perms]),
+                   noise=np.stack([p.noise for p in perms]))
+
+    def _mirror(self, xy: np.ndarray) -> np.ndarray:
+        """xy with its y coordinates negated wherever flip is set."""
+        flip = np.asarray(self.flip)
+        signs = np.where(flip[..., None], _MIRROR, _KEEP)
+        return xy * signs.reshape(flip.shape + (1,) * (xy.ndim - flip.ndim - 1) + (2,))
 
     def apply(self, anchors: np.ndarray, history: np.ndarray):
-        a, h = anchors, history
-        if self.flip:
-            a = a * np.array([1.0, -1.0])
-            h = h * np.array([1.0, -1.0])
+        a, h = self._mirror(anchors), self._mirror(history)
         if self.noise is not None:
             a = a + self.noise
         return a, h
@@ -189,13 +237,11 @@ class SpatialPermutation:
         o = offsets
         if self.noise is not None:
             o = o + self.noise
-        if self.flip:
-            o = o * np.array([1.0, -1.0])
-        return o
+        return self._mirror(o)
 
     def backprop_inverse(self, d_mapped: np.ndarray) -> np.ndarray:
         """Gradient through invert_offsets (linear: reflection only)."""
-        return d_mapped * np.array([1.0, -1.0]) if self.flip else d_mapped
+        return self._mirror(d_mapped)
 
 
 def sample_permutation(rng: np.random.Generator, shape, p_flip: float = 0.5,
@@ -216,18 +262,19 @@ def spatial_consistency(offsets: np.ndarray, anchors: np.ndarray, history: np.nd
     """
     a2, h2 = perm.apply(anchors, history)
     off2, _ = refine_fn(a2, h2)
-    return _spatial_arrays(offsets, perm.invert_offsets(off2))[0]
+    return float(_spatial_arrays(offsets, perm.invert_offsets(off2))[0])
 
 
 def _spatial_arrays(offsets: np.ndarray, mapped: np.ndarray):
     """Value and gradients given the already inverse-mapped second pass.
 
+    offsets and mapped are (..., K, T, 2); l_spa has the leading shape.
     Returns (l_spa, d_offsets, d_mapped); the caller pushes d_mapped through
     perm.backprop_inverse and the second refinement trace.
     """
-    k, t, _ = offsets.shape
+    k, t = offsets.shape[-3], offsets.shape[-2]
     diff = offsets - mapped
-    l_spa = float(_huber_elem(diff).sum()) / (k * t)
+    l_spa = _huber_elem(diff).sum(axis=(-3, -2, -1)) / (k * t)
     g = _huber_grad(diff) / (k * t)
     return l_spa, g, -g
 
@@ -271,23 +318,14 @@ def target_losses(completion: np.ndarray, refined: np.ndarray, probs: np.ndarray
                   refined_reg: bool = True):
     """Supervision terms summed over all targets.
 
-    targets_xy is (J+1, T, 2) in the same frame as the predictions. Returns
-    (l_reg, l_cls, d_completion, d_refined, d_probs).
+    targets_xy is (..., J+1, T, 2) in the same frame as the (..., K, T, 2)
+    predictions and confidences is (..., J+1); leading axes index scenarios.
+    Returns (l_reg, l_cls, d_completion, d_refined, d_probs), the losses with
+    the leading shape.
     """
-    l_reg = 0.0
-    l_cls = 0.0
-    d_completion = np.zeros_like(completion)
-    d_refined = np.zeros_like(refined)
-    d_probs = np.zeros_like(probs)
-    for j in range(targets_xy.shape[0]):
-        cls_j, reg_c, reg_r, _, dc, dr, dp = _wta_arrays(
-            completion, refined, probs, targets_xy[j], float(confidences[j]), refined_reg)
-        l_reg += reg_c + reg_r
-        l_cls += cls_j
-        d_completion += dc
-        d_refined += dr
-        d_probs += dp
-    return l_reg, l_cls, d_completion, d_refined, d_probs
+    cls, reg_c, reg_r, _, d_completion, d_refined, d_probs = _wta_targets(
+        completion, refined, probs, targets_xy, confidences, refined_reg)
+    return (reg_c + reg_r).sum(axis=-1), cls.sum(axis=-1), d_completion, d_refined, d_probs
 
 
 def total_loss(completion: np.ndarray, refined: np.ndarray, probs: np.ndarray,

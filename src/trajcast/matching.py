@@ -78,37 +78,72 @@ def similarity(set_a: Sequence[Trajectory], set_b: Sequence[Trajectory],
         raise EmptyOverlap(f"overlap {overlap} incompatible with lengths {len_a}, {len_b}")
     tail_a = np.stack([t.points[len_a - overlap:] for t in set_a])   # (Ka, L, 2)
     head_b = np.stack([t.points[:overlap] for t in set_b])           # (Kb, L, 2)
-    return pairwise_cost(tail_a, head_b, criterion)
+    return SimilarityMatrix(cost=pairwise_cost(tail_a, head_b, criterion), criterion=criterion)
 
 
-def pairwise_cost(tail: np.ndarray, head: np.ndarray, criterion: str) -> SimilarityMatrix:
-    """ADE or FDE between every row of tail (K_a, L, 2) and of head (K_b, L, 2)."""
-    dists = np.linalg.norm(tail[:, None] - head[None, :], axis=-1)  # (Ka, Kb, L)
-    cost = dists.mean(axis=-1) if criterion == "ade" else dists[..., -1]
-    return SimilarityMatrix(cost=cost, criterion=criterion)
+def pairwise_cost(tail: np.ndarray, head: np.ndarray, criterion: str) -> np.ndarray:
+    """ADE or FDE between every row of tail (..., K_a, L, 2) and of head
+    (..., K_b, L, 2): a (..., K_a, K_b) stack of cost matrices."""
+    if criterion != "ade":  # FDE reads the last step only
+        tail, head = tail[..., -1:, :], head[..., -1:, :]
+    dists = np.linalg.norm(tail[..., :, None, :, :] - head[..., None, :, :, :], axis=-1)
+    return dists.mean(axis=-1) if criterion == "ade" else dists[..., -1]
+
+
+def pair_mask(cost: np.ndarray, strategy: str) -> np.ndarray:
+    """The pairs `strategy` picks in each matrix of a (..., K_a, K_b) cost
+    stack, as a boolean mask of the same shape.
+
+    The argmin strategies work on the whole stack at once; hungarian solves
+    the matrices one by one and needs finite costs.
+    """
+    if strategy not in STRATEGIES:
+        raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
+    rows, cols = cost.shape[-2:]
+    if strategy == "hungarian":
+        if not np.all(np.isfinite(cost)):
+            raise NonFinite("assignment requires finite costs")
+        mask = np.zeros(cost.shape, dtype=bool)
+        n = max(rows, cols)
+        padded = np.full((n, n), PAD_COST, dtype=np.float64)
+        for idx in np.ndindex(cost.shape[:-2]):
+            padded[:rows, :cols] = cost[idx]
+            col_of_row = _solve_assignment(padded)[:rows]
+            real = col_of_row < cols
+            mask[idx][np.flatnonzero(real), col_of_row[real]] = True
+        return mask
+    # ties resolve to the lowest index, as np.argmin does
+    row_pick = np.argmin(cost, axis=-1)[..., :, None] == np.arange(cols)
+    if strategy == "forward":
+        return row_pick
+    col_pick = np.argmin(cost, axis=-2)[..., None, :] == np.arange(rows)[:, None]
+    return col_pick if strategy == "backward" else row_pick & col_pick
+
+
+def match(sim: SimilarityMatrix, strategy: str) -> MatchResult:
+    """The pairs `strategy` picks on one matrix, ordered by row (backward:
+    by column)."""
+    mask = pair_mask(sim.cost, strategy)
+    if strategy == "backward":
+        pairs = tuple((int(i), int(j)) for j, i in zip(*np.nonzero(mask.T)))
+    else:
+        pairs = tuple((int(i), int(j)) for i, j in zip(*np.nonzero(mask)))
+    return MatchResult(pairs=pairs, strategy=strategy)
 
 
 def match_forward(sim: SimilarityMatrix) -> MatchResult:
     """Each row pairs with its cheapest column (many-to-one allowed)."""
-    cost = sim.cost
-    pairs = tuple((i, int(np.argmin(cost[i]))) for i in range(cost.shape[0]))
-    return MatchResult(pairs=pairs, strategy="forward")
+    return match(sim, "forward")
 
 
 def match_backward(sim: SimilarityMatrix) -> MatchResult:
     """Each column pairs with its cheapest row (many-to-one allowed)."""
-    cost = sim.cost
-    pairs = tuple((int(np.argmin(cost[:, j])), j) for j in range(cost.shape[1]))
-    return MatchResult(pairs=pairs, strategy="backward")
+    return match(sim, "backward")
 
 
 def match_bidirectional(sim: SimilarityMatrix) -> MatchResult:
     """Mutual nearest neighbors; may be empty, is always one-to-one."""
-    cost = sim.cost
-    row_best = np.argmin(cost, axis=1)
-    col_best = np.argmin(cost, axis=0)
-    pairs = tuple((i, int(j)) for i, j in enumerate(row_best) if col_best[j] == i)
-    return MatchResult(pairs=pairs, strategy="bidirectional")
+    return match(sim, "bidirectional")
 
 
 def match_hungarian(sim: SimilarityMatrix) -> MatchResult:
@@ -117,28 +152,7 @@ def match_hungarian(sim: SimilarityMatrix) -> MatchResult:
     Rectangular matrices are padded square with PAD_COST; pairs landing on
     padding are discarded, so min(K_a, K_b) pairs are returned.
     """
-    cost = sim.cost
-    if not np.all(np.isfinite(cost)):
-        raise NonFinite("assignment requires finite costs")
-    rows, cols = cost.shape
-    n = max(rows, cols)
-    padded = np.full((n, n), PAD_COST, dtype=np.float64)
-    padded[:rows, :cols] = cost
-    col_of_row = _solve_assignment(padded)
-    pairs = tuple((i, int(col_of_row[i])) for i in range(rows) if col_of_row[i] < cols)
-    return MatchResult(pairs=pairs, strategy="hungarian")
-
-
-def match(sim: SimilarityMatrix, strategy: str) -> MatchResult:
-    if strategy == "forward":
-        return match_forward(sim)
-    if strategy == "backward":
-        return match_backward(sim)
-    if strategy == "bidirectional":
-        return match_bidirectional(sim)
-    if strategy == "hungarian":
-        return match_hungarian(sim)
-    raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
+    return match(sim, "hungarian")
 
 
 def total_cost(sim: SimilarityMatrix, result: MatchResult) -> float:

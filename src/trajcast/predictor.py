@@ -6,10 +6,11 @@ decodes one full trajectory per goal. Stage 2: a refinement head that treats
 the completed trajectories as anchors and regresses per-anchor offsets plus
 raw classification scores.
 
-Forward passes cache every intermediate needed for exact reverse-mode
-differentiation; `backward` consumes that trace. No autograd framework is
-involved, which keeps training deterministic and the gradient path
-inspectable.
+Forward passes cache the intermediates exact reverse-mode differentiation
+needs; `backward` consumes that trace. Both take one Window or a WindowBatch:
+the encoder runs window by window (point counts differ), the heads as one
+matmul over every window. No autograd framework is involved, which keeps
+training deterministic and the gradient path inspectable.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import PredictionSet, Trajectory, TrajcastError, Window, from_frame_xy
+from .core import (PredictionSet, Trajectory, TrajcastError, Window, from_frame_xy,
+                   to_frame_xy)
 
 FEATURE_DIM = 5  # (x, y, t_rel_seconds, is_map, present)
 
@@ -100,11 +102,15 @@ class ParamStore:
 
     def __init__(self, arrays: dict):
         arrays = {k: np.asarray(v, dtype=np.float64) for k, v in arrays.items()}
-        self.flat = np.concatenate([a.ravel() for a in arrays.values()])
-        self.arrays, start = {}, 0
-        for name, a in arrays.items():
-            self.arrays[name] = self.flat[start:start + a.size].reshape(a.shape)
-            start += a.size
+        self._bind(np.concatenate([a.ravel() for a in arrays.values()]),
+                   {name: a.shape for name, a in arrays.items()})
+
+    def _bind(self, flat: np.ndarray, shapes: dict) -> None:
+        self.flat, self.arrays, start = flat, {}, 0
+        for name, shape in shapes.items():
+            size = math.prod(shape)
+            self.arrays[name] = flat[start:start + size].reshape(shape)
+            start += size
         self.version = 0
 
     def __getitem__(self, key: str) -> np.ndarray:
@@ -126,10 +132,16 @@ class ParamStore:
         self.version += 1
 
     def zeros_like(self) -> "ParamStore":
-        return ParamStore({k: np.zeros(v.shape) for k, v in self.arrays.items()})
+        return self._with_flat(np.zeros_like(self.flat))
 
     def copy(self) -> "ParamStore":
-        return ParamStore(self.arrays)
+        return self._with_flat(self.flat.copy())
+
+    def _with_flat(self, flat: np.ndarray) -> "ParamStore":
+        """A store over `flat` with this store's names and shapes."""
+        store = object.__new__(ParamStore)
+        store._bind(flat, {name: a.shape for name, a in self.arrays.items()})
+        return store
 
 
 def init_params(cfg: ModelConfig, seed: int) -> ParamStore:
@@ -153,13 +165,26 @@ def _relu(z: np.ndarray) -> np.ndarray:
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max()
+    """Softmax over the last axis."""
+    shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _softmax_backprop(p: np.ndarray, d_p: np.ndarray) -> np.ndarray:
-    return p * (d_p - float(d_p @ p))
+    return p * (d_p - (d_p * p).sum(axis=-1, keepdims=True))
+
+
+def feature_columns(history_mask: np.ndarray, n_map: int, dt: float) -> np.ndarray:
+    """The (t_rel, is_map, present) columns of a window's encoder rows:
+    len(history_mask) history rows, then n_map map rows."""
+    m = len(history_mask)
+    cols = np.zeros((m + n_map, FEATURE_DIM - 2))
+    cols[:m, 0] = (np.arange(m) - (m - 1)) * dt
+    cols[m:, 1] = 1.0
+    cols[:m, 2] = history_mask
+    cols[m:, 2] = 1.0
+    return cols
 
 
 def featurize(window: Window) -> np.ndarray:
@@ -169,125 +194,147 @@ def featurize(window: Window) -> np.ndarray:
     presence flag; map rows are tagged is_map=1. All coordinates are in the
     window's agent frame.
     """
-    m = window.history_len
-    if m == 0:
+    if window.history_len == 0:
         raise EmptyHistory(f"window for {window.scenario_id} has no history points")
-    hist = window.history_in_frame()
-    t_rel = (np.arange(m) - (m - 1)) * window.dt
-    rows = [np.column_stack([hist, t_rel, np.zeros(m), window.history_mask.astype(np.float64)])]
-    for poly in window.maps_in_frame():
-        n = poly.shape[0]
-        rows.append(np.column_stack([poly, np.zeros(n), np.ones(n), np.ones(n)]))
-    return np.concatenate(rows, axis=0)
+    xy = np.concatenate([window.history_xy, *(p.points for p in window.map_polylines)])
+    points = np.empty((xy.shape[0], FEATURE_DIM))
+    points[:, :2] = to_frame_xy(xy, window.frame)
+    points[:, 2:] = feature_columns(window.history_mask, xy.shape[0] - window.history_len,
+                                    window.dt)
+    return points
+
+
+@dataclass(frozen=True)
+class WindowBatch:
+    """Encoder inputs of W windows: each window's (N_w, 5) `featurize` rows
+    (N_w may differ) and its agent-frame history flattened, (W, 2M)."""
+
+    points: tuple
+    hist_flat: np.ndarray
+
+    @classmethod
+    def of(cls, windows) -> "WindowBatch":
+        points = tuple(featurize(w) for w in windows)
+        return cls(points=points,
+                   hist_flat=np.stack([p[:w.history_len, :2].reshape(-1)
+                                       for p, w in zip(points, windows)]))
 
 
 @dataclass
 class RefineTrace:
     r_in: np.ndarray
     h0: np.ndarray
-    z5: np.ndarray
     a5: np.ndarray
     h: np.ndarray
 
 
 @dataclass
 class ForwardTrace:
-    """The activations `backward` reads, tied to one parameter version."""
+    """The activations `backward` reads, tied to one parameter version.
+
+    Per window (encoder): the input rows and where the second layer's
+    pre-activations are positive. Backward recomputes the first layer (five
+    inputs wide, so cheap) rather than holding it for every window of a
+    minibatch. Stacked over the W windows (heads): everything else.
+    """
 
     params_id: int
     params_version: int
     cfg: ModelConfig
-    points: np.ndarray
-    z1: np.ndarray
-    h1: np.ndarray
-    z2: np.ndarray
+    points: tuple
+    active2: list
     phi: np.ndarray
-    z3: np.ndarray | None
     g1: np.ndarray | None
     comp_in: np.ndarray
-    z4: np.ndarray
     c1: np.ndarray
-    hist_flat: np.ndarray
     refine: RefineTrace | None
     probs: np.ndarray
+
+
+def _encoder_layer1(params: ParamStore, points: np.ndarray) -> np.ndarray:
+    return _relu(points @ params["enc.w1"] + params["enc.b1"])
 
 
 def refine_forward(params: ParamStore, cfg: ModelConfig, anchors: np.ndarray,
                    hist_flat: np.ndarray):
     """Refinement head: residual block over (anchor, history), linear outputs.
 
-    Returns (offsets (K, T, 2), raw_cls (K,), RefineTrace).
+    anchors is (..., K, T, 2) and hist_flat (..., 2M), with the same leading
+    axes; every anchor of every set is one row of the same matmuls.
+    Returns (offsets (..., K, T, 2), raw_cls (..., K), RefineTrace).
     """
-    k, t = anchors.shape[0], cfg.horizon
-    r_in = np.concatenate([anchors.reshape(k, 2 * t), np.tile(hist_flat, (k, 1))], axis=1)
+    k, t = anchors.shape[-3], cfg.horizon
+    rows = anchors.reshape(-1, 2 * t)
+    hist = np.repeat(hist_flat.reshape(-1, hist_flat.shape[-1]), k, axis=0)
+    r_in = np.concatenate([rows, hist], axis=1)
     h0 = r_in @ params["ref.w0"] + params["ref.b0"]
-    z5 = h0 @ params["ref.w1"] + params["ref.b1"]
-    a5 = _relu(z5)
+    a5 = _relu(h0 @ params["ref.w1"] + params["ref.b1"])
     h = h0 + a5 @ params["ref.w2"] + params["ref.b2"]
-    offsets = (h @ params["ref.wreg"] + params["ref.breg"]).reshape(k, t, 2)
-    raw_cls = (h @ params["ref.wcls"] + params["ref.bcls"]).ravel()
-    trace = RefineTrace(r_in=r_in, h0=h0, z5=z5, a5=a5, h=h)
-    return offsets, raw_cls, trace
+    offsets = (h @ params["ref.wreg"] + params["ref.breg"]).reshape(anchors.shape)
+    raw_cls = (h @ params["ref.wcls"] + params["ref.bcls"]).reshape(anchors.shape[:-2])
+    return offsets, raw_cls, RefineTrace(r_in=r_in, h0=h0, a5=a5, h=h)
 
 
 def refine_backward(params: ParamStore, cfg: ModelConfig, trace: RefineTrace,
-                    d_offsets: np.ndarray, d_raw: np.ndarray, grads: dict):
+                    d_offsets: np.ndarray, d_raw: np.ndarray, grads):
     """Backprop through the refinement head.
 
-    Accumulates parameter gradients into `grads`; returns the gradient
-    w.r.t. the anchor trajectories, shape (K, T, 2).
+    Accumulates parameter gradients, summed over every anchor row, into
+    `grads`; returns the gradient w.r.t. the anchor trajectories, shaped like
+    d_offsets (..., K, T, 2).
     """
-    k, t = d_offsets.shape[0], cfg.horizon
-    d_off_flat = d_offsets.reshape(k, 2 * t)
-    d_h = d_off_flat @ params["ref.wreg"].T + d_raw[:, None] @ params["ref.wcls"].T
+    n, t = trace.h.shape[0], cfg.horizon
+    d_off_flat = d_offsets.reshape(n, 2 * t)
+    d_raw_col = np.reshape(d_raw, (n, 1))
+    d_h = d_off_flat @ params["ref.wreg"].T + d_raw_col @ params["ref.wcls"].T
     grads["ref.wreg"] += trace.h.T @ d_off_flat
     grads["ref.breg"] += d_off_flat.sum(axis=0)
-    grads["ref.wcls"] += trace.h.T @ d_raw[:, None]
-    grads["ref.bcls"] += np.array([d_raw.sum()])
+    grads["ref.wcls"] += trace.h.T @ d_raw_col
+    grads["ref.bcls"] += d_raw_col.sum(axis=0)
     # residual block: h = h0 + relu(h0 w1 + b1) w2 + b2
     d_a5 = d_h @ params["ref.w2"].T
     grads["ref.w2"] += trace.a5.T @ d_h
     grads["ref.b2"] += d_h.sum(axis=0)
-    d_z5 = d_a5 * (trace.z5 > 0)
+    d_z5 = d_a5 * (trace.a5 > 0)
     grads["ref.w1"] += trace.h0.T @ d_z5
     grads["ref.b1"] += d_z5.sum(axis=0)
     d_h0 = d_h + d_z5 @ params["ref.w1"].T
     grads["ref.w0"] += trace.r_in.T @ d_h0
     grads["ref.b0"] += d_h0.sum(axis=0)
-    d_r_in = d_h0 @ params["ref.w0"].T
-    return d_r_in[:, : 2 * t].reshape(k, t, 2)
+    return (d_h0 @ params["ref.w0"][: 2 * t].T).reshape(d_offsets.shape)
 
 
-def forward(params: ParamStore, cfg: ModelConfig, window: Window):
-    """Full two-stage forward pass.
+def forward(params: ParamStore, cfg: ModelConfig, window):
+    """Full two-stage forward pass over one Window or a WindowBatch.
 
     Returns (outputs, trace). outputs holds agent-frame arrays:
       phi (C,), goals (K, 2) or None, completion (K, T, 2),
-      offsets (K, T, 2), refined (K, T, 2), raw_cls (K,), probs (K,).
+      offsets (K, T, 2), refined (K, T, 2), raw_cls (K,), probs (K,);
+    for a WindowBatch of W windows each gains a leading (W,) axis. The
+    encoder runs window by window; the heads run once over all W windows.
     """
-    points = featurize(window)
-    z1 = points @ params["enc.w1"] + params["enc.b1"]
-    h1 = _relu(z1)
-    z2 = h1 @ params["enc.w2"] + params["enc.b2"]
-    h2 = _relu(z2)
-    phi = h2.sum(axis=0)
+    batch = window if isinstance(window, WindowBatch) else WindowBatch.of([window])
+    w, k, t = len(batch.points), cfg.n_modes, cfg.horizon
+    phi = np.empty((w, cfg.feature_dim))
+    active2 = []
+    for i, points in enumerate(batch.points):
+        z2 = _encoder_layer1(params, points) @ params["enc.w2"] + params["enc.b2"]
+        phi[i] = _relu(z2).sum(axis=0)
+        active2.append(z2 > 0)
 
     if cfg.use_goal:
-        z3 = phi @ params["goal.w1"] + params["goal.b1"]
-        g1 = _relu(z3)
-        goals = (g1 @ params["goal.w2"] + params["goal.b2"]).reshape(cfg.n_modes, 2)
-        comp_in = np.concatenate([np.tile(phi, (cfg.n_modes, 1)), goals], axis=1)
+        g1 = _relu(phi @ params["goal.w1"] + params["goal.b1"])
+        goals = (g1 @ params["goal.w2"] + params["goal.b2"]).reshape(w, k, 2)
+        comp_in = np.concatenate([np.broadcast_to(phi[:, None, :], (w, k, phi.shape[1])),
+                                  goals], axis=2).reshape(w * k, -1)
     else:
-        z3 = g1 = goals = None
-        comp_in = phi[None, :]
-    z4 = comp_in @ params["comp.w1"] + params["comp.b1"]
-    c1 = _relu(z4)
-    flat = c1 @ params["comp.w2"] + params["comp.b2"]
-    completion = flat.reshape(cfg.n_modes, cfg.horizon, 2)
+        g1 = goals = None
+        comp_in = phi  # one row per window decodes all K modes
+    c1 = _relu(comp_in @ params["comp.w1"] + params["comp.b1"])
+    completion = (c1 @ params["comp.w2"] + params["comp.b2"]).reshape(w, k, t, 2)
 
-    hist_flat = window.history_in_frame().reshape(-1)
     if cfg.use_refine:
-        offsets, raw_cls, ref_trace = refine_forward(params, cfg, completion, hist_flat)
+        offsets, raw_cls, ref_trace = refine_forward(params, cfg, completion, batch.hist_flat)
         refined = completion + offsets
     else:
         ref_trace = None
@@ -300,36 +347,42 @@ def forward(params: ParamStore, cfg: ModelConfig, window: Window):
         "phi": phi, "goals": goals, "completion": completion,
         "offsets": offsets, "refined": refined, "raw_cls": raw_cls, "probs": probs,
     }
+    if batch is not window:
+        outputs = {name: None if v is None else v[0] for name, v in outputs.items()}
     trace = ForwardTrace(
         params_id=id(params), params_version=params.version, cfg=cfg,
-        points=points, z1=z1, h1=h1, z2=z2, phi=phi, z3=z3, g1=g1,
-        comp_in=comp_in, z4=z4, c1=c1, hist_flat=hist_flat, refine=ref_trace,
+        points=batch.points, active2=active2, phi=phi, g1=g1,
+        comp_in=comp_in, c1=c1, refine=ref_trace,
         probs=probs,
     )
     return outputs, trace
 
 
-def backward(params: ParamStore, trace: ForwardTrace, upstream: dict) -> dict:
-    """Exact parameter gradients for a forward trace.
+def backward(params: ParamStore, trace: ForwardTrace, upstream: dict) -> ParamStore:
+    """Exact parameter gradients for a forward trace, summed over its windows.
 
     `upstream` maps output names ("refined", "completion", "offsets",
     "probs", "raw_cls", "goals", "phi") to gradients of the training scalar
-    w.r.t. those outputs; missing entries are treated as zero.
+    w.r.t. those outputs, shaped as `forward` returned them; missing entries
+    are treated as zero.
 
     Raises StaleTrace when the parameters changed since the forward pass.
     """
     if trace.params_id != id(params) or trace.params_version != params.version:
         raise StaleTrace("parameters changed since this trace was recorded")
     cfg = trace.cfg
-    k, t, c = cfg.n_modes, cfg.horizon, cfg.feature_dim
+    w, k, t, c = len(trace.points), cfg.n_modes, cfg.horizon, cfg.feature_dim
     grads = params.zeros_like()
 
-    d_refined = np.asarray(upstream.get("refined", 0.0)) + np.zeros((k, t, 2))
-    d_completion = np.asarray(upstream.get("completion", 0.0)) + np.zeros((k, t, 2))
-    d_offsets = np.asarray(upstream.get("offsets", 0.0)) + np.zeros((k, t, 2))
-    d_goals = np.asarray(upstream.get("goals", 0.0)) + np.zeros((k, 2))
-    d_phi = np.asarray(upstream.get("phi", 0.0)) + np.zeros(c)
-    d_raw = np.asarray(upstream.get("raw_cls", 0.0)) + np.zeros(k)
+    def grad_of(name, shape):
+        return np.asarray(upstream.get(name, 0.0)) + np.zeros(shape)
+
+    d_refined = grad_of("refined", (w, k, t, 2))
+    d_completion = grad_of("completion", (w, k, t, 2))
+    d_offsets = grad_of("offsets", (w, k, t, 2))
+    d_goals = grad_of("goals", (w, k, 2))
+    d_phi = grad_of("phi", (w, c))
+    d_raw = grad_of("raw_cls", (w, k))
     d_probs = upstream.get("probs")
     if d_probs is not None:
         d_raw = d_raw + _softmax_backprop(trace.probs, np.asarray(d_probs))
@@ -341,41 +394,40 @@ def backward(params: ParamStore, trace: ForwardTrace, upstream: dict) -> dict:
         d_anchor = refine_backward(params, cfg, trace.refine, d_offsets, d_raw, grads)
         d_completion = d_completion + d_anchor
     else:
-        grads["cls.w"] += np.outer(trace.phi, d_raw)
-        grads["cls.b"] += d_raw
-        d_phi = d_phi + params["cls.w"] @ d_raw
+        grads["cls.w"] += trace.phi.T @ d_raw
+        grads["cls.b"] += d_raw.sum(axis=0)
+        d_phi = d_phi + d_raw @ params["cls.w"].T
 
-    # completion head; without goals comp_in is the single row phi[None, :]
+    # completion head; without goals comp_in is phi, one row per window
     d_flat = d_completion.reshape(trace.comp_in.shape[0], -1)
     d_c1 = d_flat @ params["comp.w2"].T
     grads["comp.w2"] += trace.c1.T @ d_flat
     grads["comp.b2"] += d_flat.sum(axis=0)
-    d_z4 = d_c1 * (trace.z4 > 0)
+    d_z4 = d_c1 * (trace.c1 > 0)
     grads["comp.w1"] += trace.comp_in.T @ d_z4
     grads["comp.b1"] += d_z4.sum(axis=0)
-    d_comp_in = d_z4 @ params["comp.w1"].T
-    d_phi = d_phi + d_comp_in[:, :c].sum(axis=0)
+    d_comp_in = (d_z4 @ params["comp.w1"].T).reshape(w, -1, trace.comp_in.shape[1])
+    d_phi = d_phi + d_comp_in[:, :, :c].sum(axis=1)
     if cfg.use_goal:
-        d_goals = d_goals + d_comp_in[:, c:]
         # goal head
-        d_goal_flat = d_goals.reshape(-1)
+        d_goal_flat = (d_goals + d_comp_in[:, :, c:]).reshape(w, 2 * k)
         d_g1 = d_goal_flat @ params["goal.w2"].T
-        grads["goal.w2"] += np.outer(trace.g1, d_goal_flat)
-        grads["goal.b2"] += d_goal_flat
-        d_z3 = d_g1 * (trace.z3 > 0)
-        grads["goal.w1"] += np.outer(trace.phi, d_z3)
-        grads["goal.b1"] += d_z3
-        d_phi = d_phi + params["goal.w1"] @ d_z3
+        grads["goal.w2"] += trace.g1.T @ d_goal_flat
+        grads["goal.b2"] += d_goal_flat.sum(axis=0)
+        d_z3 = d_g1 * (trace.g1 > 0)
+        grads["goal.w1"] += trace.phi.T @ d_z3
+        grads["goal.b1"] += d_z3.sum(axis=0)
+        d_phi = d_phi + d_z3 @ params["goal.w1"].T
 
-    # encoder: phi = sum_n h2[n]
-    d_h2 = np.tile(d_phi, (trace.points.shape[0], 1))
-    d_z2 = d_h2 * (trace.z2 > 0)
-    grads["enc.w2"] += trace.h1.T @ d_z2
-    grads["enc.b2"] += d_z2.sum(axis=0)
-    d_h1 = d_z2 @ params["enc.w2"].T
-    d_z1 = d_h1 * (trace.z1 > 0)
-    grads["enc.w1"] += trace.points.T @ d_z1
-    grads["enc.b1"] += d_z1.sum(axis=0)
+    # encoder, window by window: phi = sum_n relu(h1 w2 + b2)[n]
+    for points, active2, d_phi_w in zip(trace.points, trace.active2, d_phi):
+        h1 = _encoder_layer1(params, points)
+        d_z2 = active2 * d_phi_w
+        grads["enc.w2"] += h1.T @ d_z2
+        grads["enc.b2"] += d_z2.sum(axis=0)
+        d_z1 = (d_z2 @ params["enc.w2"].T) * (h1 > 0)
+        grads["enc.w1"] += points.T @ d_z1
+        grads["enc.b1"] += d_z1.sum(axis=0)
     return grads
 
 

@@ -8,15 +8,17 @@ import numpy as np
 import pytest
 
 from conftest import straight_scenario
-from trajcast import cli
-from trajcast.core import PredictionSet, Trajectory
-from trajcast.data import SyntheticSpec, generate
+from trajcast import cli, data
+from trajcast.core import (MissingTargetFrame, PredictionSet, SceneTransform, Trajectory,
+                           apply_transform, to_frame_xy)
+from trajcast.data import SyntheticSpec, generate, make_shift_pair
 from trajcast.harness import (Adam, NonFiniteLoss, SEED_ENV_VAR, ShapeMismatch,
-                              TrainConfig, _scenario_step, branch_coverage,
+                              TrainConfig, _pseudo_target_arrays, _scenario_arrays,
+                              _scenario_step, _window_inputs, branch_coverage,
                               evaluate, jitter_score, lr_at_epoch, make_config,
                               run_grid, table2_rows, train)
 from trajcast.metrics import EmptyDataset
-from trajcast.predictor import ParamStore, init_params
+from trajcast.predictor import ParamStore, featurize, init_params
 
 TINY = {"epochs": 2, "batch_size": 4, "k": 2, "feature_dim": 8, "j": 2}
 
@@ -98,6 +100,14 @@ def test_make_config_rejects_unknown_keys(tmp_path):
         make_config(config_path=path)
 
 
+def test_make_config_reports_bad_values_with_file_and_line(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("lr = 0.01\nepochs = abc\n")
+    with pytest.raises(ValueError) as exc:
+        make_config(config_path=path)
+    assert str(exc.value) == f"{path}: line 2: config key 'epochs': cannot parse int from 'abc'"
+
+
 @pytest.mark.parametrize("field", dataclasses.fields(TrainConfig), ids=lambda f: f.name)
 def test_make_config_coerces_every_field_from_text(field, tmp_path, monkeypatch):
     monkeypatch.delenv(SEED_ENV_VAR, raising=False)
@@ -145,8 +155,9 @@ def test_train_records_and_toggles():
     assert len(records) == 2 * 2            # 6 scenarios / batch 4 -> 2 steps/epoch
     for rec in records:
         assert set(rec) == {"epoch", "step", "lr", "l_reg", "l_cls",
-                            "l_temp", "l_spa", "total"}
+                            "l_temp", "l_spa", "total", "grad_norm", "param_norm"}
         assert rec["l_temp"] == 0.0 and rec["l_spa"] == 0.0
+        assert rec["grad_norm"] > 0.0 and rec["param_norm"] > 0.0
     config = _tiny_config(use_temp=True, use_spatial=True)
     _, _, records = train(config, scenarios)
     assert any(rec["l_temp"] > 0.0 for rec in records)
@@ -186,6 +197,64 @@ def test_train_nonfinite_loss_names_scenario():
         train(config, scenarios, initial_params=params)
 
 
+def _pseudo_for(scenarios, j=2, seed=1):
+    rng = np.random.default_rng(seed)
+    return {sc.scenario_id: (tuple(Trajectory(points=sc.gt_future().points
+                                              + rng.normal(size=(30, 2)), dt=0.1)
+                                   for _ in range(j)), np.full(j, 1.0 / j))
+            for sc in scenarios}
+
+
+@pytest.mark.parametrize("bad, message", [
+    (lambda trajs, confs: (trajs[:1], confs), "2 confidences for 1 trajectories"),
+    (lambda trajs, confs: ((Trajectory(points=np.zeros((29, 2))), trajs[1]), confs),
+     r"trajectory 0 must be finite \(30, 2\)"),
+    (lambda trajs, confs: ((trajs[0], np.full((30, 2), np.nan)), confs), "trajectory 1"),
+    (lambda trajs, confs: (trajs, np.array([0.5, 1.5])), r"confidences must lie in \[0, 1\]"),
+    (lambda trajs, confs: (trajs, np.array([np.nan, 0.5])), r"confidences must lie in \[0, 1\]"),
+], ids=["count", "shape", "non-finite", "above-one", "nan-confidence"])
+def test_train_rejects_bad_pseudo_targets_before_step_0(tmp_path, bad, message):
+    scenarios = _dataset(count=6)
+    pseudo = _pseudo_for(scenarios)
+    late = scenarios[-1].scenario_id
+    pseudo[late] = bad(*pseudo[late])
+    log = tmp_path / "log.jsonl"
+    with pytest.raises(ValueError, match=f"pseudo targets for {late}: {message}"):
+        train(_tiny_config(use_mpt=True), scenarios, pseudo_targets=pseudo, log_path=log)
+    assert not log.exists()
+
+
+def test_train_rejects_missing_target_frames_before_step_0(tmp_path):
+    scenarios = _dataset(count=4)
+    target = scenarios[-1].target
+    present = target.present.copy()
+    present[20] = False                 # window B (s=1) ends at frame 20
+    late = dataclasses.replace(scenarios[-1], agents=(dataclasses.replace(target, present=present),)
+                               + scenarios[-1].agents[1:])
+    log = tmp_path / "log.jsonl"
+    with pytest.raises(MissingTargetFrame, match=f"{late.scenario_id}: .* frame 20"):
+        train(_tiny_config(), scenarios[:-1] + [late], log_path=log)
+    assert not log.exists()
+    train(_tiny_config(epochs=1, use_temp=False), scenarios[:-1] + [late])  # window A only
+
+
+def test_train_log_and_checkpoint_are_byte_deterministic(tmp_path):
+    """Five-mode mix, flip/scale/heading augmentation, pseudo targets and
+    both consistency losses: two runs write the same bytes."""
+    scenarios = generate(SyntheticSpec(scenario_count=10, seed=4))
+    pseudo = _pseudo_for(scenarios, j=3)
+    config = _tiny_config(epochs=2, use_mpt=True, use_temp=True, use_spatial=True,
+                          aug_flip=0.5, aug_scale_lo=0.8, aug_scale_hi=1.25,
+                          heading_jitter_deg=10.0)
+    outputs = []
+    for run in range(2):
+        log, ckpt = tmp_path / f"log{run}.jsonl", tmp_path / f"ckpt{run}.json"
+        train(config, scenarios, pseudo_targets=pseudo, log_path=log, checkpoint_path=ckpt)
+        outputs.append((log.read_bytes(), ckpt.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert all(json.loads(line)["l_temp"] >= 0 for line in outputs[0][0].splitlines())
+
+
 def test_train_rejects_empty_dataset():
     with pytest.raises(ValueError):
         train(_tiny_config(), [])
@@ -196,26 +265,30 @@ def test_train_rejects_empty_dataset():
 @pytest.mark.parametrize("strategy,criterion,s", [("bidirectional", "fde", 1),
                                                   ("hungarian", "ade", 2)])
 def test_scenario_step_matches_finite_differences(strategy, criterion, s):
-    """Exact gradients of harness._scenario_step with every loss term and
-    augmentation on; the step's rng is re-created so each evaluation draws
-    the same transform, heading jitter and spatial permutation."""
+    """Exact gradients of the production batch step harness._scenario_step,
+    on two scenarios with different point counts (junction: 2 map
+    polylines, straight: 1), every loss term, pseudo targets (one
+    scenario has none) and augmentation on; the step's rng is re-created so
+    each evaluation draws the same transforms, heading jitters and spatial
+    permutations."""
     config = TrainConfig(k=3, feature_dim=8, j=2, s=s, strategy=strategy, criterion=criterion,
                          use_mpt=True, aug_flip=1.0, aug_scale_lo=0.8, aug_scale_hi=1.25,
                          heading_jitter_deg=10.0)
     model_cfg = config.model_config()
-    scenario = _dataset("junction", count=1, seed=9)[0]
-    gt = scenario.gt_future()
-    noise = np.random.default_rng(5)
-    pseudo = (tuple(Trajectory(points=gt.points + noise.normal(size=gt.points.shape), dt=gt.dt)
-                    for _ in range(2)), np.array([0.7, 0.4]))
+    scenarios = [_dataset("junction", count=1, seed=9)[0],
+                 _dataset("straight", count=1, seed=4)[0]]
+    gt = scenarios[0].gt_future().points
+    pseudo = (gt + np.random.default_rng(5).normal(size=(2, *gt.shape)), np.array([0.7, 0.4]))
+    batch = [_scenario_arrays(model_cfg, scenarios[0], s, pseudo, 2, {}),
+             _scenario_arrays(model_cfg, scenarios[1], s, None, 2, {})]
+    assert batch[0].columns[0].shape[0] != batch[1].columns[0].shape[0]
     params = init_params(model_cfg, seed=3)
 
     def step():
-        return _scenario_step(params, model_cfg, config, scenario, pseudo,
-                              np.random.default_rng(11))
+        return _scenario_step(params, model_cfg, config, batch, np.random.default_rng(11))
 
-    breakdown, grads = step()
-    assert breakdown.l_temp > 0 and breakdown.l_spa > 0
+    parts, grads = step()
+    assert parts.shape == (2, 4) and np.all(parts[:, 2:] > 0)   # l_temp, l_spa
     rng = np.random.default_rng(23)
     h = 1e-5
     names = sorted(params.keys())
@@ -226,13 +299,60 @@ def test_scenario_step_matches_finite_differences(strategy, criterion, s):
         idx = tuple(int(rng.integers(dim)) for dim in arr.shape)
         orig = arr[idx]
         arr[idx] = orig + h
-        up = step()[0].total
+        up = step()[0].sum()
         arr[idx] = orig - h
-        dn = step()[0].total
+        dn = step()[0].sum()
         arr[idx] = orig
         fd = (up - dn) / (2 * h)
         worst = max(worst, abs(grads[name][idx] - fd) / max(1.0, abs(fd)))
     assert worst < 1e-4
+
+
+def test_scenario_step_over_a_batch_equals_batches_of_one():
+    """One rng feeds both: per scenario the batch step draws in the same
+    order as a batch of one does."""
+    config = TrainConfig(k=3, feature_dim=8, s=2, use_mpt=True, aug_flip=0.5,
+                         aug_scale_lo=0.8, aug_scale_hi=1.25, heading_jitter_deg=10.0)
+    model_cfg = config.model_config()
+    scenarios = generate(SyntheticSpec(scenario_count=4, seed=2))
+    pseudo = _pseudo_for(scenarios[:3], j=2)
+    shared = {}
+    batch = [_scenario_arrays(model_cfg, sc, 2, None if sc.scenario_id not in pseudo else
+                              _pseudo_target_arrays(sc.scenario_id, pseudo[sc.scenario_id], 30),
+                              2, shared)
+             for sc in scenarios]
+    assert all(a.columns[0] is a.columns[1] for a in batch)   # same presence, one array
+    params = init_params(model_cfg, seed=4)
+    parts, grads = _scenario_step(params, model_cfg, config, batch, np.random.default_rng(8))
+    rng = np.random.default_rng(8)
+    summed = np.zeros_like(grads.flat)
+    for i, arrays in enumerate(batch):
+        parts_i, grads_i = _scenario_step(params, model_cfg, config, [arrays], rng)
+        np.testing.assert_allclose(parts[i], parts_i[0], rtol=1e-12)
+        summed += grads_i.flat
+    np.testing.assert_allclose(grads.flat, summed, rtol=1e-12,
+                               atol=1e-12 * np.abs(summed).max())
+
+
+def test_window_inputs_match_the_window_path():
+    """The cached arrays give the encoder rows, history and targets that
+    apply_transform + make_shift_pair + featurize give."""
+    config = TrainConfig(s=3)
+    model_cfg = config.model_config()
+    sc = _dataset("junction", count=1, seed=5)[0]
+    pseudo = _pseudo_target_arrays(sc.scenario_id, _pseudo_for([sc], j=2)[sc.scenario_id], 30)
+    tf = SceneTransform(flip=True, scale=1.2)
+    arrays = apply_transform(_scenario_arrays(model_cfg, sc, 3, pseudo, 3, {}), tf)
+    windows = make_shift_pair(apply_transform(sc, tf), 3, heading_jitter=0.1)
+    inputs = [_window_inputs(arrays, w, 0.1) for w in (0, 1)]
+    for window, (frame, points, _) in zip(windows, inputs):
+        assert frame == window.frame
+        np.testing.assert_allclose(points, featurize(window), rtol=1e-12, atol=1e-12)
+    targets = [windows[0].gt_future.points, *(tf.apply_xy(p) for p in pseudo[0])]
+    np.testing.assert_allclose(inputs[0][2][20:arrays.map_start].reshape(-1, 30, 2)[:3],
+                               [to_frame_xy(t, windows[0].frame) for t in targets],
+                               rtol=1e-12, atol=1e-12)
+    np.testing.assert_array_equal(arrays.confidences, [1.0, 0.5, 0.5, 0.0])
 
 
 # -- evaluation / jitter / coverage --------------------------------------------
@@ -384,6 +504,36 @@ def test_cli_generate_rejects_mode_mix_without_weight(tmp_path, mix):
     with pytest.raises(SystemExit, match="--mode-mix expects name=weight"):
         cli.main(["generate", "--out", str(tmp_path / "ds"), "--mode-mix", mix])
     assert not (tmp_path / "ds").exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["evaluate", "--checkpoint", "{missing}", "--data", "{ds}"], "--checkpoint"),
+    (["evaluate", "--checkpoint", "{ckpt}", "--data", "{missing}"], "--data"),
+    (["jitter", "--checkpoint", "{missing}", "--data", "{ds}"], "--checkpoint"),
+    (["train", "--data", "{missing}", "--out", "{out}"], "--data"),
+    (["train", "--data", "{empty}", "--out", "{out}"], "--data"),
+    (["train", "--data", "{ds}", "--out", "{out}", "--config", "{missing}"], "--config"),
+    (["train", "--data", "{ds}", "--out", "{out}", "--pseudo-targets", "{missing}"],
+     "--pseudo-targets"),
+    (["grid", "--data", "{ds}", "--preset", "table2", "--pseudo-targets", "{missing}"],
+     "--pseudo-targets"),
+], ids=lambda v: " ".join(v[:1] + [a for a in v if a.startswith("--")]) if isinstance(v, list)
+   else None)
+def test_cli_rejects_missing_input_files(tmp_path, argv, flag):
+    ds = tmp_path / "ds"
+    data.save_dataset(_dataset(count=2), ds)
+    ckpt = tmp_path / "model.json"
+    ckpt.write_text("{}")
+    (tmp_path / "empty").mkdir()
+    paths = {"missing": tmp_path / "missing.json", "ds": ds, "ckpt": ckpt,
+             "empty": tmp_path / "empty", "out": tmp_path / "out.json"}
+    argv = [a.format(**paths) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    message = str(exc.value)
+    assert message.startswith(f"{argv[0]}: {flag} ") and "no such file" in message
+    assert "\n" not in message
+    assert not (tmp_path / "out.json").exists()
 
 
 @pytest.mark.parametrize("argv, message", [

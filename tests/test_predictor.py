@@ -5,10 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import straight_scenario
+from trajcast import data
 from trajcast.core import Trajectory, Window, agent_frame
-from trajcast.predictor import (EmptyHistory, ModelConfig, StaleTrace,
+from trajcast.predictor import (EmptyHistory, ModelConfig, StaleTrace, WindowBatch,
                                 _layer_shapes, backward, featurize, forward,
                                 init_params, load_checkpoint, predict,
                                 refine_backward, refine_forward,
@@ -128,6 +130,36 @@ def test_forward_is_bit_reproducible():
     for key, val in out1.items():
         if val is not None:
             np.testing.assert_array_equal(val, out2[key])
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**16), n_windows=st.integers(2, 5),
+       use_goal=st.booleans(), use_refine=st.booleans())
+def test_batched_forward_backward_equal_per_window_calls(seed, n_windows, use_goal, use_refine):
+    """A WindowBatch through forward and backward gives each window's outputs
+    and the sum of its gradients, as one call per window does; the windows
+    come from the five-mode mix, so their point counts differ."""
+    cfg = ModelConfig(n_modes=3, horizon=30, history_len=20, feature_dim=8,
+                      use_goal=use_goal, use_refine=use_refine)
+    scenarios = data.generate(data.SyntheticSpec(scenario_count=n_windows, seed=seed))
+    windows = [data.make_window(sc) for sc in scenarios]
+    params = init_params(cfg, seed=seed)
+    rng = np.random.default_rng(seed)
+    upstream = {"refined": rng.normal(size=(n_windows, 3, 30, 2)),
+                "completion": rng.normal(size=(n_windows, 3, 30, 2)),
+                "probs": rng.normal(size=(n_windows, 3))}
+
+    out, trace = forward(params, cfg, WindowBatch.of(windows))
+    grads = backward(params, trace, upstream).flat
+    summed = np.zeros_like(grads)
+    for i, window in enumerate(windows):
+        out_i, trace_i = forward(params, cfg, window)
+        for name, value in out_i.items():
+            if value is not None:
+                np.testing.assert_allclose(out[name][i], value, rtol=1e-12, atol=1e-12)
+        summed += backward(params, trace_i, {k: v[i] for k, v in upstream.items()}).flat
+    scale = np.abs(summed).max()
+    np.testing.assert_allclose(grads, summed, rtol=1e-12, atol=1e-12 * scale)
 
 
 def _scalar_and_grads(params, cfg, win, w_refined, w_probs):
