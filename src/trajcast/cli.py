@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 from . import data, ensemble, harness
+from .core import TrajcastError
 
 
 def _parse_mode_mix(text: str) -> dict:
@@ -56,13 +57,10 @@ def cmd_generate(args) -> int:
         branch_probs = tuple(float(p) for p in args.branch_probs.split(","))
     except ValueError:
         raise SystemExit(f"--branch-probs expects numbers, got {args.branch_probs!r}") from None
-    try:
-        spec = data.SyntheticSpec(scenario_count=args.count, mode_mix=mix,
-                                  speed_range=(args.speed_lo, args.speed_hi),
-                                  noise_sigma=args.noise, seed=args.seed,
-                                  branch_probs=branch_probs)
-    except ValueError as exc:
-        raise SystemExit(f"generate: {exc}") from None
+    spec = data.SyntheticSpec(scenario_count=args.count, mode_mix=mix,
+                              speed_range=(args.speed_lo, args.speed_hi),
+                              noise_sigma=args.noise, seed=args.seed,
+                              branch_probs=branch_probs)
     scenarios = data.generate(spec)
     manifest = data.save_dataset(scenarios, args.out, val_fraction=args.val_fraction)
     print(manifest)
@@ -70,11 +68,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    try:
-        config = harness.make_config(_parse_overrides(args.set),
-                                     config_path=_need(args, "--config", args.config))
-    except ValueError as exc:
-        raise SystemExit(f"train: {exc}") from None
+    config = harness.make_config(_parse_overrides(args.set),
+                                 config_path=_need(args, "--config", args.config))
     _need(args, "--pseudo-targets", args.pseudo_targets)
     scenarios = _load_split(args, args.split)
     pseudo = ensemble.load_pseudo_targets(args.pseudo_targets) if args.pseudo_targets else None
@@ -135,10 +130,7 @@ def cmd_grid(args) -> int:
     else:
         raise SystemExit("grid needs --spec or --preset table2")
     grid.setdefault("base", {}).update(_parse_overrides(args.set))
-    try:
-        harness.grid_configs(grid)
-    except ValueError as exc:
-        raise SystemExit(f"grid: {exc}") from None
+    harness.grid_configs(grid)
     _need(args, "--pseudo-targets", args.pseudo_targets)
     train_scenarios = _load_split(args, args.train_split)
     eval_scenarios = _load_split(args, args.eval_split)
@@ -298,7 +290,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (TrajcastError, ValueError) as exc:  # input errors name what is at fault
+        raise SystemExit(f"{args.command}: {exc}") from None
 
 
 if __name__ == "__main__":

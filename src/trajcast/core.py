@@ -18,7 +18,7 @@ import dataclasses
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,10 +89,6 @@ class Trajectory:
 
     def waypoint(self, i: int) -> Waypoint:
         return Waypoint(float(self.points[i, 0]), float(self.points[i, 1]))
-
-    @classmethod
-    def from_waypoints(cls, waypoints: Sequence[tuple], dt: float = 0.1) -> "Trajectory":
-        return cls(points=np.array(waypoints, dtype=np.float64), dt=dt)
 
 
 @dataclass(frozen=True, eq=False)
@@ -383,9 +379,6 @@ class Window:
     def history_in_frame(self) -> np.ndarray:
         return to_frame_xy(self.history_xy, self.frame)
 
-    def maps_in_frame(self) -> list:
-        return [to_frame_xy(p.points, self.frame) for p in self.map_polylines]
-
 
 @dataclass(frozen=True)
 class AugmentSpec:
@@ -453,15 +446,15 @@ class ScenarioArrays:
 
     `xy` holds world-frame rows: the target track's `history_len` history
     frames; then `future_len` rows per supervision target (the ground-truth
-    future first, then each pseudo target); then every map point. `columns[w]`
-    holds the constant (t_rel, is_map, present) encoder columns of window w:
-    the nominal window (w=0) and, when `shift` > 0, the window `shift` frames
-    later (w=1). `confidences` has one entry per target.
+    future first, then each pseudo target); then every map point. `present`
+    flags the target track's observed frames, all `history_len + future_len`
+    of them. `confidences` has one entry per target. The windows are the
+    nominal one and, when `shift` > 0, the one `shift` frames later.
     """
 
     scenario_id: str
     xy: np.ndarray
-    columns: tuple
+    present: np.ndarray
     confidences: np.ndarray
     history_len: int
     future_len: int

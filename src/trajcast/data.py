@@ -20,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (AgentTrack, Scenario, Trajectory, TrajcastError, Window,
-                   agent_frame, rotate_xy, track_frame)
+from .core import (AgentTrack, MissingTargetFrame, Scenario, Trajectory, TrajcastError,
+                   Window, rotate_xy, track_frame)
 
 log = logging.getLogger("trajcast.data")
 
@@ -43,7 +43,8 @@ _CSV_TO_TYPE = {"AGENT": "agent", "AV": "av"}
 
 
 class MalformedRow(TrajcastError):
-    """CSV row that cannot be parsed; message carries the line number."""
+    """Scenario file (CSV or map sidecar) that cannot be parsed into a valid
+    Scenario; the message names the file, and the line for a bad row."""
 
 
 class MissingAgent(TrajcastError):
@@ -262,11 +263,17 @@ def load_csv(path, history_len: int = HISTORY_LEN, future_len: int = FUTURE_LEN)
     sidecar = Path(str(path) + ".map.json")
     polylines = ()
     if sidecar.exists():
-        data = json.loads(sidecar.read_text(encoding="utf-8"))
-        polylines = tuple(Trajectory(points=np.array(p), dt=DT) for p in data["polylines"])
-    return Scenario(scenario_id=Path(path).stem, agents=tuple(agents),
-                    map_polylines=polylines, target_track_id=target_id,
-                    history_len=history_len, future_len=future_len)
+        try:
+            data = json.loads(sidecar.read_text(encoding="utf-8"))
+            polylines = tuple(Trajectory(points=np.array(p), dt=DT) for p in data["polylines"])
+        except ValueError as exc:
+            raise MalformedRow(f"{sidecar}: {exc}") from None
+    try:
+        return Scenario(scenario_id=Path(path).stem, agents=tuple(agents),
+                        map_polylines=polylines, target_track_id=target_id,
+                        history_len=history_len, future_len=future_len)
+    except ValueError as exc:
+        raise MalformedRow(f"{path}: {exc}") from None
 
 
 def _load_all(files, history_len: int, future_len: int, strict: bool) -> list:
@@ -327,37 +334,50 @@ def load_manifest(manifest_path, split: str | None = None, strict: bool = False)
 # model input windows
 
 
-def make_window(scenario: Scenario, heading_jitter: float = 0.0) -> Window:
-    """Nominal input window: full history, agent frame at t=0, GT attached."""
-    m = scenario.history_len
-    target = scenario.target
+def check_windows(scenario: Scenario, s: int = 0) -> None:
+    """What a scenario must meet to be cut into its nominal window and, for
+    s > 0, the window s frames later: the target present at each window's
+    last two frames (its agent frame is built from them), and for s > 0 at
+    least history_len + s observed target frames. Raises InsufficientFrames
+    or MissingTargetFrame, each message starting with the scenario id."""
+    if s < 0:
+        raise ValueError("shift must be >= 0")
+    m, target = scenario.history_len, scenario.target
+    if s and (m + s > scenario.total_frames or int(target.present.sum()) < m + s):
+        raise InsufficientFrames(
+            f"{scenario.scenario_id}: need {m + s} observed frames for shift {s}")
+    for end in (m - 1, m + s - 1) if s else (m - 1,):
+        for idx in (end - 1, end):
+            if not target.present[idx]:
+                raise MissingTargetFrame(f"{scenario.scenario_id}: track "
+                                         f"{target.track_id} absent at frame {idx}")
+
+
+def _cut_window(scenario: Scenario, s: int, heading_jitter: float) -> Window:
+    """The window ending s frames after t=0, in its own agent frame; only the
+    nominal window (s = 0) carries the ground truth."""
+    m, target = scenario.history_len, scenario.target
     return Window(scenario_id=scenario.scenario_id,
-                  history_xy=target.xy[:m], history_mask=target.present[:m],
+                  history_xy=target.xy[s:m + s], history_mask=target.present[s:m + s],
                   map_polylines=scenario.map_polylines,
-                  frame=agent_frame(scenario, heading_jitter),
-                  gt_future=scenario.gt_future(), shift=0, dt=DT)
+                  frame=track_frame(target, m + s - 1, heading_jitter),
+                  gt_future=None if s else scenario.gt_future(), shift=s, dt=DT)
+
+
+def make_window(scenario: Scenario, heading_jitter: float = 0.0) -> Window:
+    """Nominal input window: full history, agent frame at t=0, GT attached;
+    raises as check_windows(scenario) does."""
+    check_windows(scenario)
+    return _cut_window(scenario, 0, heading_jitter)
 
 
 def make_shift_pair(scenario: Scenario, s: int, heading_jitter: float = 0.0):
     """Windows s frames apart for consistency training.
 
     Window A is the nominal window (with GT); window B slides the history s
-    frames forward and gets its own agent frame, no GT. Raises
-    InsufficientFrames when the target lacks history_len + s observed frames.
+    frames forward and gets its own agent frame, no GT. s = 0 gives window A
+    twice. Raises as check_windows(scenario, s) does.
     """
-    if s < 0:
-        raise ValueError("shift must be >= 0")
-    m = scenario.history_len
-    target = scenario.target
-    if m + s > scenario.total_frames or int(target.present.sum()) < m + s:
-        raise InsufficientFrames(
-            f"{scenario.scenario_id}: need {m + s} observed frames for shift {s}")
-    window_a = make_window(scenario, heading_jitter)
-    if s == 0:
-        return window_a, window_a
-    window_b = Window(scenario_id=scenario.scenario_id,
-                      history_xy=target.xy[s:m + s], history_mask=target.present[s:m + s],
-                      map_polylines=scenario.map_polylines,
-                      frame=track_frame(target, m + s - 1, heading_jitter),
-                      gt_future=None, shift=s, dt=DT)
-    return window_a, window_b
+    check_windows(scenario, s)
+    window_a = _cut_window(scenario, 0, heading_jitter)
+    return window_a, (window_a if s == 0 else _cut_window(scenario, s, heading_jitter))

@@ -20,16 +20,16 @@ from pathlib import Path
 import numpy as np
 
 from . import losses
-from .core import (AugmentSpec, MissingTargetFrame, Scenario, ScenarioArrays, TrajcastError,
-                   apply_transform, compose_frames, heading_frame, sample_heading_jitter,
-                   sample_transform, to_frame_xy, track_frame)
-from .data import (DT, FUTURE_LEN, HISTORY_LEN, InsufficientFrames, branch_futures,
+from .core import (AugmentSpec, Scenario, ScenarioArrays, TrajcastError, apply_transform,
+                   compose_frames, heading_frame, sample_heading_jitter, sample_transform,
+                   to_frame_xy)
+from .data import (DT, FUTURE_LEN, HISTORY_LEN, branch_futures, check_windows,
                    make_shift_pair, make_window)
 from .matching import CRITERIA, STRATEGIES, match, similarity
 from .metrics import MetricReport, fde, report
-from .predictor import (FEATURE_DIM, ModelConfig, ParamStore, WindowBatch, backward,
-                        feature_columns, forward, init_params, load_checkpoint, predict,
-                        refine_backward, refine_forward, save_checkpoint)
+from .predictor import (ModelConfig, ParamStore, WindowBatch, backward, encoder_rows, forward,
+                        init_params, load_checkpoint, predict, refine_backward,
+                        refine_forward, save_checkpoint)
 
 SEED_ENV_VAR = "TRAJCAST_SEED"
 
@@ -194,46 +194,25 @@ def _pseudo_target_arrays(scenario_id: str, entry, horizon: int):
     return np.reshape(points, (len(points), horizon, 2)), confs
 
 
-def _scenario_arrays(model_cfg: ModelConfig, scenario: Scenario, s: int, pseudo,
-                     n_pseudo: int, shared_columns: dict) -> ScenarioArrays:
-    """A scenario's ScenarioArrays for training, with its checks made here.
+def _scenario_arrays(scenario: Scenario, s: int, pseudo, n_pseudo: int) -> ScenarioArrays:
+    """A scenario's ScenarioArrays for training.
 
     s is the second window's shift (0: no second window). pseudo is None or
     ((J, T, 2) points, (J,) confidences) from `_pseudo_target_arrays`; it is
     padded to n_pseudo targets with zero-confidence copies of the ground
-    truth, which add nothing to the loss or its gradients. Windows with the
-    same presence pattern and map size share one read-only feature-columns
-    array from shared_columns, which this call fills. Raises
-    ShapeMismatch, MissingTargetFrame or InsufficientFrames naming the
-    scenario when a window could not be cut from it.
+    truth, which add nothing to the loss or its gradients. Raises as
+    check_windows(scenario, s) does.
     """
-    _check_shapes(model_cfg, scenario)
+    check_windows(scenario, s)
     m, target = scenario.history_len, scenario.target
-    try:  # each window's agent frame needs the target at its last two frames
-        for end in (m - 1, m + s - 1) if s else (m - 1,):
-            track_frame(target, end)
-    except MissingTargetFrame as exc:
-        raise MissingTargetFrame(f"{scenario.scenario_id}: {exc}") from None
-    if s and int(target.present.sum()) < m + s:
-        raise InsufficientFrames(
-            f"{scenario.scenario_id}: need {m + s} observed frames for shift {s}")
     trajs, confs = pseudo if pseudo is not None else ((), ())
     gt = target.xy[m:]
     maps = [p.points for p in scenario.map_polylines]
     xy = np.concatenate([target.xy[:m], gt, *trajs, *([gt] * (n_pseudo - len(trajs))), *maps])
-    n_map = sum(len(p) for p in maps)
-    columns = []
-    for w in (0, s) if s else (0,):
-        mask = target.present[w:w + m]
-        key = (mask.tobytes(), n_map)
-        if key not in shared_columns:
-            shared_columns[key] = feature_columns(mask, n_map, DT)
-            shared_columns[key].setflags(write=False)
-        columns.append(shared_columns[key])
     confidences = np.zeros(1 + n_pseudo)
     confidences[0] = 1.0
     confidences[1:1 + len(trajs)] = confs
-    return ScenarioArrays(scenario_id=scenario.scenario_id, xy=xy, columns=tuple(columns),
+    return ScenarioArrays(scenario_id=scenario.scenario_id, xy=xy, present=target.present,
                           confidences=confidences, history_len=m,
                           future_len=scenario.future_len, shift=s)
 
@@ -244,11 +223,8 @@ def _window_inputs(arrays: ScenarioArrays, w: int, heading_jitter: float):
     m, s = arrays.history_len, w * arrays.shift
     frame = heading_frame(arrays.xy[m + s - 2], arrays.xy[m + s - 1], heading_jitter)
     in_frame = to_frame_xy(arrays.xy, frame)
-    cols = arrays.columns[w]
-    points = np.empty((cols.shape[0], FEATURE_DIM))
-    points[:m, :2] = in_frame[s:m + s]
-    points[m:, :2] = in_frame[arrays.map_start:]
-    points[:, 2:] = cols
+    points = encoder_rows(in_frame[s:m + s], arrays.present[s:m + s],
+                          in_frame[arrays.map_start:], DT)
     return frame, points, in_frame
 
 
@@ -334,8 +310,8 @@ def train(config: TrainConfig, scenarios, pseudo_targets: dict | None = None,
           log_path=None, checkpoint_path=None, initial_params: ParamStore | None = None):
     """Run the optimization; returns (params, model_cfg, log record list).
 
-    Every scenario (and its pseudo-target entry) is checked and stacked into
-    ScenarioArrays before step 0. Per-epoch shuffling, augmentation, and
+    Every scenario (and its pseudo-target entry) is checked, and then stacked
+    into ScenarioArrays, before step 0. Per-epoch shuffling, augmentation, and
     spatial permutations come from a single generator seeded by config.seed.
     Each log record is one optimizer step: batch-mean loss parts, the norm of
     the batch-mean gradient and the parameter norm after the step; the same
@@ -344,13 +320,14 @@ def train(config: TrainConfig, scenarios, pseudo_targets: dict | None = None,
     if not scenarios:
         raise ValueError("cannot train on an empty dataset")
     model_cfg = config.model_config()
+    shift = config.s if config.use_temp else 0
+    _check_scenarios(model_cfg, scenarios, shift)
     use_pseudo = config.use_mpt and pseudo_targets is not None
     entries = [pseudo_targets.get(sc.scenario_id) if use_pseudo else None for sc in scenarios]
     entries = [None if e is None else _pseudo_target_arrays(sc.scenario_id, e, model_cfg.horizon)
                for sc, e in zip(scenarios, entries)]
     n_pseudo = max((len(e[0]) for e in entries if e is not None), default=0)
-    shift, shared_columns = config.s if config.use_temp else 0, {}
-    cached = [_scenario_arrays(model_cfg, sc, shift, entry, n_pseudo, shared_columns)
+    cached = [_scenario_arrays(sc, shift, entry, n_pseudo)
               for sc, entry in zip(scenarios, entries)]
 
     params = initial_params if initial_params is not None else init_params(model_cfg, config.seed)
@@ -388,29 +365,34 @@ def train(config: TrainConfig, scenarios, pseudo_targets: dict | None = None,
     return params, model_cfg, records
 
 
-def _check_shapes(model_cfg: ModelConfig, scenario: Scenario) -> None:
-    if (scenario.history_len != model_cfg.history_len
-            or scenario.future_len != model_cfg.horizon):
-        raise ShapeMismatch(
-            f"{scenario.scenario_id}: scenario frames "
-            f"{scenario.history_len}+{scenario.future_len}, model expects "
-            f"{model_cfg.history_len}+{model_cfg.horizon}")
+def _check_scenarios(model_cfg: ModelConfig, scenarios, s: int = 0) -> None:
+    """The pass every command makes over its scenarios before any work: each
+    must have the model's lengths (else ShapeMismatch) and pass
+    check_windows(scenario, s); the first scenario that fails is named."""
+    for sc in scenarios:
+        if (sc.history_len, sc.future_len) != (model_cfg.history_len, model_cfg.horizon):
+            raise ShapeMismatch(
+                f"{sc.scenario_id}: scenario frames {sc.history_len}+{sc.future_len}, "
+                f"model expects {model_cfg.history_len}+{model_cfg.horizon}")
+        check_windows(sc, s)
+
+
+def _nominal_predictions(params: ParamStore, model_cfg: ModelConfig, scenarios) -> list:
+    """The prediction on each scenario's nominal window, once all are checked."""
+    _check_scenarios(model_cfg, scenarios)
+    return [predict(params, model_cfg, make_window(sc)) for sc in scenarios]
 
 
 def evaluate(params: ParamStore, model_cfg: ModelConfig, scenarios,
              dump_path=None) -> MetricReport:
     """Deterministic metric report; optionally dumps world-frame predictions."""
-    pairs = []
-    records = []
-    for sc in scenarios:
-        _check_shapes(model_cfg, sc)
-        preds = predict(params, model_cfg, make_window(sc))
-        pairs.append((preds, sc.gt_future()))
-        records.append((sc.scenario_id, preds))
-    rep = report(pairs, k_full=min(6, model_cfg.n_modes))
+    predictions = _nominal_predictions(params, model_cfg, scenarios)
+    rep = report([(preds, sc.gt_future()) for preds, sc in zip(predictions, scenarios)],
+                 k_full=min(6, model_cfg.n_modes))
     if dump_path:
         from .ensemble import save_prediction_dump
-        save_prediction_dump(dump_path, records)
+        save_prediction_dump(dump_path, [(sc.scenario_id, preds)
+                                         for preds, sc in zip(predictions, scenarios)])
     return rep
 
 
@@ -425,13 +407,17 @@ def jitter_score(predict_fn, scenarios, s: int, criterion: str = "ade") -> float
     For each scenario, predictions from the nominal window and the window s
     frames later (same world frame) are paired by mutual-nearest-neighbor
     matching over their overlapping steps; the score is the mean matched
-    overlap ADE across scenarios. 0 means perfectly consistent.
+    overlap ADE across scenarios. 0 means perfectly consistent. Needs
+    1 <= s < future_len; every window pair is cut before the first prediction.
     """
     if not scenarios:
         raise ValueError("jitter needs at least one scenario")
+    horizon = min(sc.future_len for sc in scenarios)
+    if not 1 <= s < horizon:
+        raise ValueError(f"jitter needs 1 <= s < {horizon}, got s={s}")
+    windows = [make_shift_pair(sc, s) for sc in scenarios]
     total = 0.0
-    for sc in scenarios:
-        window_a, window_b = make_shift_pair(sc, s)
+    for window_a, window_b in windows:
         preds_a = predict_fn(window_a)
         preds_b = predict_fn(window_b)
         overlap = len(preds_a.trajectories[0]) - s
@@ -445,8 +431,7 @@ def jitter_score(predict_fn, scenarios, s: int, criterion: str = "ade") -> float
 
 def jitter_checkpoint(checkpoint_path, scenarios, s: int) -> float:
     params, model_cfg, _ = load_checkpoint(checkpoint_path)
-    for sc in scenarios:
-        _check_shapes(model_cfg, sc)
+    _check_scenarios(model_cfg, scenarios)
     return jitter_score(lambda w: predict(params, model_cfg, w), scenarios, s)
 
 
@@ -458,20 +443,15 @@ def branch_coverage(params: ParamStore, model_cfg: ModelConfig, scenarios,
     `threshold` meters of the branch's endpoint. Averaged over junction
     scenarios; scenarios without branches are ignored.
     """
-    covered = []
-    for sc in scenarios:
-        branches = branch_futures(sc)
-        if not branches:
-            continue
-        _check_shapes(model_cfg, sc)
-        preds = predict(params, model_cfg, make_window(sc))
-        hits = sum(
-            1 for b in branches
-            if any(fde(p, b) < threshold for p in preds.trajectories)
-        )
-        covered.append(hits / len(branches))
-    if not covered:
+    junctions = [(sc, branch_futures(sc)) for sc in scenarios]
+    junctions = [(sc, branches) for sc, branches in junctions if branches]
+    if not junctions:
         raise ValueError("no junction scenarios in the dataset")
+    predictions = _nominal_predictions(params, model_cfg, [sc for sc, _ in junctions])
+    covered = []
+    for (_, branches), preds in zip(junctions, predictions):
+        hits = sum(any(fde(p, b) < threshold for p in preds.trajectories) for b in branches)
+        covered.append(hits / len(branches))
     return float(np.mean(covered))
 
 

@@ -175,33 +175,34 @@ def _softmax_backprop(p: np.ndarray, d_p: np.ndarray) -> np.ndarray:
     return p * (d_p - (d_p * p).sum(axis=-1, keepdims=True))
 
 
-def feature_columns(history_mask: np.ndarray, n_map: int, dt: float) -> np.ndarray:
-    """The (t_rel, is_map, present) columns of a window's encoder rows:
-    len(history_mask) history rows, then n_map map rows."""
-    m = len(history_mask)
-    cols = np.zeros((m + n_map, FEATURE_DIM - 2))
-    cols[:m, 0] = (np.arange(m) - (m - 1)) * dt
-    cols[m:, 1] = 1.0
-    cols[:m, 2] = history_mask
-    cols[m:, 2] = 1.0
-    return cols
+def encoder_rows(history_xy: np.ndarray, history_mask: np.ndarray, map_xy: np.ndarray,
+                 dt: float) -> np.ndarray:
+    """A window's (N, 5) encoder input: its agent-frame history (M, 2), then
+    its agent-frame map points (P, 2).
+
+    History rows carry their time offset in seconds relative to t=0 and the
+    presence flag; map rows are tagged is_map=1 and present.
+    """
+    m = len(history_xy)
+    points = np.zeros((m + len(map_xy), FEATURE_DIM))
+    points[:m, :2] = history_xy
+    points[m:, :2] = map_xy
+    points[:m, 2] = (np.arange(m) - (m - 1)) * dt
+    points[m:, 3] = 1.0
+    points[:m, 4] = history_mask
+    points[m:, 4] = 1.0
+    return points
 
 
 def featurize(window: Window) -> np.ndarray:
-    """Stack history and map points into the (N, 5) encoder input.
-
-    History rows carry their time offset in seconds relative to t=0 and the
-    presence flag; map rows are tagged is_map=1. All coordinates are in the
-    window's agent frame.
-    """
+    """Stack history and map points into the (N, 5) encoder input, in the
+    window's agent frame (see `encoder_rows`)."""
     if window.history_len == 0:
         raise EmptyHistory(f"window for {window.scenario_id} has no history points")
+    m = window.history_len
     xy = np.concatenate([window.history_xy, *(p.points for p in window.map_polylines)])
-    points = np.empty((xy.shape[0], FEATURE_DIM))
-    points[:, :2] = to_frame_xy(xy, window.frame)
-    points[:, 2:] = feature_columns(window.history_mask, xy.shape[0] - window.history_len,
-                                    window.dt)
-    return points
+    xy = to_frame_xy(xy, window.frame)
+    return encoder_rows(xy[:m], window.history_mask, xy[m:], window.dt)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from trajcast.core import AgentTrack, MissingTargetFrame, Scenario, Trajectory
 from trajcast.data import (DT, FUTURE_LEN, HISTORY_LEN, InsufficientFrames,
                            MalformedRow, MissingAgent, SyntheticSpec,
                            TOTAL_FRAMES, WrongFrameCount, branch_futures,
-                           generate, load_csv, load_dir, load_manifest,
+                           check_windows, generate, load_csv, load_dir, load_manifest,
                            make_shift_pair, make_window, save_csv,
                            save_dataset)
 
@@ -212,10 +212,18 @@ def test_load_dir_warns_and_skips(tmp_path, caplog):
     sc = generate(_spec(mode_mix=_only("straight")))[0]
     save_csv(sc, tmp_path / "good.csv")
     _write_csv(tmp_path / "bad.csv", _full_rows(frames=10))
+    _write_csv(tmp_path / "two-agents.csv", _full_rows() + _full_rows(track_id="a1"))
+    save_csv(sc, tmp_path / "nan-map.csv")
+    (tmp_path / "nan-map.csv.map.json").write_text('{"polylines": [[[0, 0], [NaN, 1]]]}')
+    for name, reason in [("two-agents.csv", "exactly one 'agent' track, got 2"),
+                         ("nan-map.csv.map.json", "non-finite")]:
+        with pytest.raises(MalformedRow, match=f"{name}: .*{reason}"):
+            load_csv(tmp_path / name.removesuffix(".map.json"))
     with caplog.at_level(logging.WARNING, logger="trajcast.data"):
         scenarios = load_dir(tmp_path)
     assert len(scenarios) == 1
-    assert any("bad.csv" in rec.getMessage() for rec in caplog.records)
+    for name in ("bad.csv", "two-agents.csv", "nan-map.csv"):
+        assert any(name in rec.getMessage() for rec in caplog.records)
     with pytest.raises(WrongFrameCount):
         load_dir(tmp_path, strict=True)
 
@@ -282,6 +290,49 @@ def test_make_shift_pair_insufficient_frames():
     with pytest.raises(InsufficientFrames):
         make_shift_pair(sc2, s=1)
     make_shift_pair(sc2, s=0)     # nominal window still fine
+
+
+def _with_target_present(sc, present):
+    target = sc.target
+    gappy = AgentTrack(track_id=target.track_id, object_type="agent",
+                       xy=target.xy, present=present)
+    return Scenario(scenario_id=sc.scenario_id, agents=(gappy, sc.track("av-0")),
+                    map_polylines=sc.map_polylines, target_track_id="agent-0",
+                    history_len=HISTORY_LEN, future_len=FUTURE_LEN)
+
+
+@pytest.mark.parametrize("absent, s, error, message", [
+    ((18,), 0, MissingTargetFrame, "track agent-0 absent at frame 18"),
+    ((19,), 2, MissingTargetFrame, "track agent-0 absent at frame 19"),
+    ((20,), 2, MissingTargetFrame, "track agent-0 absent at frame 20"),
+    ((), FUTURE_LEN + 1, InsufficientFrames, "need 51 observed frames for shift 31"),
+    (range(HISTORY_LEN + 1, TOTAL_FRAMES), 2, InsufficientFrames, "need 22 observed frames"),
+])
+def test_check_windows_names_the_scenario_first(absent, s, error, message):
+    sc = generate(_spec(mode_mix=_only("straight")))[0]
+    present = np.ones(TOTAL_FRAMES, dtype=bool)
+    present[list(absent)] = False
+    sc = _with_target_present(sc, present)
+    with pytest.raises(error, match=f"^{sc.scenario_id}: {message}"):
+        check_windows(sc, s)
+    with pytest.raises(error, match=f"^{sc.scenario_id}: {message}"):
+        make_shift_pair(sc, s)
+    with pytest.raises(ValueError, match="shift must be >= 0"):
+        check_windows(sc, -1)
+
+
+def test_shift_zero_needs_the_nominal_window_only():
+    """s = 0 asks for what the nominal window needs, as make_window does:
+    the target at t=-1 and t=0, however few other frames were observed."""
+    sc = generate(_spec(mode_mix=_only("straight")))[0]
+    present = np.zeros(TOTAL_FRAMES, dtype=bool)
+    present[[HISTORY_LEN - 2, HISTORY_LEN - 1]] = True
+    sc = _with_target_present(sc, present)
+    check_windows(sc, 0)
+    a, b = make_shift_pair(sc, 0)
+    assert a is b and a.frame == make_window(sc).frame
+    with pytest.raises(InsufficientFrames):
+        make_shift_pair(sc, 1)
 
 
 def test_window_requires_target_presence_at_frame_edge():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import straight_scenario
-from trajcast import cli, data
+from trajcast import cli, data, harness
 from trajcast.core import (MissingTargetFrame, PredictionSet, SceneTransform, Trajectory,
                            apply_transform, to_frame_xy)
 from trajcast.data import SyntheticSpec, generate, make_shift_pair
@@ -18,7 +18,8 @@ from trajcast.harness import (Adam, NonFiniteLoss, SEED_ENV_VAR, ShapeMismatch,
                               evaluate, jitter_score, lr_at_epoch, make_config,
                               run_grid, table2_rows, train)
 from trajcast.metrics import EmptyDataset
-from trajcast.predictor import ParamStore, featurize, init_params
+from trajcast.predictor import (ParamStore, featurize, init_params, predict,
+                                save_checkpoint)
 
 TINY = {"epochs": 2, "batch_size": 4, "k": 2, "feature_dim": 8, "j": 2}
 
@@ -236,6 +237,12 @@ def test_train_rejects_missing_target_frames_before_step_0(tmp_path):
         train(_tiny_config(), scenarios[:-1] + [late], log_path=log)
     assert not log.exists()
     train(_tiny_config(epochs=1, use_temp=False), scenarios[:-1] + [late])  # window A only
+    # without the shifted window, t=-1 and t=0 are the only frames the target needs
+    present[:] = False
+    present[18:20] = True
+    sparse = dataclasses.replace(late, agents=(dataclasses.replace(target, present=present),)
+                                 + late.agents[1:])
+    train(_tiny_config(epochs=1, use_temp=False), scenarios[:-1] + [sparse])
 
 
 def test_train_log_and_checkpoint_are_byte_deterministic(tmp_path):
@@ -279,9 +286,9 @@ def test_scenario_step_matches_finite_differences(strategy, criterion, s):
                  _dataset("straight", count=1, seed=4)[0]]
     gt = scenarios[0].gt_future().points
     pseudo = (gt + np.random.default_rng(5).normal(size=(2, *gt.shape)), np.array([0.7, 0.4]))
-    batch = [_scenario_arrays(model_cfg, scenarios[0], s, pseudo, 2, {}),
-             _scenario_arrays(model_cfg, scenarios[1], s, None, 2, {})]
-    assert batch[0].columns[0].shape[0] != batch[1].columns[0].shape[0]
+    batch = [_scenario_arrays(scenarios[0], s, pseudo, 2),
+             _scenario_arrays(scenarios[1], s, None, 2)]
+    assert len(batch[0].xy) - batch[0].map_start != len(batch[1].xy) - batch[1].map_start
     params = init_params(model_cfg, seed=3)
 
     def step():
@@ -316,12 +323,10 @@ def test_scenario_step_over_a_batch_equals_batches_of_one():
     model_cfg = config.model_config()
     scenarios = generate(SyntheticSpec(scenario_count=4, seed=2))
     pseudo = _pseudo_for(scenarios[:3], j=2)
-    shared = {}
-    batch = [_scenario_arrays(model_cfg, sc, 2, None if sc.scenario_id not in pseudo else
+    batch = [_scenario_arrays(sc, 2, None if sc.scenario_id not in pseudo else
                               _pseudo_target_arrays(sc.scenario_id, pseudo[sc.scenario_id], 30),
-                              2, shared)
+                              2)
              for sc in scenarios]
-    assert all(a.columns[0] is a.columns[1] for a in batch)   # same presence, one array
     params = init_params(model_cfg, seed=4)
     parts, grads = _scenario_step(params, model_cfg, config, batch, np.random.default_rng(8))
     rng = np.random.default_rng(8)
@@ -337,12 +342,10 @@ def test_scenario_step_over_a_batch_equals_batches_of_one():
 def test_window_inputs_match_the_window_path():
     """The cached arrays give the encoder rows, history and targets that
     apply_transform + make_shift_pair + featurize give."""
-    config = TrainConfig(s=3)
-    model_cfg = config.model_config()
     sc = _dataset("junction", count=1, seed=5)[0]
     pseudo = _pseudo_target_arrays(sc.scenario_id, _pseudo_for([sc], j=2)[sc.scenario_id], 30)
     tf = SceneTransform(flip=True, scale=1.2)
-    arrays = apply_transform(_scenario_arrays(model_cfg, sc, 3, pseudo, 3, {}), tf)
+    arrays = apply_transform(_scenario_arrays(sc, 3, pseudo, 3), tf)
     windows = make_shift_pair(apply_transform(sc, tf), 3, heading_jitter=0.1)
     inputs = [_window_inputs(arrays, w, 0.1) for w in (0, 1)]
     for window, (frame, points, _) in zip(windows, inputs):
@@ -402,6 +405,31 @@ def test_branch_coverage_bounds():
     assert 0.0 <= cov <= 1.0
     with pytest.raises(ValueError):
         branch_coverage(params, model_cfg, _dataset(mode="straight", count=2))
+
+
+@pytest.mark.parametrize("command", ["evaluate", "jitter", "branch_coverage"])
+def test_scenarios_are_all_checked_before_the_first_prediction(monkeypatch, command):
+    scenarios = _dataset(mode="junction", count=3)
+    last = scenarios[-1]
+    present = last.target.present.copy()
+    present[18] = False
+    scenarios[-1] = dataclasses.replace(
+        last, agents=(dataclasses.replace(last.target, present=present),) + last.agents[1:])
+    model_cfg = _tiny_config().model_config()
+    params = init_params(model_cfg, seed=0)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return predict(*args)
+
+    monkeypatch.setattr(harness, "predict", counted)
+    run = {"evaluate": lambda: evaluate(params, model_cfg, scenarios),
+           "jitter": lambda: jitter_score(lambda w: counted(params, model_cfg, w), scenarios, 1),
+           "branch_coverage": lambda: branch_coverage(params, model_cfg, scenarios)}[command]
+    with pytest.raises(MissingTargetFrame, match=f"^{last.scenario_id}: .* frame 18$"):
+        run()
+    assert calls == []
 
 
 # -- grid ---------------------------------------------------------------------
@@ -536,6 +564,30 @@ def test_cli_rejects_missing_input_files(tmp_path, argv, flag):
     assert not (tmp_path / "out.json").exists()
 
 
+def _cli_inputs(tmp_path) -> dict:
+    """Inputs for the CLI error tests: a dataset of four straight scenarios
+    (the last two are the val split), a copy whose last scenario lacks target
+    frame 18, an untrained tiny checkpoint and a pseudo-target file holding a
+    29-step trajectory."""
+    scenarios = _dataset(count=4)
+    data.save_dataset(scenarios, tmp_path / "ds", val_fraction=0.5)
+    last = scenarios[-1]
+    present = last.target.present.copy()
+    present[18] = False
+    gappy = dataclasses.replace(last, agents=(dataclasses.replace(last.target, present=present),)
+                                + last.agents[1:])
+    data.save_dataset(scenarios[:-1] + [gappy], tmp_path / "gappy", val_fraction=0.5)
+    model_cfg = _tiny_config().model_config()
+    ckpt = tmp_path / "model.json"
+    save_checkpoint(ckpt, init_params(model_cfg, seed=0), model_cfg, seed=0, epoch=0)
+    pseudo = tmp_path / "pseudo.jsonl"
+    pseudo.write_text(json.dumps({"scenario_id": scenarios[0].scenario_id,
+                                  "trajectories": [np.zeros((29, 2)).tolist()],
+                                  "confidences": [1.0]}) + "\n")
+    return {"ds": tmp_path / "ds", "gappy": tmp_path / "gappy", "ckpt": ckpt,
+            "pseudo": pseudo, "out": tmp_path / "out", "dump": tmp_path / "dump.jsonl"}
+
+
 @pytest.mark.parametrize("argv, message", [
     (["generate", "--branch-probs", "0.5,x"], "--branch-probs"),
     (["generate", "--mode-mix", "junction=0.5"], "mode_mix"),
@@ -543,13 +595,40 @@ def test_cli_rejects_missing_input_files(tmp_path, argv, flag):
     (["train", "--set", "bogus=1"], "'bogus'"),
     (["grid", "--preset", "table2", "--set", "epochs=abc"], "'epochs'"),
     (["grid", "--preset", "table2", "--set", "bogus=1"], "'bogus'"),
+    (["train", "--data", "{gappy}", "--split", "val"],
+     "^train: straight-00003: track agent-0 absent at frame 18$"),
+    (["train", "--set", "use_mpt=true", "--pseudo-targets", "{pseudo}"],
+     r"^train: pseudo targets for straight-00000: trajectory 0 must be finite \(30, 2\)"),
+    (["jitter", "--s", "0"], r"^jitter: jitter needs 1 <= s < 30, got s=0$"),
+    (["jitter", "--s=-1"], r"^jitter: jitter needs 1 <= s < 30, got s=-1$"),
+    (["jitter", "--s", "30"], r"^jitter: jitter needs 1 <= s < 30, got s=30$"),
+    (["jitter", "--s", "31"], r"^jitter: jitter needs 1 <= s < 30, got s=31$"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_cli_rejects_bad_values_with_a_message(tmp_path, argv, message):
-    out = tmp_path / "out"
-    where = {"generate": ["--out", str(out)],
-             "train": ["--data", str(tmp_path / "ds"), "--out", str(out)],
-             "grid": ["--data", str(tmp_path / "ds"), "--out", str(out)]}[argv[0]]
+    paths = _cli_inputs(tmp_path)
+    where = {"generate": ["--out", "{out}"],
+             "train": ["--data", "{ds}", "--out", "{out}"],
+             "grid": ["--data", "{ds}", "--out", "{out}"],
+             "jitter": ["--checkpoint", "{ckpt}", "--data", "{ds}"]}[argv[0]]
+    argv = [a.format(**paths) for a in argv[:1] + where + argv[1:]]
     with pytest.raises(SystemExit, match=message) as exc:
-        cli.main(argv + where)
+        cli.main(argv)
     assert "\n" not in str(exc.value)
-    assert not out.exists()
+    assert not paths["out"].exists()
+
+
+@pytest.mark.parametrize("command, outputs", [
+    ("evaluate", ["--report", "{out}", "--dump", "{dump}"]),
+    ("jitter", []),
+    ("ensemble-dump", ["--out", "{dump}"]),
+])
+def test_cli_checks_every_scenario_before_any_output(tmp_path, capsys, command, outputs):
+    """A split whose last scenario lacks target frame 18 stops the command
+    before it writes anything, with one line naming that scenario."""
+    paths = _cli_inputs(tmp_path)
+    argv = [command, "--checkpoint", "{ckpt}", "--data", "{gappy}", "--split", "val", *outputs]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([a.format(**paths) for a in argv])
+    assert str(exc.value) == f"{command}: straight-00003: track agent-0 absent at frame 18"
+    assert not paths["out"].exists() and not paths["dump"].exists()
+    assert capsys.readouterr().out == ""

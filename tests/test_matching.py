@@ -2,14 +2,16 @@
 
 import itertools
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import line_trajectory
-from trajcast.matching import (EmptyOverlap, SimilarityMatrix, match,
+from trajcast.matching import (STRATEGIES, EmptyOverlap, SimilarityMatrix, match,
                                match_backward, match_bidirectional,
-                               match_forward, match_hungarian, similarity,
-                               total_cost)
+                               match_forward, match_hungarian, pair_mask,
+                               similarity, total_cost)
 
 
 # -- oracles ------------------------------------------------------------------
@@ -109,6 +111,44 @@ def test_hungarian_matches_brute_force():
         assert len({i for i, _ in result.pairs}) == len(result.pairs)
         assert len({j for _, j in result.pairs}) == len(result.pairs)
         assert abs(total_cost(sim, result) - _assignment_oracle(cost)) < 1e-9
+
+
+# (B, K_a, K_b) stacks of costs in steps of 0.5, so exact ties occur
+_cost_stacks = st.tuples(st.integers(1, 4), st.integers(1, 5), st.integers(1, 5)).flatmap(
+    lambda shape: hnp.arrays(np.float64, shape, elements=st.integers(0, 4).map(lambda v: v / 2)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cost_stacks)
+def test_pair_mask_on_a_stack_matches_match_per_matrix_property(cost):
+    masks = {strategy: pair_mask(cost, strategy) for strategy in STRATEGIES}
+    for b in range(cost.shape[0]):
+        sim = SimilarityMatrix(cost=cost[b], criterion="fde")
+        for strategy, mask in masks.items():
+            assert set(zip(*np.nonzero(mask[b]))) == match(sim, strategy).as_set()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cost_stacks)
+def test_bidirectional_is_forward_and_backward_property(cost):
+    for b in range(cost.shape[0]):
+        sim = SimilarityMatrix(cost=cost[b], criterion="fde")
+        fwd, bwd, bi = (match(sim, s).as_set() for s in ("forward", "backward", "bidirectional"))
+        assert sorted(i for i, _ in fwd) == list(range(cost.shape[1]))
+        assert sorted(j for _, j in bwd) == list(range(cost.shape[2]))
+        assert bi == fwd & bwd == _mutual_nn_oracle(cost[b])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cost_stacks)
+def test_hungarian_pairs_one_to_one_property(cost):
+    mask = pair_mask(cost, "hungarian")
+    for b in range(cost.shape[0]):
+        sim = SimilarityMatrix(cost=cost[b], criterion="fde")
+        result = match_hungarian(sim)
+        assert len(result.pairs) == min(cost.shape[1:]) == mask[b].sum()
+        assert mask[b].sum(axis=0).max() == mask[b].sum(axis=1).max() == 1
+        assert abs(total_cost(sim, result) - _assignment_oracle(cost[b])) < 1e-9
 
 
 def test_hungarian_is_deterministic_under_ties():
