@@ -103,7 +103,7 @@ def cmd_jitter(args) -> int:
 def cmd_ensemble_dump(args) -> int:
     _need(args, "--checkpoint", args.checkpoint)
     scenarios = _load_split(args, args.split)
-    harness.evaluate_checkpoint(args.checkpoint, scenarios, dump_path=args.out)
+    harness.dump_checkpoint(args.checkpoint, scenarios, args.out)
     print(args.out)
     return 0
 

@@ -265,6 +265,8 @@ def load_csv(path, history_len: int = HISTORY_LEN, future_len: int = FUTURE_LEN)
     if sidecar.exists():
         try:
             data = json.loads(sidecar.read_text(encoding="utf-8"))
+            if not isinstance(data, dict) or "polylines" not in data:
+                raise ValueError("expected a JSON object with a 'polylines' key")
             polylines = tuple(Trajectory(points=np.array(p), dt=DT) for p in data["polylines"])
         except ValueError as exc:
             raise MalformedRow(f"{sidecar}: {exc}") from None

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import PredictionSet, TargetSet, Trajectory, TrajcastError
+from .data import DT
 from .metrics import LengthMismatch
 
 
@@ -216,15 +217,16 @@ def load_pseudo_targets(path) -> dict:
     return out
 
 
-def save_prediction_dump(path, records: list) -> None:
-    """JSON-lines dump of (scenario_id, PredictionSet) pairs, world frame."""
+def save_prediction_dump(path, records) -> None:
+    """JSON-lines dump of (scenario_id, (K, T, 2) world-frame trajectories,
+    (K,) scores) records."""
     with open(path, "w", encoding="utf-8") as fh:
-        for sid, preds in records:
+        for sid, trajs, scores in records:
             rec = {
                 "scenario_id": sid,
-                "trajectories": [t.points.tolist() for t in preds.trajectories],
-                "scores": preds.scores.tolist(),
-                "dt": preds.trajectories[0].dt,
+                "trajectories": trajs.tolist(),
+                "scores": scores.tolist(),
+                "dt": DT,
             }
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 

@@ -26,7 +26,7 @@ from .core import (AugmentSpec, Scenario, ScenarioArrays, TrajcastError, apply_t
 from .data import (DT, FUTURE_LEN, HISTORY_LEN, branch_futures, check_windows,
                    make_shift_pair, make_window)
 from .matching import CRITERIA, STRATEGIES, match, similarity
-from .metrics import MetricReport, fde, report
+from .metrics import MetricReport, report
 from .predictor import (ModelConfig, ParamStore, WindowBatch, backward, encoder_rows, forward,
                         init_params, load_checkpoint, predict, refine_backward,
                         refine_forward, save_checkpoint)
@@ -346,12 +346,11 @@ def train(config: TrainConfig, scenarios, pseudo_targets: dict | None = None,
                 parts, grads = _scenario_step(params, model_cfg, config, batch, rng)
                 n = len(batch)
                 grads.flat /= n
-                grad_norm = float(np.linalg.norm(grads.flat))
+                grad_norm = _norm(grads.flat)
                 optimizer.step(params, grads, lr)
                 mean = losses.make_breakdown(*(parts.sum(axis=0) / n).tolist())
                 record = {"epoch": epoch, "step": step, "lr": lr, **mean.to_dict(),
-                          "grad_norm": grad_norm,
-                          "param_norm": float(np.linalg.norm(params.flat))}
+                          "grad_norm": grad_norm, "param_norm": _norm(params.flat)}
                 records.append(record)
                 if log_file:
                     log_file.write(json.dumps(record, sort_keys=True) + "\n")
@@ -363,6 +362,12 @@ def train(config: TrainConfig, scenarios, pseudo_targets: dict | None = None,
         save_checkpoint(checkpoint_path, params, model_cfg, seed=config.seed,
                         epoch=config.epochs, extra={"config": config.to_dict()})
     return params, model_cfg, records
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm by numpy's own summation: np.linalg.norm takes a BLAS
+    dot product, whose last digit depends on the BLAS thread count."""
+    return float(np.sqrt(np.sum(v * v)))
 
 
 def _check_scenarios(model_cfg: ModelConfig, scenarios, s: int = 0) -> None:
@@ -377,28 +382,40 @@ def _check_scenarios(model_cfg: ModelConfig, scenarios, s: int = 0) -> None:
         check_windows(sc, s)
 
 
-def _nominal_predictions(params: ParamStore, model_cfg: ModelConfig, scenarios) -> list:
-    """The prediction on each scenario's nominal window, once all are checked."""
+def _nominal_predictions(params: ParamStore, model_cfg: ModelConfig, scenarios):
+    """`predict` on each scenario's nominal window, once all are checked:
+    ((S, K, T, 2) world-frame trajectories, (S, K) scores)."""
     _check_scenarios(model_cfg, scenarios)
-    return [predict(params, model_cfg, make_window(sc)) for sc in scenarios]
+    return predict(params, model_cfg, [make_window(sc) for sc in scenarios])
+
+
+def _save_dump(dump_path, scenarios, predictions) -> None:
+    from .ensemble import save_prediction_dump
+    save_prediction_dump(dump_path, zip([sc.scenario_id for sc in scenarios], *predictions))
 
 
 def evaluate(params: ParamStore, model_cfg: ModelConfig, scenarios,
              dump_path=None) -> MetricReport:
     """Deterministic metric report; optionally dumps world-frame predictions."""
     predictions = _nominal_predictions(params, model_cfg, scenarios)
-    rep = report([(preds, sc.gt_future()) for preds, sc in zip(predictions, scenarios)],
-                 k_full=min(6, model_cfg.n_modes))
+    gt = np.reshape([sc.target.xy[sc.history_len:] for sc in scenarios],
+                    (len(scenarios), model_cfg.horizon, 2))
+    rep = report(predictions, gt, k_full=min(6, model_cfg.n_modes))
     if dump_path:
-        from .ensemble import save_prediction_dump
-        save_prediction_dump(dump_path, [(sc.scenario_id, preds)
-                                         for preds, sc in zip(predictions, scenarios)])
+        _save_dump(dump_path, scenarios, predictions)
     return rep
 
 
 def evaluate_checkpoint(checkpoint_path, scenarios, dump_path=None) -> MetricReport:
     params, model_cfg, _ = load_checkpoint(checkpoint_path)
     return evaluate(params, model_cfg, scenarios, dump_path=dump_path)
+
+
+def dump_checkpoint(checkpoint_path, scenarios, dump_path) -> None:
+    """A checkpoint's prediction dump, as `evaluate` writes it, without the
+    report."""
+    params, model_cfg, _ = load_checkpoint(checkpoint_path)
+    _save_dump(dump_path, scenarios, _nominal_predictions(params, model_cfg, scenarios))
 
 
 def jitter_score(predict_fn, scenarios, s: int, criterion: str = "ade") -> float:
@@ -409,6 +426,10 @@ def jitter_score(predict_fn, scenarios, s: int, criterion: str = "ade") -> float
     matching over their overlapping steps; the score is the mean matched
     overlap ADE across scenarios. 0 means perfectly consistent. Needs
     1 <= s < future_len; every window pair is cut before the first prediction.
+
+    predict_fn maps a list of W windows to ((W, K, T, 2) world-frame
+    trajectories, (W, K) scores), as `predict` does; it is called twice, on
+    the nominal windows and then on the shifted ones.
     """
     if not scenarios:
         raise ValueError("jitter needs at least one scenario")
@@ -416,13 +437,12 @@ def jitter_score(predict_fn, scenarios, s: int, criterion: str = "ade") -> float
     if not 1 <= s < horizon:
         raise ValueError(f"jitter needs 1 <= s < {horizon}, got s={s}")
     windows = [make_shift_pair(sc, s) for sc in scenarios]
+    trajs_a, _ = predict_fn([window_a for window_a, _ in windows])
+    trajs_b, _ = predict_fn([window_b for _, window_b in windows])
+    overlap = trajs_a.shape[-2] - s
     total = 0.0
-    for window_a, window_b in windows:
-        preds_a = predict_fn(window_a)
-        preds_b = predict_fn(window_b)
-        overlap = len(preds_a.trajectories[0]) - s
-        sim = similarity(preds_a.trajectories, preds_b.trajectories,
-                         criterion=criterion, overlap=overlap)
+    for preds_a, preds_b in zip(trajs_a, trajs_b):
+        sim = similarity(preds_a, preds_b, criterion=criterion, overlap=overlap)
         pairs = match(sim, "bidirectional").pairs
         if pairs:
             total += float(np.mean([sim.cost[i, j] for i, j in pairs]))
@@ -447,11 +467,12 @@ def branch_coverage(params: ParamStore, model_cfg: ModelConfig, scenarios,
     junctions = [(sc, branches) for sc, branches in junctions if branches]
     if not junctions:
         raise ValueError("no junction scenarios in the dataset")
-    predictions = _nominal_predictions(params, model_cfg, [sc for sc, _ in junctions])
+    trajs, _ = _nominal_predictions(params, model_cfg, [sc for sc, _ in junctions])
     covered = []
-    for (_, branches), preds in zip(junctions, predictions):
-        hits = sum(any(fde(p, b) < threshold for p in preds.trajectories) for b in branches)
-        covered.append(hits / len(branches))
+    for (_, branches), preds in zip(junctions, trajs):
+        ends = np.array([b.points[-1] for b in branches])                     # (B, 2)
+        dists = np.linalg.norm(preds[:, None, -1] - ends, axis=-1)            # (K, B)
+        covered.append(int((dists < threshold).any(axis=0).sum()) / len(branches))
     return float(np.mean(covered))
 
 
@@ -492,14 +513,20 @@ def run_grid(grid: dict, train_scenarios, eval_scenarios,
              pseudo_targets: dict | None = None, out_csv=None) -> list:
     """Train and evaluate every row of a grid spec; returns the result rows.
 
-    The spec is read by `grid_configs`, so a bad row fails before any
-    training. Rows with use_mpt need pseudo_targets. Results optionally go
-    to a CSV whose columns mirror the toggle set plus the metric report.
+    The spec is read by `grid_configs`, and both splits are checked against
+    every row's config, so a bad row or scenario fails before any training.
+    Rows with use_mpt need pseudo_targets. Results optionally go to a CSV
+    whose columns mirror the toggle set plus the metric report.
     """
-    results = []
-    for label, config in grid_configs(grid):
+    configs = grid_configs(grid)
+    for label, config in configs:
         if config.use_mpt and pseudo_targets is None:
             raise ValueError(f"row {label!r} needs pseudo targets")
+        model_cfg = config.model_config()
+        _check_scenarios(model_cfg, train_scenarios, config.s if config.use_temp else 0)
+        _check_scenarios(model_cfg, eval_scenarios)
+    results = []
+    for label, config in configs:
         params, model_cfg, _ = train(config, train_scenarios, pseudo_targets=pseudo_targets)
         rep = evaluate(params, model_cfg, eval_scenarios)
         row = {"label": label}

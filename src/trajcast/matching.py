@@ -8,11 +8,10 @@ one-to-one linear assignment. Ties always resolve to the lowest index.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .core import Trajectory, TrajcastError
+from .core import TrajcastError
 
 CRITERIA = ("ade", "fde")
 STRATEGIES = ("forward", "backward", "bidirectional", "hungarian")
@@ -55,9 +54,10 @@ class MatchResult:
         return set(self.pairs)
 
 
-def similarity(set_a: Sequence[Trajectory], set_b: Sequence[Trajectory],
-               criterion: str = "fde", overlap: int | None = None) -> SimilarityMatrix:
-    """Pairwise ADE or FDE between two trajectory sets.
+def similarity(set_a, set_b, criterion: str = "fde",
+               overlap: int | None = None) -> SimilarityMatrix:
+    """Pairwise ADE or FDE between two trajectory sets, each a sequence of
+    Trajectory or a (K, L, 2) array.
 
     With `overlap` = L, the last L steps of each trajectory in set_a are
     compared against the first L steps of each trajectory in set_b; this is
@@ -66,19 +66,25 @@ def similarity(set_a: Sequence[Trajectory], set_b: Sequence[Trajectory],
     """
     if criterion not in CRITERIA:
         raise ValueError(f"criterion must be one of {CRITERIA}, got {criterion!r}")
-    if not set_a or not set_b:
+    if len(set_a) == 0 or len(set_b) == 0:
         raise ValueError("both trajectory sets must be nonempty")
-    len_a = len(set_a[0])
-    len_b = len(set_b[0])
+    points_a, points_b = _points(set_a), _points(set_b)
+    len_a, len_b = points_a.shape[1], points_b.shape[1]
     if overlap is None:
         if len_a != len_b:
             raise EmptyOverlap(f"full comparison needs equal lengths, got {len_a} vs {len_b}")
         overlap = len_a
     if overlap < 1 or overlap > len_a or overlap > len_b:
         raise EmptyOverlap(f"overlap {overlap} incompatible with lengths {len_a}, {len_b}")
-    tail_a = np.stack([t.points[len_a - overlap:] for t in set_a])   # (Ka, L, 2)
-    head_b = np.stack([t.points[:overlap] for t in set_b])           # (Kb, L, 2)
-    return SimilarityMatrix(cost=pairwise_cost(tail_a, head_b, criterion), criterion=criterion)
+    cost = pairwise_cost(points_a[:, len_a - overlap:], points_b[:, :overlap], criterion)
+    return SimilarityMatrix(cost=cost, criterion=criterion)
+
+
+def _points(trajs) -> np.ndarray:
+    """A trajectory set as one (K, L, 2) array."""
+    if isinstance(trajs, np.ndarray):
+        return trajs
+    return np.stack([t.points for t in trajs])
 
 
 def pairwise_cost(tail: np.ndarray, head: np.ndarray, criterion: str) -> np.ndarray:

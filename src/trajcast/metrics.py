@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,7 +47,8 @@ def fde(pred: Trajectory, gt: Trajectory) -> float:
 
 
 class MinMetrics(NamedTuple):
-    """Per-scenario top-k metrics.
+    """Per-scenario top-k metrics: floats for one scenario, (S,) arrays for a
+    stack of S.
 
     brier_fde is minFDE + (1 - p)^2 with p the score of the FDE-minimizing
     trajectory; brier_ade is the analogous minADE form, exposed as a
@@ -62,35 +63,50 @@ class MinMetrics(NamedTuple):
 
 
 def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k highest scores; ties keep the lower index first."""
-    order = np.argsort(-np.asarray(scores), kind="stable")
-    return order[:k]
+    """Indices of the k highest scores along the last axis; ties keep the
+    lower index first."""
+    return np.argsort(-np.asarray(scores), axis=-1, kind="stable")[..., :k]
 
 
-def min_metrics(preds: PredictionSet, gt: Trajectory, k: int,
-                threshold: float = MISS_THRESHOLD_METERS) -> MinMetrics:
+def min_metrics(preds, gt, k: int, threshold: float = MISS_THRESHOLD_METERS) -> MinMetrics:
     """minADE/minFDE over the top-k scored predictions, plus miss and brier.
 
-    The top-k subset is selected by descending score with index order as the
-    tie-break. miss is True when the subset's best FDE exceeds `threshold`.
+    preds is a PredictionSet with gt a Trajectory, giving float fields; or a
+    ((..., K, T, 2) trajectories, (..., K) scores) pair with gt (..., T, 2),
+    as `predict` returns for a sequence of windows, giving one entry per
+    scenario in each field. The top-k subset is selected by descending score
+    with index order as the tie-break. miss is True when the subset's best
+    FDE exceeds `threshold`.
     """
-    if k > preds.k:
-        raise KTooLarge(f"k={k} exceeds prediction count {preds.k}")
+    if isinstance(preds, PredictionSet):
+        row = _min_metrics_arrays(preds.stacked(), preds.scores, gt.points, k, threshold)
+        return MinMetrics(*(v.item() for v in row))
+    return _min_metrics_arrays(*preds, np.asarray(gt), k, threshold)
+
+
+def _min_metrics_arrays(trajs: np.ndarray, scores: np.ndarray, gt: np.ndarray, k: int,
+                        threshold: float) -> MinMetrics:
+    if k > trajs.shape[-3]:
+        raise KTooLarge(f"k={k} exceeds prediction count {trajs.shape[-3]}")
     if k < 1:
         raise ValueError("k must be >= 1")
-    chosen = top_k_indices(preds.scores, k)
-    ades = np.array([ade(preds.trajectories[i], gt) for i in chosen])
-    fdes = np.array([fde(preds.trajectories[i], gt) for i in chosen])
-    best_fde = int(np.argmin(fdes))
-    best_ade = int(np.argmin(ades))
-    min_fde = float(fdes[best_fde])
-    min_ade = float(ades[best_ade])
-    p_fde = float(preds.scores[chosen[best_fde]])
-    p_ade = float(preds.scores[chosen[best_ade]])
+    if trajs.shape[-2] != gt.shape[-2]:
+        raise LengthMismatch(f"trajectory lengths differ: {trajs.shape[-2]} vs {gt.shape[-2]}")
+    chosen = top_k_indices(scores, k)
+    dists = np.linalg.norm(trajs - gt[..., None, :, :], axis=-1)        # (..., K, T)
+    ades = np.take_along_axis(dists.mean(axis=-1), chosen, axis=-1)    # (..., k)
+    fdes = np.take_along_axis(dists[..., -1], chosen, axis=-1)
+    p_chosen = np.take_along_axis(scores, chosen, axis=-1)
+    best_fde = fdes.argmin(axis=-1)[..., None]  # first minimum, so in chosen order
+    best_ade = ades.argmin(axis=-1)[..., None]
+    min_fde = np.take_along_axis(fdes, best_fde, axis=-1)[..., 0]
+    min_ade = np.take_along_axis(ades, best_ade, axis=-1)[..., 0]
+    p_fde = np.take_along_axis(p_chosen, best_fde, axis=-1)[..., 0]
+    p_ade = np.take_along_axis(p_chosen, best_ade, axis=-1)[..., 0]
     return MinMetrics(
         min_ade=min_ade,
         min_fde=min_fde,
-        miss=bool(min_fde > threshold),
+        miss=min_fde > threshold,
         brier_fde=min_fde + (1.0 - p_fde) ** 2,
         brier_ade=min_ade + (1.0 - p_ade) ** 2,
     )
@@ -120,24 +136,26 @@ class MetricReport:
         return cls(**json.loads(text))
 
 
-def report(pairs: Sequence[tuple], threshold: float = MISS_THRESHOLD_METERS,
+def report(preds, gt, threshold: float = MISS_THRESHOLD_METERS,
            k_full: int = 6) -> MetricReport:
-    """Aggregate (PredictionSet, ground truth) pairs into a MetricReport.
+    """Aggregate S scenarios' predictions into a MetricReport.
 
-    Each column is the arithmetic mean of the per-scenario value.
+    preds is ((S, K, T, 2) trajectories, (S, K) scores) and gt the (S, T, 2)
+    ground truths, as `min_metrics` takes them. Each column is the
+    arithmetic mean of the per-scenario value, summed in scenario order.
     """
-    if len(pairs) == 0:
+    n = len(gt)
+    if n == 0:
         raise EmptyDataset("no scenarios to aggregate")
-    rows_1 = [min_metrics(p, g, 1, threshold) for p, g in pairs]
-    rows_k = [min_metrics(p, g, k_full, threshold) for p, g in pairs]
-    n = len(pairs)
+    rows_1 = min_metrics(preds, gt, 1, threshold)
+    rows_k = min_metrics(preds, gt, k_full, threshold)
     return MetricReport(
-        minADE_1=sum(r.min_ade for r in rows_1) / n,
-        minFDE_1=sum(r.min_fde for r in rows_1) / n,
-        MR_1=sum(r.miss for r in rows_1) / n,
-        minADE_6=sum(r.min_ade for r in rows_k) / n,
-        minFDE_6=sum(r.min_fde for r in rows_k) / n,
-        MR_6=sum(r.miss for r in rows_k) / n,
-        brier_minFDE_6=sum(r.brier_fde for r in rows_k) / n,
+        minADE_1=sum(rows_1.min_ade.tolist()) / n,
+        minFDE_1=sum(rows_1.min_fde.tolist()) / n,
+        MR_1=int(rows_1.miss.sum()) / n,
+        minADE_6=sum(rows_k.min_ade.tolist()) / n,
+        minFDE_6=sum(rows_k.min_fde.tolist()) / n,
+        MR_6=int(rows_k.miss.sum()) / n,
+        brier_minFDE_6=sum(rows_k.brier_fde.tolist()) / n,
         n_scenarios=n,
     )

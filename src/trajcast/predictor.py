@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (PredictionSet, Trajectory, TrajcastError, Window, from_frame_xy,
+from .core import (PredictionSet, Trajectory, TrajcastError, Window, rotation_matrix,
                    to_frame_xy)
 
 FEATURE_DIM = 5  # (x, y, t_rel_seconds, is_map, present)
@@ -432,14 +432,39 @@ def backward(params: ParamStore, trace: ForwardTrace, upstream: dict) -> ParamSt
     return grads
 
 
-def predict(params: ParamStore, cfg: ModelConfig, window: Window) -> PredictionSet:
-    """Inference: K world-frame trajectories with normalized scores."""
-    outputs, _ = forward(params, cfg, window)
-    trajs = tuple(
-        Trajectory(points=from_frame_xy(outputs["refined"][i], window.frame), dt=window.dt)
-        for i in range(cfg.n_modes)
-    )
-    return PredictionSet(trajectories=trajs, scores=outputs["probs"])
+# windows per forward in predict's sequence case; bounds the stacked heads' memory
+_PREDICT_CHUNK = 64
+
+
+def predict(params: ParamStore, cfg: ModelConfig, window):
+    """Inference: K world-frame trajectories with normalized scores.
+
+    One Window gives a PredictionSet. A sequence of W windows gives arrays:
+    ((W, K, T, 2) world-frame trajectories, (W, K) scores), from one forward
+    per chunk of at most 64 windows.
+    """
+    if isinstance(window, Window):
+        trajs, scores = _predict_arrays(params, cfg, [window])
+        return PredictionSet(trajectories=tuple(Trajectory(points=p, dt=window.dt)
+                                                for p in trajs[0]),
+                             scores=scores[0])
+    return _predict_arrays(params, cfg, window)
+
+
+def _predict_arrays(params: ParamStore, cfg: ModelConfig, windows):
+    windows = list(windows)
+    trajs = np.empty((len(windows), cfg.n_modes, cfg.horizon, 2))
+    scores = np.empty((len(windows), cfg.n_modes))
+    for start in range(0, len(windows), _PREDICT_CHUNK):
+        chunk = windows[start:start + _PREDICT_CHUNK]
+        outputs, _ = forward(params, cfg, WindowBatch.of(chunk))
+        # from_frame_xy for every window at once: p @ R(-rotation).T + origin
+        to_world = np.stack([rotation_matrix(-w.frame.rotation).T for w in chunk])
+        origins = np.array([w.frame.origin for w in chunk])
+        end = start + len(chunk)
+        trajs[start:end] = outputs["refined"] @ to_world[:, None] + origins[:, None, None]
+        scores[start:end] = outputs["probs"]
+    return trajs, scores
 
 
 CHECKPOINT_VERSION = 1

@@ -215,14 +215,20 @@ def test_load_dir_warns_and_skips(tmp_path, caplog):
     _write_csv(tmp_path / "two-agents.csv", _full_rows() + _full_rows(track_id="a1"))
     save_csv(sc, tmp_path / "nan-map.csv")
     (tmp_path / "nan-map.csv.map.json").write_text('{"polylines": [[[0, 0], [NaN, 1]]]}')
+    save_csv(sc, tmp_path / "no-polylines.csv")
+    (tmp_path / "no-polylines.csv.map.json").write_text("{}")
+    save_csv(sc, tmp_path / "list-map.csv")
+    (tmp_path / "list-map.csv.map.json").write_text("[]")
     for name, reason in [("two-agents.csv", "exactly one 'agent' track, got 2"),
-                         ("nan-map.csv.map.json", "non-finite")]:
+                         ("nan-map.csv.map.json", "non-finite"),
+                         ("no-polylines.csv.map.json", "'polylines' key"),
+                         ("list-map.csv.map.json", "'polylines' key")]:
         with pytest.raises(MalformedRow, match=f"{name}: .*{reason}"):
             load_csv(tmp_path / name.removesuffix(".map.json"))
     with caplog.at_level(logging.WARNING, logger="trajcast.data"):
         scenarios = load_dir(tmp_path)
     assert len(scenarios) == 1
-    for name in ("bad.csv", "two-agents.csv", "nan-map.csv"):
+    for name in ("bad.csv", "two-agents.csv", "nan-map.csv", "no-polylines.csv", "list-map.csv"):
         assert any(name in rec.getMessage() for rec in caplog.records)
     with pytest.raises(WrongFrameCount):
         load_dir(tmp_path, strict=True)

@@ -218,8 +218,8 @@ def test_prediction_dump_roundtrip_and_bank(tmp_path):
                            scores=[0.75, 0.25])
     path_a = tmp_path / "a.jsonl"
     path_b = tmp_path / "b.jsonl"
-    save_prediction_dump(path_a, [("s1", preds)])
-    save_prediction_dump(path_b, [("s1", preds)])
+    save_prediction_dump(path_a, [("s1", preds.stacked(), preds.scores)])
+    save_prediction_dump(path_b, [("s1", preds.stacked(), preds.scores)])
     loaded = load_prediction_dump(path_a)
     assert loaded[0][0] == "s1"
     np.testing.assert_array_equal(loaded[0][1].scores, preds.scores)

@@ -3,13 +3,17 @@ and the CLI workflow end to end."""
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import straight_scenario
 from trajcast import cli, data, harness
-from trajcast.core import (MissingTargetFrame, PredictionSet, SceneTransform, Trajectory,
+from trajcast.core import (MissingTargetFrame, SceneTransform, Trajectory,
                            apply_transform, to_frame_xy)
 from trajcast.data import SyntheticSpec, generate, make_shift_pair
 from trajcast.harness import (Adam, NonFiniteLoss, SEED_ENV_VAR, ShapeMismatch,
@@ -35,6 +39,15 @@ def _dataset(mode="straight", count=6, seed=0, noise=0.02):
     return generate(SyntheticSpec(scenario_count=count, mode_mix=mix,
                                   noise_sigma=noise, seed=seed,
                                   branch_probs=(0.5, 0.5)))
+
+
+def _without_target_frame(scenario, frame):
+    """The scenario with its target marked absent at one frame."""
+    present = scenario.target.present.copy()
+    present[frame] = False
+    return dataclasses.replace(
+        scenario, agents=(dataclasses.replace(scenario.target, present=present),)
+        + scenario.agents[1:])
 
 
 # -- optimizer ----------------------------------------------------------------
@@ -374,11 +387,11 @@ def test_evaluate_reports_and_shape_check():
         evaluate(params, model_cfg, [small])
 
 
-def _extrapolating_predictor(window):
-    step = window.history_xy[-1] - window.history_xy[-2]
-    points = window.history_xy[-1] + np.arange(1, 31)[:, None] * step
-    traj = Trajectory(points=points, dt=0.1)
-    return PredictionSet(trajectories=(traj,), scores=np.array([1.0]))
+def _extrapolating_predictor(windows):
+    """One mode per window: its last step continued for 30 steps, score 1."""
+    trajs = [w.history_xy[-1] + np.arange(1, 31)[:, None] * (w.history_xy[-1] - w.history_xy[-2])
+             for w in windows]
+    return np.array(trajs)[:, None], np.ones((len(windows), 1))
 
 
 def test_jitter_zero_for_consistent_predictor():
@@ -387,11 +400,10 @@ def test_jitter_zero_for_consistent_predictor():
 
 
 def test_jitter_hand_value():
-    def jumpy(window):
-        offset = np.array([3.0, 4.0]) if window.shift else np.zeros(2)
-        points = np.tile(offset, (30, 1))
-        return PredictionSet(trajectories=(Trajectory(points=points, dt=0.1),),
-                             scores=np.array([1.0]))
+    def jumpy(windows):
+        offsets = [np.array([3.0, 4.0]) if w.shift else np.zeros(2) for w in windows]
+        trajs = np.array([np.tile(offset, (30, 1)) for offset in offsets])
+        return trajs[:, None], np.ones((len(windows), 1))
 
     assert jitter_score(jumpy, [straight_scenario()], s=1) == 5.0
     with pytest.raises(ValueError):
@@ -411,17 +423,14 @@ def test_branch_coverage_bounds():
 def test_scenarios_are_all_checked_before_the_first_prediction(monkeypatch, command):
     scenarios = _dataset(mode="junction", count=3)
     last = scenarios[-1]
-    present = last.target.present.copy()
-    present[18] = False
-    scenarios[-1] = dataclasses.replace(
-        last, agents=(dataclasses.replace(last.target, present=present),) + last.agents[1:])
+    scenarios[-1] = _without_target_frame(last, 18)
     model_cfg = _tiny_config().model_config()
     params = init_params(model_cfg, seed=0)
     calls = []
 
-    def counted(*args):
-        calls.append(args)
-        return predict(*args)
+    def counted(params, model_cfg, windows):
+        calls.append(len(windows))
+        return predict(params, model_cfg, windows)
 
     monkeypatch.setattr(harness, "predict", counted)
     run = {"evaluate": lambda: evaluate(params, model_cfg, scenarios),
@@ -459,6 +468,26 @@ def test_run_grid_single_row_deterministic(tmp_path):
     assert rows[0]["temp"] is False and rows[0]["goal"] is True
     assert "minFDE_6" in rows[0]
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("split, frame", [("train", 20), ("eval", 18)])
+def test_run_grid_checks_both_splits_before_the_first_train(monkeypatch, split, frame):
+    """The last scenario of one split lacks a target frame: frame 20 only
+    matters to the second row, whose temporal loss needs the window one
+    frame later; frame 18 matters to evaluation. Either stops the grid
+    before any row trains."""
+    scenarios = _dataset(count=4)
+    gappy = scenarios[:-1] + [_without_target_frame(scenarios[-1], frame)]
+    splits = {"train": (gappy, scenarios), "eval": (scenarios, gappy)}[split]
+    grid = {"base": {**TINY, "epochs": 1},
+            "rows": [{"label": "plain", "use_temp": False, "use_spatial": False},
+                     {"label": "temp"}]}
+    calls = []
+    monkeypatch.setattr(harness, "train", lambda *args, **kwargs: calls.append(args))
+    message = f"^{scenarios[-1].scenario_id}: .* frame {frame}$"
+    with pytest.raises(MissingTargetFrame, match=message):
+        run_grid(grid, *splits)
+    assert calls == []
 
 
 def test_run_grid_requires_pseudo_targets_for_mpt():
@@ -527,6 +556,51 @@ def test_cli_workflow(tmp_path, capsys):
     assert chart.read_text().startswith("<svg")
 
 
+# Generates a dataset into argv[1], then trains on it (default model, C=64,
+# so the parameter vector is long enough for threaded BLAS reductions),
+# evaluates with a dump, dumps again, measures jitter and clusters the dumps.
+_CLI_CHAIN = """
+import contextlib, os, sys
+from pathlib import Path
+from trajcast import cli
+
+out = Path(sys.argv[1])
+ds, ckpt = out / "ds", out / "model.json"
+
+def run(*argv, stdout=os.devnull):
+    with open(stdout, "w") as fh, contextlib.redirect_stdout(fh):
+        cli.main([str(a) for a in argv])
+
+run("generate", "--out", ds, "--count", "48", "--mode-mix", "junction=1.0")
+run("train", "--data", ds, "--out", ckpt, "--log", out / "train.log",
+    "--set", "epochs=2", "--set", "batch_size=16")
+run("evaluate", "--checkpoint", ckpt, "--data", ds, "--report", out / "report.json",
+    "--dump", out / "eval.jsonl")
+run("ensemble-dump", "--checkpoint", ckpt, "--data", ds, "--out", out / "train.jsonl")
+run("jitter", "--checkpoint", ckpt, "--data", ds, "--s", "2", stdout=out / "jitter.json")
+run("cluster", "--dump", f"a={out / 'train.jsonl'}", "--dump", f"b={out / 'train.jsonl'}",
+    "--j", "4", "--out", out / "pseudo.jsonl")
+"""
+
+
+def test_cli_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """The command chain run with one and with two BLAS threads writes the
+    same bytes: log, checkpoint, report, dumps, jitter and pseudo targets."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        out.mkdir()
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-c", _CLI_CHAIN, str(out)], env=env, check=True,
+                       timeout=300)
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir() if p.is_file()})
+    assert sorted(outputs[0]) == ["eval.jsonl", "jitter.json", "model.json", "pseudo.jsonl",
+                                  "report.json", "train.jsonl", "train.log"]
+    for name, content in outputs[0].items():
+        assert content == outputs[1][name], name
+
+
 @pytest.mark.parametrize("mix", ["junction", "junction=1,straight"])
 def test_cli_generate_rejects_mode_mix_without_weight(tmp_path, mix):
     with pytest.raises(SystemExit, match="--mode-mix expects name=weight"):
@@ -571,11 +645,7 @@ def _cli_inputs(tmp_path) -> dict:
     29-step trajectory."""
     scenarios = _dataset(count=4)
     data.save_dataset(scenarios, tmp_path / "ds", val_fraction=0.5)
-    last = scenarios[-1]
-    present = last.target.present.copy()
-    present[18] = False
-    gappy = dataclasses.replace(last, agents=(dataclasses.replace(last.target, present=present),)
-                                + last.agents[1:])
+    gappy = _without_target_frame(scenarios[-1], 18)
     data.save_dataset(scenarios[:-1] + [gappy], tmp_path / "gappy", val_fraction=0.5)
     model_cfg = _tiny_config().model_config()
     ckpt = tmp_path / "model.json"

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import line_trajectory, prediction_set
 from trajcast.core import Trajectory
@@ -130,11 +131,47 @@ def test_matches_brute_force_oracle():
             assert abs(g - w) < 1e-9
 
 
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), k=st.integers(1, 6),
+       extra=st.integers(0, 5), t=st.integers(1, 30), levels=st.integers(1, 3))
+def test_stacked_min_metrics_match_the_oracle_per_scenario(seed, n, k, extra, t, levels):
+    """min_metrics on (n, K, T, 2) stacks gives each scenario the oracle's
+    values; scores drawn from a few levels tie often, so the top-k subset
+    leans on the index tie-break. report's columns are the oracle's means."""
+    k_all = min(6, k + extra)
+    rng = np.random.default_rng(seed)
+    trajs = rng.normal(scale=3.0, size=(n, k_all, t, 2))
+    gt = rng.normal(scale=3.0, size=(n, t, 2))
+    raw = rng.integers(1, levels + 1, size=(n, k_all)).astype(float)
+    scores = raw / raw.sum(axis=1, keepdims=True)
+    got = min_metrics((trajs, scores), gt, k=k)
+    assert all(np.shape(field) == (n,) for field in got)
+    for i in range(n):
+        want = _min_metrics_oracle(trajs[i], scores[i], gt[i], k, 2.0)
+        for g, w in zip(got, want):
+            assert abs(g[i] - w) < 1e-9
+    rep = report((trajs, scores), gt, k_full=k)
+    rows_1, rows_k = ([_min_metrics_oracle(trajs[i], scores[i], gt[i], kk, 2.0) for i in range(n)]
+                      for kk in (1, k))
+    got = (rep.minADE_1, rep.minFDE_1, rep.MR_1, rep.minADE_6, rep.minFDE_6, rep.MR_6,
+           rep.brier_minFDE_6)
+    want = [sum(r[j] for r in rows) / n for rows, j in
+            ((rows_1, 0), (rows_1, 1), (rows_1, 2), (rows_k, 0), (rows_k, 1), (rows_k, 2),
+             (rows_k, 3))]
+    assert rep.n_scenarios == n
+    for g, w in zip(got, want):
+        assert abs(g - w) < 1e-9
+
+
+def _uniform(points, n_modes=6):
+    """One scenario's predictions: n_modes copies of points, equal scores."""
+    return np.array([points] * n_modes, dtype=float), np.full(n_modes, 1.0 / n_modes)
+
+
 def test_report_is_mean_of_scenarios():
-    gt = Trajectory(points=np.zeros((2, 2)))
-    close = prediction_set([[[0, 0], [1, 0]]] * 6)
-    far = prediction_set([[[0, 0], [3, 0]]] * 6)
-    rep = report([(close, gt), (far, gt)])
+    close, far = _uniform([[0, 0], [1, 0]]), _uniform([[0, 0], [3, 0]])
+    preds = (np.stack([close[0], far[0]]), np.stack([close[1], far[1]]))
+    rep = report(preds, np.zeros((2, 2, 2)))
     assert rep.n_scenarios == 2
     assert math.isclose(rep.minFDE_6, 2.0)
     assert math.isclose(rep.MR_6, 0.5)
@@ -143,12 +180,12 @@ def test_report_is_mean_of_scenarios():
 
 def test_report_empty_dataset():
     with pytest.raises(EmptyDataset):
-        report([])
+        report((np.zeros((0, 6, 2, 2)), np.zeros((0, 6))), np.zeros((0, 2, 2)))
 
 
 def test_metric_report_json_roundtrip():
-    gt = Trajectory(points=np.zeros((2, 2)))
-    rep = report([(prediction_set([[[0, 0], [1, 0]]] * 6), gt)])
+    trajs, scores = _uniform([[0, 0], [1, 0]])
+    rep = report((trajs[None], scores[None]), np.zeros((1, 2, 2)))
     back = MetricReport.from_json(rep.to_json())
     assert back == rep
     keys = list(json.loads(rep.to_json()).keys())

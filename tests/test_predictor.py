@@ -2,13 +2,14 @@
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import straight_scenario
-from trajcast import data
+from trajcast import data, predictor
 from trajcast.core import Trajectory, Window, agent_frame
 from trajcast.predictor import (EmptyHistory, ModelConfig, StaleTrace, WindowBatch,
                                 _layer_shapes, backward, featurize, forward,
@@ -245,6 +246,55 @@ def test_refine_ignores_anchors_when_anchor_rows_zeroed():
     d_anchor = refine_backward(params, SMALL, trace, np.ones((2, 3, 2)),
                                np.ones(2), grads)
     assert np.all(d_anchor == 0.0)
+
+
+def _assert_close(got, want):
+    """Equal within 1e-12 of the largest magnitude in want."""
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+def _assert_predict_list_matches_per_window(params, cfg, windows):
+    trajs, scores = predict(params, cfg, windows)
+    assert trajs.shape == (len(windows), cfg.n_modes, cfg.horizon, 2)
+    assert scores.shape == (len(windows), cfg.n_modes)
+    for i, window in enumerate(windows):
+        pset = predict(params, cfg, window)
+        _assert_close(trajs[i], pset.stacked())
+        _assert_close(scores[i], pset.scores)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**16), n_scenarios=st.integers(1, 5), chunk=st.integers(1, 11),
+       use_goal=st.booleans(), use_refine=st.booleans())
+def test_predict_on_a_list_equals_per_window_predict(seed, n_scenarios, chunk, use_goal,
+                                                     use_refine):
+    """predict on a list of windows stacks what predict gives each window,
+    wherever the list's chunks end; the nominal and shifted windows of
+    five-mode-mix scenarios, with heading jitter, vary the frames."""
+    cfg = ModelConfig(n_modes=3, horizon=30, history_len=20, feature_dim=8,
+                      use_goal=use_goal, use_refine=use_refine)
+    scenarios = data.generate(data.SyntheticSpec(scenario_count=n_scenarios, seed=seed))
+    windows = [w for i, sc in enumerate(scenarios)
+               for w in data.make_shift_pair(sc, 1 + i % 5, heading_jitter=0.3 * i)]
+    with mock.patch.object(predictor, "_PREDICT_CHUNK", chunk):
+        _assert_predict_list_matches_per_window(init_params(cfg, seed=seed), cfg, windows)
+
+
+@pytest.mark.parametrize("n_windows", [1, 63, 64, 65, 130])
+def test_predict_on_a_list_runs_one_forward_per_64_windows(n_windows):
+    cfg = ModelConfig(n_modes=2, horizon=30, history_len=20, feature_dim=4)
+    scenarios = data.generate(data.SyntheticSpec(scenario_count=n_windows, seed=n_windows))
+    windows = [data.make_window(sc) for sc in scenarios]
+    params = init_params(cfg, seed=1)
+    with mock.patch.object(predictor, "forward", wraps=predictor.forward) as fwd:
+        predict(params, cfg, windows)
+    assert fwd.call_count == math.ceil(n_windows / 64)
+    _assert_predict_list_matches_per_window(params, cfg, windows)
+
+
+def test_predict_on_an_empty_list_gives_empty_stacks():
+    trajs, scores = predict(init_params(SMALL, seed=0), SMALL, [])
+    assert trajs.shape == (0, 2, 3, 2) and scores.shape == (0, 2)
 
 
 def test_predict_maps_back_to_world_frame():
