@@ -338,21 +338,22 @@ def load_manifest(manifest_path, split: str | None = None, strict: bool = False)
 
 def check_windows(scenario: Scenario, s: int = 0) -> None:
     """What a scenario must meet to be cut into its nominal window and, for
-    s > 0, the window s frames later: the target present at each window's
-    last two frames (its agent frame is built from them), and for s > 0 at
-    least history_len + s observed target frames. Raises InsufficientFrames
-    or MissingTargetFrame, each message starting with the scenario id."""
+    s > 0, the window s frames later: the target present at t=-1 and t=0
+    (the nominal agent frame is built from them) and at every future frame
+    (the ground truth is supervised and scored there, and the shifted
+    window's agent frame is built from two of them), and for s > 0 at least
+    history_len + s observed target frames. Raises InsufficientFrames or
+    MissingTargetFrame, each message starting with the scenario id."""
     if s < 0:
         raise ValueError("shift must be >= 0")
     m, target = scenario.history_len, scenario.target
     if s and (m + s > scenario.total_frames or int(target.present.sum()) < m + s):
         raise InsufficientFrames(
             f"{scenario.scenario_id}: need {m + s} observed frames for shift {s}")
-    for end in (m - 1, m + s - 1) if s else (m - 1,):
-        for idx in (end - 1, end):
-            if not target.present[idx]:
-                raise MissingTargetFrame(f"{scenario.scenario_id}: track "
-                                         f"{target.track_id} absent at frame {idx}")
+    needed = target.present[m - 2:]
+    if not needed.all():
+        raise MissingTargetFrame(f"{scenario.scenario_id}: track {target.track_id} "
+                                 f"absent at frame {m - 2 + int(needed.argmin())}")
 
 
 def _cut_window(scenario: Scenario, s: int, heading_jitter: float) -> Window:

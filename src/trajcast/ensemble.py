@@ -3,14 +3,15 @@
 Predictions from several trained model variants are pooled per scenario and
 clustered with k-means on flattened waypoint vectors; cluster centroids plus
 their probability-mass scores become extra supervision trajectories next to
-the ground truth.
+the ground truth. The whole path works on arrays: dumps load as
+`(K, T, 2)` trajectories and `(K,)` scores, the bank pools them per scenario,
+and k-means runs on the stack of every scenario at once.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -31,8 +32,14 @@ class TooFewModels(TrajcastError):
     """Clustering needs predictions from at least two distinct model tags."""
 
 
+class MalformedRecord(TrajcastError):
+    """A prediction-dump or pseudo-target line that cannot be read; the
+    message names the file, the line and, where it has one, the scenario."""
+
+
 class EnsembleBank:
-    """Per-scenario collections of (model_tag, PredictionSet).
+    """Per-scenario collections of (model_tag, (K, T, 2) trajectories, (K,)
+    scores).
 
     Insertion order is preserved; pooling flattens in that order so the whole
     pipeline stays deterministic.
@@ -42,131 +49,222 @@ class EnsembleBank:
         self._entries = {}
 
     def add(self, scenario_id: str, model_tag: str, preds: PredictionSet) -> None:
+        self.add_arrays(scenario_id, model_tag, preds.stacked(), preds.scores)
+
+    def add_arrays(self, scenario_id: str, model_tag: str, trajectories: np.ndarray,
+                   scores: np.ndarray) -> None:
+        """`add` for (K, T, 2) trajectories and (K,) scores, as
+        `load_prediction_dump` returns them."""
         entries = self._entries.setdefault(scenario_id, [])
-        if entries and len(entries[0][1].trajectories[0]) != len(preds.trajectories[0]):
-            raise LengthMismatch(f"prediction horizon differs for {scenario_id}")
-        entries.append((model_tag, preds))
+        if entries and entries[0][1].shape[1] != trajectories.shape[1]:
+            raise LengthMismatch(f"prediction horizon differs for {scenario_id}: "
+                                 f"{trajectories.shape[1]} vs {entries[0][1].shape[1]}")
+        entries.append((model_tag, trajectories, scores))
 
     def scenario_ids(self) -> list:
         return list(self._entries.keys())
 
     def entries(self, scenario_id: str) -> list:
+        """[(model_tag, trajectories, scores), ...] in insertion order."""
         if scenario_id not in self._entries:
             raise UnknownScenario(scenario_id)
         return list(self._entries[scenario_id])
 
     def tags(self, scenario_id: str) -> set:
-        return {tag for tag, _ in self.entries(scenario_id)}
+        return {tag for tag, _, _ in self.entries(scenario_id)}
+
+    def pooled(self, scenario_id: str):
+        """All models' predictions for one scenario as ((N, T, 2)
+        trajectories, (N,) scores), in model insertion order; duplicates from
+        repeated tags are kept and counted separately."""
+        entries = self.entries(scenario_id)
+        return (np.concatenate([trajs for _, trajs, _ in entries]),
+                np.concatenate([scores for _, _, scores in entries]))
 
 
 def pool(bank: EnsembleBank, scenario_id: str) -> list:
-    """Flatten all models' predictions for one scenario.
-
-    Returns [(Trajectory, score), ...] in model insertion order; duplicates
-    from repeated tags are kept and counted separately.
-    """
-    out = []
-    for _, preds in bank.entries(scenario_id):
-        for traj, score in zip(preds.trajectories, preds.scores):
-            out.append((traj, float(score)))
-    return out
+    """`EnsembleBank.pooled` as [(Trajectory, score), ...]."""
+    trajs, scores = bank.pooled(scenario_id)
+    return [(Trajectory(points=p, dt=DT), float(s)) for p, s in zip(trajs, scores)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClusterResult:
-    """k-means output: J centroid trajectories with probability-mass scores."""
+    """k-means output for one scenario, or with a leading scenario axis on
+    every array for a stack of S.
 
-    centroids: tuple
+    centroids (..., J, T, 2); scores (..., J), each cluster's fraction of the
+    total probability mass; member_counts (..., J); assignments (..., N), each
+    pooled trajectory's cluster. sse_history has one entry per Lloyd pass:
+    the SSE, or for a stack the (S,) SSEs of that pass over it, NaN for a
+    scenario that converged in an earlier pass.
+    """
+
+    centroids: np.ndarray
     scores: np.ndarray
     member_counts: np.ndarray
+    assignments: np.ndarray
     sse_history: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "centroids", tuple(self.centroids))
-        scores = np.asarray(self.scores, dtype=np.float64)
-        counts = np.asarray(self.member_counts, dtype=np.int64)
-        if np.any(scores < 0) or np.any(scores > 1):
-            raise ValueError("cluster scores must lie in [0, 1]")
-        object.__setattr__(self, "scores", scores)
-        object.__setattr__(self, "member_counts", counts)
-        object.__setattr__(self, "sse_history", tuple(float(v) for v in self.sse_history))
 
     @property
     def j(self) -> int:
-        return len(self.centroids)
+        return self.scores.shape[-1]
+
+    def scenario(self, i: int) -> "ClusterResult":
+        """Scenario i of a stacked result, with its own SSE history."""
+        return ClusterResult(centroids=self.centroids[i], scores=self.scores[i],
+                             member_counts=self.member_counts[i],
+                             assignments=self.assignments[i],
+                             sse_history=tuple(float(sse[i]) for sse in self.sse_history
+                                               if not np.isnan(sse[i])))
 
 
-def _kmeans_pp_seed(x: np.ndarray, j: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ initial centers: D^2-weighted sampling."""
-    n = x.shape[0]
-    centers = np.empty((j, x.shape[1]))
-    first = int(rng.integers(n))
-    centers[0] = x[first]
-    d2 = ((x - centers[0]) ** 2).sum(axis=1)
+def kmeans_trajectories(pooled, j: int, seed, max_iter: int = 100) -> ClusterResult:
+    """Cluster pooled trajectories into J centroid trajectories.
+
+    pooled is one scenario's [(Trajectory, score), ...], as `pool` returns,
+    with one int seed, giving that scenario's ClusterResult; or S
+    scenarios' ((S, N, T, 2) trajectories, (S, N) scores) with S seeds,
+    giving a ClusterResult with a leading scenario axis. Each scenario draws
+    from its own default_rng(seed); the one-scenario call is the stack of
+    one.
+
+    Lloyd passes on flattened 2T-dim vectors with k-means++ seeding, over the
+    whole stack until every scenario's assignments stop changing. Centroids
+    are plain member means; a cluster's score is the fraction of total
+    probability mass its members carry. Ties in assignment go to the lowest
+    cluster index; an emptied cluster is reseeded from the point farthest
+    from its current centroid.
+    """
+    if isinstance(pooled, list):
+        if len(pooled) < j or j < 1:
+            raise TooFewTrajectories(f"need at least {j} pooled trajectories, got {len(pooled)}")
+        trajs = np.stack([traj.points for traj, _ in pooled])[None]
+        weights = np.array([[score for _, score in pooled]], dtype=np.float64)
+        return _kmeans_stack(trajs, weights, j, [seed], max_iter).scenario(0)
+    return _kmeans_stack(*pooled, j, seed, max_iter)
+
+
+def _kmeans_stack(trajs: np.ndarray, weights: np.ndarray, j: int, seeds,
+                  max_iter: int) -> ClusterResult:
+    s, n, t, _ = trajs.shape
+    if n < j or j < 1:
+        raise TooFewTrajectories(f"need at least {j} pooled trajectories, got {n}")
+    if len(seeds) != s:
+        raise ValueError(f"need one seed per scenario, got {len(seeds)} for {s}")
+    # contiguous rows, so each row sum adds in the order a 1-D sum does
+    x = np.ascontiguousarray(trajs, dtype=np.float64).reshape(s, n, 2 * t)
+    weights = np.ascontiguousarray(weights, dtype=np.float64)
+    rngs = [np.random.default_rng(int(sd)) for sd in seeds]
+
+    centers = _seed_centers(x, j, rngs)
+    assign = np.full((s, n), -1)
+    sse_history = []
+    active, x_active = np.arange(s), x   # scenarios whose assignments still change
+    while active.size and len(sse_history) < max_iter:
+        d2 = _sq_dists(x_active, centers[active])
+        new_assign = d2.argmin(axis=2)
+        own = np.take_along_axis(d2, new_assign[:, :, None], axis=2)[:, :, 0]
+        sse = np.full(s, np.nan)
+        sse[active] = own.sum(axis=1)
+        sse_history.append(sse)
+        moved = ~np.all(new_assign == assign[active], axis=1)
+        if not moved.all():   # drop the scenarios that converged
+            active, x_active = active[moved], x_active[moved]
+            new_assign, own = new_assign[moved], own[moved]
+        assign[active] = new_assign
+        centers[active] = _member_means(x_active, new_assign, own, j)
+
+    counts = np.sum(assign[:, :, None] == np.arange(j), axis=1)
+    scores = _cluster_mass(weights, assign, counts) / weights.sum(axis=1)[:, None]
+    return ClusterResult(centroids=centers.reshape(s, j, t, 2), scores=scores,
+                         member_counts=counts, assignments=assign,
+                         sse_history=tuple(sse_history))
+
+
+def _sq_dists(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(S, N, J) squared distances from (S, N, D) points to (S, J, D) centers."""
+    d2 = np.empty(x.shape[:2] + centers.shape[1:2])
+    diff = np.empty_like(x)
+    for c in range(centers.shape[1]):
+        np.subtract(x, centers[:, c, None], out=diff)
+        d2[:, :, c] = np.square(diff, out=diff).sum(axis=2)
+    return d2
+
+
+def _seed_centers(x: np.ndarray, j: int, rngs: list) -> np.ndarray:
+    """k-means++ initial centers, (S, J, D): D^2-weighted sampling.
+
+    Each scenario draws from its own rng: integers(n) for the first center;
+    then per center one random(), mapped to the index Generator.choice(n,
+    p=d2 / total) would pick (the count of entries <= it in the cumulative
+    sum of d2 / total, normalised by its last entry), or integers(n) when
+    every point coincides with a chosen center.
+    """
+    s, n, dim = x.shape
+    rows = np.arange(s)
+    centers = np.empty((s, j, dim))
+    centers[:, 0] = x[rows, [rng.integers(n) for rng in rngs]]
+    d2 = _sq_dists(x, centers[:, :1])[:, :, 0]
     for c in range(1, j):
-        total = d2.sum()
-        if total <= 0:
-            # all points coincide with chosen centers; any point works
-            idx = int(rng.integers(n))
-        else:
-            idx = int(rng.choice(n, p=d2 / total))
-        centers[c] = x[idx]
-        d2 = np.minimum(d2, ((x - centers[c]) ** 2).sum(axis=1))
+        total = d2.sum(axis=1)
+        spread = total > 0
+        # a uniform in [0, 1) where the points spread, else the drawn index
+        u = np.array([rng.random() if ok else rng.integers(n) for rng, ok in zip(rngs, spread)],
+                     dtype=np.float64)
+        idx = u.astype(np.intp)
+        cdf = np.cumsum(d2[spread] / total[spread, None], axis=1)
+        cdf /= cdf[:, -1:]
+        idx[spread] = np.sum(cdf <= u[spread, None], axis=1)
+        centers[:, c] = x[rows, idx]
+        d2 = np.minimum(d2, _sq_dists(x, centers[:, c:c + 1])[:, :, 0])
     return centers
 
 
-def kmeans_trajectories(pooled, j: int, seed: int, max_iter: int = 100) -> ClusterResult:
-    """Cluster pooled (Trajectory, score) pairs into J centroid trajectories.
+def _member_means(x: np.ndarray, assign: np.ndarray, own: np.ndarray, j: int) -> np.ndarray:
+    """(S, J, D) cluster means of (S, N, D) points, members summed in point
+    order as a masked mean sums them; an emptied cluster takes the point
+    farthest from its own center (own holds those squared distances)."""
+    s = x.shape[0]
+    rows = np.arange(s)[:, None]
+    sums = np.zeros((s, j, x.shape[2]))
+    np.add.at(sums, (rows, assign), x)
+    counts = np.sum(assign[:, :, None] == np.arange(j), axis=1)
+    means = np.divide(sums, np.maximum(counts, 1)[:, :, None], out=sums)
+    empty_s, empty_c = np.nonzero(counts == 0)
+    means[empty_s, empty_c] = x[empty_s, own[empty_s].argmax(axis=1)]
+    return means
 
-    Lloyd iterations on flattened 2T-dim vectors with k-means++ seeding.
-    Centroids are plain member means; a cluster's score is the fraction of
-    total probability mass its members carry. Ties in assignment go to the
-    lowest cluster index; an emptied cluster is reseeded from the point
-    farthest from its current centroid.
+
+def _cluster_mass(weights: np.ndarray, assign: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """(S, J) summed weights of each cluster's members.
+
+    Each cluster's weights are gathered in point order and summed as one row
+    of an equal-length block, which numpy sums exactly as it sums the 1-D
+    masked selection; so there is one sum call per distinct member count.
     """
-    if len(pooled) < j or j < 1:
-        raise TooFewTrajectories(f"need at least {j} pooled trajectories, got {len(pooled)}")
-    dt = pooled[0][0].dt
-    t = len(pooled[0][0])
-    x = np.stack([tr.points.reshape(-1) for tr, _ in pooled])
-    w = np.array([s for _, s in pooled], dtype=np.float64)
-    rng = np.random.default_rng(seed)
-
-    centers = _kmeans_pp_seed(x, j, rng)
-    assign = np.full(x.shape[0], -1)
-    sse_history = []
-    for _ in range(max_iter):
-        d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        new_assign = d2.argmin(axis=1)
-        sse_history.append(float(d2[np.arange(x.shape[0]), new_assign].sum()))
-        if np.array_equal(new_assign, assign):
-            break
-        assign = new_assign
-        for c in range(j):
-            members = assign == c
-            if members.any():
-                centers[c] = x[members].mean(axis=0)
-            else:
-                # reseed from the point farthest from its assigned center
-                dist_own = d2[np.arange(x.shape[0]), assign]
-                centers[c] = x[int(dist_own.argmax())]
-
-    counts = np.bincount(assign, minlength=j)
-    total_mass = w.sum()
-    scores = np.array([w[assign == c].sum() for c in range(j)]) / total_mass
-    centroids = tuple(Trajectory(points=centers[c].reshape(t, 2), dt=dt) for c in range(j))
-    return ClusterResult(centroids=centroids, scores=scores,
-                         member_counts=counts, sse_history=sse_history)
+    s, j = counts.shape
+    order = np.argsort((np.arange(s)[:, None] * j + assign).ravel(), kind="stable")
+    gathered = weights.ravel()[order]
+    flat = counts.ravel()
+    starts = np.cumsum(flat) - flat
+    mass = np.zeros(s * j)
+    # not np.unique, whose first call imports numpy.ma (over 1 MB of RSS)
+    lengths = np.flatnonzero(np.bincount(flat))
+    for length in lengths[lengths > 0]:
+        clusters = np.flatnonzero(flat == length)
+        mass[clusters] = gathered[starts[clusters, None] + np.arange(length)].sum(axis=1)
+    return mass.reshape(s, j)
 
 
 def build_target_set(cluster: ClusterResult | None, gt: Trajectory) -> TargetSet:
     """Ground truth (confidence exactly 1) plus the cluster centroids."""
     if cluster is None or cluster.j == 0:
         return TargetSet(targets=(gt,), confidences=np.array([1.0]))
-    for c in cluster.centroids:
-        if len(c) != len(gt):
-            raise LengthMismatch(f"centroid length {len(c)} vs gt length {len(gt)}")
-    targets = (gt,) + cluster.centroids
+    if cluster.centroids.shape[1] != len(gt):
+        raise LengthMismatch(f"centroid length {cluster.centroids.shape[1]} "
+                             f"vs gt length {len(gt)}")
+    targets = (gt,) + tuple(Trajectory(points=c, dt=gt.dt) for c in cluster.centroids)
     confidences = np.concatenate([[1.0], cluster.scores])
     return TargetSet(targets=targets, confidences=confidences)
 
@@ -175,19 +273,93 @@ def cluster_bank(bank: EnsembleBank, j: int, seed: int, max_iter: int = 100) -> 
     """Cluster every scenario in the bank; scenario_id -> ClusterResult.
 
     Requires predictions from at least two distinct model tags per scenario
-    (a single model just reproduces itself). Each scenario gets a distinct
-    deterministic sub-seed so results do not depend on iteration order.
+    (a single model just reproduces itself). Scenario i in sorted id order
+    gets sub-seed seed + i, so results do not depend on insertion order.
+    Scenarios whose pooled trajectories share one shape are clustered in one
+    stacked `kmeans_trajectories` call.
     """
-    results = {}
-    for i, sid in enumerate(sorted(bank.scenario_ids())):
+    sids = sorted(bank.scenario_ids())
+    groups = {}   # pooled (N, T) -> [(sub-seed, sid)]
+    for i, sid in enumerate(sids):
         if len(bank.tags(sid)) < 2:
             raise TooFewModels(f"scenario {sid} has predictions from fewer than 2 models")
-        results[sid] = kmeans_trajectories(pool(bank, sid), j, seed=seed + i, max_iter=max_iter)
-    return results
+        entries = bank.entries(sid)
+        n = sum(len(scores) for _, _, scores in entries)
+        if n < j:
+            raise TooFewTrajectories(f"scenario {sid}: need at least {j} pooled "
+                                     f"trajectories, got {n}")
+        groups.setdefault((n, entries[0][1].shape[1]), []).append((seed + i, sid))
+    results = {}
+    for (n, t), members in groups.items():
+        trajs, scores = np.empty((len(members), n, t, 2)), np.empty((len(members), n))
+        for k, (_, sid) in enumerate(members):
+            trajs[k], scores[k] = bank.pooled(sid)
+        stacked = kmeans_trajectories((trajs, scores), j, seed=[sub for sub, _ in members],
+                                      max_iter=max_iter)
+        for k, (_, sid) in enumerate(members):
+            results[sid] = stacked.scenario(k)
+    return {sid: results[sid] for sid in sids}
 
 
 # ---------------------------------------------------------------------------
 # file formats
+
+
+def _read_records(path, key: str) -> list:
+    """[(line number, scenario_id, (n, T, 2) trajectories, (n,) values)] from
+    a JSON-lines file whose per-trajectory values are under `key`.
+
+    Each record must hold a scenario_id, finite trajectories of one shape
+    (n, T, 2) with n, T >= 1, one finite value >= 0 per trajectory and, if
+    given, a positive dt. A line that does not raises MalformedRecord.
+    """
+    out = []
+    with open(path, encoding="utf-8") as fh:
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            sid = None
+            try:
+                rec = json.loads(line)
+                if not isinstance(rec, dict):
+                    raise ValueError("a record must be a JSON object")
+                sid = rec.get("scenario_id")
+                out.append((number, rec["scenario_id"], *_record_arrays(rec, key)))
+            except (ValueError, TypeError) as exc:
+                raise _malformed(path, number, sid, str(exc)) from None
+            except KeyError as exc:
+                raise _malformed(path, number, sid, f"missing key {exc}") from None
+    return out
+
+
+def _record_arrays(rec: dict, key: str):
+    raw = rec["trajectories"]
+    try:
+        trajs = np.array(raw, dtype=np.float64)
+    except ValueError:
+        lengths = sorted({len(t) for t in raw if isinstance(t, list)})
+        if len(lengths) > 1:
+            raise ValueError(f"all trajectories must share a length, got {lengths}") from None
+        raise ValueError("trajectories must be an (n, T, 2) array of numbers") from None
+    if trajs.ndim != 3 or trajs.shape[2] != 2 or 0 in trajs.shape:
+        raise ValueError(f"trajectories must be (n, T, 2) with n, T >= 1, got {trajs.shape}")
+    if not np.all(np.isfinite(trajs)):
+        raise ValueError("trajectory points contain non-finite values")
+    values = np.array(rec[key], dtype=np.float64)
+    if values.shape != trajs.shape[:1]:
+        raise ValueError(f"need one {key[:-1]} per trajectory, "
+                         f"got {values.size} for {trajs.shape[0]}")
+    if not np.all(np.isfinite(values)) or np.any(values < 0):
+        raise ValueError(f"{key} must be finite and nonnegative, got {values.tolist()}")
+    dt = rec.get("dt", DT)
+    if not (isinstance(dt, (int, float)) and dt > 0):
+        raise ValueError(f"dt must be a positive number, got {dt!r}")
+    return trajs, values
+
+
+def _malformed(path, number: int, sid, what: str) -> MalformedRecord:
+    where = f"{path}: line {number}" + ("" if sid is None else f" ({sid})")
+    return MalformedRecord(f"{where}: {what}")
 
 
 def save_pseudo_targets(path, results: dict, dt: float = 0.1) -> None:
@@ -197,7 +369,7 @@ def save_pseudo_targets(path, results: dict, dt: float = 0.1) -> None:
             res = results[sid]
             rec = {
                 "scenario_id": sid,
-                "trajectories": [c.points.tolist() for c in res.centroids],
+                "trajectories": res.centroids.tolist(),
                 "confidences": res.scores.tolist(),
                 "dt": dt,
             }
@@ -205,16 +377,8 @@ def save_pseudo_targets(path, results: dict, dt: float = 0.1) -> None:
 
 
 def load_pseudo_targets(path) -> dict:
-    """scenario_id -> (tuple of Trajectory, confidences array)."""
-    out = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        rec = json.loads(line)
-        trajs = tuple(Trajectory(points=np.array(p), dt=rec.get("dt", 0.1))
-                      for p in rec["trajectories"])
-        out[rec["scenario_id"]] = (trajs, np.array(rec["confidences"], dtype=np.float64))
-    return out
+    """scenario_id -> ((J, T, 2) trajectories, (J,) confidences)."""
+    return {sid: (trajs, confs) for _, sid, trajs, confs in _read_records(path, "confidences")}
 
 
 def save_prediction_dump(path, records) -> None:
@@ -232,16 +396,13 @@ def save_prediction_dump(path, records) -> None:
 
 
 def load_prediction_dump(path) -> list:
-    """Inverse of save_prediction_dump; [(scenario_id, PredictionSet), ...]."""
+    """Inverse of save_prediction_dump: [(scenario_id, (K, T, 2) trajectories,
+    (K,) scores), ...]; each record's scores must also sum to 1."""
     out = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        rec = json.loads(line)
-        trajs = tuple(Trajectory(points=np.array(p), dt=rec.get("dt", 0.1))
-                      for p in rec["trajectories"])
-        out.append((rec["scenario_id"],
-                    PredictionSet(trajectories=trajs, scores=np.array(rec["scores"]))))
+    for number, sid, trajs, scores in _read_records(path, "scores"):
+        if abs(float(scores.sum()) - 1.0) > 1e-6:
+            raise _malformed(path, number, sid, f"scores must sum to 1, got {scores.sum()}")
+        out.append((sid, trajs, scores))
     return out
 
 
@@ -249,6 +410,9 @@ def bank_from_dumps(tagged_paths) -> EnsembleBank:
     """Assemble a bank from (model_tag, dump_path) pairs."""
     bank = EnsembleBank()
     for tag, path in tagged_paths:
-        for sid, preds in load_prediction_dump(path):
-            bank.add(sid, tag, preds)
+        for sid, trajs, scores in load_prediction_dump(path):
+            try:
+                bank.add_arrays(sid, tag, trajs, scores)
+            except LengthMismatch as exc:
+                raise LengthMismatch(f"{path}: {exc}") from None
     return bank

@@ -75,8 +75,9 @@ def min_metrics(preds, gt, k: int, threshold: float = MISS_THRESHOLD_METERS) -> 
     ((..., K, T, 2) trajectories, (..., K) scores) pair with gt (..., T, 2),
     as `predict` returns for a sequence of windows, giving one entry per
     scenario in each field. The top-k subset is selected by descending score
-    with index order as the tie-break. miss is True when the subset's best
-    FDE exceeds `threshold`.
+    with index order as the tie-break; among modes of the subset that tie for
+    minFDE (or minADE), brier takes the score of the lowest mode index. miss
+    is True when the subset's best FDE exceeds `threshold`.
     """
     if isinstance(preds, PredictionSet):
         row = _min_metrics_arrays(preds.stacked(), preds.scores, gt.points, k, threshold)
@@ -92,12 +93,13 @@ def _min_metrics_arrays(trajs: np.ndarray, scores: np.ndarray, gt: np.ndarray, k
         raise ValueError("k must be >= 1")
     if trajs.shape[-2] != gt.shape[-2]:
         raise LengthMismatch(f"trajectory lengths differ: {trajs.shape[-2]} vs {gt.shape[-2]}")
-    chosen = top_k_indices(scores, k)
+    # in mode order, so a tie for the minimum goes to the lowest mode index
+    chosen = np.sort(top_k_indices(scores, k), axis=-1)
     dists = np.linalg.norm(trajs - gt[..., None, :, :], axis=-1)        # (..., K, T)
     ades = np.take_along_axis(dists.mean(axis=-1), chosen, axis=-1)    # (..., k)
     fdes = np.take_along_axis(dists[..., -1], chosen, axis=-1)
     p_chosen = np.take_along_axis(scores, chosen, axis=-1)
-    best_fde = fdes.argmin(axis=-1)[..., None]  # first minimum, so in chosen order
+    best_fde = fdes.argmin(axis=-1)[..., None]
     best_ade = ades.argmin(axis=-1)[..., None]
     min_fde = np.take_along_axis(fdes, best_fde, axis=-1)[..., 0]
     min_ade = np.take_along_axis(ades, best_ade, axis=-1)[..., 0]

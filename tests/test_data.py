@@ -295,7 +295,9 @@ def test_make_shift_pair_insufficient_frames():
                    history_len=HISTORY_LEN, future_len=FUTURE_LEN)
     with pytest.raises(InsufficientFrames):
         make_shift_pair(sc2, s=1)
-    make_shift_pair(sc2, s=0)     # nominal window still fine
+    # the nominal window's ground truth is absent too
+    with pytest.raises(MissingTargetFrame, match=f"absent at frame {HISTORY_LEN}$"):
+        make_shift_pair(sc2, s=0)
 
 
 def _with_target_present(sc, present):
@@ -329,16 +331,33 @@ def test_check_windows_names_the_scenario_first(absent, s, error, message):
 
 def test_shift_zero_needs_the_nominal_window_only():
     """s = 0 asks for what the nominal window needs, as make_window does:
-    the target at t=-1 and t=0, however few other frames were observed."""
+    the target at t=-1, t=0 and every future frame, however few other
+    history frames were observed."""
     sc = generate(_spec(mode_mix=_only("straight")))[0]
     present = np.zeros(TOTAL_FRAMES, dtype=bool)
-    present[[HISTORY_LEN - 2, HISTORY_LEN - 1]] = True
+    present[HISTORY_LEN - 2:] = True
     sc = _with_target_present(sc, present)
     check_windows(sc, 0)
     a, b = make_shift_pair(sc, 0)
     assert a is b and a.frame == make_window(sc).frame
     with pytest.raises(InsufficientFrames):
-        make_shift_pair(sc, 1)
+        make_shift_pair(sc, FUTURE_LEN - 1)
+
+
+@pytest.mark.parametrize("frame", [HISTORY_LEN, HISTORY_LEN + 13, TOTAL_FRAMES - 1])
+@pytest.mark.parametrize("s", [0, 1, 3])
+def test_check_windows_rejects_an_absent_future_frame(frame, s):
+    """The ground truth is supervised and scored at every future frame, so a
+    target absent at any of them is rejected whatever the shift, not padded."""
+    sc = generate(_spec(mode_mix=_only("straight")))[0]
+    present = np.ones(TOTAL_FRAMES, dtype=bool)
+    present[frame] = False
+    sc = _with_target_present(sc, present)
+    message = f"^{sc.scenario_id}: track agent-0 absent at frame {frame}$"
+    with pytest.raises(MissingTargetFrame, match=message):
+        check_windows(sc, s)
+    with pytest.raises(MissingTargetFrame, match=message):
+        make_window(sc)
 
 
 def test_window_requires_target_presence_at_frame_edge():

@@ -4,6 +4,7 @@ and the CLI workflow end to end."""
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import straight_scenario
-from trajcast import cli, data, harness
+from trajcast import cli, data, ensemble, harness
 from trajcast.core import (MissingTargetFrame, SceneTransform, Trajectory,
                            apply_transform, to_frame_xy)
 from trajcast.data import SyntheticSpec, generate, make_shift_pair
@@ -249,10 +250,14 @@ def test_train_rejects_missing_target_frames_before_step_0(tmp_path):
     with pytest.raises(MissingTargetFrame, match=f"{late.scenario_id}: .* frame 20"):
         train(_tiny_config(), scenarios[:-1] + [late], log_path=log)
     assert not log.exists()
-    train(_tiny_config(epochs=1, use_temp=False), scenarios[:-1] + [late])  # window A only
-    # without the shifted window, t=-1 and t=0 are the only frames the target needs
+    # frame 20 is ground truth, so window A alone needs it too
+    with pytest.raises(MissingTargetFrame, match=f"{late.scenario_id}: .* frame 20"):
+        train(_tiny_config(epochs=1, use_temp=False), scenarios[:-1] + [late], log_path=log)
+    assert not log.exists()
+    # without the shifted window, t=-1, t=0 and the future are the only frames
+    # the target needs
     present[:] = False
-    present[18:20] = True
+    present[18:] = True
     sparse = dataclasses.replace(late, agents=(dataclasses.replace(target, present=present),)
                                  + late.agents[1:])
     train(_tiny_config(epochs=1, use_temp=False), scenarios[:-1] + [sparse])
@@ -441,6 +446,38 @@ def test_scenarios_are_all_checked_before_the_first_prediction(monkeypatch, comm
     assert calls == []
 
 
+@pytest.mark.parametrize("command", ["train", "evaluate", "jitter", "ensemble-dump",
+                                     "branch_coverage"])
+def test_an_absent_future_frame_stops_every_command_before_any_output(
+        tmp_path, monkeypatch, command):
+    """The last scenario's target is absent at future frame 37. load_csv pads
+    that frame with a neighbour, but the ground truth there would be
+    supervised and scored as if observed, so each command stops naming the
+    scenario before it predicts or writes anything."""
+    scenarios = _dataset(mode="junction", count=3)
+    scenarios[-1] = _without_target_frame(scenarios[-1], 37)
+    data.save_dataset(scenarios, tmp_path / "ds", val_fraction=0.0)
+    loaded = data.load_manifest(tmp_path / "ds" / "manifest.json", split="train")
+    assert not loaded[-1].target.present[37]
+    model_cfg = _tiny_config().model_config()
+    params = init_params(model_cfg, seed=0)
+    ckpt = tmp_path / "model.json"
+    save_checkpoint(ckpt, params, model_cfg, seed=0, epoch=0)
+    out = tmp_path / "out"
+    calls = []
+    monkeypatch.setattr(harness, "predict", lambda *args: calls.append(args))
+    run = {"train": lambda: train(_tiny_config(use_temp=False), loaded, log_path=out,
+                                  checkpoint_path=out),
+           "evaluate": lambda: evaluate(params, model_cfg, loaded, dump_path=out),
+           "jitter": lambda: jitter_score(lambda w: calls.append(w), loaded, 1),
+           "ensemble-dump": lambda: harness.dump_checkpoint(ckpt, loaded, out),
+           "branch_coverage": lambda: branch_coverage(params, model_cfg, loaded)}[command]
+    with pytest.raises(MissingTargetFrame,
+                       match=f"^{scenarios[-1].scenario_id}: track agent-0 absent at frame 37$"):
+        run()
+    assert calls == [] and not out.exists()
+
+
 # -- grid ---------------------------------------------------------------------
 
 def test_table2_rows_shape():
@@ -472,10 +509,9 @@ def test_run_grid_single_row_deterministic(tmp_path):
 
 @pytest.mark.parametrize("split, frame", [("train", 20), ("eval", 18)])
 def test_run_grid_checks_both_splits_before_the_first_train(monkeypatch, split, frame):
-    """The last scenario of one split lacks a target frame: frame 20 only
-    matters to the second row, whose temporal loss needs the window one
-    frame later; frame 18 matters to evaluation. Either stops the grid
-    before any row trains."""
+    """The last scenario of one split lacks a target frame: frame 20 is
+    ground truth (and ends the second row's shifted window); frame 18 matters
+    to evaluation. Either stops the grid before any row trains."""
     scenarios = _dataset(count=4)
     gappy = scenarios[:-1] + [_without_target_frame(scenarios[-1], frame)]
     splits = {"train": (gappy, scenarios), "eval": (scenarios, gappy)}[split]
@@ -684,6 +720,79 @@ def test_cli_rejects_bad_values_with_a_message(tmp_path, argv, message):
     with pytest.raises(SystemExit, match=message) as exc:
         cli.main(argv)
     assert "\n" not in str(exc.value)
+    assert not paths["out"].exists()
+
+
+def _corrupt_line_2(rec: dict, how: str) -> str:
+    """Line 2 of a dump, or of a pseudo-target file, broken one way."""
+    if how == "bad JSON":
+        return json.dumps(rec)[:-20]
+    if how == "NaN":
+        rec["trajectories"][1][3][0] = float("nan")
+    elif how == "short score list":
+        key = "scores" if "scores" in rec else "confidences"
+        rec[key] = rec[key][:-1]
+    elif how == "29-step trajectory":
+        rec["trajectories"][0] = rec["trajectories"][0][:29]
+    return json.dumps(rec)
+
+
+_CORRUPT = [
+    ("bad JSON", r"line 2: Expecting"),
+    ("NaN", r"line 2 \(s1\): trajectory points contain non-finite values$"),
+    ("short score list", r"line 2 \(s1\): need one {what} per trajectory, got 1 for 2$"),
+    ("29-step trajectory", r"line 2 \(s1\): all trajectories must share a length, "
+                           r"got \[29, 30\]$"),
+]
+
+
+@pytest.mark.parametrize("how, message", _CORRUPT, ids=[c[0] for c in _CORRUPT])
+def test_cli_cluster_names_the_file_line_and_scenario_of_a_bad_record(
+        tmp_path, capsys, how, message):
+    rng = np.random.default_rng(0)
+    good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
+    records = [(sid, rng.normal(size=(2, 30, 2)), np.array([0.25, 0.75]))
+               for sid in ("s0", "s1", "s2")]
+    ensemble.save_prediction_dump(good, records)
+    lines = good.read_text().splitlines()
+    lines[1] = _corrupt_line_2(json.loads(lines[1]), how)
+    bad.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "pseudo.jsonl"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["cluster", "--dump", f"a={good}", "--dump", f"b={bad}", "--j", "2",
+                  "--out", str(out)])
+    text = str(exc.value)
+    assert text.startswith(f"cluster: {bad}: line 2")
+    assert re.search(message.format(what="score"), text) and "\n" not in text
+    assert not out.exists() and capsys.readouterr().out == ""
+
+
+def test_cli_cluster_names_the_dump_whose_horizon_differs(tmp_path):
+    rng = np.random.default_rng(0)
+    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    ensemble.save_prediction_dump(a, [("s0", rng.normal(size=(2, 30, 2)), np.array([0.5, 0.5]))])
+    ensemble.save_prediction_dump(b, [("s0", rng.normal(size=(2, 29, 2)), np.array([0.5, 0.5]))])
+    with pytest.raises(SystemExit, match=f"^cluster: {b}: prediction horizon differs for s0: "
+                                         f"29 vs 30$"):
+        cli.main(["cluster", "--dump", f"a={a}", "--dump", f"b={b}", "--j", "2",
+                  "--out", str(tmp_path / "out.jsonl")])
+
+
+@pytest.mark.parametrize("how, message", _CORRUPT[:3], ids=[c[0] for c in _CORRUPT[:3]])
+def test_cli_train_names_the_file_line_and_scenario_of_a_bad_pseudo_target(
+        tmp_path, how, message):
+    paths = _cli_inputs(tmp_path)
+    good = {"scenario_id": "s1", "trajectories": np.zeros((2, 30, 2)).tolist(),
+            "confidences": [0.5, 0.5], "dt": 0.1}
+    pseudo = tmp_path / "bad-pseudo.jsonl"
+    pseudo.write_text(json.dumps({**good, "scenario_id": "s0"}) + "\n"
+                      + _corrupt_line_2(good, how) + "\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["train", "--data", str(paths["ds"]), "--out", str(paths["out"]),
+                  "--set", "use_mpt=true", "--pseudo-targets", str(pseudo)])
+    text = str(exc.value)
+    assert text.startswith(f"train: {pseudo}: line 2")
+    assert re.search(message.format(what="confidence"), text) and "\n" not in text
     assert not paths["out"].exists()
 
 

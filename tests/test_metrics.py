@@ -102,6 +102,21 @@ def test_min_metrics_k_subsets_scores():
     assert m2.min_fde == 1.0 and m2.miss == 0.0
 
 
+def test_min_distance_tie_takes_the_lowest_mode_index():
+    """Two identical modes tie for minFDE and minADE; brier takes the score of
+    mode 0 (0.4), not of the higher-scored mode 1 that top-k lists first."""
+    preds = prediction_set([[[0, 0], [1, 0]], [[0, 0], [1, 0]]], scores=[0.4, 0.6])
+    gt = Trajectory(points=np.zeros((2, 2)))
+    m = min_metrics(preds, gt, k=2)
+    assert m.min_fde == 1.0 and m.min_ade == 0.5
+    assert m.brier_fde == pytest.approx(1.36, abs=1e-12)   # 1 + (1 - 0.4)^2
+    assert m.brier_ade == pytest.approx(0.86, abs=1e-12)
+    stacked = min_metrics((preds.stacked()[None], preds.scores[None]), gt.points[None], k=2)
+    assert stacked.brier_fde.tolist() == [m.brier_fde]
+    assert (m.brier_fde, m.brier_ade) == pytest.approx(
+        _min_metrics_oracle(preds.stacked(), preds.scores, gt.points, 2, 2.0)[3:], abs=1e-12)
+
+
 def test_k_too_large():
     preds = prediction_set([[[0, 0]]], scores=[1.0])
     with pytest.raises(KTooLarge):
