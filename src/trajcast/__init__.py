@@ -7,28 +7,26 @@ hand-written gradients; deterministic end to end.
 """
 
 from .core import (AgentTrack, AugmentSpec, Frame, IDENTITY_FRAME, PredictionSet,
-                   Scenario, TargetSet, Trajectory, TrajcastError, Waypoint, Window,
-                   agent_frame, from_frame, to_frame)
+                   Scenario, TargetSet, Trajectory, TrajcastError, Window)
 from .data import SyntheticSpec, generate, load_csv, make_shift_pair, make_window, save_csv
-from .ensemble import EnsembleBank, build_target_set, kmeans_trajectories, pool
+from .ensemble import EnsembleBank, build_target_set, kmeans_trajectories
 from .harness import Adam, TrainConfig, evaluate, jitter_score, run_grid, train
-from .losses import LossBreakdown, huber, softmin_scores, temporal_consistency, total_loss
+from .losses import LossBreakdown, softmin_scores, temporal_consistency
 from .matching import match, similarity
-from .metrics import MetricReport, ade, fde, min_metrics, report
+from .metrics import MetricReport, min_metrics, report
 from .predictor import ModelConfig, ParamStore, backward, forward, init_params, predict
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AgentTrack", "AugmentSpec", "Frame", "IDENTITY_FRAME", "PredictionSet",
-    "Scenario", "TargetSet", "Trajectory", "TrajcastError", "Waypoint", "Window",
-    "agent_frame", "from_frame", "to_frame",
+    "Scenario", "TargetSet", "Trajectory", "TrajcastError", "Window",
     "SyntheticSpec", "generate", "load_csv", "make_shift_pair", "make_window", "save_csv",
-    "EnsembleBank", "build_target_set", "kmeans_trajectories", "pool",
+    "EnsembleBank", "build_target_set", "kmeans_trajectories",
     "Adam", "TrainConfig", "evaluate", "jitter_score", "run_grid", "train",
-    "LossBreakdown", "huber", "softmin_scores", "temporal_consistency", "total_loss",
+    "LossBreakdown", "softmin_scores", "temporal_consistency",
     "match", "similarity",
-    "MetricReport", "ade", "fde", "min_metrics", "report",
+    "MetricReport", "min_metrics", "report",
     "ModelConfig", "ParamStore", "backward", "forward", "init_params", "predict",
     "__version__",
 ]

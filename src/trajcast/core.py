@@ -15,10 +15,8 @@ Conventions:
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,11 +29,6 @@ class TrajcastError(Exception):
 
 class MissingTargetFrame(TrajcastError):
     """Target agent is absent at a frame required to build the agent frame."""
-
-
-class Waypoint(NamedTuple):
-    x: float
-    y: float
 
 
 def _frozen_array(values, shape_hint: str, allow_empty: bool = False) -> np.ndarray:
@@ -86,9 +79,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return self.points.shape[0]
-
-    def waypoint(self, i: int) -> Waypoint:
-        return Waypoint(float(self.points[i, 0]), float(self.points[i, 1]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,20 +168,20 @@ class Scenario:
 
 @dataclass(frozen=True)
 class Frame:
-    """Rigid 2-D coordinate frame: to_frame rotates by `rotation` after
-    translating the origin to zero."""
+    """Rigid 2-D coordinate frame: to_frame_xy rotates by `rotation` after
+    translating the origin, an (x, y) float tuple, to zero."""
 
-    origin: Waypoint
+    origin: tuple
     rotation: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.origin.x) and math.isfinite(self.origin.y) and math.isfinite(self.rotation)):
+        if not (all(map(math.isfinite, self.origin)) and math.isfinite(self.rotation)):
             raise ValueError("frame origin and rotation must be finite")
         if not (-math.pi < self.rotation <= math.pi):
             raise ValueError(f"rotation must lie in (-pi, pi], got {self.rotation}")
 
 
-IDENTITY_FRAME = Frame(origin=Waypoint(0.0, 0.0), rotation=0.0)
+IDENTITY_FRAME = Frame(origin=(0.0, 0.0), rotation=0.0)
 
 # displacements shorter than this give an undefined heading; rotation falls back to 0
 STATIONARY_EPS = 1e-6
@@ -223,19 +213,8 @@ def heading_frame(p_prev: np.ndarray, p_now: np.ndarray, heading_jitter: float =
         rotation = 0.0
     else:
         rotation = -math.atan2(d[1], d[0])
-    return Frame(origin=Waypoint(float(p_now[0]), float(p_now[1])),
+    return Frame(origin=(float(p_now[0]), float(p_now[1])),
                  rotation=normalize_angle(rotation + heading_jitter))
-
-
-def agent_frame(scenario: Scenario, heading_jitter: float = 0.0) -> Frame:
-    """Agent-centric frame for a scenario.
-
-    Origin is the target position at t=0 (the last history frame); rotation
-    aligns the t=-1 -> t=0 displacement with the positive x-axis.
-
-    Raises MissingTargetFrame if the target is absent at t=-1 or t=0.
-    """
-    return track_frame(scenario.target, scenario.history_len - 1, heading_jitter)
 
 
 def to_frame_xy(xy: np.ndarray, frame: Frame) -> np.ndarray:
@@ -244,16 +223,6 @@ def to_frame_xy(xy: np.ndarray, frame: Frame) -> np.ndarray:
 
 def from_frame_xy(xy: np.ndarray, frame: Frame) -> np.ndarray:
     return rotate_xy(xy, -frame.rotation) + np.array(frame.origin)
-
-
-def to_frame(traj: Trajectory, frame: Frame) -> Trajectory:
-    """Re-express a world-frame trajectory in `frame` (rigid transform)."""
-    return Trajectory(points=to_frame_xy(traj.points, frame), dt=traj.dt)
-
-
-def from_frame(traj: Trajectory, frame: Frame) -> Trajectory:
-    """Inverse of to_frame."""
-    return Trajectory(points=from_frame_xy(traj.points, frame), dt=traj.dt)
 
 
 @dataclass(frozen=True)
@@ -421,9 +390,6 @@ class SceneTransform:
             out[..., 1] = -out[..., 1]
         return out * self.scale
 
-    def apply_trajectory(self, traj: Trajectory) -> Trajectory:
-        return Trajectory(points=self.apply_xy(traj.points), dt=traj.dt)
-
 
 def sample_transform(spec: AugmentSpec, rng: np.random.Generator) -> SceneTransform:
     flip = bool(rng.random() < spec.p_flip)
@@ -465,24 +431,6 @@ class ScenarioArrays:
         return self.history_len + len(self.confidences) * self.future_len
 
 
-@functools.singledispatch
-def apply_transform(scenario: Scenario, tf: SceneTransform) -> Scenario:
-    """Apply a flip/scale transform to every coordinate in the scenario.
-
-    A Scenario gives a new validated Scenario; ScenarioArrays give a copy
-    with `xy` transformed.
-    """
-    agents = tuple(
-        AgentTrack(track_id=a.track_id, object_type=a.object_type,
-                   xy=tf.apply_xy(a.xy), present=a.present)
-        for a in scenario.agents
-    )
-    polylines = tuple(tf.apply_trajectory(p) for p in scenario.map_polylines)
-    return Scenario(scenario_id=scenario.scenario_id, agents=agents,
-                    map_polylines=polylines, target_track_id=scenario.target_track_id,
-                    history_len=scenario.history_len, future_len=scenario.future_len)
-
-
-@apply_transform.register(ScenarioArrays)
-def _(arrays: ScenarioArrays, tf: SceneTransform) -> ScenarioArrays:
+def apply_transform(arrays: ScenarioArrays, tf: SceneTransform) -> ScenarioArrays:
+    """A copy of the arrays with every coordinate flipped and scaled by tf."""
     return dataclasses.replace(arrays, xy=tf.apply_xy(arrays.xy))

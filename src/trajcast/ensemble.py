@@ -37,6 +37,10 @@ class MalformedRecord(TrajcastError):
     message names the file, the line and, where it has one, the scenario."""
 
 
+# the types JSON numbers load as
+_NUMBER_TYPES = {int, float}
+
+
 class EnsembleBank:
     """Per-scenario collections of (model_tag, (K, T, 2) trajectories, (K,)
     scores).
@@ -82,12 +86,6 @@ class EnsembleBank:
                 np.concatenate([scores for _, _, scores in entries]))
 
 
-def pool(bank: EnsembleBank, scenario_id: str) -> list:
-    """`EnsembleBank.pooled` as [(Trajectory, score), ...]."""
-    trajs, scores = bank.pooled(scenario_id)
-    return [(Trajectory(points=p, dt=DT), float(s)) for p, s in zip(trajs, scores)]
-
-
 @dataclass(frozen=True, eq=False)
 class ClusterResult:
     """k-means output for one scenario, or with a leading scenario axis on
@@ -122,12 +120,11 @@ class ClusterResult:
 def kmeans_trajectories(pooled, j: int, seed, max_iter: int = 100) -> ClusterResult:
     """Cluster pooled trajectories into J centroid trajectories.
 
-    pooled is one scenario's [(Trajectory, score), ...], as `pool` returns,
-    with one int seed, giving that scenario's ClusterResult; or S
-    scenarios' ((S, N, T, 2) trajectories, (S, N) scores) with S seeds,
-    giving a ClusterResult with a leading scenario axis. Each scenario draws
-    from its own default_rng(seed); the one-scenario call is the stack of
-    one.
+    pooled is one scenario's [(Trajectory, score), ...] with one int seed,
+    giving that scenario's ClusterResult; or S scenarios' ((S, N, T, 2)
+    trajectories, (S, N) scores) with S seeds, giving a ClusterResult with a
+    leading scenario axis. Each scenario draws from its own
+    default_rng(seed); the one-scenario call is the stack of one.
 
     Lloyd passes on flattened 2T-dim vectors with k-means++ seeding, over the
     whole stack until every scenario's assignments stop changing. Centroids
@@ -309,11 +306,12 @@ def _read_records(path, key: str) -> list:
     """[(line number, scenario_id, (n, T, 2) trajectories, (n,) values)] from
     a JSON-lines file whose per-trajectory values are under `key`.
 
-    Each record must hold a scenario_id, finite trajectories of one shape
-    (n, T, 2) with n, T >= 1, one finite value >= 0 per trajectory and, if
-    given, a positive dt. A line that does not raises MalformedRecord.
+    Each record must hold a scenario_id that no earlier line holds, finite
+    trajectories of one shape (n, T, 2) with n, T >= 1, one finite value
+    >= 0 per trajectory and, if given, a positive dt, all as JSON numbers.
+    A line that does not raises MalformedRecord.
     """
-    out = []
+    out, first_line = [], {}
     with open(path, encoding="utf-8") as fh:
         for number, line in enumerate(fh, 1):
             if not line.strip():
@@ -325,6 +323,8 @@ def _read_records(path, key: str) -> list:
                     raise ValueError("a record must be a JSON object")
                 sid = rec.get("scenario_id")
                 out.append((number, rec["scenario_id"], *_record_arrays(rec, key)))
+                if first_line.setdefault(sid, number) != number:
+                    raise ValueError(f"scenario {sid} is also on line {first_line[sid]}")
             except (ValueError, TypeError) as exc:
                 raise _malformed(path, number, sid, str(exc)) from None
             except KeyError as exc:
@@ -334,25 +334,28 @@ def _read_records(path, key: str) -> list:
 
 def _record_arrays(rec: dict, key: str):
     raw = rec["trajectories"]
-    try:
-        trajs = np.array(raw, dtype=np.float64)
-    except ValueError:
-        lengths = sorted({len(t) for t in raw if isinstance(t, list)})
+    # an object array keeps each value's JSON type: a float dtype would also
+    # read numeric strings and booleans as numbers
+    points = np.array(raw, dtype=object)
+    if points.ndim != 3 or points.shape[2] != 2 or 0 in points.shape:
+        lengths = sorted({len(t) for t in raw if isinstance(t, list)}) if points.ndim else []
         if len(lengths) > 1:
-            raise ValueError(f"all trajectories must share a length, got {lengths}") from None
-        raise ValueError("trajectories must be an (n, T, 2) array of numbers") from None
-    if trajs.ndim != 3 or trajs.shape[2] != 2 or 0 in trajs.shape:
-        raise ValueError(f"trajectories must be (n, T, 2) with n, T >= 1, got {trajs.shape}")
+            raise ValueError(f"all trajectories must share a length, got {lengths}")
+        raise ValueError(f"trajectories must be (n, T, 2) with n, T >= 1, got {points.shape}")
+    if not set(map(type, points.ravel())) <= _NUMBER_TYPES:
+        raise ValueError("trajectories must be an (n, T, 2) array of numbers")
+    trajs = points.astype(np.float64)
     if not np.all(np.isfinite(trajs)):
         raise ValueError("trajectory points contain non-finite values")
     values = np.array(rec[key], dtype=np.float64)
     if values.shape != trajs.shape[:1]:
         raise ValueError(f"need one {key[:-1]} per trajectory, "
                          f"got {values.size} for {trajs.shape[0]}")
-    if not np.all(np.isfinite(values)) or np.any(values < 0):
-        raise ValueError(f"{key} must be finite and nonnegative, got {values.tolist()}")
+    if (not set(map(type, rec[key])) <= _NUMBER_TYPES or not np.all(np.isfinite(values))
+            or np.any(values < 0)):
+        raise ValueError(f"{key} must be finite and nonnegative numbers, got {rec[key]}")
     dt = rec.get("dt", DT)
-    if not (isinstance(dt, (int, float)) and dt > 0):
+    if not (type(dt) in _NUMBER_TYPES and dt > 0):
         raise ValueError(f"dt must be a positive number, got {dt!r}")
     return trajs, values
 
@@ -362,7 +365,7 @@ def _malformed(path, number: int, sid, what: str) -> MalformedRecord:
     return MalformedRecord(f"{where}: {what}")
 
 
-def save_pseudo_targets(path, results: dict, dt: float = 0.1) -> None:
+def save_pseudo_targets(path, results: dict) -> None:
     """JSON-lines: one record per scenario with J trajectories + confidences."""
     with open(path, "w", encoding="utf-8") as fh:
         for sid in sorted(results.keys()):
@@ -371,7 +374,7 @@ def save_pseudo_targets(path, results: dict, dt: float = 0.1) -> None:
                 "scenario_id": sid,
                 "trajectories": res.centroids.tolist(),
                 "confidences": res.scores.tolist(),
-                "dt": dt,
+                "dt": DT,
             }
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 

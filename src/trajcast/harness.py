@@ -176,15 +176,15 @@ def lr_at_epoch(config: TrainConfig, epoch: int) -> float:
 
 
 def _pseudo_target_arrays(scenario_id: str, entry, horizon: int):
-    """A pseudo-target entry (trajectories as Trajectory objects or (T, 2)
-    arrays, confidences) as ((J, T, 2) points, (J,) confidences), or a
-    ValueError naming the scenario if it could not be supervised on."""
+    """A pseudo-target entry ((T, 2) trajectories, confidences) as ((J, T, 2)
+    points, (J,) confidences), or a ValueError naming the scenario if it
+    could not be supervised on."""
     trajs, confs = entry
     confs = np.asarray(confs, dtype=np.float64)
     where = f"pseudo targets for {scenario_id}"
     if confs.shape != (len(trajs),):
         raise ValueError(f"{where}: {confs.size} confidences for {len(trajs)} trajectories")
-    points = [np.asarray(getattr(traj, "points", traj), dtype=np.float64) for traj in trajs]
+    points = [np.asarray(traj, dtype=np.float64) for traj in trajs]
     for i, pts in enumerate(points):
         if pts.shape != (horizon, 2) or not np.all(np.isfinite(pts)):
             raise ValueError(f"{where}: trajectory {i} must be finite ({horizon}, 2), "

@@ -1,13 +1,13 @@
 """Training objectives: winner-takes-all regression and classification per
 supervision target, temporal and spatial consistency terms, and the total.
 
-The kernels `_wta_arrays`, `_temporal_arrays` and `_spatial_arrays` return
+The kernels `_wta_targets`, `_temporal_arrays` and `_spatial_arrays` return
 each loss with its exact derivatives w.r.t. the predictor outputs it consumes,
 computed by hand; training calls them (WTA through `target_losses`). Leading
 array axes index scenarios, so one call scores a whole minibatch. The public
-value forms call the same kernels on one scenario and drop the gradients.
-Winner selection and matching indices are treated as locally constant, which
-is exact away from argmin ties.
+consistency values call the same kernels on one scenario and drop the
+gradients. Winner selection and matching indices are treated as locally
+constant, which is exact away from argmin ties.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Frame, PredictionSet, TargetSet, Trajectory, TrajcastError, to_frame_xy
+from .core import PredictionSet, TrajcastError
+from .core import to_frame_xy  # noqa: F401  re-exported: callers use losses.to_frame_xy
 from .matching import pair_mask, pairwise_cost
 
 HUBER_DELTA = 1.0
@@ -42,12 +43,6 @@ def _huber_grad(diff: np.ndarray, delta: float = HUBER_DELTA) -> np.ndarray:
     return np.where(np.abs(diff) <= delta, diff, delta * np.sign(diff))
 
 
-def huber(a, b, delta: float = HUBER_DELTA) -> float:
-    """Smooth-L1 between two points or arrays, summed over coordinates."""
-    diff = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
-    return float(_huber_elem(diff, delta).sum())
-
-
 def softmin_scores(displacements, tau: float = SOFTMIN_TAU) -> np.ndarray:
     """exp(-d/tau) normalized to probabilities over the last axis; max-shift
     keeps it stable."""
@@ -66,47 +61,25 @@ def _softmin_backprop(s: np.ndarray, d_s: np.ndarray, tau: float = SOFTMIN_TAU) 
 # winner-takes-all supervision
 
 
-def wta_target_loss(preds: PredictionSet, target: Trajectory, confidence: float):
-    """Per-target WTA losses against one supervision trajectory.
-
-    Returns (l_cls_j, l_reg_j, winner). The winner is the prediction with the
-    smallest endpoint error; classification pulls the predicted scores toward
-    a softmin distribution over per-prediction endpoint errors, weighted by
-    the target's confidence.
-    """
-    stack = preds.stacked()
-    l_cls, l_reg, _, k_star, *_ = _wta_arrays(stack, stack, preds.scores, target.points, confidence)
-    return float(l_cls), float(l_reg), int(k_star)
-
-
-def _wta_arrays(completion: np.ndarray, refined: np.ndarray, probs: np.ndarray,
-                target: np.ndarray, confidence, refined_reg: bool = True):
-    """Core WTA computation on raw arrays, for one target per prediction set.
-
-    Regression supervises both the completion output and the refined output
-    at the shared winner (chosen on the refined endpoint error); the
-    classification target is softmin over refined endpoint errors and is
-    itself differentiated. With refined_reg False (refinement head disabled,
-    refined is an alias of completion) the second regression term is skipped
-    rather than double-counted.
-
-    Returns (l_cls, l_reg_completion, l_reg_refined, k_star,
-             d_completion, d_refined, d_probs).
-    """
-    *parts, d_completion, d_refined, d_probs = _wta_targets(
-        completion, refined, probs, target[..., None, :, :],
-        np.asarray(confidence, dtype=np.float64)[..., None], refined_reg)
-    return (*(part[..., 0] for part in parts), d_completion, d_refined, d_probs)
-
-
 def _wta_targets(completion: np.ndarray, refined: np.ndarray, probs: np.ndarray,
                  targets: np.ndarray, confidences: np.ndarray, refined_reg: bool = True):
-    """`_wta_arrays` against J targets per prediction set at once.
+    """Winner-takes-all losses against J supervision targets per prediction
+    set, with their gradients.
+
+    For each target the winner k_star is the mode with the smallest refined
+    endpoint error. Regression supervises both the completion output and the
+    refined output at that winner; the classification target is softmin over
+    refined endpoint errors and is itself differentiated. Each target's terms
+    are weighted by its confidence. With refined_reg False (refinement head
+    disabled, refined is an alias of completion) the second regression term
+    is skipped rather than double-counted.
 
     Shapes: completion and refined (..., K, T, 2), probs (..., K), targets
     (..., J, T, 2), confidences (..., J); leading axes index prediction sets
-    (scenarios). The losses and k_star come per target, (..., J); the
-    gradients are summed over the J targets, shaped like the predictions.
+    (scenarios). Returns (l_cls, l_reg_completion, l_reg_refined, k_star,
+    d_completion, d_refined, d_probs): the losses and k_star per target,
+    (..., J); the gradients summed over the J targets, shaped like the
+    predictions.
     """
     k, t = refined.shape[-3], refined.shape[-2]
     end_diff = refined[..., None, :, -1, :] - targets[..., :, None, -1, :]  # (..., J, K, 2)
@@ -326,17 +299,3 @@ def target_losses(completion: np.ndarray, refined: np.ndarray, probs: np.ndarray
     cls, reg_c, reg_r, _, d_completion, d_refined, d_probs = _wta_targets(
         completion, refined, probs, targets_xy, confidences, refined_reg)
     return (reg_c + reg_r).sum(axis=-1), cls.sum(axis=-1), d_completion, d_refined, d_probs
-
-
-def total_loss(completion: np.ndarray, refined: np.ndarray, probs: np.ndarray,
-               targets: TargetSet, frame: Frame, l_temp: float = 0.0,
-               l_spa: float = 0.0) -> LossBreakdown:
-    """Assemble the full objective for one scenario.
-
-    Predictions are agent-frame arrays; the supervision targets are
-    world-frame trajectories re-expressed through `frame`. Consistency terms
-    are computed by the caller (they need extra forward passes) and passed in.
-    """
-    targets_xy = np.stack([to_frame_xy(tr.points, frame) for tr in targets.targets])
-    l_reg, l_cls = target_losses(completion, refined, probs, targets_xy, targets.confidences)[:2]
-    return make_breakdown(l_reg, l_cls, l_temp, l_spa)

@@ -56,8 +56,7 @@ class MatchResult:
 
 def similarity(set_a, set_b, criterion: str = "fde",
                overlap: int | None = None) -> SimilarityMatrix:
-    """Pairwise ADE or FDE between two trajectory sets, each a sequence of
-    Trajectory or a (K, L, 2) array.
+    """Pairwise ADE or FDE between two (K, L, 2) trajectory sets.
 
     With `overlap` = L, the last L steps of each trajectory in set_a are
     compared against the first L steps of each trajectory in set_b; this is
@@ -68,23 +67,15 @@ def similarity(set_a, set_b, criterion: str = "fde",
         raise ValueError(f"criterion must be one of {CRITERIA}, got {criterion!r}")
     if len(set_a) == 0 or len(set_b) == 0:
         raise ValueError("both trajectory sets must be nonempty")
-    points_a, points_b = _points(set_a), _points(set_b)
-    len_a, len_b = points_a.shape[1], points_b.shape[1]
+    len_a, len_b = set_a.shape[1], set_b.shape[1]
     if overlap is None:
         if len_a != len_b:
             raise EmptyOverlap(f"full comparison needs equal lengths, got {len_a} vs {len_b}")
         overlap = len_a
     if overlap < 1 or overlap > len_a or overlap > len_b:
         raise EmptyOverlap(f"overlap {overlap} incompatible with lengths {len_a}, {len_b}")
-    cost = pairwise_cost(points_a[:, len_a - overlap:], points_b[:, :overlap], criterion)
+    cost = pairwise_cost(set_a[:, len_a - overlap:], set_b[:, :overlap], criterion)
     return SimilarityMatrix(cost=cost, criterion=criterion)
-
-
-def _points(trajs) -> np.ndarray:
-    """A trajectory set as one (K, L, 2) array."""
-    if isinstance(trajs, np.ndarray):
-        return trajs
-    return np.stack([t.points for t in trajs])
 
 
 def pairwise_cost(tail: np.ndarray, head: np.ndarray, criterion: str) -> np.ndarray:

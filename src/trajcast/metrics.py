@@ -1,9 +1,8 @@
 """Displacement-error metric suite.
 
-Implements ADE/FDE, their top-k minima, miss rate at a fixed threshold, and
-the brier-style probability penalty, plus dataset-level aggregation. These
-are the quantities used for evaluation, matching similarity, and the
-acceptance checks.
+Implements the top-k minimum ADE and FDE, miss rate at a fixed threshold,
+and the brier-style probability penalty, plus dataset-level aggregation.
+These are the quantities used for evaluation and the acceptance checks.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import PredictionSet, Trajectory, TrajcastError
+from .core import PredictionSet, TrajcastError
 
 MISS_THRESHOLD_METERS = 2.0
 
@@ -30,20 +29,6 @@ class KTooLarge(TrajcastError):
 
 class EmptyDataset(TrajcastError):
     """Metric aggregation over zero scenarios."""
-
-
-def ade(pred: Trajectory, gt: Trajectory) -> float:
-    """Average displacement error: mean Euclidean distance per timestep."""
-    if len(pred) != len(gt):
-        raise LengthMismatch(f"trajectory lengths differ: {len(pred)} vs {len(gt)}")
-    return float(np.linalg.norm(pred.points - gt.points, axis=1).mean())
-
-
-def fde(pred: Trajectory, gt: Trajectory) -> float:
-    """Final displacement error: Euclidean distance at the last timestep."""
-    if len(pred) != len(gt):
-        raise LengthMismatch(f"trajectory lengths differ: {len(pred)} vs {len(gt)}")
-    return float(np.linalg.norm(pred.points[-1] - gt.points[-1]))
 
 
 class MinMetrics(NamedTuple):

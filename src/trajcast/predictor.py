@@ -156,10 +156,6 @@ def init_params(cfg: ModelConfig, seed: int) -> ParamStore:
     return ParamStore(arrays)
 
 
-def zero_params(cfg: ModelConfig) -> ParamStore:
-    return ParamStore({name: np.zeros(shape) for name, shape in _layer_shapes(cfg)})
-
-
 def _relu(z: np.ndarray) -> np.ndarray:
     return np.maximum(z, 0.0)
 

@@ -9,12 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import prediction_set, straight_scenario, straight_track
 from trajcast.core import (AgentTrack, AugmentSpec, Frame, IDENTITY_AUGMENT,
-                           IDENTITY_FRAME, MissingTargetFrame, PredictionSet,
-                           Scenario, SceneTransform, TargetSet, Trajectory,
-                           Waypoint, Window, agent_frame, apply_transform,
-                           compose_frames, from_frame, from_frame_xy,
+                           IDENTITY_FRAME, MissingTargetFrame, Scenario,
+                           ScenarioArrays, SceneTransform, TargetSet, Trajectory,
+                           Window, apply_transform, compose_frames, from_frame_xy,
                            normalize_angle, rotate_xy, rotation_matrix,
-                           sample_transform, to_frame, to_frame_xy, track_frame)
+                           sample_transform, to_frame_xy, track_frame)
 
 
 def test_normalize_angle_range():
@@ -41,7 +40,7 @@ def test_rotation_matrix_orthonormal():
 def test_agent_frame_aligns_heading():
     """Target moving along +y: t=-1 point must land at (-2, 0) in frame."""
     sc = straight_scenario(speed=20.0, heading=math.pi / 2)
-    frame = agent_frame(sc)
+    frame = track_frame(sc.target, sc.history_len - 1)
     assert math.isclose(frame.rotation, -math.pi / 2)
     t0 = sc.history_len - 1
     in_frame = to_frame_xy(sc.target.xy[t0 - 1: t0 + 1], frame)
@@ -55,9 +54,9 @@ def test_agent_frame_stationary_fallback():
                        present=np.ones(50, dtype=bool))
     sc = Scenario(scenario_id="s", agents=(track,), map_polylines=(),
                   target_track_id="agent-0")
-    frame = agent_frame(sc)
+    frame = track_frame(sc.target, sc.history_len - 1)
     assert frame.rotation == 0.0
-    assert frame.origin == Waypoint(3.0, 4.0)
+    assert frame.origin == (3.0, 4.0)
 
 
 def test_agent_frame_missing_target_frame():
@@ -68,13 +67,13 @@ def test_agent_frame_missing_target_frame():
     sc = Scenario(scenario_id="s", agents=(track,), map_polylines=(),
                   target_track_id="agent-0")
     with pytest.raises(MissingTargetFrame):
-        agent_frame(sc)
+        track_frame(sc.target, sc.history_len - 1)
 
 
 def test_agent_frame_heading_jitter():
     sc = straight_scenario(heading=0.3)
-    base = agent_frame(sc).rotation
-    jittered = agent_frame(sc, heading_jitter=0.25).rotation
+    base = track_frame(sc.target, sc.history_len - 1).rotation
+    jittered = track_frame(sc.target, sc.history_len - 1, heading_jitter=0.25).rotation
     assert math.isclose(jittered, normalize_angle(base + 0.25))
 
 
@@ -88,23 +87,21 @@ def test_track_frame_bounds():
 
 def test_frame_roundtrip():
     rng = np.random.default_rng(0)
-    frame = Frame(origin=Waypoint(3.0, -2.0), rotation=1.1)
+    frame = Frame(origin=(3.0, -2.0), rotation=1.1)
     xy = rng.normal(size=(40, 2))
     back = from_frame_xy(to_frame_xy(xy, frame), frame)
     assert np.allclose(back, xy, atol=1e-12)
-    traj = Trajectory(points=xy)
-    assert np.allclose(from_frame(to_frame(traj, frame), frame).points, xy, atol=1e-12)
 
 
 def test_frame_rotation_validated():
     with pytest.raises(ValueError):
-        Frame(origin=Waypoint(0.0, 0.0), rotation=4.0)
+        Frame(origin=(0.0, 0.0), rotation=4.0)
 
 
 def test_compose_frames_matches_two_step():
     rng = np.random.default_rng(1)
-    fa = Frame(origin=Waypoint(1.0, 2.0), rotation=0.6)
-    fb = Frame(origin=Waypoint(-3.0, 0.5), rotation=-1.2)
+    fa = Frame(origin=(1.0, 2.0), rotation=0.6)
+    fb = Frame(origin=(-3.0, 0.5), rotation=-1.2)
     xy_in_a = rng.normal(size=(25, 2))
     direct = compose_frames(fa, fb).apply(xy_in_a)
     two_step = to_frame_xy(from_frame_xy(xy_in_a, fa), fb)
@@ -113,7 +110,7 @@ def test_compose_frames_matches_two_step():
 
 # coordinates up to 1 km; float64 rounding over a few rotations stays far below 1e-9 m
 _coords = st.floats(-1e3, 1e3, allow_nan=False)
-_frames = st.builds(Frame, origin=st.builds(Waypoint, _coords, _coords),
+_frames = st.builds(Frame, origin=st.tuples(_coords, _coords),
                     rotation=st.floats(-math.pi, math.pi, exclude_min=True))
 _points = hnp.arrays(np.float64, st.tuples(st.integers(1, 6), st.just(2)), elements=_coords)
 
@@ -139,7 +136,7 @@ def test_rigid_invariance_of_distances():
     rng = np.random.default_rng(2)
     a = rng.normal(size=(30, 2))
     b = rng.normal(size=(30, 2))
-    frame = Frame(origin=Waypoint(5.0, -7.0), rotation=2.2)
+    frame = Frame(origin=(5.0, -7.0), rotation=2.2)
     d_world = np.linalg.norm(a - b, axis=1)
     d_frame = np.linalg.norm(to_frame_xy(a, frame) - to_frame_xy(b, frame), axis=1)
     assert np.allclose(d_world, d_frame, atol=1e-10)
@@ -222,26 +219,36 @@ def test_scene_transform_values():
     assert np.allclose(flipped.apply_xy(np.array([[2.0, 4.0]])), [[2.0, -4.0]])
 
 
-def test_augment_deterministic_and_identity():
+def _straight_arrays():
+    """ScenarioArrays of a straight scenario: its target track, then its map."""
     sc = straight_scenario(heading=0.4)
+    return ScenarioArrays(scenario_id=sc.scenario_id,
+                          xy=np.concatenate([sc.target.xy, sc.map_polylines[0].points]),
+                          present=sc.target.present, confidences=np.array([1.0]),
+                          history_len=sc.history_len, future_len=sc.future_len, shift=0)
+
+
+def test_augment_deterministic_and_identity():
+    arrays = _straight_arrays()
 
     def augment(spec, seed):
-        return apply_transform(sc, sample_transform(spec, np.random.default_rng(seed)))
+        return apply_transform(arrays, sample_transform(spec, np.random.default_rng(seed)))
 
     a1 = augment(AugmentSpec(), 9)
     a2 = augment(AugmentSpec(), 9)
-    assert np.array_equal(a1.target.xy, a2.target.xy)
+    assert np.array_equal(a1.xy, a2.xy)
     ident = augment(IDENTITY_AUGMENT, 9)
-    assert np.array_equal(ident.target.xy, sc.target.xy)
+    assert np.array_equal(ident.xy, arrays.xy)
 
 
 def test_apply_transform_touches_everything():
-    sc = straight_scenario(heading=0.4)
+    arrays = _straight_arrays()
     tf = SceneTransform(flip=True, scale=2.0)
-    out = apply_transform(sc, tf)
-    assert np.allclose(out.target.xy, tf.apply_xy(sc.target.xy))
-    assert np.allclose(out.map_polylines[0].points, tf.apply_xy(sc.map_polylines[0].points))
-    assert np.allclose(out.gt_future().points, tf.apply_xy(sc.gt_future().points))
+    out = apply_transform(arrays, tf)
+    assert np.allclose(out.xy, tf.apply_xy(arrays.xy))
+    assert out.scenario_id == arrays.scenario_id and out.shift == arrays.shift
+    assert out.present is arrays.present and out.confidences is arrays.confidences
+    assert (out.history_len, out.future_len) == (arrays.history_len, arrays.future_len)
 
 
 def test_sample_transform_respects_spec():
@@ -257,7 +264,7 @@ def test_sample_transform_respects_spec():
 
 def test_window_accessors():
     sc = straight_scenario(heading=1.0)
-    frame = agent_frame(sc)
+    frame = track_frame(sc.target, sc.history_len - 1)
     win = Window(scenario_id=sc.scenario_id, history_xy=sc.target.xy[:20],
                  history_mask=sc.target.present[:20],
                  map_polylines=sc.map_polylines, frame=frame,

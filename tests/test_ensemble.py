@@ -14,8 +14,7 @@ from trajcast.ensemble import (ClusterResult, EnsembleBank, MalformedRecord,
                                _seed_centers, bank_from_dumps, build_target_set,
                                cluster_bank, kmeans_trajectories,
                                load_prediction_dump, load_pseudo_targets,
-                               pool, save_prediction_dump,
-                               save_pseudo_targets)
+                               save_prediction_dump, save_pseudo_targets)
 from trajcast.metrics import LengthMismatch
 
 
@@ -27,7 +26,7 @@ def _point_pool(points, weights=None):
             for p, w in zip(points, weights)]
 
 
-# -- bank / pool --------------------------------------------------------------
+# -- bank / pooling -----------------------------------------------------------
 
 def test_pool_flattens_in_insertion_order():
     bank = EnsembleBank()
@@ -35,9 +34,9 @@ def test_pool_flattens_in_insertion_order():
     b = prediction_set([[[2.0, 0.0]], [[3.0, 0.0]]], scores=[0.6, 0.4])
     bank.add("s1", "m0", a)
     bank.add("s1", "m1", b)
-    pooled = pool(bank, "s1")
-    assert [tr.points[0, 0] for tr, _ in pooled] == [0.0, 1.0, 2.0, 3.0]
-    assert [w for _, w in pooled] == [0.8, 0.2, 0.6, 0.4]
+    trajs, scores = bank.pooled("s1")
+    assert trajs[:, 0, 0].tolist() == [0.0, 1.0, 2.0, 3.0]
+    assert scores.tolist() == [0.8, 0.2, 0.6, 0.4]
     assert bank.tags("s1") == {"m0", "m1"}
 
 
@@ -45,7 +44,7 @@ def test_bank_unknown_scenario_and_horizon_check():
     bank = EnsembleBank()
     bank.add("s1", "m0", prediction_set([[[0.0, 0.0], [1.0, 0.0]]]))
     with pytest.raises(UnknownScenario):
-        pool(bank, "nope")
+        bank.pooled("nope")
     with pytest.raises(LengthMismatch):
         bank.add("s1", "m1", prediction_set([[[0.0, 0.0]]]))
 
@@ -183,7 +182,8 @@ def test_cluster_bank_uses_per_scenario_subseeds():
     results = cluster_bank(bank, j=2, seed=100)
     assert sorted(results.keys()) == ["s1", "s2"]
     for i, sid in enumerate(sorted(bank.scenario_ids())):
-        direct = kmeans_trajectories(pool(bank, sid), j=2, seed=100 + i)
+        trajs, scores = bank.pooled(sid)
+        direct = kmeans_trajectories((trajs[None], scores[None]), j=2, seed=[100 + i]).scenario(0)
         np.testing.assert_array_equal(results[sid].centroids, direct.centroids)
         np.testing.assert_array_equal(results[sid].assignments, direct.assignments)
 
@@ -400,7 +400,7 @@ def test_pseudo_target_roundtrip(tmp_path):
     bank = _two_model_bank()
     results = cluster_bank(bank, j=2, seed=9)
     path = tmp_path / "targets.jsonl"
-    save_pseudo_targets(path, results, dt=0.1)
+    save_pseudo_targets(path, results)
     loaded = load_pseudo_targets(path)
     assert sorted(loaded.keys()) == ["s1", "s2"]
     for sid, res in results.items():
@@ -424,7 +424,7 @@ def test_prediction_dump_roundtrip_and_bank(tmp_path):
     np.testing.assert_array_equal(trajs, preds.stacked())
     bank = bank_from_dumps([("m0", path_a), ("m1", path_b)])
     assert bank.tags("s1") == {"m0", "m1"}
-    assert len(pool(bank, "s1")) == 4
+    assert len(bank.pooled("s1")[1]) == 4
 
 
 _GOOD_RECORD = {"scenario_id": "s1", "trajectories": [[[0.0, 0.0], [1.0, 0.5]],
@@ -443,16 +443,46 @@ _GOOD_RECORD = {"scenario_id": "s1", "trajectories": [[[0.0, 0.0], [1.0, 0.5]],
      r" \(s1\): trajectories must be \(n, T, 2\) with n, T >= 1, got \(2, 1, 3\)$"),
     ({"trajectories": [[[0.0, "x"]], [[1.0, 0.0]]]},
      r" \(s1\): trajectories must be an \(n, T, 2\) array of numbers$"),
+    ({"trajectories": [[["1.5", "0"]], [["2", "1"]]]},
+     r" \(s1\): trajectories must be an \(n, T, 2\) array of numbers$"),
+    ({"trajectories": [[[True, 0.0]], [[1.0, False]]]},
+     r" \(s1\): trajectories must be an \(n, T, 2\) array of numbers$"),
+    ({"scores": ["0.5", "0.5"]},
+     r" \(s1\): scores must be finite and nonnegative numbers, got \['0.5', '0.5'\]$"),
+    ({"scores": [True, False]},
+     r" \(s1\): scores must be finite and nonnegative numbers, got \[True, False\]$"),
     ({"dt": 0}, r" \(s1\): dt must be a positive number, got 0$"),
+    ({"dt": True}, r" \(s1\): dt must be a positive number, got True$"),
+    ({"scenario_id": "s0"}, r" \(s0\): scenario s0 is also on line 1$"),
     ({"scenario_id": None}, r": missing key 'scenario_id'$"),
 ])
 def test_prediction_dump_rejects_a_bad_record_naming_file_line_and_scenario(
         tmp_path, change, message):
     path = tmp_path / "dump.jsonl"
     bad = {k: v for k, v in {**_GOOD_RECORD, **change}.items() if v is not None}
-    path.write_text(json.dumps(_GOOD_RECORD) + "\n" + json.dumps(bad) + "\n")
+    first = json.dumps({**_GOOD_RECORD, "scenario_id": "s0"})
+    path.write_text(first + "\n" + json.dumps(bad) + "\n")
     with pytest.raises(MalformedRecord, match=f"^{path}: line 2" + message):
         load_prediction_dump(path)
+
+
+def test_a_scenario_repeated_in_one_file_is_rejected(tmp_path):
+    """A dump or pseudo-target file that lists a scenario twice names both
+    lines: pooling it would count that member twice, and a pseudo-target
+    file would keep only the last entry."""
+    dump, other = tmp_path / "dump.jsonl", tmp_path / "other.jsonl"
+    rec = ("s1", np.zeros((2, 3, 2)), np.array([0.5, 0.5]))
+    save_prediction_dump(dump, [rec, ("s2", *rec[1:]), rec])
+    save_prediction_dump(other, [rec])
+    with pytest.raises(MalformedRecord, match=f"^{dump}: line 3 \\(s1\\): scenario s1 is also "
+                                              f"on line 1$"):
+        bank_from_dumps([("m0", dump), ("m1", other)])
+    targets = tmp_path / "targets.jsonl"
+    line = json.dumps({"scenario_id": "s1", "trajectories": [[[0.0, 0.0]]], "confidences": [1.0]})
+    targets.write_text(f"{line}\n\n{line}\n")
+    with pytest.raises(MalformedRecord, match=f"^{targets}: line 3 \\(s1\\): scenario s1 is "
+                                              f"also on line 1$"):
+        load_pseudo_targets(targets)
 
 
 def test_record_files_skip_blank_lines_and_count_them(tmp_path):

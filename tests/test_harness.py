@@ -14,8 +14,8 @@ import pytest
 
 from conftest import straight_scenario
 from trajcast import cli, data, ensemble, harness
-from trajcast.core import (MissingTargetFrame, SceneTransform, Trajectory,
-                           apply_transform, to_frame_xy)
+from trajcast.core import (AgentTrack, MissingTargetFrame, Scenario, SceneTransform,
+                           Trajectory, apply_transform, to_frame_xy)
 from trajcast.data import SyntheticSpec, generate, make_shift_pair
 from trajcast.harness import (Adam, NonFiniteLoss, SEED_ENV_VAR, ShapeMismatch,
                               TrainConfig, _pseudo_target_arrays, _scenario_arrays,
@@ -214,15 +214,14 @@ def test_train_nonfinite_loss_names_scenario():
 
 def _pseudo_for(scenarios, j=2, seed=1):
     rng = np.random.default_rng(seed)
-    return {sc.scenario_id: (tuple(Trajectory(points=sc.gt_future().points
-                                              + rng.normal(size=(30, 2)), dt=0.1)
-                                   for _ in range(j)), np.full(j, 1.0 / j))
+    return {sc.scenario_id: (np.stack([sc.gt_future().points + rng.normal(size=(30, 2))
+                                       for _ in range(j)]), np.full(j, 1.0 / j))
             for sc in scenarios}
 
 
 @pytest.mark.parametrize("bad, message", [
     (lambda trajs, confs: (trajs[:1], confs), "2 confidences for 1 trajectories"),
-    (lambda trajs, confs: ((Trajectory(points=np.zeros((29, 2))), trajs[1]), confs),
+    (lambda trajs, confs: ((np.zeros((29, 2)), trajs[1]), confs),
      r"trajectory 0 must be finite \(30, 2\)"),
     (lambda trajs, confs: ((trajs[0], np.full((30, 2), np.nan)), confs), "trajectory 1"),
     (lambda trajs, confs: (trajs, np.array([0.5, 1.5])), r"confidences must lie in \[0, 1\]"),
@@ -357,14 +356,25 @@ def test_scenario_step_over_a_batch_equals_batches_of_one():
                                atol=1e-12 * np.abs(summed).max())
 
 
+def _transformed(sc, tf):
+    """The scenario with every track and map point flipped and scaled by tf."""
+    agents = tuple(AgentTrack(track_id=a.track_id, object_type=a.object_type,
+                              xy=tf.apply_xy(a.xy), present=a.present) for a in sc.agents)
+    maps = tuple(Trajectory(points=tf.apply_xy(p.points), dt=p.dt) for p in sc.map_polylines)
+    return Scenario(scenario_id=sc.scenario_id, agents=agents, map_polylines=maps,
+                    target_track_id=sc.target_track_id, history_len=sc.history_len,
+                    future_len=sc.future_len)
+
+
 def test_window_inputs_match_the_window_path():
     """The cached arrays give the encoder rows, history and targets that
-    apply_transform + make_shift_pair + featurize give."""
+    the flipped and scaled Scenario gives through make_shift_pair and
+    featurize."""
     sc = _dataset("junction", count=1, seed=5)[0]
     pseudo = _pseudo_target_arrays(sc.scenario_id, _pseudo_for([sc], j=2)[sc.scenario_id], 30)
     tf = SceneTransform(flip=True, scale=1.2)
     arrays = apply_transform(_scenario_arrays(sc, 3, pseudo, 3), tf)
-    windows = make_shift_pair(apply_transform(sc, tf), 3, heading_jitter=0.1)
+    windows = make_shift_pair(_transformed(sc, tf), 3, heading_jitter=0.1)
     inputs = [_window_inputs(arrays, w, 0.1) for w in (0, 1)]
     for window, (frame, points, _) in zip(windows, inputs):
         assert frame == window.frame
@@ -725,13 +735,21 @@ def test_cli_rejects_bad_values_with_a_message(tmp_path, argv, message):
 
 def _corrupt_line_2(rec: dict, how: str) -> str:
     """Line 2 of a dump, or of a pseudo-target file, broken one way."""
+    key = "scores" if "scores" in rec else "confidences"
     if how == "bad JSON":
         return json.dumps(rec)[:-20]
     if how == "NaN":
         rec["trajectories"][1][3][0] = float("nan")
     elif how == "short score list":
-        key = "scores" if "scores" in rec else "confidences"
         rec[key] = rec[key][:-1]
+    elif how == "string coordinates":
+        rec["trajectories"] = [[[str(v) for v in p] for p in t] for t in rec["trajectories"]]
+    elif how == "string scores":
+        rec[key] = [str(v) for v in rec[key]]
+    elif how == "boolean dt":
+        rec["dt"] = True
+    elif how == "repeated scenario":
+        rec["scenario_id"] = "s0"
     elif how == "29-step trajectory":
         rec["trajectories"][0] = rec["trajectories"][0][:29]
     return json.dumps(rec)
@@ -741,6 +759,12 @@ _CORRUPT = [
     ("bad JSON", r"line 2: Expecting"),
     ("NaN", r"line 2 \(s1\): trajectory points contain non-finite values$"),
     ("short score list", r"line 2 \(s1\): need one {what} per trajectory, got 1 for 2$"),
+    ("string coordinates", r"line 2 \(s1\): trajectories must be an \(n, T, 2\) array of "
+                           r"numbers$"),
+    ("string scores", r"line 2 \(s1\): {what}s must be finite and nonnegative numbers, "
+                      r"got \['0.\d+', '0.\d+'\]$"),
+    ("boolean dt", r"line 2 \(s1\): dt must be a positive number, got True$"),
+    ("repeated scenario", r"line 2 \(s0\): scenario s0 is also on line 1$"),
     ("29-step trajectory", r"line 2 \(s1\): all trajectories must share a length, "
                            r"got \[29, 30\]$"),
 ]
@@ -778,7 +802,7 @@ def test_cli_cluster_names_the_dump_whose_horizon_differs(tmp_path):
                   "--out", str(tmp_path / "out.jsonl")])
 
 
-@pytest.mark.parametrize("how, message", _CORRUPT[:3], ids=[c[0] for c in _CORRUPT[:3]])
+@pytest.mark.parametrize("how, message", _CORRUPT[:-1], ids=[c[0] for c in _CORRUPT[:-1]])
 def test_cli_train_names_the_file_line_and_scenario_of_a_bad_pseudo_target(
         tmp_path, how, message):
     paths = _cli_inputs(tmp_path)

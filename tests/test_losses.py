@@ -6,30 +6,28 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import line_trajectory, prediction_set
-from trajcast.core import Frame, TargetSet, Trajectory, Waypoint
 from trajcast.losses import (HUBER_DELTA, InvalidShift, LossBreakdown,
-                             SpatialPermutation, _spatial_arrays,
-                             _temporal_arrays, _wta_arrays, huber,
+                             SpatialPermutation, _huber_elem, _spatial_arrays,
+                             _temporal_arrays, _wta_targets,
                              make_breakdown, sample_permutation,
                              softmin_scores, spatial_consistency,
-                             target_losses, temporal_consistency, total_loss,
-                             wta_target_loss)
-
-IDENTITY = Frame(origin=Waypoint(0.0, 0.0), rotation=0.0)
+                             target_losses, temporal_consistency)
+from trajcast.matching import CRITERIA, STRATEGIES
 
 
 # -- huber / softmin ----------------------------------------------------------
 
 def test_huber_hand_values():
     assert HUBER_DELTA == 1.0
-    assert huber(0.5, 0.0) == 0.125
-    assert huber(2.0, 0.0) == 1.5
-    assert huber(1.0, 0.0) == 0.5          # boundary uses the quadratic branch
-    assert huber([0.5, 2.0], [0.0, 0.0]) == 1.625
-    assert huber(0.0, 0.5) == 0.125        # symmetric
-    assert huber(2.0, 0.0, delta=2.0) == 2.0
+    assert _huber_elem(np.array(0.5)) == 0.125
+    assert _huber_elem(np.array(2.0)) == 1.5
+    assert _huber_elem(np.array(1.0)) == 0.5          # boundary uses the quadratic branch
+    assert _huber_elem(np.array([0.5, 2.0])).sum() == 1.625
+    assert _huber_elem(np.array(-0.5)) == 0.125       # symmetric
+    assert _huber_elem(np.array(2.0), delta=2.0) == 2.0
 
 
 def test_softmin_hand_values():
@@ -49,16 +47,28 @@ def test_softmin_shift_invariance():
 
 # -- winner-takes-all ---------------------------------------------------------
 
+def _wta_one(completion, refined, probs, target, confidence, refined_reg=True):
+    """`_wta_targets` against the one target (T, 2): the losses and k_star
+    without the J axis, and the gradients."""
+    *parts, d_completion, d_refined, d_probs = _wta_targets(
+        completion, refined, probs, target[None], np.array([confidence]), refined_reg)
+    return (*(part[0] for part in parts), d_completion, d_refined, d_probs)
+
+
+def _wta_loss(stack, probs, target, confidence):
+    """(l_cls, completion l_reg, winner) with the completion as refined."""
+    l_cls, l_reg, _, k_star, *_ = _wta_one(stack, stack, np.asarray(probs), target, confidence)
+    return l_cls, l_reg, k_star
+
+
 def _wta_hand_setup():
-    preds = prediction_set([[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]],
-                           scores=[0.5, 0.5])
-    target = Trajectory(points=np.zeros((2, 2)))
-    return preds, target
+    stack = np.array([[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]])
+    return stack, np.array([0.5, 0.5]), np.zeros((2, 2))
 
 
 def test_wta_hand_case():
-    preds, target = _wta_hand_setup()
-    l_cls, l_reg, winner = wta_target_loss(preds, target, confidence=1.0)
+    stack, probs, target = _wta_hand_setup()
+    l_cls, l_reg, winner = _wta_loss(stack, probs, target, confidence=1.0)
     assert winner == 0
     assert l_reg == 0.0
     s0 = 1.0 / (1.0 + math.exp(-2.0))
@@ -67,36 +77,31 @@ def test_wta_hand_case():
 
 
 def test_wta_perfect_prediction_is_zero():
-    target = line_trajectory((0, 0), (1, 0), 4)
-    preds = prediction_set([target.points, target.points], scores=[0.5, 0.5])
-    l_cls, l_reg, _ = wta_target_loss(preds, target, confidence=1.0)
+    target = line_trajectory((0, 0), (1, 0), 4).points
+    l_cls, l_reg, _ = _wta_loss(np.stack([target, target]), [0.5, 0.5], target, confidence=1.0)
     assert l_reg == 0.0
     assert l_cls == 0.0        # equal end errors give the uniform cls target
 
 
 def test_wta_zero_confidence_zeroes_everything():
-    preds, target = _wta_hand_setup()
-    l_cls, l_reg, _ = wta_target_loss(preds, target, confidence=0.0)
+    stack, probs, target = _wta_hand_setup()
+    l_cls, l_reg, _ = _wta_loss(stack, probs, target, confidence=0.0)
     assert l_cls == 0.0 and l_reg == 0.0
-    stack = preds.stacked()
-    _, _, _, _, dc, dr, dp = _wta_arrays(stack, stack, preds.scores,
-                                         target.points, 0.0)
+    _, _, _, _, dc, dr, dp = _wta_one(stack, stack, probs, target, 0.0)
     assert np.all(dc == 0.0) and np.all(dr == 0.0) and np.all(dp == 0.0)
 
 
 def test_wta_scales_linearly_with_confidence():
-    preds, target = _wta_hand_setup()
-    full_cls, full_reg, _ = wta_target_loss(preds, target, confidence=1.0)
-    part_cls, part_reg, _ = wta_target_loss(preds, target, confidence=0.3)
+    stack, probs, target = _wta_hand_setup()
+    full_cls, full_reg, _ = _wta_loss(stack, probs, target, confidence=1.0)
+    part_cls, part_reg, _ = _wta_loss(stack, probs, target, confidence=0.3)
     assert part_cls == pytest.approx(0.3 * full_cls, rel=1e-12)
     assert part_reg == pytest.approx(0.3 * full_reg, rel=1e-12)
 
 
 def test_wta_winner_is_endpoint_argmin():
-    preds = prediction_set([[[9.0, 9.0], [5.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
-                           scores=[0.5, 0.5])
-    target = Trajectory(points=np.zeros((2, 2)))
-    _, _, winner = wta_target_loss(preds, target, confidence=1.0)
+    stack = np.array([[[9.0, 9.0], [5.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]])
+    _, _, winner = _wta_loss(stack, [0.5, 0.5], np.zeros((2, 2)), confidence=1.0)
     assert winner == 1         # closer final point wins despite a worse start
 
 
@@ -106,8 +111,8 @@ def test_wta_refined_reg_flag_skips_second_term():
     refined = completion + rng.normal(size=(3, 4, 2))
     probs = np.full(3, 1 / 3)
     target = rng.normal(size=(4, 2))
-    both = _wta_arrays(completion, refined, probs, target, 1.0)
-    only_c = _wta_arrays(completion, refined, probs, target, 1.0, refined_reg=False)
+    both = _wta_one(completion, refined, probs, target, 1.0)
+    only_c = _wta_one(completion, refined, probs, target, 1.0, refined_reg=False)
     assert only_c[2] == 0.0 and both[2] > 0.0
     assert only_c[1] == both[1]
     k_star = both[3]
@@ -122,10 +127,10 @@ def test_wta_array_grads_match_finite_differences():
     target = rng.normal(size=(4, 2))
 
     def value(c, r, p):
-        l_cls, l_reg_c, l_reg_r, _, _, _, _ = _wta_arrays(c, r, p, target, 0.7)
+        l_cls, l_reg_c, l_reg_r, _, _, _, _ = _wta_one(c, r, p, target, 0.7)
         return l_cls + l_reg_c + l_reg_r
 
-    _, _, _, _, dc, dr, dp = _wta_arrays(completion, refined, probs, target, 0.7)
+    _, _, _, _, dc, dr, dp = _wta_one(completion, refined, probs, target, 0.7)
     h = 1e-6
     for arr, grad in ((completion, dc), (refined, dr), (probs, dp)):
         flat = arr.reshape(-1)
@@ -138,6 +143,31 @@ def test_wta_array_grads_match_finite_differences():
             flat[idx] = orig
             fd = (up - dn) / (2 * h)
             assert abs(grad.reshape(-1)[idx] - fd) <= 1e-5 * max(1.0, abs(fd))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), k=st.integers(1, 6),
+       j=st.integers(1, 4), t=st.integers(1, 8))
+def test_wta_regression_is_zero_where_a_mode_equals_each_target(seed, n, k, j, t):
+    """Every target is a copy of some mode, so that mode wins it and the
+    regression parts and their gradients are zero: d_completion is zero and
+    d_refined is the classification gradient alone, as with refined_reg off.
+    Moving one point of one target makes both regression parts positive."""
+    rng = np.random.default_rng(seed)
+    modes = rng.normal(scale=3.0, size=(n, k, t, 2))
+    pick = rng.integers(0, k, size=(n, j))
+    targets = np.take_along_axis(modes, pick[:, :, None, None], axis=1)
+    probs = softmin_scores(rng.normal(size=(n, k)))
+    confs = rng.uniform(0.1, 1.0, size=(n, j))
+    _, reg_c, reg_r, k_star, d_comp, d_ref, _ = _wta_targets(modes, modes, probs, targets, confs)
+    np.testing.assert_array_equal(k_star, pick)
+    assert np.all(reg_c == 0.0) and np.all(reg_r == 0.0) and np.all(d_comp == 0.0)
+    cls_only = _wta_targets(modes, modes, probs, targets, confs, refined_reg=False)[5]
+    np.testing.assert_array_equal(d_ref, cls_only)
+    i, jj, step = rng.integers(n), rng.integers(j), rng.integers(t)
+    targets[i, jj, step] += rng.uniform(0.01, 1.0, size=2) * rng.choice([-1.0, 1.0], size=2)
+    _, reg_c, reg_r, *_ = _wta_targets(modes, modes, probs, targets, confs)
+    assert reg_c[i, jj] > 0.0 and reg_r[i, jj] > 0.0
 
 
 # -- temporal consistency -----------------------------------------------------
@@ -160,6 +190,27 @@ def test_temporal_fixed_point_is_zero():
     l, d_a, d_b = _temporal_arrays(stack_a, stack_b, 2)
     assert l == 0.0
     assert np.all(d_a == 0.0) and np.all(d_b == 0.0)
+
+
+@pytest.mark.parametrize("criterion", CRITERIA)
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), k=st.integers(1, 5),
+       s=st.integers(1, 4), extra=st.integers(1, 5))
+def test_temporal_is_zero_when_window_b_is_window_a_shifted(strategy, criterion, seed, n,
+                                                            k, s, extra):
+    """B's modes, in another order, start where A's are s steps later: every
+    strategy pairs each mode with its own continuation, so the term and its
+    gradients are zero. Offsetting B makes every scenario's term positive."""
+    rng = np.random.default_rng(seed)
+    t = s + extra
+    stack_a = rng.normal(scale=3.0, size=(n, k, t, 2))
+    ahead = rng.normal(scale=3.0, size=(n, k, s, 2))   # B's steps past A's horizon
+    stack_b = np.concatenate([stack_a[:, rng.permutation(k), s:], ahead], axis=2)
+    l, d_a, d_b = _temporal_arrays(stack_a, stack_b, s, strategy, criterion)
+    assert np.all(l == 0.0) and np.all(d_a == 0.0) and np.all(d_b == 0.0)
+    moved = stack_b + rng.uniform(0.01, 1.0, size=2)
+    assert np.all(_temporal_arrays(stack_a, moved, s, strategy, criterion)[0] > 0.0)
 
 
 def test_temporal_hand_value():
@@ -299,6 +350,29 @@ def test_spatial_arrays_match_public_value():
     np.testing.assert_array_equal(g_off, -g_map)
 
 
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), k=st.integers(1, 6),
+       t=st.integers(1, 8), m=st.integers(1, 6))
+def test_spatial_is_zero_for_equivariant_offsets(seed, n, k, t, m):
+    """A flip-equivariant head's second-pass offsets map back onto its first
+    ones under any batch of flips, so the term and its gradients are zero.
+    Moving one mapped offset makes that scenario's term positive."""
+    rng = np.random.default_rng(seed)
+    anchors = rng.normal(size=(n, k, t, 2))
+    history = rng.normal(size=(n, m, 2))
+
+    def head(a, h):   # each waypoint's offset: the history mean minus the anchor
+        return h.mean(axis=-2)[:, None, None, :] - a
+
+    perm = SpatialPermutation(flip=rng.random(n) < 0.5, noise=None)
+    mapped = perm.invert_offsets(head(*perm.apply(anchors, history)))
+    l, d_offsets, d_mapped = _spatial_arrays(head(anchors, history), mapped)
+    assert np.all(l == 0.0) and np.all(d_offsets == 0.0) and np.all(d_mapped == 0.0)
+    i, mode, step = rng.integers(n), rng.integers(k), rng.integers(t)
+    mapped[i, mode, step] += rng.uniform(0.01, 1.0, size=2)
+    assert _spatial_arrays(head(anchors, history), mapped)[0][i] > 0.0
+
+
 def test_spatial_positive_under_perturbation():
     rng = np.random.default_rng(12)
     anchors = rng.normal(size=(2, 4, 2))
@@ -331,7 +405,7 @@ def test_sample_permutation_determinism():
     assert np.all(np.abs(a.noise) <= 0.2)
 
 
-# -- breakdown / total --------------------------------------------------------
+# -- breakdown / target losses ------------------------------------------------
 
 def test_breakdown_validation_and_json():
     bd = make_breakdown(1.0, 0.5, 0.25, 0.125)
@@ -348,12 +422,12 @@ def test_breakdown_validation_and_json():
 def test_total_loss_hand_case():
     """Perfect regression, equal end errors, probs (0.7, 0.3): only the
     classification term survives and equals 0.02."""
-    gt = line_trajectory((0, 0), (1, 0), 4)
-    other = np.array(gt.points)
+    gt = line_trajectory((0, 0), (1, 0), 4).points
+    other = np.array(gt)
     other[1] = (0.0, 5.0)                   # same endpoint, different body
-    completion = np.stack([gt.points, other])
-    targets = TargetSet(targets=(gt,), confidences=np.array([1.0]))
-    bd = total_loss(completion, completion, np.array([0.7, 0.3]), targets, IDENTITY)
+    completion = np.stack([gt, other])
+    bd = make_breakdown(*target_losses(completion, completion, np.array([0.7, 0.3]),
+                                       gt[None], np.array([1.0]))[:2])
     assert bd.l_reg == 0.0
     assert bd.l_cls == pytest.approx(0.02, rel=1e-12)
     assert bd.l_temp == 0.0 and bd.l_spa == 0.0
@@ -361,11 +435,11 @@ def test_total_loss_hand_case():
 
 
 def test_total_loss_passes_consistency_terms_through():
-    gt = line_trajectory((0, 0), (1, 0), 4)
-    completion = np.stack([gt.points, gt.points])
-    targets = TargetSet(targets=(gt,), confidences=np.array([1.0]))
-    bd = total_loss(completion, completion, np.array([0.5, 0.5]), targets,
-                    IDENTITY, l_temp=0.25, l_spa=0.5)
+    gt = line_trajectory((0, 0), (1, 0), 4).points
+    completion = np.stack([gt, gt])
+    l_reg, l_cls = target_losses(completion, completion, np.array([0.5, 0.5]),
+                                 gt[None], np.array([1.0]))[:2]
+    bd = make_breakdown(l_reg, l_cls, l_temp=0.25, l_spa=0.5)
     assert bd.l_temp == 0.25 and bd.l_spa == 0.5
     assert bd.total == 0.75
 

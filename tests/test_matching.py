@@ -160,9 +160,14 @@ def test_hungarian_is_deterministic_under_ties():
 
 # -- similarity ---------------------------------------------------------------
 
+def _set(*trajectories):
+    """A (K, L, 2) trajectory set."""
+    return np.stack([t.points for t in trajectories])
+
+
 def test_similarity_full_length():
-    a = [line_trajectory((0, 0), (1, 0), 3)]
-    b = [line_trajectory((0, 1), (1, 0), 3)]
+    a = _set(line_trajectory((0, 0), (1, 0), 3))
+    b = _set(line_trajectory((0, 1), (1, 0), 3))
     sim_ade = similarity(a, b, criterion="ade")
     sim_fde = similarity(a, b, criterion="fde")
     assert sim_ade.cost[0, 0] == 1.0
@@ -171,11 +176,11 @@ def test_similarity_full_length():
 
 def test_similarity_overlap_window():
     """Last L of A against first L of B, the time-shift coincidence window."""
-    a = [line_trajectory((0, 0), (1, 0), 3)]                    # (0,0) (1,0) (2,0)
-    b = [line_trajectory((1, 0), (1, 0), 3)]                    # (1,0) (2,0) (3,0)
+    a = _set(line_trajectory((0, 0), (1, 0), 3))                # (0,0) (1,0) (2,0)
+    b = _set(line_trajectory((1, 0), (1, 0), 3))                # (1,0) (2,0) (3,0)
     sim = similarity(a, b, criterion="ade", overlap=2)
     assert sim.cost[0, 0] == 0.0
-    b_far = [line_trajectory((1, 0), (4, 0), 3)]                # (1,0) (5,0) (9,0)
+    b_far = _set(line_trajectory((1, 0), (4, 0), 3))            # (1,0) (5,0) (9,0)
     sim2 = similarity(a, b_far, criterion="ade", overlap=2)
     assert sim2.cost[0, 0] == 1.5                               # (0 + 3) / 2
     sim3 = similarity(a, b_far, criterion="fde", overlap=2)
@@ -183,8 +188,8 @@ def test_similarity_overlap_window():
 
 
 def test_similarity_rejects_bad_overlap():
-    a = [line_trajectory((0, 0), (1, 0), 3)]
-    b = [line_trajectory((0, 0), (1, 0), 5)]
+    a = _set(line_trajectory((0, 0), (1, 0), 3))
+    b = _set(line_trajectory((0, 0), (1, 0), 5))
     with pytest.raises(EmptyOverlap):
         similarity(a, b)                    # unequal lengths, no overlap given
     with pytest.raises(EmptyOverlap):

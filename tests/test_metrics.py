@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import line_trajectory, prediction_set
 from trajcast.core import Trajectory
+from trajcast.matching import pairwise_cost
 from trajcast.metrics import (EmptyDataset, KTooLarge, LengthMismatch,
-                              MetricReport, MISS_THRESHOLD_METERS, ade, fde,
+                              MetricReport, MISS_THRESHOLD_METERS,
                               min_metrics, report, top_k_indices)
 
 
@@ -53,26 +54,32 @@ def _random_instance(rng):
 
 # -- hand cases ---------------------------------------------------------------
 
+def _displacement(pred, gt, criterion):
+    """ADE or FDE of one (T, 2) trajectory against another."""
+    return pairwise_cost(pred[None], gt[None], criterion)[0, 0]
+
+
 def test_ade_fde_hand_values():
-    pred = Trajectory(points=np.array([[0.0, 0.0], [2.0, 0.0]]))
-    gt = Trajectory(points=np.zeros((2, 2)))
-    assert ade(pred, gt) == 1.0
-    assert fde(pred, gt) == 2.0
-    diag = Trajectory(points=np.array([[0.0, 0.0], [1.0, 2.0]]))
-    assert math.isclose(fde(diag, gt), math.sqrt(5.0))
+    pred = np.array([[0.0, 0.0], [2.0, 0.0]])
+    gt = np.zeros((2, 2))
+    assert _displacement(pred, gt, "ade") == 1.0
+    assert _displacement(pred, gt, "fde") == 2.0
+    diag = np.array([[0.0, 0.0], [1.0, 2.0]])
+    assert math.isclose(_displacement(diag, gt, "fde"), math.sqrt(5.0))
 
 
 def test_identical_trajectories_are_zero():
-    traj = line_trajectory((0, 0), (1, 0.5), 10)
-    assert ade(traj, traj) == 0.0
-    assert fde(traj, traj) == 0.0
+    traj = line_trajectory((0, 0), (1, 0.5), 10).points
+    assert _displacement(traj, traj, "ade") == 0.0
+    assert _displacement(traj, traj, "fde") == 0.0
 
 
 def test_length_mismatch():
+    five, six = line_trajectory((0, 0), (1, 0), 5), line_trajectory((0, 0), (1, 0), 6)
     with pytest.raises(LengthMismatch):
-        ade(line_trajectory((0, 0), (1, 0), 5), line_trajectory((0, 0), (1, 0), 6))
+        min_metrics(prediction_set([five.points]), six, k=1)
     with pytest.raises(LengthMismatch):
-        fde(line_trajectory((0, 0), (1, 0), 5), line_trajectory((0, 0), (1, 0), 6))
+        min_metrics((five.points[None, None], np.ones((1, 1))), six.points[None], k=1)
 
 
 def test_top_k_stable_tie_break():

@@ -10,12 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import straight_scenario
 from trajcast import data, predictor
-from trajcast.core import Trajectory, Window, agent_frame
+from trajcast.core import Trajectory, Window, track_frame
 from trajcast.predictor import (EmptyHistory, ModelConfig, StaleTrace, WindowBatch,
                                 _layer_shapes, backward, featurize, forward,
                                 init_params, load_checkpoint, predict,
                                 refine_backward, refine_forward,
-                                save_checkpoint, zero_params)
+                                save_checkpoint)
 
 SMALL = ModelConfig(n_modes=2, horizon=3, history_len=20, feature_dim=8)
 
@@ -26,7 +26,7 @@ def make_window(scenario=None, maps=None):
     return Window(scenario_id=sc.scenario_id,
                   history_xy=sc.target.xy[:sc.history_len],
                   history_mask=sc.target.present[:sc.history_len],
-                  map_polylines=polylines, frame=agent_frame(sc),
+                  map_polylines=polylines, frame=track_frame(sc.target, sc.history_len - 1),
                   gt_future=sc.gt_future(), shift=0, dt=0.1)
 
 
@@ -46,7 +46,7 @@ def test_empty_history_raises():
     sc = straight_scenario()
     win = Window(scenario_id="empty", history_xy=np.zeros((0, 2)),
                  history_mask=np.zeros(0, dtype=bool),
-                 map_polylines=sc.map_polylines, frame=agent_frame(sc))
+                 map_polylines=sc.map_polylines, frame=track_frame(sc.target, sc.history_len - 1))
     with pytest.raises(EmptyHistory):
         forward(init_params(SMALL, 0), SMALL, win)[0]["phi"]
 
@@ -72,7 +72,7 @@ def test_zero_params_zero_outputs_uniform_probs():
     for cfg in (SMALL,
                 ModelConfig(n_modes=2, horizon=3, history_len=20, feature_dim=8, use_refine=False),
                 ModelConfig(n_modes=2, horizon=3, history_len=20, feature_dim=8, use_goal=False)):
-        out, _ = forward(zero_params(cfg), cfg, win)
+        out, _ = forward(init_params(cfg, 0).zeros_like(), cfg, win)
         assert np.all(out["completion"] == 0.0)
         assert np.all(out["offsets"] == 0.0)
         assert np.all(out["refined"] == 0.0)
@@ -83,7 +83,7 @@ def test_zero_params_zero_outputs_uniform_probs():
 def test_bias_propagates_through_sum_pool():
     """With only enc.b2 set, phi = (number of input points) per channel."""
     win = make_window()
-    params = zero_params(SMALL)
+    params = init_params(SMALL, 0).zeros_like()
     params.arrays["enc.b2"][:] = 1.0
     phi = forward(params, SMALL, win)[0]["phi"]
     np.testing.assert_array_equal(phi, np.full(SMALL.feature_dim, 70.0))
@@ -300,7 +300,7 @@ def test_predict_on_an_empty_list_gives_empty_stacks():
 def test_predict_maps_back_to_world_frame():
     sc = straight_scenario()        # heading 0, t=0 position (19, 0)
     win = make_window(sc)
-    pset = predict(zero_params(SMALL), SMALL, win)
+    pset = predict(init_params(SMALL, 0).zeros_like(), SMALL, win)
     assert pset.k == SMALL.n_modes
     for traj in pset.trajectories:
         np.testing.assert_allclose(traj.points, np.full((3, 2), (19.0, 0.0)), atol=1e-12)
