@@ -6,8 +6,8 @@ optional pseudo targets clustered from a model ensemble. Pure numpy with
 hand-written gradients; deterministic end to end.
 """
 
-from .core import (AgentTrack, AugmentSpec, Frame, IDENTITY_FRAME, PredictionSet,
-                   Scenario, TargetSet, Trajectory, TrajcastError, Window)
+from .core import (AgentTrack, Frame, IDENTITY_FRAME, PredictionSet, Scenario, TargetSet,
+                   Trajectory, TrajcastError, Window)
 from .data import SyntheticSpec, generate, load_csv, make_shift_pair, make_window, save_csv
 from .ensemble import EnsembleBank, build_target_set, kmeans_trajectories
 from .harness import Adam, TrainConfig, evaluate, jitter_score, run_grid, train
@@ -19,8 +19,8 @@ from .predictor import ModelConfig, ParamStore, backward, forward, init_params, 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgentTrack", "AugmentSpec", "Frame", "IDENTITY_FRAME", "PredictionSet",
-    "Scenario", "TargetSet", "Trajectory", "TrajcastError", "Window",
+    "AgentTrack", "Frame", "IDENTITY_FRAME", "PredictionSet", "Scenario", "TargetSet",
+    "Trajectory", "TrajcastError", "Window",
     "SyntheticSpec", "generate", "load_csv", "make_shift_pair", "make_window", "save_csv",
     "EnsembleBank", "build_target_set", "kmeans_trajectories",
     "Adam", "TrainConfig", "evaluate", "jitter_score", "run_grid", "train",

@@ -22,6 +22,8 @@ import numpy as np
 
 OBJECT_TYPES = ("agent", "av", "other")
 
+DT = 0.1  # seconds per frame
+
 
 class TrajcastError(Exception):
     """Base class for all toolkit errors."""
@@ -67,7 +69,7 @@ class Trajectory:
     """
 
     points: np.ndarray
-    dt: float = 0.1
+    dt: float = DT
 
     def __post_init__(self):
         pts = _frozen_array(self.points, "trajectory points")
@@ -163,7 +165,7 @@ class Scenario:
     def gt_future(self) -> Trajectory:
         """Target agent's ground-truth future as a Trajectory."""
         xy = self.target.xy[self.history_len:]
-        return Trajectory(points=xy, dt=0.1)
+        return Trajectory(points=xy, dt=DT)
 
 
 @dataclass(frozen=True)
@@ -187,13 +189,12 @@ IDENTITY_FRAME = Frame(origin=(0.0, 0.0), rotation=0.0)
 STATIONARY_EPS = 1e-6
 
 
-def track_frame(track: AgentTrack, end_index: int, heading_jitter: float = 0.0) -> Frame:
+def track_frame(track: AgentTrack, end_index: int) -> Frame:
     """Agent-centric frame anchored at one frame of a track.
 
     Origin is the track position at end_index; rotation aligns the
     displacement from end_index-1 to end_index with the positive x-axis. A
     displacement shorter than STATIONARY_EPS leaves rotation at 0.
-    `heading_jitter` (radians) is added to the derived rotation.
 
     Raises MissingTargetFrame if the track is absent at either frame.
     """
@@ -202,7 +203,7 @@ def track_frame(track: AgentTrack, end_index: int, heading_jitter: float = 0.0) 
     for idx in (end_index - 1, end_index):
         if not track.present[idx]:
             raise MissingTargetFrame(f"track {track.track_id} absent at frame {idx}")
-    return heading_frame(track.xy[end_index - 1], track.xy[end_index], heading_jitter)
+    return heading_frame(track.xy[end_index - 1], track.xy[end_index])
 
 
 def heading_frame(p_prev: np.ndarray, p_now: np.ndarray, heading_jitter: float = 0.0) -> Frame:
@@ -330,7 +331,7 @@ class Window:
     frame: Frame
     gt_future: Trajectory | None = None
     shift: int = 0
-    dt: float = 0.1
+    dt: float = DT
 
     def __post_init__(self):
         # empty history is representable here; the encoder is where it errors
@@ -350,39 +351,15 @@ class Window:
 
 
 @dataclass(frozen=True)
-class AugmentSpec:
-    """Scene augmentation knobs.
-
-    Flip reflects the world about the x-axis with probability p_flip; the
-    global scale is drawn uniformly from scale_range. heading_jitter_deg
-    perturbs the derived agent-frame orientation (a global scene rotation
-    would cancel under agent-centric normalization, so the jitter is applied
-    where the frame is built); consumed by the harness via sample_heading_jitter.
-    """
-
-    p_flip: float = 0.5
-    scale_range: tuple = (0.8, 1.25)
-    heading_jitter_deg: float = 0.0
-
-    def __post_init__(self):
-        if not (0.0 <= self.p_flip <= 1.0):
-            raise ValueError("p_flip must lie in [0, 1]")
-        lo, hi = self.scale_range
-        if not (0.0 < lo <= hi):
-            raise ValueError("scale_range must satisfy 0 < lo <= hi")
-        if self.heading_jitter_deg < 0.0:
-            raise ValueError("heading_jitter_deg must be >= 0")
-
-
-IDENTITY_AUGMENT = AugmentSpec(p_flip=0.0, scale_range=(1.0, 1.0), heading_jitter_deg=0.0)
-
-
-@dataclass(frozen=True)
 class SceneTransform:
-    """A sampled flip/scale pair, applicable to any world-frame coordinates."""
+    """A sampled scene augmentation: a flip/scale pair, applicable to any
+    world-frame coordinates, and a heading jitter in radians for the agent
+    frame (a global scene rotation would cancel under agent-centric
+    normalization, so the jitter is applied where the frame is built)."""
 
     flip: bool = False
     scale: float = 1.0
+    heading_jitter: float = 0.0
 
     def apply_xy(self, xy: np.ndarray) -> np.ndarray:
         out = np.array(xy, dtype=np.float64)
@@ -391,18 +368,18 @@ class SceneTransform:
         return out * self.scale
 
 
-def sample_transform(spec: AugmentSpec, rng: np.random.Generator) -> SceneTransform:
-    flip = bool(rng.random() < spec.p_flip)
-    scale = float(rng.uniform(spec.scale_range[0], spec.scale_range[1]))
-    return SceneTransform(flip=flip, scale=scale)
-
-
-def sample_heading_jitter(spec: AugmentSpec, rng: np.random.Generator) -> float:
-    """Heading perturbation in radians, uniform in +-heading_jitter_deg."""
-    if spec.heading_jitter_deg == 0.0:
-        return 0.0
-    bound = math.radians(spec.heading_jitter_deg)
-    return float(rng.uniform(-bound, bound))
+def sample_transform(aug_flip: float, aug_scale_lo: float, aug_scale_hi: float,
+                     heading_jitter_deg: float, rng: np.random.Generator) -> SceneTransform:
+    """Flip with probability aug_flip, scale uniform in [aug_scale_lo,
+    aug_scale_hi] and heading jitter uniform in +-heading_jitter_deg, drawn
+    in that order; no jitter draw when heading_jitter_deg is 0."""
+    flip = bool(rng.random() < aug_flip)
+    scale = float(rng.uniform(aug_scale_lo, aug_scale_hi))
+    jitter = 0.0
+    if heading_jitter_deg != 0.0:
+        bound = math.radians(heading_jitter_deg)
+        jitter = float(rng.uniform(-bound, bound))
+    return SceneTransform(flip=flip, scale=scale, heading_jitter=jitter)
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (AgentTrack, MissingTargetFrame, Scenario, Trajectory, TrajcastError,
+from .core import (DT, AgentTrack, MissingTargetFrame, Scenario, Trajectory, TrajcastError,
                    Window, rotate_xy, track_frame)
 
 log = logging.getLogger("trajcast.data")
@@ -30,7 +30,6 @@ MODES = ("straight", "turn-left", "turn-right", "lane-change", "junction")
 HISTORY_LEN = 20
 FUTURE_LEN = 30
 TOTAL_FRAMES = HISTORY_LEN + FUTURE_LEN
-DT = 0.1
 
 TURN_FRAMES = 15          # frames over which a turn sweeps its full angle
 LANE_WIDTH = 3.5          # meters between adjacent lane centerlines
@@ -356,25 +355,25 @@ def check_windows(scenario: Scenario, s: int = 0) -> None:
                                  f"absent at frame {m - 2 + int(needed.argmin())}")
 
 
-def _cut_window(scenario: Scenario, s: int, heading_jitter: float) -> Window:
+def _cut_window(scenario: Scenario, s: int) -> Window:
     """The window ending s frames after t=0, in its own agent frame; only the
     nominal window (s = 0) carries the ground truth."""
     m, target = scenario.history_len, scenario.target
     return Window(scenario_id=scenario.scenario_id,
                   history_xy=target.xy[s:m + s], history_mask=target.present[s:m + s],
                   map_polylines=scenario.map_polylines,
-                  frame=track_frame(target, m + s - 1, heading_jitter),
+                  frame=track_frame(target, m + s - 1),
                   gt_future=None if s else scenario.gt_future(), shift=s, dt=DT)
 
 
-def make_window(scenario: Scenario, heading_jitter: float = 0.0) -> Window:
+def make_window(scenario: Scenario) -> Window:
     """Nominal input window: full history, agent frame at t=0, GT attached;
     raises as check_windows(scenario) does."""
     check_windows(scenario)
-    return _cut_window(scenario, 0, heading_jitter)
+    return _cut_window(scenario, 0)
 
 
-def make_shift_pair(scenario: Scenario, s: int, heading_jitter: float = 0.0):
+def make_shift_pair(scenario: Scenario, s: int):
     """Windows s frames apart for consistency training.
 
     Window A is the nominal window (with GT); window B slides the history s
@@ -382,5 +381,5 @@ def make_shift_pair(scenario: Scenario, s: int, heading_jitter: float = 0.0):
     twice. Raises as check_windows(scenario, s) does.
     """
     check_windows(scenario, s)
-    window_a = _cut_window(scenario, 0, heading_jitter)
-    return window_a, (window_a if s == 0 else _cut_window(scenario, s, heading_jitter))
+    window_a = _cut_window(scenario, 0)
+    return window_a, (window_a if s == 0 else _cut_window(scenario, s))

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PredictionSet, TargetSet, Trajectory, TrajcastError
-from .data import DT
+from .core import DT, PredictionSet, TargetSet, Trajectory, TrajcastError
 from .metrics import LengthMismatch
 
 
@@ -117,7 +116,11 @@ class ClusterResult:
                                                if not np.isnan(sse[i])))
 
 
-def kmeans_trajectories(pooled, j: int, seed, max_iter: int = 100) -> ClusterResult:
+# Lloyd passes after which k-means stops even if assignments still change
+KMEANS_MAX_ITER = 100
+
+
+def kmeans_trajectories(pooled, j: int, seed) -> ClusterResult:
     """Cluster pooled trajectories into J centroid trajectories.
 
     pooled is one scenario's [(Trajectory, score), ...] with one int seed,
@@ -127,23 +130,22 @@ def kmeans_trajectories(pooled, j: int, seed, max_iter: int = 100) -> ClusterRes
     default_rng(seed); the one-scenario call is the stack of one.
 
     Lloyd passes on flattened 2T-dim vectors with k-means++ seeding, over the
-    whole stack until every scenario's assignments stop changing. Centroids
-    are plain member means; a cluster's score is the fraction of total
-    probability mass its members carry. Ties in assignment go to the lowest
-    cluster index; an emptied cluster is reseeded from the point farthest
-    from its current centroid.
+    whole stack until every scenario's assignments stop changing (at most
+    KMEANS_MAX_ITER passes). Centroids are plain member means; a cluster's
+    score is the fraction of total probability mass its members carry. Ties
+    in assignment go to the lowest cluster index; an emptied cluster is
+    reseeded from the point farthest from its current centroid.
     """
     if isinstance(pooled, list):
         if len(pooled) < j or j < 1:
             raise TooFewTrajectories(f"need at least {j} pooled trajectories, got {len(pooled)}")
         trajs = np.stack([traj.points for traj, _ in pooled])[None]
         weights = np.array([[score for _, score in pooled]], dtype=np.float64)
-        return _kmeans_stack(trajs, weights, j, [seed], max_iter).scenario(0)
-    return _kmeans_stack(*pooled, j, seed, max_iter)
+        return _kmeans_stack(trajs, weights, j, [seed]).scenario(0)
+    return _kmeans_stack(*pooled, j, seed)
 
 
-def _kmeans_stack(trajs: np.ndarray, weights: np.ndarray, j: int, seeds,
-                  max_iter: int) -> ClusterResult:
+def _kmeans_stack(trajs: np.ndarray, weights: np.ndarray, j: int, seeds) -> ClusterResult:
     s, n, t, _ = trajs.shape
     if n < j or j < 1:
         raise TooFewTrajectories(f"need at least {j} pooled trajectories, got {n}")
@@ -158,7 +160,7 @@ def _kmeans_stack(trajs: np.ndarray, weights: np.ndarray, j: int, seeds,
     assign = np.full((s, n), -1)
     sse_history = []
     active, x_active = np.arange(s), x   # scenarios whose assignments still change
-    while active.size and len(sse_history) < max_iter:
+    while active.size and len(sse_history) < KMEANS_MAX_ITER:
         d2 = _sq_dists(x_active, centers[active])
         new_assign = d2.argmin(axis=2)
         own = np.take_along_axis(d2, new_assign[:, :, None], axis=2)[:, :, 0]
@@ -266,7 +268,7 @@ def build_target_set(cluster: ClusterResult | None, gt: Trajectory) -> TargetSet
     return TargetSet(targets=targets, confidences=confidences)
 
 
-def cluster_bank(bank: EnsembleBank, j: int, seed: int, max_iter: int = 100) -> dict:
+def cluster_bank(bank: EnsembleBank, j: int, seed: int) -> dict:
     """Cluster every scenario in the bank; scenario_id -> ClusterResult.
 
     Requires predictions from at least two distinct model tags per scenario
@@ -291,8 +293,7 @@ def cluster_bank(bank: EnsembleBank, j: int, seed: int, max_iter: int = 100) -> 
         trajs, scores = np.empty((len(members), n, t, 2)), np.empty((len(members), n))
         for k, (_, sid) in enumerate(members):
             trajs[k], scores[k] = bank.pooled(sid)
-        stacked = kmeans_trajectories((trajs, scores), j, seed=[sub for sub, _ in members],
-                                      max_iter=max_iter)
+        stacked = kmeans_trajectories((trajs, scores), j, seed=[sub for sub, _ in members])
         for k, (_, sid) in enumerate(members):
             results[sid] = stacked.scenario(k)
     return {sid: results[sid] for sid in sids}
@@ -306,10 +307,10 @@ def _read_records(path, key: str) -> list:
     """[(line number, scenario_id, (n, T, 2) trajectories, (n,) values)] from
     a JSON-lines file whose per-trajectory values are under `key`.
 
-    Each record must hold a scenario_id that no earlier line holds, finite
-    trajectories of one shape (n, T, 2) with n, T >= 1, one finite value
-    >= 0 per trajectory and, if given, a positive dt, all as JSON numbers.
-    A line that does not raises MalformedRecord.
+    Each record must hold a string scenario_id that no earlier line holds,
+    finite trajectories of one shape (n, T, 2) with n, T >= 1, one finite
+    value >= 0 per trajectory and, if given, a positive dt, all as JSON
+    numbers. A line that does not raises MalformedRecord.
     """
     out, first_line = [], {}
     with open(path, encoding="utf-8") as fh:
@@ -322,6 +323,8 @@ def _read_records(path, key: str) -> list:
                 if not isinstance(rec, dict):
                     raise ValueError("a record must be a JSON object")
                 sid = rec.get("scenario_id")
+                if not isinstance(rec["scenario_id"], str):
+                    raise ValueError("scenario_id must be a string")
                 out.append((number, rec["scenario_id"], *_record_arrays(rec, key)))
                 if first_line.setdefault(sid, number) != number:
                     raise ValueError(f"scenario {sid} is also on line {first_line[sid]}")

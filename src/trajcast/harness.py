@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 import os
 import typing
 from dataclasses import dataclass
@@ -20,13 +21,12 @@ from pathlib import Path
 import numpy as np
 
 from . import losses
-from .core import (AugmentSpec, Scenario, ScenarioArrays, TrajcastError, apply_transform,
-                   compose_frames, heading_frame, sample_heading_jitter, sample_transform,
-                   to_frame_xy)
-from .data import (DT, FUTURE_LEN, HISTORY_LEN, branch_futures, check_windows,
-                   make_shift_pair, make_window)
+from .core import (DT, Scenario, ScenarioArrays, TrajcastError, apply_transform,
+                   compose_frames, heading_frame, sample_transform, to_frame_xy)
+from .data import (FUTURE_LEN, HISTORY_LEN, branch_futures, check_windows, make_shift_pair,
+                   make_window)
 from .matching import CRITERIA, STRATEGIES, match, similarity
-from .metrics import MetricReport, report
+from .metrics import MISS_THRESHOLD_METERS, MetricReport, report
 from .predictor import (ModelConfig, ParamStore, WindowBatch, backward, encoder_rows, forward,
                         init_params, load_checkpoint, predict, refine_backward,
                         refine_forward, save_checkpoint)
@@ -46,7 +46,9 @@ class ShapeMismatch(TrajcastError):
 class TrainConfig:
     """Hyperparameters and toggles for one training run.
 
-    Field names double as the config-file key vocabulary.
+    Field names double as the config-file key vocabulary. Every field is
+    checked here, so a bad value stops a command before it reads any data;
+    each message names the key.
     """
 
     epochs: int = 50
@@ -90,16 +92,25 @@ class TrainConfig:
             raise ValueError(f"criterion must be one of {CRITERIA}")
         if self.use_spatial and not self.use_refine:
             raise ValueError("spatial consistency needs the refinement head enabled")
+        if not 0 <= self.aug_flip <= 1:
+            raise ValueError(f"need 0 <= aug_flip <= 1, got aug_flip={self.aug_flip}")
+        # an infinite bound would overflow the uniform draw of sample_transform
+        if not 0 < self.aug_scale_lo <= self.aug_scale_hi < math.inf:
+            raise ValueError(f"need 0 < aug_scale_lo <= aug_scale_hi < inf, got aug_scale_lo="
+                             f"{self.aug_scale_lo}, aug_scale_hi={self.aug_scale_hi}")
+        if not 0 <= self.heading_jitter_deg < math.inf:
+            raise ValueError(f"need 0 <= heading_jitter_deg < inf, "
+                             f"got {self.heading_jitter_deg}")
+        if not 0 <= self.spatial_flip_prob <= 1:
+            raise ValueError(f"need 0 <= spatial_flip_prob <= 1, "
+                             f"got spatial_flip_prob={self.spatial_flip_prob}")
+        if not self.spatial_noise >= 0:
+            raise ValueError(f"need spatial_noise >= 0, got {self.spatial_noise}")
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(n_modes=self.k, horizon=self.horizon,
                            history_len=self.history_len, feature_dim=self.feature_dim,
                            use_goal=self.use_goal, use_refine=self.use_refine)
-
-    def augment_spec(self) -> AugmentSpec:
-        return AugmentSpec(p_flip=self.aug_flip,
-                           scale_range=(self.aug_scale_lo, self.aug_scale_hi),
-                           heading_jitter_deg=self.heading_jitter_deg)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -148,25 +159,27 @@ def make_config(overrides: dict | None = None, config_path=None) -> TrainConfig:
     return TrainConfig(**values)
 
 
+# Adam's moment decay rates and denominator offset
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
     """Plain Adam with bias correction; one shared step counter."""
 
-    def __init__(self, params: ParamStore, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    def __init__(self, params: ParamStore):
         self.m = np.zeros_like(params.flat)
         self.v = np.zeros_like(params.flat)
         self.t = 0
 
     def step(self, params: ParamStore, grads: ParamStore, lr: float) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         g = grads.flat
         self.m = b1 * self.m + (1 - b1) * g
         self.v = b2 * self.v + (1 - b2) * g * g
         m_hat = self.m / (1 - b1 ** self.t)
         v_hat = self.v / (1 - b2 ** self.t)
-        params.flat -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        params.flat -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         params.bump()
 
 
@@ -233,31 +246,31 @@ def _scenario_step(params: ParamStore, model_cfg: ModelConfig, config: TrainConf
     """Loss parts and summed parameter gradients for a minibatch of (cached,
     un-augmented) ScenarioArrays.
 
-    Per scenario, in batch order, the rng draws the flip/scale, the heading
-    jitter and then the spatial permutation. Every window of the batch (each
-    scenario's nominal window, then each one's shifted window) goes through
-    one forward and one backward pass, and the spatial second refine pass
-    runs once over the batch. Returns (parts, grads): parts is (B, 4) with
+    Per scenario, in batch order, the rng draws the flip, scale and heading
+    jitter (`sample_transform`) and then the spatial permutation. Every
+    window of the batch (each scenario's nominal window, then each one's
+    shifted window) goes through one forward and one backward pass, and the
+    spatial second refine pass runs once over the batch. Returns (parts, grads): parts is (B, 4) with
     columns l_reg, l_cls, l_temp, l_spa per scenario; grads sums over the
     batch. A batch of one is the single-scenario step.
     """
-    spec = config.augment_spec()
     k, t, m, s = model_cfg.n_modes, model_cfg.horizon, model_cfg.history_len, config.s
     n = len(batch)
     points, hists, targets, frame_maps, perms = ([], []), ([], []), [], [], []
     for arrays in batch:
-        arrays = apply_transform(arrays, sample_transform(spec, rng))
-        jitter_rad = sample_heading_jitter(spec, rng)
+        tf = sample_transform(config.aug_flip, config.aug_scale_lo, config.aug_scale_hi,
+                              config.heading_jitter_deg, rng)
+        arrays = apply_transform(arrays, tf)
         if config.use_spatial:
             perms.append(losses.sample_permutation(rng, (k, t, 2),
                                                    p_flip=config.spatial_flip_prob,
                                                    noise_scale=config.spatial_noise))
-        frame_a, points_a, in_a = _window_inputs(arrays, 0, jitter_rad)
+        frame_a, points_a, in_a = _window_inputs(arrays, 0, tf.heading_jitter)
         points[0].append(points_a)
         hists[0].append(in_a[:m].reshape(-1))
         targets.append(in_a[m:arrays.map_start].reshape(-1, t, 2))
         if config.use_temp:
-            frame_b, points_b, in_b = _window_inputs(arrays, 1, jitter_rad)
+            frame_b, points_b, in_b = _window_inputs(arrays, 1, tf.heading_jitter)
             points[1].append(points_b)
             hists[1].append(in_b[s:m + s].reshape(-1))
             frame_maps.append(compose_frames(frame_b, frame_a))
@@ -418,7 +431,7 @@ def dump_checkpoint(checkpoint_path, scenarios, dump_path) -> None:
     _save_dump(dump_path, scenarios, _nominal_predictions(params, model_cfg, scenarios))
 
 
-def jitter_score(predict_fn, scenarios, s: int, criterion: str = "ade") -> float:
+def jitter_score(predict_fn, scenarios, s: int) -> float:
     """Streaming-stability proxy: how much predictions move between windows.
 
     For each scenario, predictions from the nominal window and the window s
@@ -442,7 +455,7 @@ def jitter_score(predict_fn, scenarios, s: int, criterion: str = "ade") -> float
     overlap = trajs_a.shape[-2] - s
     total = 0.0
     for preds_a, preds_b in zip(trajs_a, trajs_b):
-        sim = similarity(preds_a, preds_b, criterion=criterion, overlap=overlap)
+        sim = similarity(preds_a, preds_b, criterion="ade", overlap=overlap)
         pairs = match(sim, "bidirectional").pairs
         if pairs:
             total += float(np.mean([sim.cost[i, j] for i, j in pairs]))
@@ -455,12 +468,11 @@ def jitter_checkpoint(checkpoint_path, scenarios, s: int) -> float:
     return jitter_score(lambda w: predict(params, model_cfg, w), scenarios, s)
 
 
-def branch_coverage(params: ParamStore, model_cfg: ModelConfig, scenarios,
-                    threshold: float = 2.0) -> float:
+def branch_coverage(params: ParamStore, model_cfg: ModelConfig, scenarios) -> float:
     """Fraction of latent junction branches hit by any prediction.
 
     A branch counts as covered when some predicted trajectory ends within
-    `threshold` meters of the branch's endpoint. Averaged over junction
+    MISS_THRESHOLD_METERS of the branch's endpoint. Averaged over junction
     scenarios; scenarios without branches are ignored.
     """
     junctions = [(sc, branch_futures(sc)) for sc in scenarios]
@@ -472,7 +484,7 @@ def branch_coverage(params: ParamStore, model_cfg: ModelConfig, scenarios,
     for (_, branches), preds in zip(junctions, trajs):
         ends = np.array([b.points[-1] for b in branches])                     # (B, 2)
         dists = np.linalg.norm(preds[:, None, -1] - ends, axis=-1)            # (K, B)
-        covered.append(int((dists < threshold).any(axis=0).sum()) / len(branches))
+        covered.append(int((dists < MISS_THRESHOLD_METERS).any(axis=0).sum()) / len(branches))
     return float(np.mean(covered))
 
 

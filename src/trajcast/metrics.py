@@ -53,7 +53,7 @@ def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
     return np.argsort(-np.asarray(scores), axis=-1, kind="stable")[..., :k]
 
 
-def min_metrics(preds, gt, k: int, threshold: float = MISS_THRESHOLD_METERS) -> MinMetrics:
+def min_metrics(preds, gt, k: int) -> MinMetrics:
     """minADE/minFDE over the top-k scored predictions, plus miss and brier.
 
     preds is a PredictionSet with gt a Trajectory, giving float fields; or a
@@ -62,16 +62,16 @@ def min_metrics(preds, gt, k: int, threshold: float = MISS_THRESHOLD_METERS) -> 
     scenario in each field. The top-k subset is selected by descending score
     with index order as the tie-break; among modes of the subset that tie for
     minFDE (or minADE), brier takes the score of the lowest mode index. miss
-    is True when the subset's best FDE exceeds `threshold`.
+    is True when the subset's best FDE exceeds MISS_THRESHOLD_METERS.
     """
     if isinstance(preds, PredictionSet):
-        row = _min_metrics_arrays(preds.stacked(), preds.scores, gt.points, k, threshold)
+        row = _min_metrics_arrays(preds.stacked(), preds.scores, gt.points, k)
         return MinMetrics(*(v.item() for v in row))
-    return _min_metrics_arrays(*preds, np.asarray(gt), k, threshold)
+    return _min_metrics_arrays(*preds, np.asarray(gt), k)
 
 
-def _min_metrics_arrays(trajs: np.ndarray, scores: np.ndarray, gt: np.ndarray, k: int,
-                        threshold: float) -> MinMetrics:
+def _min_metrics_arrays(trajs: np.ndarray, scores: np.ndarray, gt: np.ndarray,
+                        k: int) -> MinMetrics:
     if k > trajs.shape[-3]:
         raise KTooLarge(f"k={k} exceeds prediction count {trajs.shape[-3]}")
     if k < 1:
@@ -93,7 +93,7 @@ def _min_metrics_arrays(trajs: np.ndarray, scores: np.ndarray, gt: np.ndarray, k
     return MinMetrics(
         min_ade=min_ade,
         min_fde=min_fde,
-        miss=min_fde > threshold,
+        miss=min_fde > MISS_THRESHOLD_METERS,
         brier_fde=min_fde + (1.0 - p_fde) ** 2,
         brier_ade=min_ade + (1.0 - p_ade) ** 2,
     )
@@ -123,8 +123,7 @@ class MetricReport:
         return cls(**json.loads(text))
 
 
-def report(preds, gt, threshold: float = MISS_THRESHOLD_METERS,
-           k_full: int = 6) -> MetricReport:
+def report(preds, gt, k_full: int = 6) -> MetricReport:
     """Aggregate S scenarios' predictions into a MetricReport.
 
     preds is ((S, K, T, 2) trajectories, (S, K) scores) and gt the (S, T, 2)
@@ -134,8 +133,8 @@ def report(preds, gt, threshold: float = MISS_THRESHOLD_METERS,
     n = len(gt)
     if n == 0:
         raise EmptyDataset("no scenarios to aggregate")
-    rows_1 = min_metrics(preds, gt, 1, threshold)
-    rows_k = min_metrics(preds, gt, k_full, threshold)
+    rows_1 = min_metrics(preds, gt, 1)
+    rows_k = min_metrics(preds, gt, k_full)
     return MetricReport(
         minADE_1=sum(rows_1.min_ade.tolist()) / n,
         minFDE_1=sum(rows_1.min_fde.tolist()) / n,

@@ -355,18 +355,25 @@ def forward(params: ParamStore, cfg: ModelConfig, window):
     return outputs, trace
 
 
+_UPSTREAM_SLOTS = frozenset({"refined", "completion", "offsets", "probs"})
+
+
 def backward(params: ParamStore, trace: ForwardTrace, upstream: dict) -> ParamStore:
     """Exact parameter gradients for a forward trace, summed over its windows.
 
     `upstream` maps output names ("refined", "completion", "offsets",
-    "probs", "raw_cls", "goals", "phi") to gradients of the training scalar
-    w.r.t. those outputs, shaped as `forward` returned them; missing entries
-    are treated as zero.
+    "probs") to gradients of the training scalar w.r.t. those outputs,
+    shaped as `forward` returned them; missing entries are treated as zero.
 
-    Raises StaleTrace when the parameters changed since the forward pass.
+    Raises StaleTrace when the parameters changed since the forward pass,
+    and ValueError for any other upstream name, whose gradient would
+    otherwise be dropped unseen.
     """
     if trace.params_id != id(params) or trace.params_version != params.version:
         raise StaleTrace("parameters changed since this trace was recorded")
+    unknown = set(upstream) - _UPSTREAM_SLOTS
+    if unknown:
+        raise ValueError(f"backward takes no upstream gradient for {sorted(unknown)}")
     cfg = trace.cfg
     w, k, t, c = len(trace.points), cfg.n_modes, cfg.horizon, cfg.feature_dim
     grads = params.zeros_like()
@@ -377,12 +384,7 @@ def backward(params: ParamStore, trace: ForwardTrace, upstream: dict) -> ParamSt
     d_refined = grad_of("refined", (w, k, t, 2))
     d_completion = grad_of("completion", (w, k, t, 2))
     d_offsets = grad_of("offsets", (w, k, t, 2))
-    d_goals = grad_of("goals", (w, k, 2))
-    d_phi = grad_of("phi", (w, c))
-    d_raw = grad_of("raw_cls", (w, k))
-    d_probs = upstream.get("probs")
-    if d_probs is not None:
-        d_raw = d_raw + _softmax_backprop(trace.probs, np.asarray(d_probs))
+    d_raw = _softmax_backprop(trace.probs, grad_of("probs", (w, k)))
 
     # refined = completion + offsets (refine mode) or refined = completion
     d_completion = d_completion + d_refined
@@ -390,10 +392,11 @@ def backward(params: ParamStore, trace: ForwardTrace, upstream: dict) -> ParamSt
         d_offsets = d_offsets + d_refined
         d_anchor = refine_backward(params, cfg, trace.refine, d_offsets, d_raw, grads)
         d_completion = d_completion + d_anchor
+        d_phi = np.zeros((w, c))
     else:
         grads["cls.w"] += trace.phi.T @ d_raw
         grads["cls.b"] += d_raw.sum(axis=0)
-        d_phi = d_phi + d_raw @ params["cls.w"].T
+        d_phi = d_raw @ params["cls.w"].T
 
     # completion head; without goals comp_in is phi, one row per window
     d_flat = d_completion.reshape(trace.comp_in.shape[0], -1)
@@ -407,7 +410,7 @@ def backward(params: ParamStore, trace: ForwardTrace, upstream: dict) -> ParamSt
     d_phi = d_phi + d_comp_in[:, :, :c].sum(axis=1)
     if cfg.use_goal:
         # goal head
-        d_goal_flat = (d_goals + d_comp_in[:, :, c:]).reshape(w, 2 * k)
+        d_goal_flat = d_comp_in[:, :, c:].reshape(w, 2 * k)
         d_g1 = d_goal_flat @ params["goal.w2"].T
         grads["goal.w2"] += trace.g1.T @ d_goal_flat
         grads["goal.b2"] += d_goal_flat.sum(axis=0)

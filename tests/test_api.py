@@ -6,6 +6,9 @@ import inspect
 import re
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import trajcast
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -13,10 +16,12 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 # object wrappers that restated an array kernel, by module; the kernels
 # (_wta_targets, _huber_elem, target_losses, track_frame, to_frame_xy,
 # from_frame_xy, ParamStore.zeros_like, EnsembleBank.pooled, pairwise_cost)
-# are what callers use instead
+# are what callers use instead. The augmentation settings live in TrainConfig
+# alone, and sample_transform draws the heading jitter with the flip and scale.
 REMOVED = {
     "losses": ("huber", "wta_target_loss", "_wta_arrays", "total_loss"),
-    "core": ("Waypoint", "agent_frame", "to_frame", "from_frame"),
+    "core": ("Waypoint", "agent_frame", "to_frame", "from_frame", "AugmentSpec",
+             "IDENTITY_AUGMENT", "sample_heading_jitter"),
     "predictor": ("zero_params",),
     "ensemble": ("pool",),
     "metrics": ("ade", "fde"),
@@ -42,6 +47,53 @@ def test_removed_names_are_gone_from_the_package_and_the_readme():
     assert not hasattr(trajcast.core.SceneTransform, "apply_trajectory")
     assert not hasattr(trajcast.core.apply_transform, "register")   # one plain function
     assert "dt" not in inspect.signature(trajcast.ensemble.save_pseudo_targets).parameters
+    assert not hasattr(trajcast.harness.TrainConfig, "augment_spec")
+
+
+# parameters that every caller left at one value; each is now a constant
+FIXED_PARAMETERS = {
+    "data.make_window": ("heading_jitter",),
+    "data.make_shift_pair": ("heading_jitter",),
+    "core.track_frame": ("heading_jitter",),
+    "harness.Adam": ("beta1", "beta2", "eps"),
+    "ensemble.kmeans_trajectories": ("max_iter",),
+    "ensemble.cluster_bank": ("max_iter",),
+    "metrics.min_metrics": ("threshold",),
+    "metrics.report": ("threshold",),
+    "harness.branch_coverage": ("threshold",),
+    "harness.jitter_score": ("criterion",),
+}
+
+
+@pytest.mark.parametrize("qualname", FIXED_PARAMETERS)
+def test_fixed_parameters_are_gone(qualname):
+    module, name = qualname.split(".")
+    func = getattr(importlib.import_module(f"trajcast.{module}"), name)
+    parameters = inspect.signature(func).parameters
+    for param in FIXED_PARAMETERS[qualname]:
+        assert param not in parameters, f"{qualname}({param})"
+
+
+def test_backward_takes_only_the_upstream_slots_training_sets():
+    """backward reads "refined", "completion", "offsets" and "probs"; a
+    gradient under the removed goals, phi or raw_cls slot, or any other
+    name, is refused rather than dropped."""
+    cfg = trajcast.ModelConfig(n_modes=2, horizon=3, history_len=20, feature_dim=4)
+    params = trajcast.init_params(cfg, seed=0)
+    window = trajcast.make_window(trajcast.generate(trajcast.SyntheticSpec(scenario_count=1))[0])
+    out, trace = trajcast.forward(params, cfg, window)
+    rng = np.random.default_rng(0)
+    upstream = {name: rng.normal(size=np.shape(out[name]))
+                for name in ("refined", "completion", "offsets", "probs")}
+    assert np.any(trajcast.backward(params, trace, upstream).flat != 0.0)
+    for name in ("goals", "phi", "raw_cls", "refine"):
+        with pytest.raises(ValueError, match=f"no upstream gradient for \\['{name}'\\]$"):
+            trajcast.backward(params, trace, {**upstream, name: np.zeros_like(out["probs"])})
+
+
+def test_the_timestep_is_stated_once():
+    assert trajcast.data.DT is trajcast.core.DT
+    assert trajcast.core.Trajectory(points=[[0.0, 0.0]]).dt == trajcast.core.DT
 
 
 def test_readme_quick_start_runs(capsys):

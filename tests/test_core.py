@@ -8,11 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import prediction_set, straight_scenario, straight_track
-from trajcast.core import (AgentTrack, AugmentSpec, Frame, IDENTITY_AUGMENT,
-                           IDENTITY_FRAME, MissingTargetFrame, Scenario,
+from trajcast.core import (AgentTrack, Frame, IDENTITY_FRAME, MissingTargetFrame, Scenario,
                            ScenarioArrays, SceneTransform, TargetSet, Trajectory,
                            Window, apply_transform, compose_frames, from_frame_xy,
-                           normalize_angle, rotate_xy, rotation_matrix,
+                           heading_frame, normalize_angle, rotate_xy, rotation_matrix,
                            sample_transform, to_frame_xy, track_frame)
 
 
@@ -72,8 +71,9 @@ def test_agent_frame_missing_target_frame():
 
 def test_agent_frame_heading_jitter():
     sc = straight_scenario(heading=0.3)
-    base = track_frame(sc.target, sc.history_len - 1).rotation
-    jittered = track_frame(sc.target, sc.history_len - 1, heading_jitter=0.25).rotation
+    m = sc.history_len
+    base = track_frame(sc.target, m - 1).rotation
+    jittered = heading_frame(sc.target.xy[m - 2], sc.target.xy[m - 1], 0.25).rotation
     assert math.isclose(jittered, normalize_angle(base + 0.25))
 
 
@@ -231,13 +231,14 @@ def _straight_arrays():
 def test_augment_deterministic_and_identity():
     arrays = _straight_arrays()
 
-    def augment(spec, seed):
-        return apply_transform(arrays, sample_transform(spec, np.random.default_rng(seed)))
+    def augment(aug_flip, scale_lo, scale_hi, seed):
+        tf = sample_transform(aug_flip, scale_lo, scale_hi, 0.0, np.random.default_rng(seed))
+        return apply_transform(arrays, tf)
 
-    a1 = augment(AugmentSpec(), 9)
-    a2 = augment(AugmentSpec(), 9)
+    a1 = augment(0.5, 0.8, 1.25, 9)
+    a2 = augment(0.5, 0.8, 1.25, 9)
     assert np.array_equal(a1.xy, a2.xy)
-    ident = augment(IDENTITY_AUGMENT, 9)
+    ident = augment(0.0, 1.0, 1.0, 9)
     assert np.array_equal(ident.xy, arrays.xy)
 
 
@@ -252,14 +253,20 @@ def test_apply_transform_touches_everything():
 
 
 def test_sample_transform_respects_spec():
+    """Its values as given (TrainConfig checks their ranges), and the draws
+    of flip, scale and heading jitter in that order, with no jitter draw at
+    heading_jitter_deg 0."""
+    tf = sample_transform(1.0, 0.9, 0.9, 0.0, np.random.default_rng(3))
+    assert tf.flip is True and tf.scale == 0.9 and tf.heading_jitter == 0.0
+    tf = sample_transform(0.5, 0.8, 1.25, 10.0, np.random.default_rng(3))
     rng = np.random.default_rng(3)
-    spec = AugmentSpec(p_flip=1.0, scale_range=(0.9, 0.9))
-    tf = sample_transform(spec, rng)
-    assert tf.flip is True and tf.scale == 0.9
-    with pytest.raises(ValueError):
-        AugmentSpec(p_flip=1.5)
-    with pytest.raises(ValueError):
-        AugmentSpec(scale_range=(0.0, 1.0))
+    flip, scale = rng.random() < 0.5, rng.uniform(0.8, 1.25)
+    jitter = rng.uniform(-math.radians(10.0), math.radians(10.0))
+    assert (tf.flip, tf.scale, tf.heading_jitter) == (flip, scale, jitter)
+    rng_a, rng_b = np.random.default_rng(4), np.random.default_rng(4)
+    sample_transform(0.5, 0.8, 1.25, 0.0, rng_a)
+    rng_b.random(), rng_b.uniform(0.8, 1.25)
+    assert rng_a.random() == rng_b.random()
 
 
 def test_window_accessors():

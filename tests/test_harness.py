@@ -15,7 +15,7 @@ import pytest
 from conftest import straight_scenario
 from trajcast import cli, data, ensemble, harness
 from trajcast.core import (AgentTrack, MissingTargetFrame, Scenario, SceneTransform,
-                           Trajectory, apply_transform, to_frame_xy)
+                           Trajectory, apply_transform, heading_frame, to_frame_xy)
 from trajcast.data import SyntheticSpec, generate, make_shift_pair
 from trajcast.harness import (Adam, NonFiniteLoss, SEED_ENV_VAR, ShapeMismatch,
                               TrainConfig, _pseudo_target_arrays, _scenario_arrays,
@@ -159,6 +159,35 @@ def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(use_refine=False)       # spatial needs the refine head
     TrainConfig(use_refine=False, use_spatial=False)
+    TrainConfig(aug_flip=1.0, aug_scale_lo=0.5, aug_scale_hi=0.5, heading_jitter_deg=0.0,
+                spatial_flip_prob=0.0, spatial_noise=0.0)
+
+
+_BAD_AUGMENT_KEYS = [
+    ({"aug_flip": -0.1}, "need 0 <= aug_flip <= 1, got aug_flip=-0.1"),
+    ({"aug_flip": 1.5}, "need 0 <= aug_flip <= 1, got aug_flip=1.5"),
+    ({"aug_scale_lo": 0.0}, "need 0 < aug_scale_lo <= aug_scale_hi < inf, "
+                            "got aug_scale_lo=0.0, aug_scale_hi=1.0"),
+    ({"aug_scale_lo": 1.3, "aug_scale_hi": 1.2},
+     "need 0 < aug_scale_lo <= aug_scale_hi < inf, got aug_scale_lo=1.3, aug_scale_hi=1.2"),
+    ({"aug_scale_hi": float("inf")},
+     "need 0 < aug_scale_lo <= aug_scale_hi < inf, got aug_scale_lo=1.0, aug_scale_hi=inf"),
+    ({"heading_jitter_deg": -5.0}, "need 0 <= heading_jitter_deg < inf, got -5.0"),
+    ({"heading_jitter_deg": float("inf")}, "need 0 <= heading_jitter_deg < inf, got inf"),
+    ({"spatial_flip_prob": 1.5}, "need 0 <= spatial_flip_prob <= 1, got spatial_flip_prob=1.5"),
+    ({"spatial_flip_prob": -0.5},
+     "need 0 <= spatial_flip_prob <= 1, got spatial_flip_prob=-0.5"),
+    ({"spatial_noise": -1.0}, "need spatial_noise >= 0, got -1.0"),
+    ({"spatial_noise": float("nan")}, "need spatial_noise >= 0, got nan"),
+]
+
+
+@pytest.mark.parametrize("values, message", _BAD_AUGMENT_KEYS,
+                         ids=[",".join(f"{k}={v}" for k, v in values.items())
+                              for values, _ in _BAD_AUGMENT_KEYS])
+def test_train_config_checks_every_augmentation_and_spatial_key(values, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TrainConfig(**values)
 
 
 # -- training -----------------------------------------------------------------
@@ -374,7 +403,8 @@ def test_window_inputs_match_the_window_path():
     pseudo = _pseudo_target_arrays(sc.scenario_id, _pseudo_for([sc], j=2)[sc.scenario_id], 30)
     tf = SceneTransform(flip=True, scale=1.2)
     arrays = apply_transform(_scenario_arrays(sc, 3, pseudo, 3), tf)
-    windows = make_shift_pair(_transformed(sc, tf), 3, heading_jitter=0.1)
+    windows = [dataclasses.replace(w, frame=heading_frame(*w.history_xy[-2:], 0.1))
+               for w in make_shift_pair(_transformed(sc, tf), 3)]
     inputs = [_window_inputs(arrays, w, 0.1) for w in (0, 1)]
     for window, (frame, points, _) in zip(windows, inputs):
         assert frame == window.frame
@@ -533,6 +563,17 @@ def test_run_grid_checks_both_splits_before_the_first_train(monkeypatch, split, 
     message = f"^{scenarios[-1].scenario_id}: .* frame {frame}$"
     with pytest.raises(MissingTargetFrame, match=message):
         run_grid(grid, *splits)
+    assert calls == []
+
+
+def test_run_grid_checks_every_row_config_before_the_first_train(monkeypatch):
+    scenarios = _dataset(count=4)
+    grid = {"base": {**TINY, "epochs": 1},
+            "rows": [{"label": "plain"}, {"label": "flipped", "aug_flip": 2.0}]}
+    calls = []
+    monkeypatch.setattr(harness, "train", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ValueError, match="aug_flip"):
+        run_grid(grid, scenarios, scenarios)
     assert calls == []
 
 
@@ -701,7 +742,8 @@ def _cli_inputs(tmp_path) -> dict:
                                   "trajectories": [np.zeros((29, 2)).tolist()],
                                   "confidences": [1.0]}) + "\n")
     return {"ds": tmp_path / "ds", "gappy": tmp_path / "gappy", "ckpt": ckpt,
-            "pseudo": pseudo, "out": tmp_path / "out", "dump": tmp_path / "dump.jsonl"}
+            "pseudo": pseudo, "out": tmp_path / "out", "dump": tmp_path / "dump.jsonl",
+            "log": tmp_path / "log.jsonl"}
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -711,6 +753,10 @@ def _cli_inputs(tmp_path) -> dict:
     (["train", "--set", "bogus=1"], "'bogus'"),
     (["grid", "--preset", "table2", "--set", "epochs=abc"], "'epochs'"),
     (["grid", "--preset", "table2", "--set", "bogus=1"], "'bogus'"),
+    (["train", "--set", "aug_flip=2"], r"^train: need 0 <= aug_flip <= 1, got aug_flip=2.0$"),
+    (["train", "--set", "spatial_noise=-1"], r"^train: need spatial_noise >= 0, got -1.0$"),
+    (["grid", "--preset", "table2", "--set", "spatial_flip_prob=1.5"],
+     r"^grid: need 0 <= spatial_flip_prob <= 1, got spatial_flip_prob=1.5$"),
     (["train", "--data", "{gappy}", "--split", "val"],
      "^train: straight-00003: track agent-0 absent at frame 18$"),
     (["train", "--set", "use_mpt=true", "--pseudo-targets", "{pseudo}"],
@@ -723,14 +769,14 @@ def _cli_inputs(tmp_path) -> dict:
 def test_cli_rejects_bad_values_with_a_message(tmp_path, argv, message):
     paths = _cli_inputs(tmp_path)
     where = {"generate": ["--out", "{out}"],
-             "train": ["--data", "{ds}", "--out", "{out}"],
+             "train": ["--data", "{ds}", "--out", "{out}", "--log", "{log}"],
              "grid": ["--data", "{ds}", "--out", "{out}"],
              "jitter": ["--checkpoint", "{ckpt}", "--data", "{ds}"]}[argv[0]]
     argv = [a.format(**paths) for a in argv[:1] + where + argv[1:]]
     with pytest.raises(SystemExit, match=message) as exc:
         cli.main(argv)
     assert "\n" not in str(exc.value)
-    assert not paths["out"].exists()
+    assert not paths["out"].exists() and not paths["log"].exists()
 
 
 def _corrupt_line_2(rec: dict, how: str) -> str:
@@ -750,6 +796,8 @@ def _corrupt_line_2(rec: dict, how: str) -> str:
         rec["dt"] = True
     elif how == "repeated scenario":
         rec["scenario_id"] = "s0"
+    elif how == "number scenario id":
+        rec["scenario_id"] = 5
     elif how == "29-step trajectory":
         rec["trajectories"][0] = rec["trajectories"][0][:29]
     return json.dumps(rec)
@@ -765,6 +813,7 @@ _CORRUPT = [
                       r"got \['0.\d+', '0.\d+'\]$"),
     ("boolean dt", r"line 2 \(s1\): dt must be a positive number, got True$"),
     ("repeated scenario", r"line 2 \(s0\): scenario s0 is also on line 1$"),
+    ("number scenario id", r"line 2 \(5\): scenario_id must be a string$"),
     ("29-step trajectory", r"line 2 \(s1\): all trajectories must share a length, "
                            r"got \[29, 30\]$"),
 ]

@@ -1,5 +1,6 @@
 """Predictor forward/backward, parameter handling, and checkpoints."""
 
+import dataclasses
 import json
 import math
 from unittest import mock
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import straight_scenario
 from trajcast import data, predictor
-from trajcast.core import Trajectory, Window, track_frame
+from trajcast.core import Trajectory, Window, heading_frame, track_frame
 from trajcast.predictor import (EmptyHistory, ModelConfig, StaleTrace, WindowBatch,
                                 _layer_shapes, backward, featurize, forward,
                                 init_params, load_checkpoint, predict,
@@ -274,8 +275,8 @@ def test_predict_on_a_list_equals_per_window_predict(seed, n_scenarios, chunk, u
     cfg = ModelConfig(n_modes=3, horizon=30, history_len=20, feature_dim=8,
                       use_goal=use_goal, use_refine=use_refine)
     scenarios = data.generate(data.SyntheticSpec(scenario_count=n_scenarios, seed=seed))
-    windows = [w for i, sc in enumerate(scenarios)
-               for w in data.make_shift_pair(sc, 1 + i % 5, heading_jitter=0.3 * i)]
+    windows = [dataclasses.replace(w, frame=heading_frame(*w.history_xy[-2:], 0.3 * i))
+               for i, sc in enumerate(scenarios) for w in data.make_shift_pair(sc, 1 + i % 5)]
     with mock.patch.object(predictor, "_PREDICT_CHUNK", chunk):
         _assert_predict_list_matches_per_window(init_params(cfg, seed=seed), cfg, windows)
 
