@@ -17,12 +17,34 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 OBJECT_TYPES = ("agent", "av", "other")
 
 DT = 0.1  # seconds per frame
+
+JSON_NUMBER_TYPES = frozenset({int, float})  # the types json.loads gives JSON numbers
+
+
+def json_number_pairs(lists) -> np.ndarray | None:
+    """The [x, y] pairs of a parsed JSON list of lists of them, stacked into
+    one (n, 2) float array; None unless every pair holds two JSON numbers
+    (a float dtype alone would also read numeric strings and booleans) that
+    fit a float."""
+    if type(lists) is not list or not set(map(type, lists)) <= {list}:
+        return None
+    pairs = list(chain.from_iterable(lists))
+    if not set(map(type, pairs)) <= {list} or not set(map(len, pairs)) <= {2}:
+        return None
+    values = list(chain.from_iterable(pairs))
+    if not set(map(type, values)) <= JSON_NUMBER_TYPES:
+        return None
+    try:
+        return np.fromiter(values, np.float64, len(values)).reshape(-1, 2)
+    except OverflowError:  # an integer beyond float range
+        return None
 
 
 class TrajcastError(Exception):
@@ -37,7 +59,7 @@ def _frozen_array(values, shape_hint: str, allow_empty: bool = False) -> np.ndar
     arr = np.array(values, dtype=np.float64)
     if not allow_empty and arr.size == 0:
         raise ValueError(f"{shape_hint} must not be empty")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{shape_hint} contains non-finite values")
     arr.setflags(write=False)
     return arr

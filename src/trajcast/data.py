@@ -16,12 +16,13 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate, chain, compress, repeat
 from pathlib import Path
 
 import numpy as np
 
-from .core import (DT, AgentTrack, MissingTargetFrame, Scenario, Trajectory, TrajcastError,
-                   Window, rotate_xy, track_frame)
+from .core import (DT, JSON_NUMBER_TYPES, AgentTrack, MissingTargetFrame, Scenario, Trajectory,
+                   TrajcastError, Window, json_number_pairs, rotate_xy, track_frame)
 
 log = logging.getLogger("trajcast.data")
 
@@ -205,11 +206,95 @@ def save_csv(scenario: Scenario, path) -> None:
 
 
 def load_csv(path, history_len: int = HISTORY_LEN, future_len: int = FUTURE_LEN) -> Scenario:
-    """Parse one scenario file; frame index = rank of its timestamp."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    """Parse one scenario file; frame index = rank of its timestamp.
+
+    Blank lines are skipped. Every other body row needs 6 fields and finite
+    numeric TIMESTAMP, X and Y (else MalformedRow naming the first bad line);
+    there must be history_len + future_len distinct timestamps (else
+    WrongFrameCount), at most one row per track and timestamp (else
+    MalformedRow naming both lines) and an AGENT track (else MissingAgent).
+    A track's object type is that of its first row, and its absent frames
+    are padded with its nearest observed waypoint (the earlier one on a
+    tie). The ".map.json" sidecar, if there is one, must be a JSON object
+    whose "polylines" are non-empty lists of [x, y] pairs of finite JSON
+    numbers (else MalformedRow naming the sidecar).
+    """
+    with open(path, encoding="utf-8") as fh:
+        numbers, stamps, track_ids, types, values = _columns(path, fh.read())
+    total = history_len + future_len
+    ordered = np.array(sorted(set(values[0].tolist())))
+    if len(ordered) != total:
+        raise WrongFrameCount(f"{path}: {len(ordered)} distinct timestamps, expected {total}")
+
+    # each row's track is numbered by the track's first row, which keys
+    # first_row in track order; cell = track * total + frame
+    first_row = {}
+    row_first = np.fromiter(map(first_row.setdefault, track_ids, range(len(track_ids))),
+                            np.intp, len(track_ids))
+    firsts = np.fromiter(first_row.values(), np.intp, len(first_row))
+    cell = firsts.searchsorted(row_first) * total + ordered.searchsorted(values[0])
+    counts = np.bincount(cell, minlength=len(firsts) * total)
+    if np.count_nonzero(counts) != len(cell):
+        _raise_duplicate_row(path, numbers, cell, track_ids, stamps)
+    # every cell is written: by its row, or by the padding
+    tracks_xy = np.empty((len(firsts) * total, 2))
+    tracks_xy[cell] = values[1:].T
+    tracks_xy = tracks_xy.reshape(len(firsts), total, 2)
+    present = counts.reshape(len(firsts), total) > 0
+    if len(cell) != present.size:
+        _pad_absent(tracks_xy, present)
+
+    kinds = [_CSV_TO_TYPE.get(types[i], "other") for i in first_row.values()]
+    if "agent" not in kinds:
+        raise MissingAgent(f"{path}: no AGENT row")
+    order = list(first_row)
+    target_id = order[kinds.index("agent")]  # a second AGENT track fails in Scenario
+    agents = tuple(map(AgentTrack, order, kinds, tracks_xy, present))
+
+    sidecar = f"{path}.map.json"
+    try:
+        with open(sidecar, encoding="utf-8") as fh:
+            polylines = _map_polylines(fh.read())
+    except FileNotFoundError:
+        polylines = ()
+    except ValueError as exc:
+        raise MalformedRow(f"{Path(sidecar)}: {exc}") from None
+    try:
+        return Scenario(scenario_id=Path(path).stem, agents=agents, map_polylines=polylines,
+                        target_track_id=target_id, history_len=history_len,
+                        future_len=future_len)
+    except ValueError as exc:
+        raise MalformedRow(f"{path}: {exc}") from None
+
+
+def _columns(path, text: str):
+    """(line numbers, TIMESTAMP, TRACK_ID and OBJECT_TYPE strings, (3, n)
+    float TIMESTAMP/X/Y) of the n non-blank body rows of a CSV file's text;
+    raises MalformedRow for a bad header, then for the first row without 6
+    fields or with a non-numeric or non-finite TIMESTAMP/X/Y."""
+    lines = text.splitlines()
     if not lines or lines[0].strip() != CSV_HEADER:
         raise MalformedRow(f"{path}: line 1: expected header {CSV_HEADER!r}")
-    rows = []
+    rows = lines[1:]
+    kept = list(map(str.strip, rows))  # "" for a blank line, which is skipped
+    numbers = list(compress(range(2, len(lines) + 1), kept))
+    body = list(compress(rows, kept))
+    if set(map(str.count, body, repeat(","))) - {5}:
+        _raise_first_bad_row(path, lines)
+    fields = ",".join(body).split(",") if body else []
+    stamps = fields[0::6]
+    try:
+        values = np.fromiter(map(float, chain(stamps, fields[3::6], fields[4::6])),
+                             np.float64, len(fields) // 2).reshape(3, -1)
+    except ValueError:
+        _raise_first_bad_row(path, lines)
+    if not np.isfinite(values).all():
+        _raise_first_bad_row(path, lines)
+    return numbers, stamps, fields[1::6], fields[2::6], values
+
+
+def _raise_first_bad_row(path, lines: list) -> None:
+    """The row checks of `_columns`, one row at a time in file order."""
     for n, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -222,59 +307,61 @@ def load_csv(path, history_len: int = HISTORY_LEN, future_len: int = FUTURE_LEN)
             raise MalformedRow(f"{path}: line {n}: non-numeric TIMESTAMP/X/Y") from None
         if not (math.isfinite(ts) and math.isfinite(x) and math.isfinite(y)):
             raise MalformedRow(f"{path}: line {n}: non-finite value")
-        rows.append((ts, parts[1], parts[2], x, y))
 
-    stamps = sorted({r[0] for r in rows})
-    total = history_len + future_len
-    if len(stamps) != total:
-        raise WrongFrameCount(f"{path}: {len(stamps)} distinct timestamps, expected {total}")
-    frame_of = {ts: i for i, ts in enumerate(stamps)}
 
-    by_track: dict = {}
-    order = []
-    for ts, track_id, obj, x, y in rows:
-        if track_id not in by_track:
-            by_track[track_id] = (obj, {})
-            order.append(track_id)
-        by_track[track_id][1][frame_of[ts]] = (x, y)
+def _raise_duplicate_row(path, numbers, cell: np.ndarray, track_ids: list, stamps: list) -> None:
+    """Raise MalformedRow for the first row whose track already has a row
+    in its frame (cell = track * total + frame), naming both lines."""
+    first = {}
+    for i, c in enumerate(cell.tolist()):
+        j = first.setdefault(c, i)
+        if j != i:
+            raise MalformedRow(f"{path}: line {numbers[i]}: track {track_ids[i]} already has "
+                               f"a row at timestamp {stamps[i]} (line {numbers[j]})")
 
-    agents = []
-    target_id = None
-    for track_id in order:
-        obj, frames = by_track[track_id]
-        xy = np.zeros((total, 2))
-        present = np.zeros(total, dtype=bool)
-        for f, (x, y) in frames.items():
-            xy[f] = (x, y)
-            present[f] = True
-        # pad absent frames with the nearest observed waypoint
-        seen = np.flatnonzero(present)
-        for f in range(total):
-            if not present[f]:
-                xy[f] = xy[seen[np.abs(seen - f).argmin()]]
-        kind = _CSV_TO_TYPE.get(obj, "other")
-        if kind == "agent":
-            target_id = track_id
-        agents.append(AgentTrack(track_id=track_id, object_type=kind, xy=xy, present=present))
-    if target_id is None:
-        raise MissingAgent(f"{path}: no AGENT row")
 
-    sidecar = Path(str(path) + ".map.json")
-    polylines = ()
-    if sidecar.exists():
+def _pad_absent(xy: np.ndarray, present: np.ndarray) -> None:
+    """Pad each track's absent frames, in place, with the waypoint of its
+    nearest present frame, the earlier one on a tie."""
+    frames = np.arange(present.shape[1])
+    before = np.maximum.accumulate(np.where(present, frames, -1), axis=1)
+    after = np.minimum.accumulate(np.where(present, frames, len(frames))[:, ::-1], axis=1)[:, ::-1]
+    take_before = (before >= 0) & ((after == len(frames)) | (frames - before <= after - frames))
+    source = np.where(take_before, before, after)
+    xy[:] = np.take_along_axis(xy, source[:, :, None], axis=1)
+
+
+def _map_polylines(text: str) -> tuple:
+    """The Trajectories of a sidecar's "polylines"; raises ValueError for
+    text that is not a JSON object with that key, then for a value in it that
+    is not a list or a JSON number, then for the first polyline that is
+    empty, ragged, not (N, 2) or not finite."""
+    data = json.loads(text)
+    if not isinstance(data, dict) or "polylines" not in data:
+        raise ValueError("expected a JSON object with a 'polylines' key")
+    polylines = data["polylines"]
+    flat = json_number_pairs(polylines)
+    if flat is not None and all(polylines) and np.isfinite(flat).all():
+        ends = list(accumulate(map(len, polylines)))
+        return tuple(Trajectory(points=flat[start:end], dt=DT)
+                     for start, end in zip([0, *ends], ends))
+    # some rule is broken: name the first, in the order the docstring gives
+    stack = [polylines]
+    while stack:
+        value = stack.pop()
+        if type(value) is list:
+            stack.extend(reversed(value))
+        elif type(value) not in JSON_NUMBER_TYPES:
+            raise ValueError(f"polylines must hold only lists and JSON numbers, got {value!r}")
+    if type(polylines) is not list:
+        raise ValueError(f"polylines must be a list, got {polylines!r}")
+    out = []
+    for p in polylines:
         try:
-            data = json.loads(sidecar.read_text(encoding="utf-8"))
-            if not isinstance(data, dict) or "polylines" not in data:
-                raise ValueError("expected a JSON object with a 'polylines' key")
-            polylines = tuple(Trajectory(points=np.array(p), dt=DT) for p in data["polylines"])
-        except ValueError as exc:
-            raise MalformedRow(f"{sidecar}: {exc}") from None
-    try:
-        return Scenario(scenario_id=Path(path).stem, agents=tuple(agents),
-                        map_polylines=polylines, target_track_id=target_id,
-                        history_len=history_len, future_len=future_len)
-    except ValueError as exc:
-        raise MalformedRow(f"{path}: {exc}") from None
+            out.append(Trajectory(points=np.array(p), dt=DT))
+        except OverflowError:  # an integer beyond float range
+            raise ValueError("trajectory points contains non-finite values") from None
+    return tuple(out)
 
 
 def _load_all(files, history_len: int, future_len: int, strict: bool) -> list:

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DT, PredictionSet, TargetSet, Trajectory, TrajcastError
+from .core import (DT, JSON_NUMBER_TYPES, PredictionSet, TargetSet, Trajectory, TrajcastError,
+                   json_number_pairs)
 from .metrics import LengthMismatch
 
 
@@ -34,10 +35,6 @@ class TooFewModels(TrajcastError):
 class MalformedRecord(TrajcastError):
     """A prediction-dump or pseudo-target line that cannot be read; the
     message names the file, the line and, where it has one, the scenario."""
-
-
-# the types JSON numbers load as
-_NUMBER_TYPES = {int, float}
 
 
 class EnsembleBank:
@@ -328,7 +325,7 @@ def _read_records(path, key: str) -> list:
                 out.append((number, rec["scenario_id"], *_record_arrays(rec, key)))
                 if first_line.setdefault(sid, number) != number:
                     raise ValueError(f"scenario {sid} is also on line {first_line[sid]}")
-            except (ValueError, TypeError) as exc:
+            except (ValueError, TypeError, OverflowError) as exc:  # OverflowError: a huge int
                 raise _malformed(path, number, sid, str(exc)) from None
             except KeyError as exc:
                 raise _malformed(path, number, sid, f"missing key {exc}") from None
@@ -337,28 +334,32 @@ def _read_records(path, key: str) -> list:
 
 def _record_arrays(rec: dict, key: str):
     raw = rec["trajectories"]
-    # an object array keeps each value's JSON type: a float dtype would also
-    # read numeric strings and booleans as numbers
-    points = np.array(raw, dtype=object)
-    if points.ndim != 3 or points.shape[2] != 2 or 0 in points.shape:
-        lengths = sorted({len(t) for t in raw if isinstance(t, list)}) if points.ndim else []
-        if len(lengths) > 1:
-            raise ValueError(f"all trajectories must share a length, got {lengths}")
-        raise ValueError(f"trajectories must be (n, T, 2) with n, T >= 1, got {points.shape}")
-    if not set(map(type, points.ravel())) <= _NUMBER_TYPES:
-        raise ValueError("trajectories must be an (n, T, 2) array of numbers")
-    trajs = points.astype(np.float64)
+    flat = json_number_pairs(raw)
+    if flat is not None and len(flat) and len(set(map(len, raw))) == 1:
+        trajs = flat.reshape(len(raw), -1, 2)
+    else:
+        # an object array keeps each value's JSON type, to name what is wrong
+        points = np.array(raw, dtype=object)
+        if points.ndim != 3 or points.shape[2] != 2 or 0 in points.shape:
+            lengths = sorted({len(t) for t in raw if isinstance(t, list)}) if points.ndim else []
+            if len(lengths) > 1:
+                raise ValueError(f"all trajectories must share a length, got {lengths}")
+            raise ValueError(f"trajectories must be (n, T, 2) with n, T >= 1, "
+                             f"got {points.shape}")
+        if not set(map(type, points.ravel())) <= JSON_NUMBER_TYPES:
+            raise ValueError("trajectories must be an (n, T, 2) array of numbers")
+        trajs = points.astype(np.float64)
     if not np.all(np.isfinite(trajs)):
         raise ValueError("trajectory points contain non-finite values")
     values = np.array(rec[key], dtype=np.float64)
     if values.shape != trajs.shape[:1]:
         raise ValueError(f"need one {key[:-1]} per trajectory, "
                          f"got {values.size} for {trajs.shape[0]}")
-    if (not set(map(type, rec[key])) <= _NUMBER_TYPES or not np.all(np.isfinite(values))
+    if (not set(map(type, rec[key])) <= JSON_NUMBER_TYPES or not np.all(np.isfinite(values))
             or np.any(values < 0)):
         raise ValueError(f"{key} must be finite and nonnegative numbers, got {rec[key]}")
     dt = rec.get("dt", DT)
-    if not (type(dt) in _NUMBER_TYPES and dt > 0):
+    if not (type(dt) in JSON_NUMBER_TYPES and dt > 0):
         raise ValueError(f"dt must be a positive number, got {dt!r}")
     return trajs, values
 

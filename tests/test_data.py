@@ -3,12 +3,14 @@
 import json
 import logging
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from trajcast.core import AgentTrack, MissingTargetFrame, Scenario, Trajectory
-from trajcast.data import (DT, FUTURE_LEN, HISTORY_LEN, InsufficientFrames,
+from trajcast.core import AgentTrack, MissingTargetFrame, Scenario, Trajectory, TrajcastError
+from trajcast.data import (CSV_HEADER, DT, FUTURE_LEN, HISTORY_LEN, InsufficientFrames,
                            MalformedRow, MissingAgent, SyntheticSpec,
                            TOTAL_FRAMES, WrongFrameCount, branch_futures,
                            check_windows, generate, load_csv, load_dir, load_manifest,
@@ -219,16 +221,39 @@ def test_load_dir_warns_and_skips(tmp_path, caplog):
     (tmp_path / "no-polylines.csv.map.json").write_text("{}")
     save_csv(sc, tmp_path / "list-map.csv")
     (tmp_path / "list-map.csv.map.json").write_text("[]")
+    save_csv(sc, tmp_path / "string-map.csv")
+    (tmp_path / "string-map.csv.map.json").write_text(
+        '{"polylines": [[["1.5", "2"], ["3", "4"]]]}')
+    save_csv(sc, tmp_path / "bool-map.csv")
+    (tmp_path / "bool-map.csv.map.json").write_text('{"polylines": [[[true, false], [1, 2]]]}')
+    save_csv(sc, tmp_path / "big-int-map.csv")
+    (tmp_path / "big-int-map.csv.map.json").write_text('{"polylines": [[[1%s, 2]]]}' % ("0" * 400))
+    save_csv(sc, tmp_path / "number-map.csv")
+    (tmp_path / "number-map.csv.map.json").write_text('{"polylines": 5}')
+    save_csv(sc, tmp_path / "twice.csv")
+    lines = (tmp_path / "twice.csv").read_text().splitlines()
+    lines.insert(3, "0,agent-0,AGENT,999,999,SYN")
+    (tmp_path / "twice.csv").write_text("\n".join(lines) + "\n")
     for name, reason in [("two-agents.csv", "exactly one 'agent' track, got 2"),
                          ("nan-map.csv.map.json", "non-finite"),
                          ("no-polylines.csv.map.json", "'polylines' key"),
-                         ("list-map.csv.map.json", "'polylines' key")]:
+                         ("list-map.csv.map.json", "'polylines' key"),
+                         ("string-map.csv.map.json",
+                          "polylines must hold only lists and JSON numbers, got '1.5'$"),
+                         ("bool-map.csv.map.json",
+                          "polylines must hold only lists and JSON numbers, got True$"),
+                         ("big-int-map.csv.map.json", "non-finite"),
+                         ("number-map.csv.map.json", "polylines must be a list, got 5$"),
+                         ("twice.csv", "line 4: track agent-0 already has a row at "
+                                       "timestamp 0 \\(line 2\\)$")]:
         with pytest.raises(MalformedRow, match=f"{name}: .*{reason}"):
             load_csv(tmp_path / name.removesuffix(".map.json"))
     with caplog.at_level(logging.WARNING, logger="trajcast.data"):
         scenarios = load_dir(tmp_path)
     assert len(scenarios) == 1
-    for name in ("bad.csv", "two-agents.csv", "nan-map.csv", "no-polylines.csv", "list-map.csv"):
+    for name in ("bad.csv", "two-agents.csv", "nan-map.csv", "no-polylines.csv", "list-map.csv",
+                 "string-map.csv", "bool-map.csv", "big-int-map.csv", "number-map.csv",
+                 "twice.csv"):
         assert any(name in rec.getMessage() for rec in caplog.records)
     with pytest.raises(WrongFrameCount):
         load_dir(tmp_path, strict=True)
@@ -372,3 +397,257 @@ def test_window_requires_target_presence_at_frame_edge():
                    history_len=HISTORY_LEN, future_len=FUTURE_LEN)
     with pytest.raises(MissingTargetFrame):
         make_window(sc2)
+
+
+# -- load_csv against the row-loop reference ------------------------------------
+
+def _row_loop_load_csv(path, history_len=HISTORY_LEN, future_len=FUTURE_LEN):
+    """The row-by-row reader load_csv replaced, kept as its reference: the
+    same files give the same arrays, or the same error. It differs on two
+    rules only, which it lacks: a second row for one track and timestamp
+    (it keeps the later row) and a map value that is not a JSON number (it
+    reads numeric strings and booleans as numbers)."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    if not lines or lines[0].strip() != CSV_HEADER:
+        raise MalformedRow(f"{path}: line 1: expected header {CSV_HEADER!r}")
+    rows = []
+    for n, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != 6:
+            raise MalformedRow(f"{path}: line {n}: expected 6 fields, got {len(parts)}")
+        try:
+            ts, x, y = float(parts[0]), float(parts[3]), float(parts[4])
+        except ValueError:
+            raise MalformedRow(f"{path}: line {n}: non-numeric TIMESTAMP/X/Y") from None
+        if not (math.isfinite(ts) and math.isfinite(x) and math.isfinite(y)):
+            raise MalformedRow(f"{path}: line {n}: non-finite value")
+        rows.append((ts, parts[1], parts[2], x, y))
+
+    stamps = sorted({r[0] for r in rows})
+    total = history_len + future_len
+    if len(stamps) != total:
+        raise WrongFrameCount(f"{path}: {len(stamps)} distinct timestamps, expected {total}")
+    frame_of = {ts: i for i, ts in enumerate(stamps)}
+
+    by_track: dict = {}
+    order = []
+    for ts, track_id, obj, x, y in rows:
+        if track_id not in by_track:
+            by_track[track_id] = (obj, {})
+            order.append(track_id)
+        by_track[track_id][1][frame_of[ts]] = (x, y)
+
+    agents = []
+    target_id = None
+    for track_id in order:
+        obj, frames = by_track[track_id]
+        xy = np.zeros((total, 2))
+        present = np.zeros(total, dtype=bool)
+        for f, (x, y) in frames.items():
+            xy[f] = (x, y)
+            present[f] = True
+        seen = np.flatnonzero(present)
+        for f in range(total):
+            if not present[f]:
+                xy[f] = xy[seen[np.abs(seen - f).argmin()]]
+        kind = {"AGENT": "agent", "AV": "av"}.get(obj, "other")
+        if kind == "agent":
+            target_id = track_id
+        agents.append(AgentTrack(track_id=track_id, object_type=kind, xy=xy, present=present))
+    if target_id is None:
+        raise MissingAgent(f"{path}: no AGENT row")
+
+    sidecar = Path(str(path) + ".map.json")
+    polylines = ()
+    if sidecar.exists():
+        try:
+            data = json.loads(sidecar.read_text(encoding="utf-8"))
+            if not isinstance(data, dict) or "polylines" not in data:
+                raise ValueError("expected a JSON object with a 'polylines' key")
+            polylines = tuple(Trajectory(points=np.array(p), dt=DT) for p in data["polylines"])
+        except ValueError as exc:
+            raise MalformedRow(f"{sidecar}: {exc}") from None
+    try:
+        return Scenario(scenario_id=Path(path).stem, agents=tuple(agents),
+                        map_polylines=polylines, target_track_id=target_id,
+                        history_len=history_len, future_len=future_len)
+    except ValueError as exc:
+        raise MalformedRow(f"{path}: {exc}") from None
+
+
+_SMALL = (3, 2)  # history and future frames of the generated files
+
+
+def _coordinate():
+    return st.one_of(st.floats(-1e3, 1e3, allow_nan=False).map(lambda v: f"{v:.9g}"),
+                     st.integers(-50, 50).map(str))
+
+
+@st.composite
+def _csv_lines(draw):
+    """Lines of a scenario file: shuffled rows, absent frames, extra OTHERS
+    tracks, blank lines, two spellings of one timestamp, and 0-2 corruptions
+    at random lines."""
+    total = sum(_SMALL)
+    everything = set(range(total))
+    tracks = [("agent-0", "AGENT", draw(st.sets(st.integers(0, total - 1), min_size=1)))]
+    if draw(st.booleans()) or tracks[0][2] != everything:
+        tracks.append(("av-0", "AV", everything))
+    tracks += [(f"other-{i}", "OTHERS", draw(st.sets(st.integers(0, total - 1), min_size=1)))
+               for i in range(draw(st.integers(0, 2)))]
+    rows = [[draw(st.sampled_from([f"{f * DT:.9g}", f"{f * DT:.4f}"])), tid, obj,
+             draw(_coordinate()), draw(_coordinate()), "SYN"]
+            for tid, obj, frames in tracks for f in sorted(frames)]
+    rows = draw(st.permutations(rows))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        i = draw(st.integers(0, len(rows) - 1))
+        how = draw(st.sampled_from(["fields", "text", "non-finite", "duplicate", "duplicate",
+                                    "type", "type", "second agent", "drop frame", "header"]))
+        if how == "fields":
+            rows[i] = rows[i][:-1] if draw(st.booleans()) else rows[i] + ["extra"]
+        elif how == "text":
+            rows[i][draw(st.sampled_from([0, 3, 4]))] = "oops"
+        elif how == "non-finite":
+            rows[i][draw(st.sampled_from([0, 3, 4]))] = draw(st.sampled_from(["inf", "nan"]))
+        elif how == "duplicate":
+            rows.insert(draw(st.integers(0, len(rows))), [*rows[i][:3], "999", "0", "SYN"])
+        elif how == "type":  # a later row of a track gives another type
+            last = max(j for j, r in enumerate(rows) if r[1:2] == rows[i][1:2])
+            rows[last][2] = draw(st.sampled_from(["AGENT", "AV", "OTHERS"]))
+        elif how == "second agent":
+            rows = [[*r[:2], "AGENT", *r[3:]] if r[1] == rows[i][1] else r for r in rows]
+        elif how == "drop frame":
+            rows = [r for r in rows if len(r) < 1 or r[0] != rows[i][0]] or rows
+        else:
+            return ["TIMESTAMP,TRACK_ID,X,Y"] + [",".join(r) for r in rows]
+    lines = [",".join(r) for r in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "  "])))
+    return [CSV_HEADER] + lines
+
+
+_BAD_VALUES = ["1.5", True, None, {"x": 1}, float("nan"), 1e400, [1.0, 2.0]]
+
+
+@st.composite
+def _sidecar_text(draw):
+    """None (no sidecar) or the text of one: 0-3 polylines of 1-4 points,
+    maybe another key, on one line or indented, and at most one
+    corruption."""
+    if draw(st.integers(0, 3)) == 0:
+        return None
+    number = st.one_of(st.floats(-1e3, 1e3, allow_nan=False), st.integers(-50, 50),
+                       st.just(2 ** 70))  # beyond int64, within float range
+    point = st.lists(number, min_size=2, max_size=2)
+    polylines = [draw(st.lists(point, min_size=1, max_size=4))
+                 for _ in range(draw(st.integers(0, 3)))]
+    how = draw(st.sampled_from(["none", "none", "value", "shape", "polylines", "document",
+                                "truncated"]))
+    if how == "value" and polylines:
+        p = draw(st.integers(0, len(polylines) - 1))
+        q = draw(st.integers(0, len(polylines[p]) - 1))
+        polylines[p][q][draw(st.integers(0, 1))] = draw(st.sampled_from(_BAD_VALUES))
+    elif how == "shape" and polylines:
+        p = draw(st.integers(0, len(polylines) - 1))
+        change = draw(st.sampled_from(["empty", "short point", "long point", "number"]))
+        if change == "empty":
+            polylines[p] = []
+        elif change == "short point":
+            polylines[p][0] = polylines[p][0][:1]
+        elif change == "long point":
+            polylines[p][-1] = polylines[p][-1] + [0.0]
+        else:
+            polylines[p] = 7
+    elif how == "polylines":
+        polylines = draw(st.sampled_from([5, "xy", None, {"a": [[0, 0]]}]))
+    elif how == "document":
+        return draw(st.sampled_from(['{"polylines": [[[0, 0]]', '{\n "polylines": [\n  [[0, 0]]',
+                                     '{"polylines":\n [[[0, x]]]}', "[]", "{}", '{"maps": []}']))
+    extra = draw(st.sampled_from([{}, {"city": "SYN"}]))
+    text = json.dumps({"polylines": polylines, **extra}, indent=draw(st.sampled_from([None, 1])))
+    if how == "truncated":
+        return text[:draw(st.integers(1, len(text) - 1))]
+    return text
+
+
+def _first_non_number(polylines):
+    """The message load_csv gives for a sidecar whose "polylines" hold a
+    value that is neither a list nor a JSON number, or are not a list;
+    None when neither happens."""
+    stack = [polylines]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, list):
+            stack.extend(reversed(value))
+        elif type(value) not in (int, float):
+            return f"polylines must hold only lists and JSON numbers, got {value!r}"
+    if not isinstance(polylines, list):
+        return f"polylines must be a list, got {polylines!r}"
+    return None
+
+
+def _expected_load(path, lines, sidecar_text):
+    """What load_csv should give: the reference's result or error, except
+    that a second row for a track and timestamp, then a map value that is not
+    a JSON number, is rejected at the stage where load_csv checks it."""
+    try:
+        expected = _row_loop_load_csv(path, *_SMALL)
+    except (TrajcastError, TypeError) as exc:
+        expected = exc
+    if isinstance(expected, WrongFrameCount) or (
+            isinstance(expected, MalformedRow) and str(expected).startswith(f"{path}: line ")):
+        return expected
+    first_line = {}
+    for n, line in enumerate(lines[1:], start=2):
+        if line.strip():
+            parts = line.split(",")
+            m = first_line.setdefault((parts[1], float(parts[0])), n)
+            if m != n:
+                return MalformedRow(f"{path}: line {n}: track {parts[1]} already has a row "
+                                    f"at timestamp {parts[0]} (line {m})")
+    if isinstance(expected, MissingAgent) or sidecar_text is None:
+        return expected
+    try:
+        document = json.loads(sidecar_text)
+    except ValueError:
+        return expected
+    if isinstance(document, dict) and "polylines" in document:
+        message = _first_non_number(document["polylines"])
+        if message is not None:
+            return MalformedRow(f"{path}.map.json: {message}")
+    return expected
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=_csv_lines(), sidecar_text=_sidecar_text(),
+       newline=st.sampled_from(["\n", "\r\n", "\r"]), last_newline=st.booleans())
+def test_load_csv_matches_the_row_loop_reference(tmp_path, lines, sidecar_text, newline,
+                                                 last_newline):
+    path = tmp_path / "scenario.csv"
+    path.write_bytes((newline.join(lines) + newline * last_newline).encode("utf-8"))
+    sidecar = tmp_path / "scenario.csv.map.json"
+    sidecar.unlink(missing_ok=True)
+    if sidecar_text is not None:
+        sidecar.write_bytes(sidecar_text.replace("\n", newline).encode("utf-8"))
+    expected = _expected_load(path, lines, sidecar_text)
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected)) as exc:
+            load_csv(path, *_SMALL)
+        assert type(exc.value) is type(expected) and str(exc.value) == str(expected)
+        return
+    loaded = load_csv(path, *_SMALL)
+    assert (loaded.scenario_id, loaded.target_track_id, loaded.history_len,
+            loaded.future_len) == (expected.scenario_id, expected.target_track_id,
+                                   expected.history_len, expected.future_len)
+    assert [(a.track_id, a.object_type) for a in loaded.agents] == \
+        [(a.track_id, a.object_type) for a in expected.agents]
+    for a, b in zip(loaded.agents, expected.agents):
+        assert a.xy.dtype == b.xy.dtype and a.xy.tobytes() == b.xy.tobytes()
+        assert a.present.dtype == b.present.dtype and a.present.tobytes() == b.present.tobytes()
+    assert len(loaded.map_polylines) == len(expected.map_polylines)
+    for p, q in zip(loaded.map_polylines, expected.map_polylines):
+        assert p.points.shape == q.points.shape and p.points.tobytes() == q.points.tobytes()
+        assert p.dt == q.dt

@@ -456,6 +456,8 @@ _GOOD_RECORD = {"scenario_id": "s1", "trajectories": [[[0.0, 0.0], [1.0, 0.5]],
     ({"scenario_id": "s0"}, r" \(s0\): scenario s0 is also on line 1$"),
     ({"scenario_id": None}, r": missing key 'scenario_id'$"),
     ({"scenario_id": 5}, r" \(5\): scenario_id must be a string$"),
+    ({"trajectories": [[[10 ** 400, 0.0]], [[1.0, 0.0]]]},
+     r" \(s1\): int too large to convert to float$"),
 ])
 def test_prediction_dump_rejects_a_bad_record_naming_file_line_and_scenario(
         tmp_path, change, message):

@@ -688,6 +688,42 @@ def test_cli_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
         assert content == outputs[1][name], name
 
 
+# Runs evaluate, ensemble-dump, jitter and cluster on the checkpoint argv[1]
+# and the dataset argv[2], writing under argv[3], and prints after the import
+# and after each command whether numpy.ma has been imported.
+_INFERENCE_CHAIN = """
+import contextlib, io, sys
+from pathlib import Path
+from trajcast import cli
+
+ckpt, ds, out = sys.argv[1], sys.argv[2], Path(sys.argv[3])
+source = ["--checkpoint", ckpt, "--data", ds, "--split", "val"]
+commands = [["evaluate", *source, "--report", out / "report.json"],
+            ["ensemble-dump", *source, "--out", out / "dump.jsonl"],
+            ["jitter", *source, "--s", "1"],
+            ["cluster", "--dump", f"a={out / 'dump.jsonl'}", "--dump", f"b={out / 'dump.jsonl'}",
+             "--j", "2", "--out", out / "pseudo.jsonl"]]
+print("numpy.ma" in sys.modules)
+for argv in commands:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([str(a) for a in argv]) == 0
+    print("numpy.ma" in sys.modules)
+"""
+
+
+def test_inference_commands_leave_numpy_ma_unimported(tmp_path):
+    """numpy.ma adds about 1.2 MB to the peak RSS of a command; a first call
+    of np.unique, for one, imports it."""
+    paths = _cli_inputs(tmp_path)
+    paths["out"].mkdir()
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    result = subprocess.run([sys.executable, "-c", _INFERENCE_CHAIN, str(paths["ckpt"]),
+                             str(paths["ds"]), str(paths["out"])], env=env, check=True,
+                            capture_output=True, text=True, timeout=300)
+    assert result.stdout.split() == ["False"] * 5
+    assert (paths["out"] / "pseudo.jsonl").exists()
+
+
 @pytest.mark.parametrize("mix", ["junction", "junction=1,straight"])
 def test_cli_generate_rejects_mode_mix_without_weight(tmp_path, mix):
     with pytest.raises(SystemExit, match="--mode-mix expects name=weight"):
