@@ -45,10 +45,14 @@ def _need(args, flag: str, path):
 
 
 def _load_split(args, split):
-    """One split of the dataset --data names: a manifest, or a directory holding one."""
+    """One split of the dataset --data names: a manifest, or a directory
+    holding one; a split that lists no scenario stops the command."""
     path = Path(_need(args, "--data", args.data))
     manifest = _need(args, "--data", path / "manifest.json") if path.is_dir() else path
-    return data.load_manifest(manifest, split=split)
+    scenarios = data.load_manifest(manifest, split=split)
+    if not scenarios:
+        raise SystemExit(f"{args.command}: split {split!r} of {manifest} has no scenarios")
+    return scenarios
 
 
 def cmd_generate(args) -> int:

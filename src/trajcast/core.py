@@ -78,6 +78,11 @@ def rotation_matrix(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
+def rotation_matrices(thetas) -> np.ndarray:
+    """(W, 2, 2) stack of rotation_matrix(theta), one per angle."""
+    return np.array([rotation_matrix(theta) for theta in thetas]).reshape(-1, 2, 2)
+
+
 def rotate_xy(xy: np.ndarray, theta: float) -> np.ndarray:
     # row-vector convention: each point p maps to R(theta) @ p
     return np.asarray(xy, dtype=np.float64) @ rotation_matrix(theta).T
@@ -240,8 +245,16 @@ def heading_frame(p_prev: np.ndarray, p_now: np.ndarray, heading_jitter: float =
                  rotation=normalize_angle(rotation + heading_jitter))
 
 
-def to_frame_xy(xy: np.ndarray, frame: Frame) -> np.ndarray:
-    return rotate_xy(np.asarray(xy, dtype=np.float64) - np.array(frame.origin), frame.rotation)
+def to_frame_xy(xy: np.ndarray, frame) -> np.ndarray:
+    """xy (..., 2) re-expressed in a Frame; given a sequence of W frames, xy
+    is (W, N, 2) and row w holds points of frame w (one stacked matmul,
+    whose rows have the bits of W separate calls)."""
+    if isinstance(frame, Frame):
+        return rotate_xy(np.asarray(xy, dtype=np.float64) - np.array(frame.origin),
+                         frame.rotation)
+    origins = np.array([f.origin for f in frame]).reshape(-1, 1, 2)
+    return ((np.asarray(xy, dtype=np.float64) - origins)
+            @ rotation_matrices([f.rotation for f in frame]).swapaxes(-1, -2))
 
 
 def from_frame_xy(xy: np.ndarray, frame: Frame) -> np.ndarray:
@@ -250,7 +263,8 @@ def from_frame_xy(xy: np.ndarray, frame: Frame) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FrameMap:
-    """Affine map between two frames: p_dst = p_src @ matrix + offset."""
+    """Affine map between two frames: p_dst = p_src @ matrix + offset. A
+    stack of B maps has a (B, 2, 2) matrix and a (B, 2) offset."""
 
     matrix: np.ndarray  # (2, 2)
     offset: np.ndarray  # (2,)
@@ -263,12 +277,15 @@ class FrameMap:
         return np.asarray(d_dst) @ self.matrix.T
 
 
-def compose_frames(src: Frame, dst: Frame) -> FrameMap:
-    """Map coordinates expressed in `src` directly into `dst`."""
-    theta = dst.rotation - src.rotation
-    matrix = rotation_matrix(theta).T
-    offset = rotate_xy(np.array(src.origin) - np.array(dst.origin), dst.rotation)
-    return FrameMap(matrix=matrix, offset=offset)
+def compose_frames(src, dst) -> FrameMap:
+    """Map coordinates expressed in `src` directly into `dst`. Given two
+    sequences of B frames, the B maps of their pairs, stacked."""
+    if isinstance(src, Frame):
+        fmap = compose_frames([src], [dst])
+        return FrameMap(matrix=fmap.matrix[0], offset=fmap.offset[0])
+    matrix = rotation_matrices([d.rotation - s.rotation for s, d in zip(src, dst)])
+    offset = to_frame_xy(np.array([s.origin for s in src]).reshape(-1, 1, 2), dst)
+    return FrameMap(matrix=matrix.swapaxes(-1, -2), offset=offset[:, 0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -377,17 +394,28 @@ class SceneTransform:
     """A sampled scene augmentation: a flip/scale pair, applicable to any
     world-frame coordinates, and a heading jitter in radians for the agent
     frame (a global scene rotation would cancel under agent-centric
-    normalization, so the jitter is applied where the frame is built)."""
+    normalization, so the jitter is applied where the frame is built).
 
-    flip: bool = False
-    scale: float = 1.0
-    heading_jitter: float = 0.0
+    `stack` joins G transforms into one whose fields are (G,) arrays; it
+    applies to (G, ..., 2) coordinates, transform g to row g.
+    """
+
+    flip: bool | np.ndarray = False
+    scale: float | np.ndarray = 1.0
+    heading_jitter: float | np.ndarray = 0.0
+
+    @classmethod
+    def stack(cls, transforms) -> "SceneTransform":
+        return cls(flip=np.array([tf.flip for tf in transforms]),
+                   scale=np.array([tf.scale for tf in transforms]),
+                   heading_jitter=np.array([tf.heading_jitter for tf in transforms]))
 
     def apply_xy(self, xy: np.ndarray) -> np.ndarray:
-        out = np.array(xy, dtype=np.float64)
-        if self.flip:
-            out[..., 1] = -out[..., 1]
-        return out * self.scale
+        # y * -scale is -(y * scale) exactly, so one product flips and scales
+        xy = np.asarray(xy, dtype=np.float64)
+        scale = np.asarray(self.scale, dtype=np.float64)
+        factors = np.stack([scale, np.where(self.flip, -scale, scale)], axis=-1)
+        return xy * factors.reshape(scale.shape + (1,) * (xy.ndim - scale.ndim - 1) + (2,))
 
 
 def sample_transform(aug_flip: float, aug_scale_lo: float, aug_scale_hi: float,
@@ -415,6 +443,9 @@ class ScenarioArrays:
     flags the target track's observed frames, all `history_len + future_len`
     of them. `confidences` has one entry per target. The windows are the
     nominal one and, when `shift` > 0, the one `shift` frames later.
+
+    `stack` joins G same-shape arrays into one whose arrays gain a leading
+    (G,) axis and whose scenario_id is the tuple of their ids.
     """
 
     scenario_id: str
@@ -425,11 +456,22 @@ class ScenarioArrays:
     future_len: int
     shift: int
 
+    @classmethod
+    def stack(cls, members) -> "ScenarioArrays":
+        first = members[0]
+        return cls(scenario_id=tuple(a.scenario_id for a in members),
+                   xy=np.stack([a.xy for a in members]),
+                   present=np.stack([a.present for a in members]),
+                   confidences=np.stack([a.confidences for a in members]),
+                   history_len=first.history_len, future_len=first.future_len,
+                   shift=first.shift)
+
     @property
     def map_start(self) -> int:
-        return self.history_len + len(self.confidences) * self.future_len
+        return self.history_len + self.confidences.shape[-1] * self.future_len
 
 
 def apply_transform(arrays: ScenarioArrays, tf: SceneTransform) -> ScenarioArrays:
-    """A copy of the arrays with every coordinate flipped and scaled by tf."""
+    """A copy of the arrays with every coordinate flipped and scaled by tf;
+    stacked arrays take a stack of as many transforms."""
     return dataclasses.replace(arrays, xy=tf.apply_xy(arrays.xy))

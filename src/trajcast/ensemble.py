@@ -384,8 +384,15 @@ def save_pseudo_targets(path, results: dict) -> None:
 
 
 def load_pseudo_targets(path) -> dict:
-    """scenario_id -> ((J, T, 2) trajectories, (J,) confidences)."""
-    return {sid: (trajs, confs) for _, sid, trajs, confs in _read_records(path, "confidences")}
+    """scenario_id -> ((J, T, 2) trajectories, (J,) confidences); each
+    record's confidences must also lie in [0, 1]."""
+    out = {}
+    for number, sid, trajs, confs in _read_records(path, "confidences"):
+        if np.any(confs > 1.0):
+            raise _malformed(path, number, sid,
+                             f"confidences must lie in [0, 1], got {confs.tolist()}")
+        out[sid] = (trajs, confs)
+    return out
 
 
 def save_prediction_dump(path, records) -> None:
@@ -414,10 +421,14 @@ def load_prediction_dump(path) -> list:
 
 
 def bank_from_dumps(tagged_paths) -> EnsembleBank:
-    """Assemble a bank from (model_tag, dump_path) pairs."""
+    """Assemble a bank from (model_tag, dump_path) pairs; a dump that holds
+    no record is refused by name."""
     bank = EnsembleBank()
     for tag, path in tagged_paths:
-        for sid, trajs, scores in load_prediction_dump(path):
+        records = load_prediction_dump(path)
+        if not records:
+            raise MalformedRecord(f"{path}: the dump holds no records")
+        for sid, trajs, scores in records:
             try:
                 bank.add_arrays(sid, tag, trajs, scores)
             except LengthMismatch as exc:

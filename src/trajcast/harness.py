@@ -21,8 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from . import losses
-from .core import (DT, Scenario, ScenarioArrays, TrajcastError, apply_transform,
-                   compose_frames, heading_frame, sample_transform, to_frame_xy)
+from .core import (DT, Scenario, ScenarioArrays, SceneTransform, TrajcastError,
+                   apply_transform, compose_frames, heading_frame, sample_transform,
+                   to_frame_xy)
 from .data import (FUTURE_LEN, HISTORY_LEN, branch_futures, check_windows, make_shift_pair,
                    make_window)
 from .matching import CRITERIA, STRATEGIES, match, similarity
@@ -230,15 +231,47 @@ def _scenario_arrays(scenario: Scenario, s: int, pseudo, n_pseudo: int) -> Scena
                           future_len=scenario.future_len, shift=s)
 
 
-def _window_inputs(arrays: ScenarioArrays, w: int, heading_jitter: float):
-    """(frame, (N, 5) encoder rows, every xy row in that frame) of window w
-    of (augmented) ScenarioArrays: 0 nominal, 1 shifted."""
-    m, s = arrays.history_len, w * arrays.shift
-    frame = heading_frame(arrays.xy[m + s - 2], arrays.xy[m + s - 1], heading_jitter)
-    in_frame = to_frame_xy(arrays.xy, frame)
-    points = encoder_rows(in_frame[s:m + s], arrays.present[s:m + s],
-                          in_frame[arrays.map_start:], DT)
-    return frame, points, in_frame
+def _batch_windows(batch, tfs, s: int):
+    """Every window of a minibatch of (cached, un-augmented) ScenarioArrays
+    under their SceneTransforms: each scenario's nominal window in batch
+    order, then, for s > 0, each one's window s frames later.
+
+    Same-shape scenarios are stacked, and each stack is flipped and scaled,
+    framed, rotated and laid out as encoder rows once per window. Returns
+    (WindowBatch, (B, J+1, T, 2) targets in the nominal frames, and for s > 0
+    the FrameMap stack that takes each shifted window's frame into its
+    nominal one, else None).
+    """
+    n, m, t = len(batch), batch[0].history_len, batch[0].future_len
+    shifts = (0, s) if s else (0,)
+    groups = {}
+    for i, arrays in enumerate(batch):
+        groups.setdefault((len(arrays.xy), arrays.map_start), []).append(i)
+    points = [None] * (len(shifts) * n)
+    hist_flat = np.empty((len(shifts) * n, 2 * m))
+    targets = np.empty((n, (batch[0].map_start - m) // t, t, 2))
+    frames = [[None] * n for _ in shifts]
+    for (_, map_start), members in groups.items():
+        group = apply_transform(ScenarioArrays.stack([batch[i] for i in members]),
+                                SceneTransform.stack([tfs[i] for i in members]))
+        jitters = [tfs[i].heading_jitter for i in members]
+        for w, shift in enumerate(shifts):
+            anchor = m + shift - 1
+            frames_w = [heading_frame(p_prev, p_now, jitter) for p_prev, p_now, jitter
+                        in zip(group.xy[:, anchor - 1], group.xy[:, anchor], jitters)]
+            in_frame = to_frame_xy(group.xy, frames_w)
+            hist = in_frame[:, shift:m + shift]
+            rows = encoder_rows(hist, group.present[:, shift:m + shift],
+                                in_frame[:, map_start:], DT)
+            slots = [w * n + i for i in members]
+            hist_flat[slots] = hist.reshape(len(members), -1)
+            for slot, i, window_rows, frame in zip(slots, members, rows, frames_w):
+                points[slot] = window_rows
+                frames[w][i] = frame
+            if shift == 0:
+                targets[members] = in_frame[:, m:map_start].reshape(len(members), -1, t, 2)
+    frame_map = compose_frames(frames[1], frames[0]) if s else None
+    return WindowBatch(points=tuple(points), hist_flat=hist_flat), targets, frame_map
 
 
 def _scenario_step(params: ParamStore, model_cfg: ModelConfig, config: TrainConfig,
@@ -248,47 +281,36 @@ def _scenario_step(params: ParamStore, model_cfg: ModelConfig, config: TrainConf
 
     Per scenario, in batch order, the rng draws the flip, scale and heading
     jitter (`sample_transform`) and then the spatial permutation. Every
-    window of the batch (each scenario's nominal window, then each one's
-    shifted window) goes through one forward and one backward pass, and the
-    spatial second refine pass runs once over the batch. Returns (parts, grads): parts is (B, 4) with
-    columns l_reg, l_cls, l_temp, l_spa per scenario; grads sums over the
-    batch. A batch of one is the single-scenario step.
+    window of the batch (`_batch_windows`) goes through one forward and one
+    backward pass, and the spatial second refine pass runs once over the
+    batch. Returns (parts, grads): parts is (B, 4) with columns l_reg,
+    l_cls, l_temp, l_spa per scenario; grads sums over the batch. A batch of
+    one is the single-scenario step.
     """
     k, t, m, s = model_cfg.n_modes, model_cfg.horizon, model_cfg.history_len, config.s
     n = len(batch)
-    points, hists, targets, frame_maps, perms = ([], []), ([], []), [], [], []
-    for arrays in batch:
-        tf = sample_transform(config.aug_flip, config.aug_scale_lo, config.aug_scale_hi,
-                              config.heading_jitter_deg, rng)
-        arrays = apply_transform(arrays, tf)
+    tfs, perms = [], []
+    for _ in batch:
+        tfs.append(sample_transform(config.aug_flip, config.aug_scale_lo, config.aug_scale_hi,
+                                    config.heading_jitter_deg, rng))
         if config.use_spatial:
             perms.append(losses.sample_permutation(rng, (k, t, 2),
                                                    p_flip=config.spatial_flip_prob,
                                                    noise_scale=config.spatial_noise))
-        frame_a, points_a, in_a = _window_inputs(arrays, 0, tf.heading_jitter)
-        points[0].append(points_a)
-        hists[0].append(in_a[:m].reshape(-1))
-        targets.append(in_a[m:arrays.map_start].reshape(-1, t, 2))
-        if config.use_temp:
-            frame_b, points_b, in_b = _window_inputs(arrays, 1, tf.heading_jitter)
-            points[1].append(points_b)
-            hists[1].append(in_b[s:m + s].reshape(-1))
-            frame_maps.append(compose_frames(frame_b, frame_a))
+    inputs, targets, frame_map = _batch_windows(batch, tfs, s if config.use_temp else 0)
 
-    inputs = WindowBatch(points=tuple(points[0] + points[1]),
-                         hist_flat=np.stack(hists[0] + hists[1]))
     out, trace = forward(params, model_cfg, inputs)
     grads = params.zeros_like()
     completion, refined = out["completion"][:n], out["refined"][:n]
     l_reg, l_cls, d_comp, d_ref, d_probs = losses.target_losses(
-        completion, refined, out["probs"][:n], np.stack(targets),
+        completion, refined, out["probs"][:n], targets,
         np.stack([a.confidences for a in batch]), refined_reg=config.use_refine)
 
     l_temp = l_spa = np.zeros(n)
     if config.use_temp:
         # window B's refined outputs mapped into window A's frame
-        matrix = np.stack([f.matrix for f in frame_maps])[:, None]       # (B, 1, 2, 2)
-        offset = np.stack([f.offset for f in frame_maps])[:, None, None]  # (B, 1, 1, 2)
+        matrix = frame_map.matrix[:, None]             # (B, 1, 2, 2)
+        offset = frame_map.offset[:, None, None]       # (B, 1, 1, 2)
         refined_b_in_a = out["refined"][n:] @ matrix + offset
         l_temp, d_a_temp, d_b_in_a = losses._temporal_arrays(
             refined, refined_b_in_a, s, config.strategy, config.criterion)
@@ -313,8 +335,10 @@ def _scenario_step(params: ParamStore, model_cfg: ModelConfig, config: TrainConf
         raise NonFiniteLoss(f"{batch[bad].scenario_id}: loss parts {tuple(parts[bad].tolist())}")
 
     if config.use_temp:  # window B's only upstream gradient is its refined output's
-        upstream = {name: np.concatenate([g, d_ref_b if name == "refined" else np.zeros_like(g)])
-                    for name, g in upstream.items()}
+        for name, g in upstream.items():
+            upstream[name] = np.zeros((2 * n,) + g.shape[1:])
+            upstream[name][:n] = g
+        upstream["refined"][n:] = d_ref_b
     grads.flat += backward(params, trace, upstream).flat
     return parts, grads
 

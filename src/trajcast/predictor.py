@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (PredictionSet, Trajectory, TrajcastError, Window, rotation_matrix,
+from .core import (PredictionSet, Trajectory, TrajcastError, Window, rotation_matrices,
                    to_frame_xy)
 
 FEATURE_DIM = 5  # (x, y, t_rel_seconds, is_map, present)
@@ -177,16 +177,17 @@ def encoder_rows(history_xy: np.ndarray, history_mask: np.ndarray, map_xy: np.nd
     its agent-frame map points (P, 2).
 
     History rows carry their time offset in seconds relative to t=0 and the
-    presence flag; map rows are tagged is_map=1 and present.
+    presence flag; map rows are tagged is_map=1 and present. Leading axes of
+    the three inputs index windows of one shape, giving (..., N, 5).
     """
-    m = len(history_xy)
-    points = np.zeros((m + len(map_xy), FEATURE_DIM))
-    points[:m, :2] = history_xy
-    points[m:, :2] = map_xy
-    points[:m, 2] = (np.arange(m) - (m - 1)) * dt
-    points[m:, 3] = 1.0
-    points[:m, 4] = history_mask
-    points[m:, 4] = 1.0
+    m = history_xy.shape[-2]
+    points = np.zeros(history_xy.shape[:-2] + (m + map_xy.shape[-2], FEATURE_DIM))
+    points[..., :m, :2] = history_xy
+    points[..., m:, :2] = map_xy
+    points[..., :m, 2] = (np.arange(m) - (m - 1)) * dt
+    points[..., m:, 3] = 1.0
+    points[..., :m, 4] = history_mask
+    points[..., m:, 4] = 1.0
     return points
 
 
@@ -379,7 +380,8 @@ def backward(params: ParamStore, trace: ForwardTrace, upstream: dict) -> ParamSt
     grads = params.zeros_like()
 
     def grad_of(name, shape):
-        return np.asarray(upstream.get(name, 0.0)) + np.zeros(shape)
+        g = np.asarray(upstream.get(name, 0.0))
+        return g if g.shape == shape else g + np.zeros(shape)
 
     d_refined = grad_of("refined", (w, k, t, 2))
     d_completion = grad_of("completion", (w, k, t, 2))
@@ -458,7 +460,7 @@ def _predict_arrays(params: ParamStore, cfg: ModelConfig, windows):
         chunk = windows[start:start + _PREDICT_CHUNK]
         outputs, _ = forward(params, cfg, WindowBatch.of(chunk))
         # from_frame_xy for every window at once: p @ R(-rotation).T + origin
-        to_world = np.stack([rotation_matrix(-w.frame.rotation).T for w in chunk])
+        to_world = rotation_matrices([-w.frame.rotation for w in chunk]).swapaxes(-1, -2)
         origins = np.array([w.frame.origin for w in chunk])
         end = start + len(chunk)
         trajs[start:end] = outputs["refined"] @ to_world[:, None] + origins[:, None, None]

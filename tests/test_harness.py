@@ -11,19 +11,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import straight_scenario
 from trajcast import cli, data, ensemble, harness
 from trajcast.core import (AgentTrack, MissingTargetFrame, Scenario, SceneTransform,
-                           Trajectory, apply_transform, heading_frame, to_frame_xy)
+                           Trajectory, compose_frames, heading_frame, to_frame_xy)
 from trajcast.data import SyntheticSpec, generate, make_shift_pair
 from trajcast.harness import (Adam, NonFiniteLoss, SEED_ENV_VAR, ShapeMismatch,
-                              TrainConfig, _pseudo_target_arrays, _scenario_arrays,
-                              _scenario_step, _window_inputs, branch_coverage,
+                              TrainConfig, _batch_windows, _pseudo_target_arrays,
+                              _scenario_arrays, _scenario_step, branch_coverage,
                               evaluate, jitter_score, lr_at_epoch, make_config,
                               run_grid, table2_rows, train)
 from trajcast.metrics import EmptyDataset
-from trajcast.predictor import (ParamStore, featurize, init_params, predict,
+from trajcast.predictor import (ParamStore, WindowBatch, init_params, predict,
                                 save_checkpoint)
 
 TINY = {"epochs": 2, "batch_size": 4, "k": 2, "feature_dim": 8, "j": 2}
@@ -395,25 +396,110 @@ def _transformed(sc, tf):
                     future_len=sc.future_len)
 
 
-def test_window_inputs_match_the_window_path():
-    """The cached arrays give the encoder rows, history and targets that
-    the flipped and scaled Scenario gives through make_shift_pair and
-    featurize."""
-    sc = _dataset("junction", count=1, seed=5)[0]
-    pseudo = _pseudo_target_arrays(sc.scenario_id, _pseudo_for([sc], j=2)[sc.scenario_id], 30)
-    tf = SceneTransform(flip=True, scale=1.2)
-    arrays = apply_transform(_scenario_arrays(sc, 3, pseudo, 3), tf)
-    windows = [dataclasses.replace(w, frame=heading_frame(*w.history_xy[-2:], 0.1))
-               for w in make_shift_pair(_transformed(sc, tf), 3)]
-    inputs = [_window_inputs(arrays, w, 0.1) for w in (0, 1)]
-    for window, (frame, points, _) in zip(windows, inputs):
-        assert frame == window.frame
-        np.testing.assert_allclose(points, featurize(window), rtol=1e-12, atol=1e-12)
-    targets = [windows[0].gt_future.points, *(tf.apply_xy(p) for p in pseudo[0])]
-    np.testing.assert_allclose(inputs[0][2][20:arrays.map_start].reshape(-1, 30, 2)[:3],
-                               [to_frame_xy(t, windows[0].frame) for t in targets],
-                               rtol=1e-12, atol=1e-12)
-    np.testing.assert_array_equal(arrays.confidences, [1.0, 0.5, 0.5, 0.0])
+# five-mode mix: 50, 100 and 150 map points, so batches mix row counts
+_POOL = generate(SyntheticSpec(scenario_count=12, seed=6))
+
+
+def _stationary_at(sc, frame):
+    """The scenario with its target standing still from frame - 1 to frame."""
+    xy = sc.target.xy.copy()
+    xy[frame] = xy[frame - 1]
+    return dataclasses.replace(sc, agents=(dataclasses.replace(sc.target, xy=xy),)
+                               + sc.agents[1:])
+
+
+@st.composite
+def _windowed_batches(draw):
+    """(scenarios, pseudo entries or None, transforms, s) for _batch_windows."""
+    s = draw(st.integers(0, 3))
+    picks = draw(st.lists(st.integers(0, len(_POOL) - 1), min_size=1, max_size=5))
+    scenarios, entries, tfs = [], [], []
+    for idx in picks:
+        sc = _POOL[idx]
+        still = draw(st.sampled_from([None, 0, s]))  # stationary anchor of window A or B
+        if still is not None:
+            sc = _stationary_at(sc, sc.history_len + still - 1)
+        gap = draw(st.sampled_from([None, 0, 5, 17]))    # a history frame without the target
+        if gap is not None:
+            sc = _without_target_frame(sc, gap)
+        j = draw(st.integers(0, 3))
+        entries.append(None if j == 0 else _pseudo_target_arrays(
+            sc.scenario_id, _pseudo_for([sc], j=j, seed=idx)[sc.scenario_id], 30))
+        tfs.append(SceneTransform(flip=draw(st.booleans()), scale=draw(st.floats(0.5, 2.0)),
+                                  heading_jitter=draw(st.floats(-0.3, 0.3))))
+        scenarios.append(sc)
+    return scenarios, entries, tfs, s
+
+
+@settings(max_examples=60, deadline=None)
+@given(_windowed_batches())
+def test_batch_windows_match_the_window_path(case):
+    """Every window the batch builder makes, with its history, targets and
+    frame map, is what the flipped and scaled Scenario gives through
+    make_shift_pair, featurize and compose_frames, to 1e-12: mixed row
+    counts, pseudo targets on some scenarios, every flip, scale and heading
+    jitter, missing history frames, and stationary anchors (the
+    STATIONARY_EPS fallback)."""
+    scenarios, entries, tfs, s = case
+    n_pseudo = max(0 if e is None else len(e[0]) for e in entries)
+    batch = [_scenario_arrays(sc, s, e, n_pseudo) for sc, e in zip(scenarios, entries)]
+    inputs, targets, frame_map = _batch_windows(batch, tfs, s)
+    pairs = [[dataclasses.replace(w, frame=heading_frame(*w.history_xy[-2:], tf.heading_jitter))
+              for w in make_shift_pair(_transformed(sc, tf), s)]
+             for sc, tf in zip(scenarios, tfs)]
+    windows = [a for a, _ in pairs] + ([b for _, b in pairs] if s else [])
+    expected = WindowBatch.of(windows)
+    assert len(inputs.points) == len(windows)
+    for got, want in zip(inputs.points, expected.points):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(inputs.hist_flat, expected.hist_flat, rtol=1e-12, atol=1e-12)
+    for i, (entry, tf, (window_a, window_b)) in enumerate(zip(entries, tfs, pairs)):
+        gt = window_a.gt_future.points
+        pseudo = [] if entry is None else [tf.apply_xy(p) for p in entry[0]]
+        want = [to_frame_xy(p, window_a.frame)
+                for p in [gt, *pseudo, *([gt] * (n_pseudo - len(pseudo)))]]
+        np.testing.assert_allclose(targets[i], want, rtol=1e-12, atol=1e-12)
+        if s:
+            fmap = compose_frames(window_b.frame, window_a.frame)
+            np.testing.assert_allclose(frame_map.matrix[i], fmap.matrix, rtol=1e-12,
+                                       atol=1e-12)
+            np.testing.assert_allclose(frame_map.offset[i], fmap.offset, rtol=1e-12,
+                                       atol=1e-12)
+    assert frame_map is None if s == 0 else frame_map.offset.shape == (len(batch), 2)
+
+
+# every record of a small run (augmentation, pseudo targets on every other
+# scenario, both consistency losses, batch size 4, 2 epochs) as the
+# per-scenario step wrote it: epoch, step, lr, l_reg, l_cls, l_temp, l_spa,
+# total, grad_norm, param_norm
+_GOLDEN_RECORDS = [
+    (0, 0, 0.001, 331.45729115154904, 0.04735401256818177, 131.0082185106775,
+     12.892810003200935, 475.40567367799565, 1162.383480877647, 8.233629856396682),
+    (0, 1, 0.001, 231.92421006860246, 0.058622834080731864, 124.5053711188553,
+     7.867241355651363, 364.3554453771898, 903.7370510523626, 8.227130244175205),
+    (0, 2, 0.001, 479.53480619926546, 0.04000174805022119, 254.74372136591813,
+     0.01335273724900805, 734.3318820504827, 1901.8804012188255, 8.221518089050653),
+    (1, 3, 0.001, 328.8857433717401, 0.09819207745034653, 124.82625829448253,
+     18.231776150261314, 472.04196989393427, 1221.437819144045, 8.215805721249517),
+    (1, 4, 0.001, 199.27203641490235, 0.07196975415585871, 101.3274354204128,
+     16.523890609889825, 317.1953321993608, 816.3510296202411, 8.210174812400886),
+    (1, 5, 0.001, 314.69311920851146, 0.02095414301666705, 174.0403142704405,
+     37.97947775203631, 526.733865374005, 1378.4735485482536, 8.204573045507367),
+]
+
+
+def test_train_golden_records():
+    scenarios = generate(SyntheticSpec(scenario_count=10, seed=4))
+    pseudo = _pseudo_for(scenarios[::2], j=3)
+    config = _tiny_config(use_mpt=True, aug_flip=0.5, aug_scale_lo=0.8, aug_scale_hi=1.25,
+                          heading_jitter_deg=10.0, s=2)
+    _, _, records = train(config, scenarios, pseudo_targets=pseudo)
+    keys = ("epoch", "step", "lr", "l_reg", "l_cls", "l_temp", "l_spa", "total",
+            "grad_norm", "param_norm")
+    assert [tuple(r[key] for key in keys[:2]) for r in records] == \
+        [golden[:2] for golden in _GOLDEN_RECORDS]
+    np.testing.assert_allclose([[r[key] for key in keys[2:]] for r in records],
+                               [golden[2:] for golden in _GOLDEN_RECORDS], rtol=1e-12)
 
 
 # -- evaluation / jitter / coverage --------------------------------------------
@@ -836,6 +922,8 @@ def _corrupt_line_2(rec: dict, how: str) -> str:
         rec["scenario_id"] = 5
     elif how == "29-step trajectory":
         rec["trajectories"][0] = rec["trajectories"][0][:29]
+    elif how == "confidence above 1":
+        rec[key] = [0.5, 1.5]
     return json.dumps(rec)
 
 
@@ -887,7 +975,13 @@ def test_cli_cluster_names_the_dump_whose_horizon_differs(tmp_path):
                   "--out", str(tmp_path / "out.jsonl")])
 
 
-@pytest.mark.parametrize("how, message", _CORRUPT[:-1], ids=[c[0] for c in _CORRUPT[:-1]])
+_CORRUPT_PSEUDO = _CORRUPT[:-1] + [
+    ("confidence above 1", r"line 2 \(s1\): confidences must lie in \[0, 1\], "
+                           r"got \[0.5, 1.5\]$"),
+]
+
+
+@pytest.mark.parametrize("how, message", _CORRUPT_PSEUDO, ids=[c[0] for c in _CORRUPT_PSEUDO])
 def test_cli_train_names_the_file_line_and_scenario_of_a_bad_pseudo_target(
         tmp_path, how, message):
     paths = _cli_inputs(tmp_path)
@@ -903,6 +997,36 @@ def test_cli_train_names_the_file_line_and_scenario_of_a_bad_pseudo_target(
     assert text.startswith(f"train: {pseudo}: line 2")
     assert re.search(message.format(what="confidence"), text) and "\n" not in text
     assert not paths["out"].exists()
+
+
+@pytest.mark.parametrize("command, outputs", [
+    ("train", ["--out", "{out}", "--log", "{log}"]),
+    ("evaluate", ["--checkpoint", "{ckpt}", "--report", "{out}", "--dump", "{dump}"]),
+    ("jitter", ["--checkpoint", "{ckpt}"]),
+    ("ensemble-dump", ["--checkpoint", "{ckpt}", "--out", "{dump}"]),
+])
+def test_cli_stops_on_a_split_with_no_scenarios(tmp_path, capsys, command, outputs):
+    paths = _cli_inputs(tmp_path)
+    argv = [command, "--data", "{ds}", "--split", "nosuch", *outputs]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([a.format(**paths) for a in argv])
+    manifest = paths["ds"] / "manifest.json"
+    assert str(exc.value) == f"{command}: split 'nosuch' of {manifest} has no scenarios"
+    assert not any(paths[name].exists() for name in ("out", "dump", "log"))
+    assert capsys.readouterr().out == ""
+
+
+def test_cli_cluster_refuses_a_dump_without_records(tmp_path, capsys):
+    good, empty = tmp_path / "good.jsonl", tmp_path / "empty.jsonl"
+    ensemble.save_prediction_dump(good, [("s0", np.zeros((2, 30, 2)), np.array([0.5, 0.5]))])
+    empty.write_text("\n")
+    out = tmp_path / "pseudo.jsonl"
+    for first, second in ((good, empty), (empty, empty)):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["cluster", "--dump", f"a={first}", "--dump", f"b={second}", "--j", "2",
+                      "--out", str(out)])
+        assert str(exc.value) == f"cluster: {empty}: the dump holds no records"
+    assert not out.exists() and capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("command, outputs", [
