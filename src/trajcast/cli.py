@@ -46,10 +46,11 @@ def _need(args, flag: str, path):
 
 def _load_split(args, split):
     """One split of the dataset --data names: a manifest, or a directory
-    holding one; a split that lists no scenario stops the command."""
+    holding one. A scenario file that cannot be loaded, or a split that
+    lists no scenario, stops the command."""
     path = Path(_need(args, "--data", args.data))
     manifest = _need(args, "--data", path / "manifest.json") if path.is_dir() else path
-    scenarios = data.load_manifest(manifest, split=split)
+    scenarios = data.load_manifest(manifest, split=split, strict=True)
     if not scenarios:
         raise SystemExit(f"{args.command}: split {split!r} of {manifest} has no scenarios")
     return scenarios

@@ -79,8 +79,10 @@ def rotation_matrix(theta: float) -> np.ndarray:
 
 
 def rotation_matrices(thetas) -> np.ndarray:
-    """(W, 2, 2) stack of rotation_matrix(theta), one per angle."""
-    return np.array([rotation_matrix(theta) for theta in thetas]).reshape(-1, 2, 2)
+    """(W, 2, 2) stack of rotation_matrix(theta), one per angle: the same
+    cos and sin values, written into one array from one list of floats."""
+    cos_sin = [(math.cos(theta), math.sin(theta)) for theta in thetas]
+    return np.array([(c, -s, s, c) for c, s in cos_sin]).reshape(-1, 2, 2)
 
 
 def rotate_xy(xy: np.ndarray, theta: float) -> np.ndarray:
@@ -233,16 +235,17 @@ def track_frame(track: AgentTrack, end_index: int) -> Frame:
     return heading_frame(track.xy[end_index - 1], track.xy[end_index])
 
 
-def heading_frame(p_prev: np.ndarray, p_now: np.ndarray, heading_jitter: float = 0.0) -> Frame:
+def heading_frame(p_prev, p_now, heading_jitter: float = 0.0) -> Frame:
     """Frame with origin p_now whose rotation aligns p_prev -> p_now with the
-    positive x-axis (0 below STATIONARY_EPS), plus heading_jitter radians."""
-    d = p_now - p_prev
-    if float(np.hypot(d[0], d[1])) < STATIONARY_EPS:
+    positive x-axis (0 below STATIONARY_EPS), plus heading_jitter radians.
+    The points are (x, y) pairs: arrays, tuples or lists."""
+    x, y = float(p_now[0]), float(p_now[1])
+    dx, dy = x - float(p_prev[0]), y - float(p_prev[1])
+    if float(np.hypot(dx, dy)) < STATIONARY_EPS:
         rotation = 0.0
     else:
-        rotation = -math.atan2(d[1], d[0])
-    return Frame(origin=(float(p_now[0]), float(p_now[1])),
-                 rotation=normalize_angle(rotation + heading_jitter))
+        rotation = -math.atan2(dy, dx)
+    return Frame(origin=(x, y), rotation=normalize_angle(rotation + heading_jitter))
 
 
 def to_frame_xy(xy: np.ndarray, frame) -> np.ndarray:

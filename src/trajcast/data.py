@@ -12,6 +12,7 @@ significant digits so save -> load -> save is byte-identical.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import math
@@ -21,8 +22,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (DT, JSON_NUMBER_TYPES, AgentTrack, MissingTargetFrame, Scenario, Trajectory,
-                   TrajcastError, Window, json_number_pairs, rotate_xy, track_frame)
+from .core import (DT, JSON_NUMBER_TYPES, AgentTrack, MissingTargetFrame, Scenario,
+                   ScenarioArrays, SceneTransform, Trajectory, TrajcastError, Window,
+                   apply_transform, heading_frame, json_number_pairs, rotate_xy, to_frame_xy,
+                   track_frame)
+from .predictor import WindowBatch, featurize
 
 log = logging.getLogger("trajcast.data")
 
@@ -57,6 +61,10 @@ class WrongFrameCount(TrajcastError):
 
 class InsufficientFrames(TrajcastError):
     """Not enough observed target frames to build the requested windows."""
+
+
+class MalformedManifest(TrajcastError):
+    """Dataset manifest that cannot be read; the message names it."""
 
 
 @dataclass(frozen=True)
@@ -410,11 +418,40 @@ def save_dataset(scenarios, out_dir, val_fraction: float = 0.2) -> Path:
 
 
 def load_manifest(manifest_path, split: str | None = None, strict: bool = False) -> list:
-    """Scenarios listed in a manifest, optionally filtered by split."""
+    """Scenarios listed in a manifest, optionally filtered by split.
+
+    The manifest is checked before any scenario loads, else MalformedManifest
+    names it and what is wrong: it must be a JSON object with an integer
+    history_len >= 2 and future_len >= 1 and a "scenarios" list whose
+    entries are objects with a string "file" and "split", and every file of
+    the split must exist.
+    """
     mpath = Path(manifest_path)
-    manifest = json.loads(mpath.read_text(encoding="utf-8"))
-    files = [mpath.parent / entry["file"] for entry in manifest["scenarios"]
+    try:
+        with open(mpath, encoding="utf-8") as fh:
+            manifest = json.loads(fh.read())
+    except ValueError as exc:  # undecodable bytes or JSON
+        raise MalformedManifest(f"{mpath}: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise MalformedManifest(f"{mpath}: expected a JSON object")
+    for key, least in (("history_len", 2), ("future_len", 1)):
+        value = manifest.get(key)
+        if type(value) is not int or value < least:
+            raise MalformedManifest(f"{mpath}: {key} must be an integer >= {least}, "
+                                    f"got {value!r}")
+    entries = manifest.get("scenarios")
+    if type(entries) is not list:
+        raise MalformedManifest(f"{mpath}: scenarios must be a list, got {entries!r}")
+    for n, entry in enumerate(entries):
+        if not (isinstance(entry, dict) and type(entry.get("file")) is str
+                and type(entry.get("split")) is str):
+            raise MalformedManifest(f"{mpath}: scenario entry {n} needs a string 'file' "
+                                    f"and 'split', got {entry!r}")
+    files = [mpath.parent / entry["file"] for entry in entries
              if split is None or entry["split"] == split]
+    for file in files:
+        if not file.is_file():
+            raise MalformedManifest(f"{mpath}: listed file {file} does not exist")
     return _load_all(files, manifest["history_len"], manifest["future_len"], strict)
 
 
@@ -433,7 +470,7 @@ def check_windows(scenario: Scenario, s: int = 0) -> None:
     if s < 0:
         raise ValueError("shift must be >= 0")
     m, target = scenario.history_len, scenario.target
-    if s and (m + s > scenario.total_frames or int(target.present.sum()) < m + s):
+    if s and (m + s > scenario.total_frames or np.count_nonzero(target.present) < m + s):
         raise InsufficientFrames(
             f"{scenario.scenario_id}: need {m + s} observed frames for shift {s}")
     needed = target.present[m - 2:]
@@ -453,20 +490,105 @@ def _cut_window(scenario: Scenario, s: int) -> Window:
                   gt_future=None if s else scenario.gt_future(), shift=s, dt=DT)
 
 
-def make_window(scenario: Scenario) -> Window:
+def _scenario_arrays(scenario: Scenario, s: int, pseudo=None,
+                     n_pseudo: int = 0) -> ScenarioArrays:
+    """A scenario's world-frame rows, stacked once, for the batch window
+    builder.
+
+    s is the second window's shift (0: no second window). pseudo is None or
+    ((J, T, 2) points, (J,) confidences); it is padded to n_pseudo targets
+    with zero-confidence copies of the ground truth, which add nothing to
+    the loss or its gradients. Raises as check_windows(scenario, s) does.
+    """
+    check_windows(scenario, s)
+    m, target = scenario.history_len, scenario.target
+    trajs, confs = pseudo if pseudo is not None else ((), ())
+    gt = target.xy[m:]
+    maps = [p.points for p in scenario.map_polylines]
+    xy = np.concatenate([target.xy[:m], gt, *trajs, *([gt] * (n_pseudo - len(trajs))), *maps])
+    confidences = np.zeros(1 + n_pseudo)
+    confidences[0] = 1.0
+    confidences[1:1 + len(trajs)] = confs
+    return ScenarioArrays(scenario_id=scenario.scenario_id, xy=xy, present=target.present,
+                          confidences=confidences, history_len=m,
+                          future_len=scenario.future_len, shift=s)
+
+
+def _batch_windows(batch, shifts, tfs=None):
+    """The windows of a list of ScenarioArrays (`_scenario_arrays`): for each
+    shift in `shifts`, in that order, each scenario's window ending that many
+    frames after t=0, in list order. tfs, if given, holds one SceneTransform
+    per scenario: its flip and scale apply to every row, and its heading
+    jitter to the windows' agent frames.
+
+    Same-shape scenarios are stacked; per shift, each stack is framed,
+    rotated (one `to_frame_xy`) and laid out (one `featurize`) at once.
+    Returns (WindowBatch of len(shifts) * B windows, and the (B, J+1, T, 2)
+    targets in the frames of the first shift's windows).
+    """
+    if not batch:
+        return WindowBatch(points=(), hist_flat=np.empty((0, 0)), frames=()), None
+    n, m, t = len(batch), batch[0].history_len, batch[0].future_len
+    if any((a.history_len, a.future_len) != (m, t) for a in batch):
+        raise ValueError("the scenarios of one batch must share history and future lengths")
+    groups = {}
+    for i, arrays in enumerate(batch):
+        groups.setdefault((len(arrays.xy), arrays.map_start), []).append(i)
+    points = [None] * (len(shifts) * n)
+    frames = [None] * (len(shifts) * n)
+    hist_flat = np.empty((len(shifts) * n, 2 * m))
+    targets = np.empty((n, (batch[0].map_start - m) // t, t, 2))
+    for (_, map_start), members in groups.items():
+        group = ScenarioArrays.stack([batch[i] for i in members])
+        jitters = [0.0] * len(members)
+        if tfs is not None:
+            group = apply_transform(group, SceneTransform.stack([tfs[i] for i in members]))
+            jitters = [tfs[i].heading_jitter for i in members]
+        for w, shift in enumerate(shifts):
+            anchor = m + shift - 1
+            frames_w = [heading_frame(p_prev, p_now, jitter) for p_prev, p_now, jitter
+                        in zip(group.xy[:, anchor - 1].tolist(), group.xy[:, anchor].tolist(),
+                               jitters)]
+            in_frame = dataclasses.replace(group, xy=to_frame_xy(group.xy, frames_w))
+            rows = featurize(in_frame, shift)
+            slots = [w * n + i for i in members]
+            hist_flat[slots] = in_frame.xy[:, shift:m + shift].reshape(len(members), -1)
+            for slot, window_rows, frame in zip(slots, rows, frames_w):
+                points[slot] = window_rows
+                frames[slot] = frame
+            if w == 0:
+                targets[members] = in_frame.xy[:, m:map_start].reshape(len(members), -1, t, 2)
+    return WindowBatch(points=tuple(points), hist_flat=hist_flat, frames=tuple(frames)), targets
+
+
+def make_window(scenario):
     """Nominal input window: full history, agent frame at t=0, GT attached;
-    raises as check_windows(scenario) does."""
-    check_windows(scenario)
-    return _cut_window(scenario, 0)
+    raises as check_windows(scenario) does.
+
+    Given a list of scenarios, checks each one and returns their nominal
+    windows as one WindowBatch, from the batch window builder.
+    """
+    if isinstance(scenario, Scenario):
+        check_windows(scenario)
+        return _cut_window(scenario, 0)
+    return _batch_windows([_scenario_arrays(sc, 0) for sc in scenario], (0,))[0]
 
 
-def make_shift_pair(scenario: Scenario, s: int):
+def make_shift_pair(scenario, s: int):
     """Windows s frames apart for consistency training.
 
     Window A is the nominal window (with GT); window B slides the history s
     frames forward and gets its own agent frame, no GT. s = 0 gives window A
     twice. Raises as check_windows(scenario, s) does.
+
+    Given a list of scenarios, checks each one and returns two WindowBatch
+    objects, every window A and then every window B, from the batch window
+    builder, which stacks each scenario's rows once for both.
     """
-    check_windows(scenario, s)
-    window_a = _cut_window(scenario, 0)
-    return window_a, (window_a if s == 0 else _cut_window(scenario, s))
+    if isinstance(scenario, Scenario):
+        check_windows(scenario, s)
+        window_a = _cut_window(scenario, 0)
+        return window_a, (window_a if s == 0 else _cut_window(scenario, s))
+    arrays = [_scenario_arrays(sc, s) for sc in scenario]
+    batch = _batch_windows(arrays, (0, s))[0]
+    return batch[:len(arrays)], batch[len(arrays):]

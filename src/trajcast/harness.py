@@ -20,17 +20,15 @@ from pathlib import Path
 
 import numpy as np
 
-from . import losses
-from .core import (DT, Scenario, ScenarioArrays, SceneTransform, TrajcastError,
-                   apply_transform, compose_frames, heading_frame, sample_transform,
-                   to_frame_xy)
-from .data import (FUTURE_LEN, HISTORY_LEN, branch_futures, check_windows, make_shift_pair,
-                   make_window)
+from . import losses, predictor
+from .core import TrajcastError, compose_frames, sample_transform
+from .data import (FUTURE_LEN, HISTORY_LEN, _batch_windows, _scenario_arrays, branch_futures,
+                   check_windows, make_shift_pair, make_window)
 from .matching import CRITERIA, STRATEGIES, match, similarity
 from .metrics import MISS_THRESHOLD_METERS, MetricReport, report
-from .predictor import (ModelConfig, ParamStore, WindowBatch, backward, encoder_rows, forward,
-                        init_params, load_checkpoint, predict, refine_backward,
-                        refine_forward, save_checkpoint)
+from .predictor import (ModelConfig, ParamStore, backward, forward, init_params,
+                        load_checkpoint, predict, refine_backward, refine_forward,
+                        save_checkpoint)
 
 SEED_ENV_VAR = "TRAJCAST_SEED"
 
@@ -208,72 +206,6 @@ def _pseudo_target_arrays(scenario_id: str, entry, horizon: int):
     return np.reshape(points, (len(points), horizon, 2)), confs
 
 
-def _scenario_arrays(scenario: Scenario, s: int, pseudo, n_pseudo: int) -> ScenarioArrays:
-    """A scenario's ScenarioArrays for training.
-
-    s is the second window's shift (0: no second window). pseudo is None or
-    ((J, T, 2) points, (J,) confidences) from `_pseudo_target_arrays`; it is
-    padded to n_pseudo targets with zero-confidence copies of the ground
-    truth, which add nothing to the loss or its gradients. Raises as
-    check_windows(scenario, s) does.
-    """
-    check_windows(scenario, s)
-    m, target = scenario.history_len, scenario.target
-    trajs, confs = pseudo if pseudo is not None else ((), ())
-    gt = target.xy[m:]
-    maps = [p.points for p in scenario.map_polylines]
-    xy = np.concatenate([target.xy[:m], gt, *trajs, *([gt] * (n_pseudo - len(trajs))), *maps])
-    confidences = np.zeros(1 + n_pseudo)
-    confidences[0] = 1.0
-    confidences[1:1 + len(trajs)] = confs
-    return ScenarioArrays(scenario_id=scenario.scenario_id, xy=xy, present=target.present,
-                          confidences=confidences, history_len=m,
-                          future_len=scenario.future_len, shift=s)
-
-
-def _batch_windows(batch, tfs, s: int):
-    """Every window of a minibatch of (cached, un-augmented) ScenarioArrays
-    under their SceneTransforms: each scenario's nominal window in batch
-    order, then, for s > 0, each one's window s frames later.
-
-    Same-shape scenarios are stacked, and each stack is flipped and scaled,
-    framed, rotated and laid out as encoder rows once per window. Returns
-    (WindowBatch, (B, J+1, T, 2) targets in the nominal frames, and for s > 0
-    the FrameMap stack that takes each shifted window's frame into its
-    nominal one, else None).
-    """
-    n, m, t = len(batch), batch[0].history_len, batch[0].future_len
-    shifts = (0, s) if s else (0,)
-    groups = {}
-    for i, arrays in enumerate(batch):
-        groups.setdefault((len(arrays.xy), arrays.map_start), []).append(i)
-    points = [None] * (len(shifts) * n)
-    hist_flat = np.empty((len(shifts) * n, 2 * m))
-    targets = np.empty((n, (batch[0].map_start - m) // t, t, 2))
-    frames = [[None] * n for _ in shifts]
-    for (_, map_start), members in groups.items():
-        group = apply_transform(ScenarioArrays.stack([batch[i] for i in members]),
-                                SceneTransform.stack([tfs[i] for i in members]))
-        jitters = [tfs[i].heading_jitter for i in members]
-        for w, shift in enumerate(shifts):
-            anchor = m + shift - 1
-            frames_w = [heading_frame(p_prev, p_now, jitter) for p_prev, p_now, jitter
-                        in zip(group.xy[:, anchor - 1], group.xy[:, anchor], jitters)]
-            in_frame = to_frame_xy(group.xy, frames_w)
-            hist = in_frame[:, shift:m + shift]
-            rows = encoder_rows(hist, group.present[:, shift:m + shift],
-                                in_frame[:, map_start:], DT)
-            slots = [w * n + i for i in members]
-            hist_flat[slots] = hist.reshape(len(members), -1)
-            for slot, i, window_rows, frame in zip(slots, members, rows, frames_w):
-                points[slot] = window_rows
-                frames[w][i] = frame
-            if shift == 0:
-                targets[members] = in_frame[:, m:map_start].reshape(len(members), -1, t, 2)
-    frame_map = compose_frames(frames[1], frames[0]) if s else None
-    return WindowBatch(points=tuple(points), hist_flat=hist_flat), targets, frame_map
-
-
 def _scenario_step(params: ParamStore, model_cfg: ModelConfig, config: TrainConfig,
                    batch, rng: np.random.Generator):
     """Loss parts and summed parameter gradients for a minibatch of (cached,
@@ -297,7 +229,7 @@ def _scenario_step(params: ParamStore, model_cfg: ModelConfig, config: TrainConf
             perms.append(losses.sample_permutation(rng, (k, t, 2),
                                                    p_flip=config.spatial_flip_prob,
                                                    noise_scale=config.spatial_noise))
-    inputs, targets, frame_map = _batch_windows(batch, tfs, s if config.use_temp else 0)
+    inputs, targets = _batch_windows(batch, (0, s) if config.use_temp else (0,), tfs)
 
     out, trace = forward(params, model_cfg, inputs)
     grads = params.zeros_like()
@@ -309,6 +241,7 @@ def _scenario_step(params: ParamStore, model_cfg: ModelConfig, config: TrainConf
     l_temp = l_spa = np.zeros(n)
     if config.use_temp:
         # window B's refined outputs mapped into window A's frame
+        frame_map = compose_frames(inputs.frames[n:], inputs.frames[:n])
         matrix = frame_map.matrix[:, None]             # (B, 1, 2, 2)
         offset = frame_map.offset[:, None, None]       # (B, 1, 1, 2)
         refined_b_in_a = out["refined"][n:] @ matrix + offset
@@ -419,11 +352,28 @@ def _check_scenarios(model_cfg: ModelConfig, scenarios, s: int = 0) -> None:
         check_windows(sc, s)
 
 
+def _chunks(scenarios) -> list:
+    """The scenarios in runs of `predictor._PREDICT_CHUNK`, the windows one
+    forward of `predict` takes. Commands build their windows a run at a
+    time, so the encoder rows alive at once do not grow with the split, and
+    each run's nominal (or shifted) windows are one forward."""
+    size = predictor._PREDICT_CHUNK
+    return [scenarios[start:start + size] for start in range(0, len(scenarios), size)]
+
+
 def _nominal_predictions(params: ParamStore, model_cfg: ModelConfig, scenarios):
-    """`predict` on each scenario's nominal window, once all are checked:
-    ((S, K, T, 2) world-frame trajectories, (S, K) scores)."""
+    """`predict` on each scenario's nominal window, once all are checked,
+    built and predicted a run (`_chunks`) at a time: ((S, K, T, 2)
+    world-frame trajectories, (S, K) scores)."""
     _check_scenarios(model_cfg, scenarios)
-    return predict(params, model_cfg, [make_window(sc) for sc in scenarios])
+    trajs = np.empty((len(scenarios), model_cfg.n_modes, model_cfg.horizon, 2))
+    scores = np.empty((len(scenarios), model_cfg.n_modes))
+    start = 0
+    for chunk in _chunks(scenarios):
+        end = start + len(chunk)
+        trajs[start:end], scores[start:end] = predict(params, model_cfg, make_window(chunk))
+        start = end
+    return trajs, scores
 
 
 def _save_dump(dump_path, scenarios, predictions) -> None:
@@ -462,27 +412,33 @@ def jitter_score(predict_fn, scenarios, s: int) -> float:
     frames later (same world frame) are paired by mutual-nearest-neighbor
     matching over their overlapping steps; the score is the mean matched
     overlap ADE across scenarios. 0 means perfectly consistent. Needs
-    1 <= s < future_len; every window pair is cut before the first prediction.
+    1 <= s < future_len; every scenario is checked before the first
+    prediction.
 
-    predict_fn maps a list of W windows to ((W, K, T, 2) world-frame
-    trajectories, (W, K) scores), as `predict` does; it is called twice, on
-    the nominal windows and then on the shifted ones.
+    predict_fn maps a WindowBatch of W windows to ((W, K, T, 2) world-frame
+    trajectories, (W, K) scores), as `predict` does. The windows are cut a
+    run of scenarios at a time (`make_shift_pair` on each of `_chunks`), and
+    predict_fn is called on each run's nominal windows, then on its shifted
+    ones.
     """
     if not scenarios:
         raise ValueError("jitter needs at least one scenario")
     horizon = min(sc.future_len for sc in scenarios)
     if not 1 <= s < horizon:
         raise ValueError(f"jitter needs 1 <= s < {horizon}, got s={s}")
-    windows = [make_shift_pair(sc, s) for sc in scenarios]
-    trajs_a, _ = predict_fn([window_a for window_a, _ in windows])
-    trajs_b, _ = predict_fn([window_b for _, window_b in windows])
-    overlap = trajs_a.shape[-2] - s
+    for sc in scenarios:
+        check_windows(sc, s)
     total = 0.0
-    for preds_a, preds_b in zip(trajs_a, trajs_b):
-        sim = similarity(preds_a, preds_b, criterion="ade", overlap=overlap)
-        pairs = match(sim, "bidirectional").pairs
-        if pairs:
-            total += float(np.mean([sim.cost[i, j] for i, j in pairs]))
+    for chunk in _chunks(scenarios):
+        batch_a, batch_b = make_shift_pair(chunk, s)
+        trajs_a, _ = predict_fn(batch_a)
+        trajs_b, _ = predict_fn(batch_b)
+        overlap = trajs_a.shape[-2] - s
+        for preds_a, preds_b in zip(trajs_a, trajs_b):
+            sim = similarity(preds_a, preds_b, criterion="ade", overlap=overlap)
+            pairs = match(sim, "bidirectional").pairs
+            if pairs:
+                total += float(np.mean([sim.cost[i, j] for i, j in pairs]))
     return total / len(scenarios)
 
 

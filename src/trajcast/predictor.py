@@ -23,8 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (PredictionSet, Trajectory, TrajcastError, Window, rotation_matrices,
-                   to_frame_xy)
+from .core import (DT, PredictionSet, ScenarioArrays, Trajectory, TrajcastError, Window,
+                   rotation_matrices, to_frame_xy)
 
 FEATURE_DIM = 5  # (x, y, t_rel_seconds, is_map, present)
 
@@ -191,9 +191,19 @@ def encoder_rows(history_xy: np.ndarray, history_mask: np.ndarray, map_xy: np.nd
     return points
 
 
-def featurize(window: Window) -> np.ndarray:
+def featurize(window, shift: int = 0) -> np.ndarray:
     """Stack history and map points into the (N, 5) encoder input, in the
-    window's agent frame (see `encoder_rows`)."""
+    window's agent frame (see `encoder_rows`).
+
+    Given stacked ScenarioArrays whose rows are already in their windows'
+    agent frames, the (G, N, 5) rows of each one's window ending `shift`
+    frames after t=0: the layout step of the batch window builder
+    (`data.make_window` and `data.make_shift_pair` on lists).
+    """
+    if isinstance(window, ScenarioArrays):
+        m, xy = window.history_len, window.xy
+        return encoder_rows(xy[:, shift:m + shift], window.present[:, shift:m + shift],
+                            xy[:, window.map_start:], DT)
     if window.history_len == 0:
         raise EmptyHistory(f"window for {window.scenario_id} has no history points")
     m = window.history_len
@@ -205,17 +215,28 @@ def featurize(window: Window) -> np.ndarray:
 @dataclass(frozen=True)
 class WindowBatch:
     """Encoder inputs of W windows: each window's (N_w, 5) `featurize` rows
-    (N_w may differ) and its agent-frame history flattened, (W, 2M)."""
+    (N_w may differ), its agent-frame history flattened, (W, 2M), and its
+    agent Frame. Slicing gives the batch of a run of its windows."""
 
     points: tuple
     hist_flat: np.ndarray
+    frames: tuple
 
     @classmethod
     def of(cls, windows) -> "WindowBatch":
+        """The batch of Window objects, each laid out on its own."""
         points = tuple(featurize(w) for w in windows)
         return cls(points=points,
                    hist_flat=np.stack([p[:w.history_len, :2].reshape(-1)
-                                       for p, w in zip(points, windows)]))
+                                       for p, w in zip(points, windows)]),
+                   frames=tuple(w.frame for w in windows))
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+    def __getitem__(self, index: slice) -> "WindowBatch":
+        return WindowBatch(points=self.points[index], hist_flat=self.hist_flat[index],
+                           frames=self.frames[index])
 
 
 @dataclass
@@ -433,35 +454,38 @@ def backward(params: ParamStore, trace: ForwardTrace, upstream: dict) -> ParamSt
     return grads
 
 
-# windows per forward in predict's sequence case; bounds the stacked heads' memory
+# windows per forward in predict's batch case, and scenarios per run of the
+# commands' window building (harness._chunks); bounds the memory of the stacked
+# heads and of the encoder rows
 _PREDICT_CHUNK = 64
 
 
 def predict(params: ParamStore, cfg: ModelConfig, window):
     """Inference: K world-frame trajectories with normalized scores.
 
-    One Window gives a PredictionSet. A sequence of W windows gives arrays:
-    ((W, K, T, 2) world-frame trajectories, (W, K) scores), from one forward
-    per chunk of at most 64 windows.
+    One Window gives a PredictionSet. A WindowBatch of W windows (what
+    `make_window` and `make_shift_pair` give on a list of scenarios) gives
+    arrays: ((W, K, T, 2) world-frame trajectories, (W, K) scores), from one
+    forward per chunk of at most 64 windows, mapped to the world frame
+    through the batch's frames.
     """
     if isinstance(window, Window):
-        trajs, scores = _predict_arrays(params, cfg, [window])
+        trajs, scores = _predict_arrays(params, cfg, WindowBatch.of([window]))
         return PredictionSet(trajectories=tuple(Trajectory(points=p, dt=window.dt)
                                                 for p in trajs[0]),
                              scores=scores[0])
     return _predict_arrays(params, cfg, window)
 
 
-def _predict_arrays(params: ParamStore, cfg: ModelConfig, windows):
-    windows = list(windows)
-    trajs = np.empty((len(windows), cfg.n_modes, cfg.horizon, 2))
-    scores = np.empty((len(windows), cfg.n_modes))
-    for start in range(0, len(windows), _PREDICT_CHUNK):
-        chunk = windows[start:start + _PREDICT_CHUNK]
-        outputs, _ = forward(params, cfg, WindowBatch.of(chunk))
+def _predict_arrays(params: ParamStore, cfg: ModelConfig, batch: WindowBatch):
+    trajs = np.empty((len(batch), cfg.n_modes, cfg.horizon, 2))
+    scores = np.empty((len(batch), cfg.n_modes))
+    for start in range(0, len(batch), _PREDICT_CHUNK):
+        chunk = batch[start:start + _PREDICT_CHUNK]
+        outputs, _ = forward(params, cfg, chunk)
         # from_frame_xy for every window at once: p @ R(-rotation).T + origin
-        to_world = rotation_matrices([-w.frame.rotation for w in chunk]).swapaxes(-1, -2)
-        origins = np.array([w.frame.origin for w in chunk])
+        to_world = rotation_matrices([-f.rotation for f in chunk.frames]).swapaxes(-1, -2)
+        origins = np.array([f.origin for f in chunk.frames])
         end = start + len(chunk)
         trajs[start:end] = outputs["refined"] @ to_world[:, None] + origins[:, None, None]
         scores[start:end] = outputs["probs"]

@@ -1,30 +1,35 @@
 """Training harness: optimizer, config plumbing, evaluation, jitter, grid,
 and the CLI workflow end to end."""
 
+import contextlib
 import dataclasses
+import hashlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import straight_scenario
-from trajcast import cli, data, ensemble, harness
+from trajcast import cli, data, ensemble, harness, predictor
 from trajcast.core import (AgentTrack, MissingTargetFrame, Scenario, SceneTransform,
-                           Trajectory, compose_frames, heading_frame, to_frame_xy)
-from trajcast.data import SyntheticSpec, generate, make_shift_pair
+                           Trajectory, compose_frames, from_frame_xy, heading_frame,
+                           to_frame_xy)
+from trajcast.data import (SyntheticSpec, _batch_windows, _scenario_arrays, generate,
+                           make_shift_pair, make_window)
 from trajcast.harness import (Adam, NonFiniteLoss, SEED_ENV_VAR, ShapeMismatch,
-                              TrainConfig, _batch_windows, _pseudo_target_arrays,
-                              _scenario_arrays, _scenario_step, branch_coverage,
-                              evaluate, jitter_score, lr_at_epoch, make_config,
-                              run_grid, table2_rows, train)
+                              TrainConfig, _pseudo_target_arrays, _scenario_step,
+                              branch_coverage, evaluate, jitter_score, lr_at_epoch,
+                              make_config, run_grid, table2_rows, train)
 from trajcast.metrics import EmptyDataset
-from trajcast.predictor import (ParamStore, WindowBatch, init_params, predict,
+from trajcast.predictor import (ModelConfig, ParamStore, WindowBatch, init_params, predict,
                                 save_checkpoint)
 
 TINY = {"epochs": 2, "batch_size": 4, "k": 2, "feature_dim": 8, "j": 2}
@@ -435,15 +440,18 @@ def _windowed_batches(draw):
 @given(_windowed_batches())
 def test_batch_windows_match_the_window_path(case):
     """Every window the batch builder makes, with its history, targets and
-    frame map, is what the flipped and scaled Scenario gives through
-    make_shift_pair, featurize and compose_frames, to 1e-12: mixed row
+    frame, is what the flipped and scaled Scenario gives through
+    make_shift_pair and featurize, to 1e-12, and so is the frame map the
+    step builds from its frames with compose_frames: mixed row
     counts, pseudo targets on some scenarios, every flip, scale and heading
     jitter, missing history frames, and stationary anchors (the
     STATIONARY_EPS fallback)."""
     scenarios, entries, tfs, s = case
     n_pseudo = max(0 if e is None else len(e[0]) for e in entries)
     batch = [_scenario_arrays(sc, s, e, n_pseudo) for sc, e in zip(scenarios, entries)]
-    inputs, targets, frame_map = _batch_windows(batch, tfs, s)
+    inputs, targets = _batch_windows(batch, (0, s) if s else (0,), tfs)
+    frame_map = (compose_frames(inputs.frames[len(batch):], inputs.frames[:len(batch)])
+                 if s else None)
     pairs = [[dataclasses.replace(w, frame=heading_frame(*w.history_xy[-2:], tf.heading_jitter))
               for w in make_shift_pair(_transformed(sc, tf), s)]
              for sc, tf in zip(scenarios, tfs)]
@@ -453,6 +461,7 @@ def test_batch_windows_match_the_window_path(case):
     for got, want in zip(inputs.points, expected.points):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(inputs.hist_flat, expected.hist_flat, rtol=1e-12, atol=1e-12)
+    assert inputs.frames == expected.frames
     for i, (entry, tf, (window_a, window_b)) in enumerate(zip(entries, tfs, pairs)):
         gt = window_a.gt_future.points
         pseudo = [] if entry is None else [tf.apply_xy(p) for p in entry[0]]
@@ -466,6 +475,50 @@ def test_batch_windows_match_the_window_path(case):
             np.testing.assert_allclose(frame_map.offset[i], fmap.offset, rtol=1e-12,
                                        atol=1e-12)
     assert frame_map is None if s == 0 else frame_map.offset.shape == (len(batch), 2)
+
+
+@st.composite
+def _scenario_lists(draw):
+    """(scenarios, s) for the list forms of make_window and make_shift_pair:
+    five-mode mixes, with stationary anchors and missing history frames."""
+    s = draw(st.integers(0, 3))
+    scenarios = []
+    for idx in draw(st.lists(st.integers(0, len(_POOL) - 1), min_size=1, max_size=14)):
+        sc = _POOL[idx]
+        still = draw(st.sampled_from([None, 0, s]))  # stationary anchor of window A or B
+        if still is not None:
+            sc = _stationary_at(sc, sc.history_len + still - 1)
+        gap = draw(st.sampled_from([None, 0, 5, 17]))    # a history frame without the target
+        if gap is not None:
+            sc = _without_target_frame(sc, gap)
+        scenarios.append(sc)
+    return scenarios, s
+
+
+@settings(max_examples=60, deadline=None)
+@given(_scenario_lists(), st.integers(1, 11))
+def test_list_forms_equal_the_single_window_path(case, chunk):
+    """make_window and make_shift_pair on each run of scenarios the commands
+    build at a time (`harness._chunks`, 1 to 11 per run here) give exactly
+    the rows, hist_flat and frames of each scenario's own windows through
+    make_shift_pair and featurize: several shape groups per run, missing
+    history frames, stationary anchors, s = 0..3."""
+    scenarios, s = case
+    with mock.patch.object(predictor, "_PREDICT_CHUNK", chunk):
+        runs = harness._chunks(scenarios)
+    assert [sc for run in runs for sc in run] == scenarios
+    assert max(map(len, runs)) <= chunk
+    pairs = [make_shift_pair(sc, s) for sc in scenarios]
+    want_a = WindowBatch.of([a for a, _ in pairs])
+    want_b = WindowBatch.of([b for _, b in pairs])
+    run_pairs = [make_shift_pair(run, s) for run in runs]
+    for got, want in (([make_window(run) for run in runs], want_a),
+                      ([a for a, _ in run_pairs], want_a), ([b for _, b in run_pairs], want_b)):
+        points = [p for batch in got for p in batch.points]
+        assert len(points) == len(want.points)
+        assert all(np.array_equal(p, q) for p, q in zip(points, want.points))
+        assert np.array_equal(np.concatenate([batch.hist_flat for batch in got]), want.hist_flat)
+        assert tuple(f for batch in got for f in batch.frames) == want.frames
 
 
 # every record of a small run (augmentation, pseudo targets on every other
@@ -518,11 +571,13 @@ def test_evaluate_reports_and_shape_check():
         evaluate(params, model_cfg, [small])
 
 
-def _extrapolating_predictor(windows):
+def _extrapolating_predictor(batch):
     """One mode per window: its last step continued for 30 steps, score 1."""
-    trajs = [w.history_xy[-1] + np.arange(1, 31)[:, None] * (w.history_xy[-1] - w.history_xy[-2])
-             for w in windows]
-    return np.array(trajs)[:, None], np.ones((len(windows), 1))
+    history = batch.hist_flat.reshape(len(batch), -1, 2)
+    steps = np.arange(1, 31)[:, None]
+    trajs = [from_frame_xy(h[-1] + steps * (h[-1] - h[-2]), frame)
+             for h, frame in zip(history, batch.frames)]
+    return np.array(trajs)[:, None], np.ones((len(batch), 1))
 
 
 def test_jitter_zero_for_consistent_predictor():
@@ -531,10 +586,14 @@ def test_jitter_zero_for_consistent_predictor():
 
 
 def test_jitter_hand_value():
-    def jumpy(windows):
-        offsets = [np.array([3.0, 4.0]) if w.shift else np.zeros(2) for w in windows]
-        trajs = np.array([np.tile(offset, (30, 1)) for offset in offsets])
-        return trajs[:, None], np.ones((len(windows), 1))
+    calls = []
+
+    def jumpy(batch):
+        """Every window at one point: the origin for each run's nominal
+        windows (the first call of a pair), (3, 4) for its shifted ones."""
+        offset = np.array([3.0, 4.0]) if len(calls) % 2 else np.zeros(2)
+        calls.append(len(batch))
+        return np.tile(offset, (len(batch), 1, 30, 1)), np.ones((len(batch), 1))
 
     assert jitter_score(jumpy, [straight_scenario()], s=1) == 5.0
     with pytest.raises(ValueError):
@@ -559,9 +618,9 @@ def test_scenarios_are_all_checked_before_the_first_prediction(monkeypatch, comm
     params = init_params(model_cfg, seed=0)
     calls = []
 
-    def counted(params, model_cfg, windows):
-        calls.append(len(windows))
-        return predict(params, model_cfg, windows)
+    def counted(params, model_cfg, batch):
+        calls.append(len(batch))
+        return predict(params, model_cfg, batch)
 
     monkeypatch.setattr(harness, "predict", counted)
     run = {"evaluate": lambda: evaluate(params, model_cfg, scenarios),
@@ -602,6 +661,63 @@ def test_an_absent_future_frame_stops_every_command_before_any_output(
                        match=f"^{scenarios[-1].scenario_id}: track agent-0 absent at frame 37$"):
         run()
     assert calls == [] and not out.exists()
+
+
+# the inference commands on 80 five-mode-mix scenarios (two runs of
+# harness._chunks) and an untrained checkpoint of the default model (at
+# C=64 a forward's bits depend on which windows it stacks), as the
+# per-window path wrote them: each window cut as a Window and laid out by
+# featurize on its own
+_GOLDEN_JITTER = {1: 30.874456478304477, 3: 28.07519889333845}
+_GOLDEN_REPORT = {"MR_1": 1.0, "MR_6": 1.0, "brier_minFDE_6": 20.56800442415979,
+                  "minADE_1": 25.253547179922755, "minADE_6": 25.09982523923075,
+                  "minFDE_1": 20.111788726158796, "minFDE_6": 19.882705417646726,
+                  "n_scenarios": 80}
+_GOLDEN_DUMP_SHA256 = "274e31e95ae13dad4a4d677213ba0ba7c84e201f449e45e3a6830f4312367080"
+
+
+def test_inference_commands_match_recorded_outputs(tmp_path):
+    ds = tmp_path / "ds"
+    data.save_dataset(generate(SyntheticSpec(scenario_count=80, seed=31)), ds, val_fraction=0.0)
+    model_cfg = ModelConfig()
+    ckpt = tmp_path / "model.json"
+    save_checkpoint(ckpt, init_params(model_cfg, seed=5), model_cfg, seed=5, epoch=0)
+    source = ["--checkpoint", ckpt, "--data", ds, "--split", "train"]
+
+    def run(*argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main([str(a) for a in [*argv[:1], *source, *argv[1:]]]) == 0
+        return out.getvalue()
+
+    run("evaluate", "--report", tmp_path / "report.json", "--dump", tmp_path / "eval.jsonl")
+    run("ensemble-dump", "--out", tmp_path / "dump.jsonl")
+    assert json.loads((tmp_path / "report.json").read_text()) == _GOLDEN_REPORT
+    for dump in ("eval.jsonl", "dump.jsonl"):
+        assert hashlib.sha256((tmp_path / dump).read_bytes()).hexdigest() == _GOLDEN_DUMP_SHA256
+    for s, value in _GOLDEN_JITTER.items():
+        assert json.loads(run("jitter", "--s", s)) == {"jitter": value, "s": s}
+
+
+def test_commands_cut_and_lay_out_no_window_on_its_own(tmp_path, monkeypatch):
+    """evaluate, dump_checkpoint, jitter_checkpoint and branch_coverage take
+    their windows from the list forms of make_window and make_shift_pair,
+    never from a Window cut or laid out one at a time."""
+    scenarios = _dataset(mode="junction", count=5)
+    model_cfg = _tiny_config().model_config()
+    params = init_params(model_cfg, seed=0)
+    ckpt = tmp_path / "model.json"
+    save_checkpoint(ckpt, params, model_cfg, seed=0, epoch=0)
+
+    def refuse(*args):
+        raise AssertionError("a window was cut or laid out on its own")
+
+    monkeypatch.setattr(data, "_cut_window", refuse)
+    monkeypatch.setattr(WindowBatch, "of", refuse)
+    assert evaluate(params, model_cfg, scenarios).n_scenarios == 5
+    harness.dump_checkpoint(ckpt, scenarios, tmp_path / "dump.jsonl")
+    assert harness.jitter_checkpoint(ckpt, scenarios, 2) >= 0.0
+    assert 0.0 <= branch_coverage(params, model_cfg, scenarios) <= 1.0
 
 
 # -- grid ---------------------------------------------------------------------
@@ -1044,3 +1160,52 @@ def test_cli_checks_every_scenario_before_any_output(tmp_path, capsys, command, 
     assert str(exc.value) == f"{command}: straight-00003: track agent-0 absent at frame 18"
     assert not paths["out"].exists() and not paths["dump"].exists()
     assert capsys.readouterr().out == ""
+
+
+def _break_manifest(manifest: Path, how: str) -> None:
+    fields = json.loads(manifest.read_text())
+    if how == "missing file":
+        fields["scenarios"][2]["file"] = "gone.csv"
+    elif how == "string history_len":
+        fields["history_len"] = "20"
+    elif how == "entry without split":
+        del fields["scenarios"][0]["split"]
+    text = json.dumps(fields)
+    manifest.write_text(text[:-1] if how == "undecodable JSON" else text)  # no closing brace
+
+
+@pytest.mark.parametrize("how, message", [
+    ("missing file", r"listed file \S*gone\.csv does not exist"),
+    ("string history_len", "history_len must be an integer >= 2, got '20'"),
+    ("entry without split",
+     r"scenario entry 0 needs a string 'file' and 'split', got \{'file': 'straight-00000.csv'\}"),
+    ("undecodable JSON", r"Expecting ',' delimiter: line 1 column \d+ \(char \d+\)"),
+])
+def test_cli_names_the_manifest_and_its_fault_before_any_scenario_loads(
+        tmp_path, capsys, monkeypatch, how, message):
+    paths = _cli_inputs(tmp_path)
+    manifest = paths["ds"] / "manifest.json"
+    _break_manifest(manifest, how)
+    monkeypatch.setattr(data, "load_csv", lambda *args: pytest.fail("a scenario was loaded"))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["evaluate", "--checkpoint", str(paths["ckpt"]), "--data", str(paths["ds"]),
+                  "--report", str(paths["out"])])
+    assert re.fullmatch(f"evaluate: {re.escape(str(manifest))}: {message}", str(exc.value))
+    assert not paths["out"].exists() and capsys.readouterr().out == ""
+
+
+def test_cli_stops_on_a_scenario_file_it_cannot_load(tmp_path, capsys):
+    """Commands load strictly: a truncated CSV stops evaluate, naming the
+    file and line, where the library default warns and skips it."""
+    paths = _cli_inputs(tmp_path)
+    bad = paths["ds"] / "straight-00003.csv"
+    lines = bad.read_text().splitlines()[:30]
+    lines[-1] = lines[-1][:lines[-1].rindex(",")]          # the last row cut short
+    bad.write_text("\n".join(lines) + "\n")
+    manifest = paths["ds"] / "manifest.json"
+    assert len(data.load_manifest(manifest, split="val")) == 1
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["evaluate", "--checkpoint", str(paths["ckpt"]), "--data", str(paths["ds"]),
+                  "--report", str(paths["out"])])
+    assert str(exc.value) == f"evaluate: {bad}: line 30: expected 6 fields, got 5"
+    assert not paths["out"].exists() and capsys.readouterr().out == ""

@@ -254,8 +254,9 @@ def _assert_close(got, want):
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
-def _assert_predict_list_matches_per_window(params, cfg, windows):
-    trajs, scores = predict(params, cfg, windows)
+def _assert_predict_list_matches_per_window(params, cfg, batch, windows):
+    """predict on the batch stacks what predict gives each of its windows."""
+    trajs, scores = predict(params, cfg, batch)
     assert trajs.shape == (len(windows), cfg.n_modes, cfg.horizon, 2)
     assert scores.shape == (len(windows), cfg.n_modes)
     for i, window in enumerate(windows):
@@ -269,8 +270,8 @@ def _assert_predict_list_matches_per_window(params, cfg, windows):
        use_goal=st.booleans(), use_refine=st.booleans())
 def test_predict_on_a_list_equals_per_window_predict(seed, n_scenarios, chunk, use_goal,
                                                      use_refine):
-    """predict on a list of windows stacks what predict gives each window,
-    wherever the list's chunks end; the nominal and shifted windows of
+    """predict on a WindowBatch stacks what predict gives each window,
+    wherever the batch's chunks end; the nominal and shifted windows of
     five-mode-mix scenarios, with heading jitter, vary the frames."""
     cfg = ModelConfig(n_modes=3, horizon=30, history_len=20, feature_dim=8,
                       use_goal=use_goal, use_refine=use_refine)
@@ -278,7 +279,8 @@ def test_predict_on_a_list_equals_per_window_predict(seed, n_scenarios, chunk, u
     windows = [dataclasses.replace(w, frame=heading_frame(*w.history_xy[-2:], 0.3 * i))
                for i, sc in enumerate(scenarios) for w in data.make_shift_pair(sc, 1 + i % 5)]
     with mock.patch.object(predictor, "_PREDICT_CHUNK", chunk):
-        _assert_predict_list_matches_per_window(init_params(cfg, seed=seed), cfg, windows)
+        _assert_predict_list_matches_per_window(init_params(cfg, seed=seed), cfg,
+                                                WindowBatch.of(windows), windows)
 
 
 @pytest.mark.parametrize("n_windows", [1, 63, 64, 65, 130])
@@ -287,14 +289,15 @@ def test_predict_on_a_list_runs_one_forward_per_64_windows(n_windows):
     scenarios = data.generate(data.SyntheticSpec(scenario_count=n_windows, seed=n_windows))
     windows = [data.make_window(sc) for sc in scenarios]
     params = init_params(cfg, seed=1)
+    batch = data.make_window(scenarios)
     with mock.patch.object(predictor, "forward", wraps=predictor.forward) as fwd:
-        predict(params, cfg, windows)
+        predict(params, cfg, batch)
     assert fwd.call_count == math.ceil(n_windows / 64)
-    _assert_predict_list_matches_per_window(params, cfg, windows)
+    _assert_predict_list_matches_per_window(params, cfg, batch, windows)
 
 
 def test_predict_on_an_empty_list_gives_empty_stacks():
-    trajs, scores = predict(init_params(SMALL, seed=0), SMALL, [])
+    trajs, scores = predict(init_params(SMALL, seed=0), SMALL, data.make_window([]))
     assert trajs.shape == (0, 2, 3, 2) and scores.shape == (0, 2)
 
 
