@@ -282,10 +282,14 @@ class FrameMap:
 
 def compose_frames(src, dst) -> FrameMap:
     """Map coordinates expressed in `src` directly into `dst`. Given two
-    sequences of B frames, the B maps of their pairs, stacked."""
+    sequences of B frames, the B maps of their pairs, stacked; sequences of
+    different lengths raise ValueError."""
     if isinstance(src, Frame):
         fmap = compose_frames([src], [dst])
         return FrameMap(matrix=fmap.matrix[0], offset=fmap.offset[0])
+    if len(src) != len(dst):
+        raise ValueError(f"compose_frames needs as many src frames as dst frames, "
+                         f"got {len(src)} and {len(dst)}")
     matrix = rotation_matrices([d.rotation - s.rotation for s, d in zip(src, dst)])
     offset = to_frame_xy(np.array([s.origin for s in src]).reshape(-1, 1, 2), dst)
     return FrameMap(matrix=matrix.swapaxes(-1, -2), offset=offset[:, 0])
@@ -328,9 +332,44 @@ class PredictionSet:
         return np.stack([t.points for t in self.trajectories])
 
 
+def check_confidences(confidences: np.ndarray) -> None:
+    """The confidence rule of a supervision target set: every confidence
+    lies in [0, 1], which NaN does not; else ValueError quoting them."""
+    if not np.all((confidences >= 0.0) & (confidences <= 1.0)):
+        raise ValueError(f"confidences must lie in [0, 1], got {confidences.tolist()}")
+
+
+def target_arrays(gt, trajs, confidences, n: int):
+    """A scenario's supervision target set as arrays: ((1 + n, T, 2)
+    targets, (1 + n,) confidences). The (T, 2) ground truth comes first,
+    with confidence exactly 1, then the J trajectories `trajs` with their J
+    `confidences`, then n - J zero-confidence copies of the ground truth,
+    which add nothing to the loss or its gradients.
+
+    Raises ValueError if the counts differ, if a trajectory is not a finite
+    (T, 2) array, if a confidence breaks `check_confidences`, or if J > n.
+    """
+    gt = np.asarray(gt, dtype=np.float64)
+    confs = np.asarray(confidences, dtype=np.float64)
+    if confs.shape != (len(trajs),):
+        raise ValueError(f"{confs.size} confidences for {len(trajs)} trajectories")
+    points = [np.asarray(traj, dtype=np.float64) for traj in trajs]
+    for i, pts in enumerate(points):
+        if pts.shape != gt.shape or not np.all(np.isfinite(pts)):
+            raise ValueError(f"trajectory {i} must be finite {gt.shape}, got shape {pts.shape}")
+    check_confidences(confs)
+    if len(points) > n:
+        raise ValueError(f"{len(points)} targets do not fit in {n}")
+    padded = np.zeros(1 + n)
+    padded[0] = 1.0
+    padded[1:1 + len(confs)] = confs
+    return np.stack([gt, *points, *[gt] * (n - len(points))]), padded
+
+
 @dataclass(frozen=True, eq=False)
 class TargetSet:
-    """J+1 supervision trajectories; index 0 is ground truth with confidence 1."""
+    """J+1 supervision trajectories; index 0 is ground truth with confidence
+    1, and every confidence meets `check_confidences`."""
 
     targets: tuple
     confidences: np.ndarray
@@ -342,13 +381,13 @@ class TargetSet:
         lengths = {len(t) for t in targets}
         if len(lengths) != 1:
             raise ValueError(f"all targets must share a length, got {sorted(lengths)}")
-        conf = _frozen_array(self.confidences, "confidences")
+        conf = np.array(self.confidences, dtype=np.float64)
         if conf.shape != (len(targets),):
             raise ValueError("need one confidence per target")
         if conf[0] != 1.0:
             raise ValueError(f"ground-truth confidence must be exactly 1, got {conf[0]}")
-        if np.any(conf < 0) or np.any(conf > 1):
-            raise ValueError("confidences must lie in [0, 1]")
+        check_confidences(conf)
+        conf.setflags(write=False)
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "confidences", conf)
 

@@ -24,8 +24,8 @@ import numpy as np
 
 from .core import (DT, JSON_NUMBER_TYPES, AgentTrack, MissingTargetFrame, Scenario,
                    ScenarioArrays, SceneTransform, Trajectory, TrajcastError, Window,
-                   apply_transform, heading_frame, json_number_pairs, rotate_xy, to_frame_xy,
-                   track_frame)
+                   apply_transform, heading_frame, json_number_pairs, rotate_xy, target_arrays,
+                   to_frame_xy, track_frame)
 from .predictor import WindowBatch, featurize
 
 log = logging.getLogger("trajcast.data")
@@ -496,19 +496,20 @@ def _scenario_arrays(scenario: Scenario, s: int, pseudo=None,
     builder.
 
     s is the second window's shift (0: no second window). pseudo is None or
-    ((J, T, 2) points, (J,) confidences); it is padded to n_pseudo targets
-    with zero-confidence copies of the ground truth, which add nothing to
-    the loss or its gradients. Raises as check_windows(scenario, s) does.
+    a pseudo-target entry (J (T, 2) trajectories, J confidences); the
+    target set is `core.target_arrays` of the ground truth and that entry,
+    padded to n_pseudo. Raises as check_windows(scenario, s) does, then a
+    ValueError from target_arrays, prefixed "pseudo targets for <id>: ".
     """
     check_windows(scenario, s)
     m, target = scenario.history_len, scenario.target
     trajs, confs = pseudo if pseudo is not None else ((), ())
-    gt = target.xy[m:]
+    try:
+        targets, confidences = target_arrays(target.xy[m:], trajs, confs, n_pseudo)
+    except ValueError as exc:
+        raise ValueError(f"pseudo targets for {scenario.scenario_id}: {exc}") from None
     maps = [p.points for p in scenario.map_polylines]
-    xy = np.concatenate([target.xy[:m], gt, *trajs, *([gt] * (n_pseudo - len(trajs))), *maps])
-    confidences = np.zeros(1 + n_pseudo)
-    confidences[0] = 1.0
-    confidences[1:1 + len(trajs)] = confs
+    xy = np.concatenate([target.xy[:m], targets.reshape(-1, 2), *maps])
     return ScenarioArrays(scenario_id=scenario.scenario_id, xy=xy, present=target.present,
                           confidences=confidences, history_len=m,
                           future_len=scenario.future_len, shift=s)
@@ -561,17 +562,29 @@ def _batch_windows(batch, shifts, tfs=None):
     return WindowBatch(points=tuple(points), hist_flat=hist_flat, frames=tuple(frames)), targets
 
 
+def _list_arrays(scenarios, s: int) -> list:
+    """The list forms' scenarios as ScenarioArrays, each checked by
+    `_scenario_arrays(scenario, s)`. Items that are ScenarioArrays already
+    were checked when made, for a shift that must be at least s."""
+    arrays = [sc if isinstance(sc, ScenarioArrays) else _scenario_arrays(sc, s)
+              for sc in scenarios]
+    if any(a.shift < s for a in arrays):
+        raise ValueError(f"ScenarioArrays made for a shift below {s}")
+    return arrays
+
+
 def make_window(scenario):
     """Nominal input window: full history, agent frame at t=0, GT attached;
     raises as check_windows(scenario) does.
 
     Given a list of scenarios, checks each one and returns their nominal
-    windows as one WindowBatch, from the batch window builder.
+    windows as one WindowBatch, from the batch window builder. The list may
+    hold their ScenarioArrays instead (`_list_arrays`).
     """
     if isinstance(scenario, Scenario):
         check_windows(scenario)
         return _cut_window(scenario, 0)
-    return _batch_windows([_scenario_arrays(sc, 0) for sc in scenario], (0,))[0]
+    return _batch_windows(_list_arrays(scenario, 0), (0,))[0]
 
 
 def make_shift_pair(scenario, s: int):
@@ -583,12 +596,13 @@ def make_shift_pair(scenario, s: int):
 
     Given a list of scenarios, checks each one and returns two WindowBatch
     objects, every window A and then every window B, from the batch window
-    builder, which stacks each scenario's rows once for both.
+    builder, which stacks each scenario's rows once for both. The list may
+    hold their ScenarioArrays instead (`_list_arrays`).
     """
     if isinstance(scenario, Scenario):
         check_windows(scenario, s)
         window_a = _cut_window(scenario, 0)
         return window_a, (window_a if s == 0 else _cut_window(scenario, s))
-    arrays = [_scenario_arrays(sc, s) for sc in scenario]
+    arrays = _list_arrays(scenario, s)
     batch = _batch_windows(arrays, (0, s))[0]
     return batch[:len(arrays)], batch[len(arrays):]

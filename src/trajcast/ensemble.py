@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DT, JSON_NUMBER_TYPES, PredictionSet, TargetSet, Trajectory, TrajcastError,
-                   json_number_pairs)
+                   check_confidences, json_number_pairs, target_arrays)
 from .metrics import LengthMismatch
 
 
@@ -254,15 +254,18 @@ def _cluster_mass(weights: np.ndarray, assign: np.ndarray, counts: np.ndarray) -
 
 
 def build_target_set(cluster: ClusterResult | None, gt: Trajectory) -> TargetSet:
-    """Ground truth (confidence exactly 1) plus the cluster centroids."""
-    if cluster is None or cluster.j == 0:
-        return TargetSet(targets=(gt,), confidences=np.array([1.0]))
-    if cluster.centroids.shape[1] != len(gt):
-        raise LengthMismatch(f"centroid length {cluster.centroids.shape[1]} "
-                             f"vs gt length {len(gt)}")
-    targets = (gt,) + tuple(Trajectory(points=c, dt=gt.dt) for c in cluster.centroids)
-    confidences = np.concatenate([[1.0], cluster.scores])
-    return TargetSet(targets=targets, confidences=confidences)
+    """Ground truth (confidence exactly 1, and `gt` itself) plus the cluster
+    centroids with their scores as confidences: `core.target_arrays`, as
+    Trajectory objects."""
+    trajs, confs = (), ()
+    if cluster is not None and cluster.j > 0:
+        if cluster.centroids.shape[1] != len(gt):
+            raise LengthMismatch(f"centroid length {cluster.centroids.shape[1]} "
+                                 f"vs gt length {len(gt)}")
+        trajs, confs = cluster.centroids, cluster.scores
+    targets, confidences = target_arrays(gt.points, trajs, confs, len(trajs))
+    return TargetSet(targets=(gt, *(Trajectory(points=p, dt=gt.dt) for p in targets[1:])),
+                     confidences=confidences)
 
 
 def cluster_bank(bank: EnsembleBank, j: int, seed: int) -> dict:
@@ -300,14 +303,15 @@ def cluster_bank(bank: EnsembleBank, j: int, seed: int) -> dict:
 # file formats
 
 
-def _read_records(path, key: str) -> list:
+def _read_records(path, key: str, rule=None) -> list:
     """[(line number, scenario_id, (n, T, 2) trajectories, (n,) values)] from
     a JSON-lines file whose per-trajectory values are under `key`.
 
     Each record must hold a string scenario_id that no earlier line holds,
     finite trajectories of one shape (n, T, 2) with n, T >= 1, one finite
     value >= 0 per trajectory and, if given, a positive dt, all as JSON
-    numbers. A line that does not raises MalformedRecord.
+    numbers. `rule`, if given, checks the (n,) values first and raises a
+    ValueError naming what is wrong. A line that fails raises MalformedRecord.
     """
     out, first_line = [], {}
     with open(path, encoding="utf-8") as fh:
@@ -322,7 +326,7 @@ def _read_records(path, key: str) -> list:
                 sid = rec.get("scenario_id")
                 if not isinstance(rec["scenario_id"], str):
                     raise ValueError("scenario_id must be a string")
-                out.append((number, rec["scenario_id"], *_record_arrays(rec, key)))
+                out.append((number, rec["scenario_id"], *_record_arrays(rec, key, rule)))
                 if first_line.setdefault(sid, number) != number:
                     raise ValueError(f"scenario {sid} is also on line {first_line[sid]}")
             except (ValueError, TypeError, OverflowError) as exc:  # OverflowError: a huge int
@@ -332,7 +336,7 @@ def _read_records(path, key: str) -> list:
     return out
 
 
-def _record_arrays(rec: dict, key: str):
+def _record_arrays(rec: dict, key: str, rule):
     raw = rec["trajectories"]
     flat = json_number_pairs(raw)
     if flat is not None and len(flat) and len(set(map(len, raw))) == 1:
@@ -355,8 +359,10 @@ def _record_arrays(rec: dict, key: str):
     if values.shape != trajs.shape[:1]:
         raise ValueError(f"need one {key[:-1]} per trajectory, "
                          f"got {values.size} for {trajs.shape[0]}")
-    if (not set(map(type, rec[key])) <= JSON_NUMBER_TYPES or not np.all(np.isfinite(values))
-            or np.any(values < 0)):
+    numbers = set(map(type, rec[key])) <= JSON_NUMBER_TYPES
+    if numbers and rule is not None:
+        rule(values)
+    if not numbers or not np.all(np.isfinite(values)) or np.any(values < 0):
         raise ValueError(f"{key} must be finite and nonnegative numbers, got {rec[key]}")
     dt = rec.get("dt", DT)
     if not (type(dt) in JSON_NUMBER_TYPES and dt > 0):
@@ -385,14 +391,10 @@ def save_pseudo_targets(path, results: dict) -> None:
 
 def load_pseudo_targets(path) -> dict:
     """scenario_id -> ((J, T, 2) trajectories, (J,) confidences); each
-    record's confidences must also lie in [0, 1]."""
-    out = {}
-    for number, sid, trajs, confs in _read_records(path, "confidences"):
-        if np.any(confs > 1.0):
-            raise _malformed(path, number, sid,
-                             f"confidences must lie in [0, 1], got {confs.tolist()}")
-        out[sid] = (trajs, confs)
-    return out
+    record's confidences must meet the target-set rule,
+    `core.check_confidences`."""
+    return {sid: (trajs, confs)
+            for _, sid, trajs, confs in _read_records(path, "confidences", check_confidences)}
 
 
 def save_prediction_dump(path, records) -> None:

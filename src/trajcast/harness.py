@@ -48,6 +48,11 @@ class TrainConfig:
     Field names double as the config-file key vocabulary. Every field is
     checked here, so a bad value stops a command before it reads any data;
     each message names the key.
+
+    No training code reads `j`: with use_mpt, training pads every scenario
+    to the largest entry of its pseudo targets, whose count `trajcast
+    cluster --j` sets. The field stays because config files and checkpoints
+    carry it.
     """
 
     epochs: int = 50
@@ -187,25 +192,6 @@ def lr_at_epoch(config: TrainConfig, epoch: int) -> float:
     return config.lr * config.lr_decay ** (epoch // config.lr_decay_every)
 
 
-def _pseudo_target_arrays(scenario_id: str, entry, horizon: int):
-    """A pseudo-target entry ((T, 2) trajectories, confidences) as ((J, T, 2)
-    points, (J,) confidences), or a ValueError naming the scenario if it
-    could not be supervised on."""
-    trajs, confs = entry
-    confs = np.asarray(confs, dtype=np.float64)
-    where = f"pseudo targets for {scenario_id}"
-    if confs.shape != (len(trajs),):
-        raise ValueError(f"{where}: {confs.size} confidences for {len(trajs)} trajectories")
-    points = [np.asarray(traj, dtype=np.float64) for traj in trajs]
-    for i, pts in enumerate(points):
-        if pts.shape != (horizon, 2) or not np.all(np.isfinite(pts)):
-            raise ValueError(f"{where}: trajectory {i} must be finite ({horizon}, 2), "
-                             f"got shape {pts.shape}")
-    if not np.all((confs >= 0.0) & (confs <= 1.0)):
-        raise ValueError(f"{where}: confidences must lie in [0, 1], got {confs.tolist()}")
-    return np.reshape(points, (len(points), horizon, 2)), confs
-
-
 def _scenario_step(params: ParamStore, model_cfg: ModelConfig, config: TrainConfig,
                    batch, rng: np.random.Generator):
     """Loss parts and summed parameter gradients for a minibatch of (cached,
@@ -280,9 +266,10 @@ def train(config: TrainConfig, scenarios, pseudo_targets: dict | None = None,
           log_path=None, checkpoint_path=None, initial_params: ParamStore | None = None):
     """Run the optimization; returns (params, model_cfg, log record list).
 
-    Every scenario (and its pseudo-target entry) is checked, and then stacked
-    into ScenarioArrays, before step 0. Per-epoch shuffling, augmentation, and
-    spatial permutations come from a single generator seeded by config.seed.
+    Every scenario (and its pseudo-target entry) is checked and stacked into
+    ScenarioArrays before step 0 (`_training_arrays`). Per-epoch shuffling,
+    augmentation, and spatial permutations come from a single generator
+    seeded by config.seed.
     Each log record is one optimizer step: batch-mean loss parts, the norm of
     the batch-mean gradient and the parameter norm after the step; the same
     records go to log_path as JSON lines when given.
@@ -290,15 +277,7 @@ def train(config: TrainConfig, scenarios, pseudo_targets: dict | None = None,
     if not scenarios:
         raise ValueError("cannot train on an empty dataset")
     model_cfg = config.model_config()
-    shift = config.s if config.use_temp else 0
-    _check_scenarios(model_cfg, scenarios, shift)
-    use_pseudo = config.use_mpt and pseudo_targets is not None
-    entries = [pseudo_targets.get(sc.scenario_id) if use_pseudo else None for sc in scenarios]
-    entries = [None if e is None else _pseudo_target_arrays(sc.scenario_id, e, model_cfg.horizon)
-               for sc, e in zip(scenarios, entries)]
-    n_pseudo = max((len(e[0]) for e in entries if e is not None), default=0)
-    cached = [_scenario_arrays(sc, shift, entry, n_pseudo)
-              for sc, entry in zip(scenarios, entries)]
+    cached = _training_arrays(config, scenarios, pseudo_targets)
 
     params = initial_params if initial_params is not None else init_params(model_cfg, config.seed)
     optimizer = Adam(params)
@@ -340,16 +319,32 @@ def _norm(v: np.ndarray) -> float:
     return float(np.sqrt(np.sum(v * v)))
 
 
-def _check_scenarios(model_cfg: ModelConfig, scenarios, s: int = 0) -> None:
-    """The pass every command makes over its scenarios before any work: each
-    must have the model's lengths (else ShapeMismatch) and pass
-    check_windows(scenario, s); the first scenario that fails is named."""
+def _check_lengths(model_cfg: ModelConfig, scenarios) -> None:
+    """Every scenario must have the model's lengths, else ShapeMismatch
+    naming the first that does not. Commands run this, then check each
+    scenario's windows once (`_scenario_arrays`), before any work."""
     for sc in scenarios:
         if (sc.history_len, sc.future_len) != (model_cfg.history_len, model_cfg.horizon):
             raise ShapeMismatch(
                 f"{sc.scenario_id}: scenario frames {sc.history_len}+{sc.future_len}, "
                 f"model expects {model_cfg.history_len}+{model_cfg.horizon}")
-        check_windows(sc, s)
+
+
+def _training_arrays(config: TrainConfig, scenarios, pseudo_targets: dict | None) -> list:
+    """The ScenarioArrays that `train` steps on, built in the pass it makes
+    over its inputs before step 0. use_mpt needs pseudo targets (else
+    ValueError), and only use_mpt reads them; every scenario must have the
+    model's lengths (`_check_lengths`), and `_scenario_arrays` checks its
+    windows and its pseudo-target entry, padded to the largest entry. The
+    first scenario that fails is named."""
+    if config.use_mpt and pseudo_targets is None:
+        raise ValueError("use_mpt needs pseudo targets")
+    _check_lengths(config.model_config(), scenarios)
+    entries = [pseudo_targets.get(sc.scenario_id) if config.use_mpt else None
+               for sc in scenarios]
+    n_pseudo = max((len(e[0]) for e in entries if e is not None), default=0)
+    shift = config.s if config.use_temp else 0
+    return [_scenario_arrays(sc, shift, entry, n_pseudo) for sc, entry in zip(scenarios, entries)]
 
 
 def _chunks(scenarios) -> list:
@@ -362,14 +357,16 @@ def _chunks(scenarios) -> list:
 
 
 def _nominal_predictions(params: ParamStore, model_cfg: ModelConfig, scenarios):
-    """`predict` on each scenario's nominal window, once all are checked,
-    built and predicted a run (`_chunks`) at a time: ((S, K, T, 2)
-    world-frame trajectories, (S, K) scores)."""
-    _check_scenarios(model_cfg, scenarios)
+    """`predict` on each scenario's nominal window, once all are checked and
+    stacked (`_scenario_arrays`), cut (`make_window`) and predicted a run
+    (`_chunks`) at a time: ((S, K, T, 2) world-frame trajectories, (S, K)
+    scores)."""
+    _check_lengths(model_cfg, scenarios)
+    arrays = [_scenario_arrays(sc, 0) for sc in scenarios]
     trajs = np.empty((len(scenarios), model_cfg.n_modes, model_cfg.horizon, 2))
     scores = np.empty((len(scenarios), model_cfg.n_modes))
     start = 0
-    for chunk in _chunks(scenarios):
+    for chunk in _chunks(arrays):
         end = start + len(chunk)
         trajs[start:end], scores[start:end] = predict(params, model_cfg, make_window(chunk))
         start = end
@@ -416,20 +413,20 @@ def jitter_score(predict_fn, scenarios, s: int) -> float:
     prediction.
 
     predict_fn maps a WindowBatch of W windows to ((W, K, T, 2) world-frame
-    trajectories, (W, K) scores), as `predict` does. The windows are cut a
-    run of scenarios at a time (`make_shift_pair` on each of `_chunks`), and
-    predict_fn is called on each run's nominal windows, then on its shifted
-    ones.
+    trajectories, (W, K) scores), as `predict` does. Every scenario is
+    checked and stacked first (`_scenario_arrays`); then the windows are cut
+    a run of scenarios at a time (`make_shift_pair` on each of `_chunks`),
+    and predict_fn is called on each run's nominal windows, then on its
+    shifted ones.
     """
     if not scenarios:
         raise ValueError("jitter needs at least one scenario")
     horizon = min(sc.future_len for sc in scenarios)
     if not 1 <= s < horizon:
         raise ValueError(f"jitter needs 1 <= s < {horizon}, got s={s}")
-    for sc in scenarios:
-        check_windows(sc, s)
+    arrays = [_scenario_arrays(sc, s) for sc in scenarios]
     total = 0.0
-    for chunk in _chunks(scenarios):
+    for chunk in _chunks(arrays):
         batch_a, batch_b = make_shift_pair(chunk, s)
         trajs_a, _ = predict_fn(batch_a)
         trajs_b, _ = predict_fn(batch_b)
@@ -444,7 +441,7 @@ def jitter_score(predict_fn, scenarios, s: int) -> float:
 
 def jitter_checkpoint(checkpoint_path, scenarios, s: int) -> float:
     params, model_cfg, _ = load_checkpoint(checkpoint_path)
-    _check_scenarios(model_cfg, scenarios)
+    _check_lengths(model_cfg, scenarios)
     return jitter_score(lambda w: predict(params, model_cfg, w), scenarios, s)
 
 
@@ -506,17 +503,21 @@ def run_grid(grid: dict, train_scenarios, eval_scenarios,
     """Train and evaluate every row of a grid spec; returns the result rows.
 
     The spec is read by `grid_configs`, and both splits are checked against
-    every row's config, so a bad row or scenario fails before any training.
-    Rows with use_mpt need pseudo_targets. Results optionally go to a CSV
-    whose columns mirror the toggle set plus the metric report.
+    every row's config, so a bad row or scenario fails before any training:
+    the training inputs as `train` checks them (`_training_arrays`; so rows
+    with use_mpt need pseudo_targets, and a ValueError names the row), the
+    eval split by its lengths and nominal windows. Results optionally go to
+    a CSV whose columns mirror the toggle set plus the metric report.
     """
     configs = grid_configs(grid)
     for label, config in configs:
-        if config.use_mpt and pseudo_targets is None:
-            raise ValueError(f"row {label!r} needs pseudo targets")
-        model_cfg = config.model_config()
-        _check_scenarios(model_cfg, train_scenarios, config.s if config.use_temp else 0)
-        _check_scenarios(model_cfg, eval_scenarios)
+        try:
+            _training_arrays(config, train_scenarios, pseudo_targets)
+        except ValueError as exc:
+            raise ValueError(f"row {label!r}: {exc}") from None
+        _check_lengths(config.model_config(), eval_scenarios)
+    for sc in eval_scenarios:
+        check_windows(sc)
     results = []
     for label, config in configs:
         params, model_cfg, _ = train(config, train_scenarios, pseudo_targets=pseudo_targets)

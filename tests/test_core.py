@@ -108,6 +108,13 @@ def test_compose_frames_matches_two_step():
     assert np.allclose(direct, two_step, atol=1e-12)
 
 
+@pytest.mark.parametrize("n_src", [0, 1])
+def test_compose_frames_refuses_sequences_of_different_lengths(n_src):
+    frames = [Frame(origin=(1.0, 2.0), rotation=0.6), Frame(origin=(-3.0, 0.5), rotation=-1.2)]
+    with pytest.raises(ValueError, match=f"as many src frames as dst frames, got {n_src} and 2$"):
+        compose_frames(frames[:n_src], frames)
+
+
 # coordinates up to 1 km; float64 rounding over a few rotations stays far below 1e-9 m
 _coords = st.floats(-1e3, 1e3, allow_nan=False)
 _frames = st.builds(Frame, origin=st.tuples(_coords, _coords),

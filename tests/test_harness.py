@@ -20,12 +20,12 @@ from hypothesis import given, settings, strategies as st
 from conftest import straight_scenario
 from trajcast import cli, data, ensemble, harness, predictor
 from trajcast.core import (AgentTrack, MissingTargetFrame, Scenario, SceneTransform,
-                           Trajectory, compose_frames, from_frame_xy, heading_frame,
+                           TargetSet, Trajectory, compose_frames, from_frame_xy, heading_frame,
                            to_frame_xy)
 from trajcast.data import (SyntheticSpec, _batch_windows, _scenario_arrays, generate,
                            make_shift_pair, make_window)
 from trajcast.harness import (Adam, NonFiniteLoss, SEED_ENV_VAR, ShapeMismatch,
-                              TrainConfig, _pseudo_target_arrays, _scenario_step,
+                              TrainConfig, _scenario_step,
                               branch_coverage, evaluate, jitter_score, lr_at_epoch,
                               make_config, run_grid, table2_rows, train)
 from trajcast.metrics import EmptyDataset
@@ -273,6 +273,55 @@ def test_train_rejects_bad_pseudo_targets_before_step_0(tmp_path, bad, message):
     assert not log.exists()
 
 
+@pytest.mark.parametrize("bad", [1.5, np.nan], ids=["above-one", "nan"])
+@pytest.mark.parametrize("reader", ["TargetSet", "train", "load_pseudo_targets"])
+def test_every_reader_of_a_target_set_refuses_a_confidence_by_one_rule(tmp_path, reader, bad):
+    """TargetSet, train (through _scenario_arrays) and the pseudo-target
+    file reader all refuse a confidence outside [0, 1], NaN too, with the
+    one rule, core.check_confidences."""
+    scenarios = _dataset(count=2)
+    trajs = np.stack([sc.gt_future().points for sc in scenarios])
+    confs = [0.5, bad]
+    rule = rf"confidences must lie in \[0, 1\], got \[.*0\.5, {bad!r}\]$"
+    if reader == "TargetSet":
+        gt = scenarios[0].gt_future()
+        with pytest.raises(ValueError, match=rule):
+            TargetSet(targets=(gt, gt, gt), confidences=[1.0, *confs])
+    elif reader == "train":
+        pseudo = {scenarios[1].scenario_id: (trajs, confs)}
+        with pytest.raises(ValueError, match=f"^pseudo targets for {scenarios[1].scenario_id}: "
+                                             + rule):
+            train(_tiny_config(use_mpt=True), scenarios, pseudo_targets=pseudo)
+    else:
+        path = tmp_path / "pseudo.jsonl"
+        path.write_text(json.dumps({"scenario_id": "s1", "trajectories": trajs.tolist(),
+                                    "confidences": confs}) + "\n")
+        with pytest.raises(ensemble.MalformedRecord, match=f"^{path}: line 1 \\(s1\\): " + rule):
+            ensemble.load_pseudo_targets(path)
+
+
+@settings(max_examples=50, deadline=None)
+@given(j=st.integers(0, 4), extra=st.integers(0, 3), seed=st.integers(0, 2 ** 16))
+def test_build_target_set_and_scenario_arrays_hold_one_target_set(j, extra, seed):
+    """ensemble.build_target_set and the training arrays of data._scenario_arrays
+    hold the same targets and confidences, J in 0..4 padded to n >= J."""
+    sc = _POOL[seed % len(_POOL)]
+    rng = np.random.default_rng(seed)
+    gt, m, t = sc.gt_future(), sc.history_len, sc.future_len
+    cluster = ensemble.ClusterResult(
+        centroids=gt.points + rng.normal(size=(j, t, 2)),
+        scores=rng.dirichlet(np.ones(j)) if j else np.empty(0),
+        member_counts=np.ones(j, dtype=int), assignments=np.arange(j), sse_history=())
+    target_set = ensemble.build_target_set(cluster, gt)
+    arrays = _scenario_arrays(sc, 0, (cluster.centroids, cluster.scores), j + extra)
+    rows = arrays.xy[m:arrays.map_start].reshape(-1, t, 2)
+    assert target_set.targets[0] is gt and len(rows) == 1 + j + extra
+    np.testing.assert_array_equal(rows[:1 + j], [traj.points for traj in target_set.targets])
+    np.testing.assert_array_equal(rows[1 + j:], np.broadcast_to(gt.points, (extra, t, 2)))
+    np.testing.assert_array_equal(arrays.confidences[:1 + j], target_set.confidences)
+    np.testing.assert_array_equal(arrays.confidences[1 + j:], np.zeros(extra))
+
+
 def test_train_rejects_missing_target_frames_before_step_0(tmp_path):
     scenarios = _dataset(count=4)
     target = scenarios[-1].target
@@ -375,10 +424,7 @@ def test_scenario_step_over_a_batch_equals_batches_of_one():
     model_cfg = config.model_config()
     scenarios = generate(SyntheticSpec(scenario_count=4, seed=2))
     pseudo = _pseudo_for(scenarios[:3], j=2)
-    batch = [_scenario_arrays(sc, 2, None if sc.scenario_id not in pseudo else
-                              _pseudo_target_arrays(sc.scenario_id, pseudo[sc.scenario_id], 30),
-                              2)
-             for sc in scenarios]
+    batch = [_scenario_arrays(sc, 2, pseudo.get(sc.scenario_id), 2) for sc in scenarios]
     params = init_params(model_cfg, seed=4)
     parts, grads = _scenario_step(params, model_cfg, config, batch, np.random.default_rng(8))
     rng = np.random.default_rng(8)
@@ -428,8 +474,7 @@ def _windowed_batches(draw):
         if gap is not None:
             sc = _without_target_frame(sc, gap)
         j = draw(st.integers(0, 3))
-        entries.append(None if j == 0 else _pseudo_target_arrays(
-            sc.scenario_id, _pseudo_for([sc], j=j, seed=idx)[sc.scenario_id], 30))
+        entries.append(None if j == 0 else _pseudo_for([sc], j=j, seed=idx)[sc.scenario_id])
         tfs.append(SceneTransform(flip=draw(st.booleans()), scale=draw(st.floats(0.5, 2.0)),
                                   heading_jitter=draw(st.floats(-0.3, 0.3))))
         scenarios.append(sc)
@@ -720,6 +765,53 @@ def test_commands_cut_and_lay_out_no_window_on_its_own(tmp_path, monkeypatch):
     assert 0.0 <= branch_coverage(params, model_cfg, scenarios) <= 1.0
 
 
+def _count_window_checks(monkeypatch) -> list:
+    """The scenario ids data.check_windows is called on, from now on."""
+    calls, real = [], data.check_windows
+
+    def counting(scenario, s=0):
+        calls.append(scenario.scenario_id)
+        return real(scenario, s)
+
+    monkeypatch.setattr(data, "check_windows", counting)
+    monkeypatch.setattr(harness, "check_windows", counting)
+    return calls
+
+
+_COMMANDS = {
+    "train": lambda ckpt, scenarios, out: train(_tiny_config(epochs=1), scenarios),
+    "evaluate": lambda ckpt, scenarios, out: harness.evaluate_checkpoint(ckpt, scenarios),
+    "dump_checkpoint": lambda ckpt, scenarios, out: harness.dump_checkpoint(ckpt, scenarios, out),
+    "jitter_checkpoint": lambda ckpt, scenarios, out: harness.jitter_checkpoint(ckpt, scenarios, 1),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_commands_check_each_scenario_once_before_any_work(tmp_path, monkeypatch, command):
+    """Each command checks each scenario's windows once, and all of them
+    before the first prediction or training step: 66 scenarios, so the bad
+    one is in the second run of `_chunks`."""
+    scenarios = _dataset(count=predictor._PREDICT_CHUNK + 2)
+    model_cfg = _tiny_config().model_config()
+    ckpt = tmp_path / "model.json"
+    save_checkpoint(ckpt, init_params(model_cfg, seed=0), model_cfg, seed=0, epoch=0)
+    run = _COMMANDS[command]
+    calls = _count_window_checks(monkeypatch)
+    run(ckpt, scenarios, tmp_path / "dump.jsonl")
+    assert calls == [sc.scenario_id for sc in scenarios]
+
+    def refuse(*args):
+        raise AssertionError("work began before every scenario was checked")
+
+    monkeypatch.setattr(harness, "predict", refuse)
+    monkeypatch.setattr(harness, "_scenario_step", refuse)
+    calls.clear()
+    bad = scenarios[:-1] + [_without_target_frame(scenarios[-1], 25)]
+    with pytest.raises(MissingTargetFrame, match=f"^{bad[-1].scenario_id}: "):
+        run(ckpt, bad, tmp_path / "dump.jsonl")
+    assert calls == [sc.scenario_id for sc in scenarios]
+
+
 # -- grid ---------------------------------------------------------------------
 
 def test_table2_rows_shape():
@@ -997,6 +1089,7 @@ def _cli_inputs(tmp_path) -> dict:
      r"^grid: need 0 <= spatial_flip_prob <= 1, got spatial_flip_prob=1.5$"),
     (["train", "--data", "{gappy}", "--split", "val"],
      "^train: straight-00003: track agent-0 absent at frame 18$"),
+    (["train", "--set", "use_mpt=true"], r"^train: use_mpt needs pseudo targets$"),
     (["train", "--set", "use_mpt=true", "--pseudo-targets", "{pseudo}"],
      r"^train: pseudo targets for straight-00000: trajectory 0 must be finite \(30, 2\)"),
     (["jitter", "--s", "0"], r"^jitter: jitter needs 1 <= s < 30, got s=0$"),
