@@ -351,19 +351,24 @@ def target_arrays(gt, trajs, confidences, n: int):
     """
     gt = np.asarray(gt, dtype=np.float64)
     confs = np.asarray(confidences, dtype=np.float64)
-    if confs.shape != (len(trajs),):
-        raise ValueError(f"{confs.size} confidences for {len(trajs)} trajectories")
-    points = [np.asarray(traj, dtype=np.float64) for traj in trajs]
-    for i, pts in enumerate(points):
+    j = len(trajs)
+    if confs.shape != (j,):
+        raise ValueError(f"{confs.size} confidences for {j} trajectories")
+    targets = np.empty((1 + max(n, j), *gt.shape))  # J > n is refused below
+    targets[0] = gt
+    for i, traj in enumerate(trajs):
+        pts = np.asarray(traj, dtype=np.float64)
         if pts.shape != gt.shape or not np.all(np.isfinite(pts)):
             raise ValueError(f"trajectory {i} must be finite {gt.shape}, got shape {pts.shape}")
+        targets[1 + i] = pts
     check_confidences(confs)
-    if len(points) > n:
-        raise ValueError(f"{len(points)} targets do not fit in {n}")
+    if j > n:
+        raise ValueError(f"{j} targets do not fit in {n}")
+    targets[1 + j:] = gt
     padded = np.zeros(1 + n)
     padded[0] = 1.0
-    padded[1:1 + len(confs)] = confs
-    return np.stack([gt, *points, *[gt] * (n - len(points))]), padded
+    padded[1:1 + j] = confs
+    return targets, padded
 
 
 @dataclass(frozen=True, eq=False)

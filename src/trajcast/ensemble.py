@@ -303,9 +303,11 @@ def cluster_bank(bank: EnsembleBank, j: int, seed: int) -> dict:
 # file formats
 
 
-def _read_records(path, key: str, rule=None) -> list:
-    """[(line number, scenario_id, (n, T, 2) trajectories, (n,) values)] from
-    a JSON-lines file whose per-trajectory values are under `key`.
+def _read_records(path, key: str, rule=None):
+    """Yields (line number, scenario_id, (n, T, 2) trajectories, (n,) values)
+    from a JSON-lines file whose per-trajectory values are under `key`, one
+    line at a time, so a caller's own check on a record runs before the next
+    line is read.
 
     Each record must hold a string scenario_id that no earlier line holds,
     finite trajectories of one shape (n, T, 2) with n, T >= 1, one finite
@@ -313,7 +315,7 @@ def _read_records(path, key: str, rule=None) -> list:
     numbers. `rule`, if given, checks the (n,) values first and raises a
     ValueError naming what is wrong. A line that fails raises MalformedRecord.
     """
-    out, first_line = [], {}
+    first_line = {}
     with open(path, encoding="utf-8") as fh:
         for number, line in enumerate(fh, 1):
             if not line.strip():
@@ -326,14 +328,14 @@ def _read_records(path, key: str, rule=None) -> list:
                 sid = rec.get("scenario_id")
                 if not isinstance(rec["scenario_id"], str):
                     raise ValueError("scenario_id must be a string")
-                out.append((number, rec["scenario_id"], *_record_arrays(rec, key, rule)))
+                record = (number, rec["scenario_id"], *_record_arrays(rec, key, rule))
                 if first_line.setdefault(sid, number) != number:
                     raise ValueError(f"scenario {sid} is also on line {first_line[sid]}")
             except (ValueError, TypeError, OverflowError) as exc:  # OverflowError: a huge int
                 raise _malformed(path, number, sid, str(exc)) from None
             except KeyError as exc:
                 raise _malformed(path, number, sid, f"missing key {exc}") from None
-    return out
+            yield record
 
 
 def _record_arrays(rec: dict, key: str, rule):
@@ -413,7 +415,9 @@ def save_prediction_dump(path, records) -> None:
 
 def load_prediction_dump(path) -> list:
     """Inverse of save_prediction_dump: [(scenario_id, (K, T, 2) trajectories,
-    (K,) scores), ...]; each record's scores must also sum to 1."""
+    (K,) scores), ...]; each record's scores must also sum to 1, checked
+    after the reader's finite-and-nonnegative check and before the next line
+    is read, so the first bad line is the one named."""
     out = []
     for number, sid, trajs, scores in _read_records(path, "scores"):
         if abs(float(scores.sum()) - 1.0) > 1e-6:

@@ -179,8 +179,10 @@ class Adam:
         self.t += 1
         b1, b2 = ADAM_BETA1, ADAM_BETA2
         g = grads.flat
-        self.m = b1 * self.m + (1 - b1) * g
-        self.v = b2 * self.v + (1 - b2) * g * g
+        self.m *= b1
+        self.m += (1 - b1) * g
+        self.v *= b2
+        self.v += (1 - b2) * g * g
         m_hat = self.m / (1 - b1 ** self.t)
         v_hat = self.v / (1 - b2 ** self.t)
         params.flat -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)

@@ -34,13 +34,14 @@ class InvalidShift(TrajcastError):
 # elementwise pieces
 
 
-def _huber_elem(diff: np.ndarray, delta: float = HUBER_DELTA) -> np.ndarray:
+def _huber(diff: np.ndarray, delta: float = HUBER_DELTA):
+    """Elementwise Huber value and its derivative w.r.t. diff, from one
+    |diff| and one branch mask: quadratic where |diff| <= delta, linear
+    beyond."""
     a = np.abs(diff)
-    return np.where(a <= delta, 0.5 * diff * diff, delta * (a - 0.5 * delta))
-
-
-def _huber_grad(diff: np.ndarray, delta: float = HUBER_DELTA) -> np.ndarray:
-    return np.where(np.abs(diff) <= delta, diff, delta * np.sign(diff))
+    small = a <= delta
+    return (np.where(small, 0.5 * diff * diff, delta * (a - 0.5 * delta)),
+            np.where(small, diff, delta * np.sign(diff)))
 
 
 def softmin_scores(displacements, tau: float = SOFTMIN_TAU) -> np.ndarray:
@@ -59,6 +60,14 @@ def _softmin_backprop(s: np.ndarray, d_s: np.ndarray, tau: float = SOFTMIN_TAU) 
 
 # ---------------------------------------------------------------------------
 # winner-takes-all supervision
+
+
+def _at_modes(stack: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Each (T, 2) block of a (..., K, T, 2) stack at the modes of a (..., J)
+    index: (..., J, T, 2). Index arrays on the leading axes and the mode axis
+    gather whole blocks; np.take_along_axis would broadcast its index over T
+    and 2 and pick element by element."""
+    return stack[(*np.indices(index.shape, sparse=True)[:-1], index)]
 
 
 def _wta_targets(completion: np.ndarray, refined: np.ndarray, probs: np.ndarray,
@@ -88,29 +97,26 @@ def _wta_targets(completion: np.ndarray, refined: np.ndarray, probs: np.ndarray,
     # (..., K, J): which targets each mode wins, to sum per-target gradients
     wins = (k_star[..., None, :] == np.arange(k)[:, None]).astype(np.float64)
 
-    def at_winner(stack):
-        return np.take_along_axis(stack, k_star[..., None, None], axis=-3)
-
     def scatter_to_winners(per_target):  # (..., J, T, 2) -> (..., K, T, 2)
         flat = per_target.reshape(per_target.shape[:-2] + (2 * t,))
         return (wins @ flat).reshape(wins.shape[:-1] + (t, 2))
 
     conf_t = (confidences / t)[..., None, None]
-    diff_comp = at_winner(completion) - targets
-    l_reg_c = confidences / t * _huber_elem(diff_comp).sum(axis=(-2, -1))
-    d_completion = scatter_to_winners(conf_t * _huber_grad(diff_comp))
+    value, grad = _huber(_at_modes(completion, k_star) - targets)
+    l_reg_c = confidences / t * value.sum(axis=(-2, -1))
+    d_completion = scatter_to_winners(conf_t * grad)
     if refined_reg:
-        diff_ref = at_winner(refined) - targets
-        l_reg_r = confidences / t * _huber_elem(diff_ref).sum(axis=(-2, -1))
-        d_refined = scatter_to_winners(conf_t * _huber_grad(diff_ref))
+        value, grad = _huber(_at_modes(refined, k_star) - targets)
+        l_reg_r = confidences / t * value.sum(axis=(-2, -1))
+        d_refined = scatter_to_winners(conf_t * grad)
     else:
         l_reg_r = np.zeros_like(l_reg_c)
         d_refined = np.zeros_like(d_completion)
 
     cls_target = softmin_scores(end_err)
-    diff_cls = probs[..., None, :] - cls_target
-    l_cls = confidences / k * _huber_elem(diff_cls).sum(axis=-1)
-    g_cls = (confidences / k)[..., None] * _huber_grad(diff_cls)
+    value, grad = _huber(probs[..., None, :] - cls_target)
+    l_cls = confidences / k * value.sum(axis=-1)
+    g_cls = (confidences / k)[..., None] * grad
     d_probs = g_cls.sum(axis=-2)
     d_end = _softmin_backprop(cls_target, -g_cls)
     # endpoint error e_k = |refined[k,-1] - target[-1]|; grad is the unit vector
@@ -153,12 +159,11 @@ def _temporal_arrays(stack_a: np.ndarray, stack_b: np.ndarray, s: int,
     # one row per matched pair: scenario index into the flattened leading axes, i, j
     where, i, j = np.nonzero(paired.reshape((-1,) + paired.shape[-2:]))
     tail, head = tail.reshape((-1,) + tail.shape[-3:]), head.reshape((-1,) + head.shape[-3:])
-    diff = tail[where, i] - head[where, j]                                # (P, T-s, 2)
+    value, grad = _huber(tail[where, i] - head[where, j])                 # (P, T-s, 2)
     count = np.bincount(where, minlength=tail.shape[0])
     norm = (np.maximum(count, 1) * (t - s)).astype(np.float64)
-    total = np.bincount(where, weights=_huber_elem(diff).sum(axis=(1, 2)),
-                        minlength=tail.shape[0]) / norm
-    g = _huber_grad(diff) / norm[where][:, None, None]
+    total = np.bincount(where, weights=value.sum(axis=(1, 2)), minlength=tail.shape[0]) / norm
+    g = grad / norm[where][:, None, None]
     d_a = np.zeros(tail.shape[:1] + stack_a.shape[-3:])
     d_b = np.zeros(head.shape[:1] + stack_b.shape[-3:])
     np.add.at(d_a[..., s:, :], (where, i), g)
@@ -246,9 +251,9 @@ def _spatial_arrays(offsets: np.ndarray, mapped: np.ndarray):
     perm.backprop_inverse and the second refinement trace.
     """
     k, t = offsets.shape[-3], offsets.shape[-2]
-    diff = offsets - mapped
-    l_spa = _huber_elem(diff).sum(axis=(-3, -2, -1)) / (k * t)
-    g = _huber_grad(diff) / (k * t)
+    value, grad = _huber(offsets - mapped)
+    l_spa = value.sum(axis=(-3, -2, -1)) / (k * t)
+    g = grad / (k * t)
     return l_spa, g, -g
 
 

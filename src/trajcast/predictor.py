@@ -271,7 +271,9 @@ class ForwardTrace:
 
 
 def _encoder_layer1(params: ParamStore, points: np.ndarray) -> np.ndarray:
-    return _relu(points @ params["enc.w1"] + params["enc.b1"])
+    h1 = points @ params["enc.w1"]
+    h1 += params["enc.b1"]
+    return np.maximum(h1, 0.0, out=h1)
 
 
 def refine_forward(params: ParamStore, cfg: ModelConfig, anchors: np.ndarray,
@@ -337,9 +339,10 @@ def forward(params: ParamStore, cfg: ModelConfig, window):
     phi = np.empty((w, cfg.feature_dim))
     active2 = []
     for i, points in enumerate(batch.points):
-        z2 = _encoder_layer1(params, points) @ params["enc.w2"] + params["enc.b2"]
-        phi[i] = _relu(z2).sum(axis=0)
+        z2 = _encoder_layer1(params, points) @ params["enc.w2"]
+        z2 += params["enc.b2"]
         active2.append(z2 > 0)
+        phi[i] = np.maximum(z2, 0.0, out=z2).sum(axis=0)
 
     if cfg.use_goal:
         g1 = _relu(phi @ params["goal.w1"] + params["goal.b1"])
@@ -448,7 +451,8 @@ def backward(params: ParamStore, trace: ForwardTrace, upstream: dict) -> ParamSt
         d_z2 = active2 * d_phi_w
         grads["enc.w2"] += h1.T @ d_z2
         grads["enc.b2"] += d_z2.sum(axis=0)
-        d_z1 = (d_z2 @ params["enc.w2"].T) * (h1 > 0)
+        d_z1 = d_z2 @ params["enc.w2"].T
+        d_z1 *= h1 > 0
         grads["enc.w1"] += points.T @ d_z1
         grads["enc.b1"] += d_z1.sum(axis=0)
     return grads

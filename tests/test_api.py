@@ -14,12 +14,14 @@ import trajcast
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 # object wrappers that restated an array kernel, by module; the kernels
-# (_wta_targets, _huber_elem, target_losses, track_frame, to_frame_xy,
+# (_wta_targets, _huber, target_losses, track_frame, to_frame_xy,
 # from_frame_xy, ParamStore.zeros_like, EnsembleBank.pooled, pairwise_cost)
-# are what callers use instead. The augmentation settings live in TrainConfig
-# alone, and sample_transform draws the heading jitter with the flip and scale.
+# are what callers use instead; _huber gives the Huber value and gradient
+# together. The augmentation settings live in TrainConfig alone, and
+# sample_transform draws the heading jitter with the flip and scale.
 REMOVED = {
-    "losses": ("huber", "wta_target_loss", "_wta_arrays", "total_loss"),
+    "losses": ("huber", "wta_target_loss", "_wta_arrays", "total_loss", "_huber_elem",
+               "_huber_grad"),
     "core": ("Waypoint", "agent_frame", "to_frame", "from_frame", "AugmentSpec",
              "IDENTITY_AUGMENT", "sample_heading_jitter"),
     "predictor": ("zero_params",),

@@ -1,0 +1,64 @@
+"""The summary arithmetic of tools/bench_pairs.py: quartiles, ratios and
+pair counts from hand-made runs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+
+def _run(workload, seed, side, rate, loss, attempted=10, failed=0):
+    return {"workload": workload, "seed": seed, "side": side, "ran_first": True,
+            "attempted": attempted, "failed": failed,
+            "metrics": {"rate": rate, "loss": loss}}
+
+
+def test_quartiles_use_the_inclusive_method():
+    assert bench_pairs.quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) == \
+        {"median": 3.0, "q1": 2.0, "q3": 4.0}
+    assert bench_pairs.quartiles([1.0, 2.0, 4.0, 8.0]) == \
+        {"median": 3.0, "q1": 1.75, "q3": 5.0}
+    assert bench_pairs.quartiles([7.0]) == {"median": 7.0, "q1": 7.0, "q3": 7.0}
+
+
+def test_summary_counts_pairs_by_direction_and_skips_unpaired_seeds():
+    parent_rates, change_rates = [100.0, 110.0, 120.0, 130.0], [120.0, 110.0, 150.0, 125.0]
+    parent_loss, change_loss = [2.0, 2.0, 3.0, 5.0], [1.0, 2.0, 3.0, 4.0]
+    runs = []
+    for seed, (pr, cr, pl, cl) in enumerate(zip(parent_rates, change_rates,
+                                                parent_loss, change_loss)):
+        runs += [_run("w", seed, "parent", pr, pl, failed=int(seed == 0)),
+                 _run("w", seed, "change", cr, cl, attempted=11)]
+    runs.append(_run("w", 99, "parent", 1.0, 1.0))           # no change run: not a pair
+    runs += [_run("v", 5, "change", 2.0, 1.0), _run("v", 5, "parent", 1.0, 1.0)]
+
+    summary = bench_pairs.summarize(runs, {"rate": "higher", "loss": "lower"})
+    assert list(summary) == ["w", "v"]
+    w = summary["w"]
+    assert w["pairs"] == 4
+    assert w["ops_failed"] == {"attempted": {"parent": 40, "change": 44},
+                               "parent": 1, "change": 0}
+    rate = w["rate"]
+    assert rate["better"] == "higher"
+    assert rate["parent"] == {"median": 115.0, "q1": 107.5, "q3": 122.5}
+    assert rate["change"] == {"median": 122.5, "q1": 117.5, "q3": 131.25}
+    assert rate["change_over_parent"] == pytest.approx(122.5 / 115.0, rel=1e-15)
+    assert (rate["change_better_in"], rate["ties"]) == (2, 1)
+    loss = w["loss"]
+    assert loss["better"] == "lower"
+    assert (loss["change_better_in"], loss["ties"]) == (2, 2)
+    assert loss["change_over_parent"] == pytest.approx(2.5 / 2.5, rel=1e-15)
+    v = summary["v"]
+    assert v["pairs"] == 1 and v["rate"]["change_better_in"] == 1
+    assert v["loss"]["ties"] == 1
+
+
+def test_summary_of_a_workload_without_a_whole_pair_has_no_metrics():
+    summary = bench_pairs.summarize([_run("w", 1, "parent", 1.0, 1.0)], {"rate": "higher"})
+    assert summary == {"w": {"pairs": 0, "ops_failed": {
+        "attempted": {"parent": 0, "change": 0}, "parent": 0, "change": 0}}}

@@ -469,6 +469,22 @@ def test_prediction_dump_rejects_a_bad_record_naming_file_line_and_scenario(
         load_prediction_dump(path)
 
 
+@pytest.mark.parametrize("sum_line", [2, 3])
+def test_prediction_dump_names_the_first_bad_line(tmp_path, sum_line):
+    """A record whose scores sum to 0.75 and a line cut off: whichever
+    comes first is the one reported, the sum rule too."""
+    path = tmp_path / "dump.jsonl"
+    short = json.dumps({**_GOOD_RECORD, "scenario_id": "s1", "scores": [0.5, 0.25]})
+    cut = json.dumps({**_GOOD_RECORD, "scenario_id": "s2"})[:40]
+    lines = [json.dumps({**_GOOD_RECORD, "scenario_id": "s0"}),
+             *((short, cut) if sum_line == 2 else (cut, short))]
+    path.write_text("\n".join(lines) + "\n")
+    message = (r" \(s1\): scores must sum to 1, got 0.75$" if sum_line == 2
+               else r": Expecting value")
+    with pytest.raises(MalformedRecord, match=f"^{path}: line 2" + message):
+        load_prediction_dump(path)
+
+
 def test_a_scenario_repeated_in_one_file_is_rejected(tmp_path):
     """A dump or pseudo-target file that lists a scenario twice names both
     lines: pooling it would count that member twice, and a pseudo-target

@@ -600,6 +600,60 @@ def test_train_golden_records():
                                [golden[2:] for golden in _GOLDEN_RECORDS], rtol=1e-12)
 
 
+def _desk_like_run():
+    """Junction scenarios on the desk model (K=6, C=32) with both
+    consistency losses; one scenario has no map, so its window is the 20
+    history rows alone. At C=32 a 20-row matmul against a transposed weight
+    takes a different BLAS path from one against a contiguous copy of it,
+    and with batches of 4 that changes these digests."""
+    scenarios = _dataset(mode="junction", count=24, seed=11, noise=0.05)
+    scenarios[5] = dataclasses.replace(scenarios[5], map_polylines=())
+    config = make_config({"k": 6, "feature_dim": 32, "batch_size": 4, "lr": 3e-3,
+                          "epochs": 3, "seed": 7, "s": 2})
+    return config, scenarios, None
+
+
+def _mpt_aug_like_run():
+    """Five-mode scenarios with flip, scale and heading augmentation and no
+    consistency losses, trained on pseudo-target entries of 1 to 4
+    trajectories on two thirds of them, which target_arrays pads to 4."""
+    scenarios = generate(SyntheticSpec(scenario_count=24, seed=12))
+    rng = np.random.default_rng(3)
+    pseudo = {}
+    for i, sc in enumerate(scenarios):
+        if i % 3:
+            j = 1 + i % 4
+            pseudo[sc.scenario_id] = (sc.gt_future().points + rng.normal(size=(j, 30, 2)),
+                                      rng.dirichlet(np.ones(j)))
+    config = make_config({"k": 6, "feature_dim": 32, "batch_size": 8, "lr": 3e-3,
+                          "epochs": 3, "seed": 7, "use_temp": False, "use_spatial": False,
+                          "use_mpt": True, "aug_flip": 0.5, "aug_scale_lo": 0.8,
+                          "aug_scale_hi": 1.25, "heading_jitter_deg": 10.0})
+    return config, scenarios, pseudo
+
+
+# SHA-256 of the training log and the checkpoint, recorded at commit c30b16f,
+# before the loss and target kernels went to one pass each
+_TRAIN_DIGESTS = {
+    "desk-like": (_desk_like_run,
+                  "35a40d874ab2a003bc9c7053fd6699dd861a83a5199876ca9f28982a9592a838",
+                  "b4681c2c44e9cfe3254a25f890f16d1891bb6abe9abbd708d5342812c93bf363"),
+    "mpt-aug-like": (_mpt_aug_like_run,
+                     "26c14cb3404e8d9b5dc178331f44af530342d456f5c52396c22484d02d377f47",
+                     "854dcf1780beb8f482ab689149ee9bbff26fcdb7b9696f76d3abe8fa0c5c1c3e"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TRAIN_DIGESTS))
+def test_train_artefacts_match_recorded_digests(tmp_path, case):
+    make_run, log_sha, checkpoint_sha = _TRAIN_DIGESTS[case]
+    config, scenarios, pseudo = make_run()
+    log, checkpoint = tmp_path / "log.jsonl", tmp_path / "model.json"
+    train(config, scenarios, pseudo_targets=pseudo, log_path=log, checkpoint_path=checkpoint)
+    digests = [hashlib.sha256(path.read_bytes()).hexdigest() for path in (log, checkpoint)]
+    assert digests == [log_sha, checkpoint_sha]
+
+
 # -- evaluation / jitter / coverage --------------------------------------------
 
 def test_evaluate_reports_and_shape_check():

@@ -7,10 +7,11 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import line_trajectory, prediction_set
 from trajcast.losses import (HUBER_DELTA, InvalidShift, LossBreakdown,
-                             SpatialPermutation, _huber_elem, _spatial_arrays,
+                             SpatialPermutation, _at_modes, _huber, _spatial_arrays,
                              _temporal_arrays, _wta_targets,
                              make_breakdown, sample_permutation,
                              softmin_scores, spatial_consistency,
@@ -22,12 +23,58 @@ from trajcast.matching import CRITERIA, STRATEGIES
 
 def test_huber_hand_values():
     assert HUBER_DELTA == 1.0
-    assert _huber_elem(np.array(0.5)) == 0.125
-    assert _huber_elem(np.array(2.0)) == 1.5
-    assert _huber_elem(np.array(1.0)) == 0.5          # boundary uses the quadratic branch
-    assert _huber_elem(np.array([0.5, 2.0])).sum() == 1.625
-    assert _huber_elem(np.array(-0.5)) == 0.125       # symmetric
-    assert _huber_elem(np.array(2.0), delta=2.0) == 2.0
+    assert _huber(np.array(0.5))[0] == 0.125
+    assert _huber(np.array(2.0))[0] == 1.5
+    assert _huber(np.array(1.0))[0] == 0.5          # boundary uses the quadratic branch
+    assert _huber(np.array([0.5, 2.0]))[0].sum() == 1.625
+    assert _huber(np.array(-0.5))[0] == 0.125       # symmetric
+    assert _huber(np.array(2.0), delta=2.0)[0] == 2.0
+
+
+def _huber_value_oracle(diff, delta):
+    """The value formula as it stood before value and gradient were fused."""
+    a = np.abs(diff)
+    return np.where(a <= delta, 0.5 * diff * diff, delta * (a - 0.5 * delta))
+
+
+def _huber_grad_oracle(diff, delta):
+    """The gradient formula as it stood before value and gradient were fused."""
+    return np.where(np.abs(diff) <= delta, diff, delta * np.sign(diff))
+
+
+_DELTAS = st.one_of(st.sampled_from([1.0, 0.5, 2.0, 0.1, 3.75]),
+                    st.floats(1e-3, 1e3, allow_nan=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), delta=_DELTAS)
+def test_huber_equals_the_separate_value_and_gradient_formulas(data, delta):
+    """Bit for bit, at |d| == delta, at +-0.0 and +-inf and anywhere else
+    (finite values stay below the square's overflow)."""
+    special = st.sampled_from([delta, -delta, 0.0, -0.0, np.inf, -np.inf,
+                               np.nextafter(delta, 0.0), np.nextafter(delta, np.inf)])
+    diff = data.draw(hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3),
+                                elements=st.one_of(special, st.floats(-1e150, 1e150))))
+    value, grad = _huber(diff, delta)
+    for got, want in ((value, _huber_value_oracle(diff, delta)),
+                      (grad, _huber_grad_oracle(diff, delta))):
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))  # -0.0 too
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), lead=st.lists(st.integers(1, 4), max_size=2),
+       k=st.integers(1, 6), j=st.integers(1, 7), t=st.integers(1, 5))
+def test_at_modes_equals_take_along_axis(seed, lead, k, j, t):
+    """The winner gather against np.take_along_axis with its index
+    broadcast over T and 2, for 0 to 2 leading axes and J = 1..7."""
+    rng = np.random.default_rng(seed)
+    stack = rng.normal(size=(*lead, k, t, 2))
+    index = rng.integers(0, k, size=(*lead, j))
+    want = np.take_along_axis(stack, index[..., None, None], axis=-3)
+    got = _at_modes(stack, index)
+    assert got.shape == (*lead, j, t, 2)
+    assert np.array_equal(got, want)
 
 
 def test_softmin_hand_values():
