@@ -50,7 +50,7 @@ def _load_split(args, split):
     lists no scenario, stops the command."""
     path = Path(_need(args, "--data", args.data))
     manifest = _need(args, "--data", path / "manifest.json") if path.is_dir() else path
-    scenarios = data.load_manifest(manifest, split=split, strict=True)
+    scenarios = data.load_manifest(manifest, split=split)
     if not scenarios:
         raise SystemExit(f"{args.command}: split {split!r} of {manifest} has no scenarios")
     return scenarios

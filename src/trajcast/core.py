@@ -1,4 +1,5 @@
-"""Domain types, agent-centric coordinate frames, and augmentation transforms.
+"""Domain types, agent-centric coordinate frames, augmentation transforms, and
+the softmax both the classifier head and the loss's softmin use.
 
 Everything downstream (metrics, matching, losses, the predictor, the training
 harness) trades in the types defined here. All types are immutable after
@@ -24,6 +25,8 @@ import numpy as np
 OBJECT_TYPES = ("agent", "av", "other")
 
 DT = 0.1  # seconds per frame
+HISTORY_LEN = 20  # frames up to and including t=0
+FUTURE_LEN = 30   # frames after t=0
 
 JSON_NUMBER_TYPES = frozenset({int, float})  # the types json.loads gives JSON numbers
 
@@ -45,6 +48,27 @@ def json_number_pairs(lists) -> np.ndarray | None:
         return np.fromiter(values, np.float64, len(values)).reshape(-1, 2)
     except OverflowError:  # an integer beyond float range
         return None
+
+
+def check_dt(dt) -> None:
+    """The timestep rule of a file that states one: it must be DT, the one
+    timestep every model and scenario here runs at; else ValueError quoting
+    it. A file that states none reads as DT."""
+    if dt != DT:
+        raise ValueError(f"dt must be {DT}, got {dt!r}")
+
+
+def softmax(z: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis; the max-shift keeps it stable."""
+    shifted = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def softmax_backprop(p: np.ndarray, d_p: np.ndarray) -> np.ndarray:
+    """Gradient w.r.t. softmax's input given p = softmax(z) and the gradient
+    w.r.t. p."""
+    return p * (d_p - (d_p * p).sum(axis=-1, keepdims=True))
 
 
 class TrajcastError(Exception):
@@ -154,8 +178,8 @@ class Scenario:
     agents: tuple
     map_polylines: tuple
     target_track_id: str
-    history_len: int = 20
-    future_len: int = 30
+    history_len: int = HISTORY_LEN
+    future_len: int = FUTURE_LEN
 
     def __post_init__(self):
         agents = tuple(self.agents)
@@ -248,36 +272,53 @@ def heading_frame(p_prev, p_now, heading_jitter: float = 0.0) -> Frame:
     return Frame(origin=(x, y), rotation=normalize_angle(rotation + heading_jitter))
 
 
+def _per_row(stack: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """A (W, *tail) stack with unit axes after W, so that row w pairs with
+    points[w] of (W, ..., 2) points: (W, 1, ..., 1, *tail) as a view."""
+    return stack[(slice(None),) + (None,) * (points.ndim - stack.ndim)]
+
+
 def to_frame_xy(xy: np.ndarray, frame) -> np.ndarray:
     """xy (..., 2) re-expressed in a Frame; given a sequence of W frames, xy
-    is (W, N, 2) and row w holds points of frame w (one stacked matmul,
+    is (W, ..., 2) and row w holds points of frame w (one stacked matmul,
     whose rows have the bits of W separate calls)."""
+    xy = np.asarray(xy, dtype=np.float64)
     if isinstance(frame, Frame):
-        return rotate_xy(np.asarray(xy, dtype=np.float64) - np.array(frame.origin),
-                         frame.rotation)
-    origins = np.array([f.origin for f in frame]).reshape(-1, 1, 2)
-    return ((np.asarray(xy, dtype=np.float64) - origins)
-            @ rotation_matrices([f.rotation for f in frame]).swapaxes(-1, -2))
+        return rotate_xy(xy - np.array(frame.origin), frame.rotation)
+    origins = np.array([f.origin for f in frame]).reshape(-1, 2)
+    rotations = rotation_matrices([f.rotation for f in frame]).swapaxes(-1, -2)
+    return (xy - _per_row(origins, xy)) @ _per_row(rotations, xy)
 
 
-def from_frame_xy(xy: np.ndarray, frame: Frame) -> np.ndarray:
-    return rotate_xy(xy, -frame.rotation) + np.array(frame.origin)
+def from_frame_xy(xy: np.ndarray, frame) -> np.ndarray:
+    """Inverse of to_frame_xy: xy (..., 2) in a Frame, or (W, ..., 2) in a
+    sequence of W frames, back in the world frame."""
+    if isinstance(frame, Frame):
+        return rotate_xy(xy, -frame.rotation) + np.array(frame.origin)
+    return FrameMap(matrix=rotation_matrices([-f.rotation for f in frame]).swapaxes(-1, -2),
+                    offset=np.array([f.origin for f in frame]).reshape(-1, 2)).apply(xy)
 
 
 @dataclass(frozen=True)
 class FrameMap:
     """Affine map between two frames: p_dst = p_src @ matrix + offset. A
-    stack of B maps has a (B, 2, 2) matrix and a (B, 2) offset."""
+    stack of B maps has a (B, 2, 2) matrix and a (B, 2) offset and maps
+    (B, ..., 2) points, map b to row b."""
 
     matrix: np.ndarray  # (2, 2)
     offset: np.ndarray  # (2,)
 
     def apply(self, xy: np.ndarray) -> np.ndarray:
-        return np.asarray(xy, dtype=np.float64) @ self.matrix + self.offset
+        xy = np.asarray(xy, dtype=np.float64)
+        if self.matrix.ndim == 2:
+            return xy @ self.matrix + self.offset
+        return xy @ _per_row(self.matrix, xy) + _per_row(self.offset, xy)
 
     def backprop(self, d_dst: np.ndarray) -> np.ndarray:
-        # gradient of apply w.r.t. its input
-        return np.asarray(d_dst) @ self.matrix.T
+        """Gradient of apply w.r.t. its input."""
+        d_dst = np.asarray(d_dst)
+        matrix = self.matrix if self.matrix.ndim == 2 else _per_row(self.matrix, d_dst)
+        return d_dst @ matrix.swapaxes(-1, -2)
 
 
 def compose_frames(src, dst) -> FrameMap:
@@ -436,6 +477,17 @@ class Window:
         return to_frame_xy(self.history_xy, self.frame)
 
 
+def flip_scale_xy(xy: np.ndarray, flip, scale=1.0) -> np.ndarray:
+    """xy (..., 2) times scale, with y negated where flip is set. flip and
+    scale are scalars, or (G,) arrays (a scalar scale is shared) whose entry
+    g applies to xy[g] of (G, ..., 2) points."""
+    # y * -scale is -(y * scale) exactly, so one product flips and scales
+    xy = np.asarray(xy, dtype=np.float64)
+    scale = np.broadcast_to(np.asarray(scale, dtype=np.float64), np.shape(flip))
+    factors = np.stack([scale, np.where(flip, -scale, scale)], axis=-1)
+    return xy * factors.reshape(scale.shape + (1,) * (xy.ndim - scale.ndim - 1) + (2,))
+
+
 @dataclass(frozen=True)
 class SceneTransform:
     """A sampled scene augmentation: a flip/scale pair, applicable to any
@@ -458,11 +510,7 @@ class SceneTransform:
                    heading_jitter=np.array([tf.heading_jitter for tf in transforms]))
 
     def apply_xy(self, xy: np.ndarray) -> np.ndarray:
-        # y * -scale is -(y * scale) exactly, so one product flips and scales
-        xy = np.asarray(xy, dtype=np.float64)
-        scale = np.asarray(self.scale, dtype=np.float64)
-        factors = np.stack([scale, np.where(self.flip, -scale, scale)], axis=-1)
-        return xy * factors.reshape(scale.shape + (1,) * (xy.ndim - scale.ndim - 1) + (2,))
+        return flip_scale_xy(xy, self.flip, self.scale)
 
 
 def sample_transform(aug_flip: float, aug_scale_lo: float, aug_scale_hi: float,

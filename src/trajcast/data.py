@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import logging
 import math
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, repeat
@@ -22,18 +21,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (DT, JSON_NUMBER_TYPES, AgentTrack, MissingTargetFrame, Scenario,
-                   ScenarioArrays, SceneTransform, Trajectory, TrajcastError, Window,
-                   apply_transform, heading_frame, json_number_pairs, rotate_xy, target_arrays,
-                   to_frame_xy, track_frame)
+from .core import (DT, FUTURE_LEN, HISTORY_LEN, JSON_NUMBER_TYPES, AgentTrack,
+                   MissingTargetFrame, Scenario, ScenarioArrays, SceneTransform, Trajectory,
+                   TrajcastError, Window, apply_transform, check_dt, heading_frame,
+                   json_number_pairs, rotate_xy, target_arrays, to_frame_xy, track_frame)
 from .predictor import WindowBatch, featurize
-
-log = logging.getLogger("trajcast.data")
 
 MODES = ("straight", "turn-left", "turn-right", "lane-change", "junction")
 
-HISTORY_LEN = 20
-FUTURE_LEN = 30
 TOTAL_FRAMES = HISTORY_LEN + FUTURE_LEN
 
 TURN_FRAMES = 15          # frames over which a turn sweeps its full angle
@@ -372,23 +367,10 @@ def _map_polylines(text: str) -> tuple:
     return tuple(out)
 
 
-def _load_all(files, history_len: int, future_len: int, strict: bool) -> list:
-    """load_csv over files in order; bad files warn and skip unless strict."""
-    scenarios = []
-    for file in files:
-        try:
-            scenarios.append(load_csv(file, history_len, future_len))
-        except TrajcastError as exc:
-            if strict:
-                raise
-            log.warning("skipping %s: %s", file, exc)
-    return scenarios
-
-
-def load_dir(path, history_len: int = HISTORY_LEN, future_len: int = FUTURE_LEN,
-             strict: bool = False) -> list:
-    """Load every *.csv under a directory; bad files warn and skip by default."""
-    return _load_all(sorted(Path(path).glob("*.csv")), history_len, future_len, strict)
+def load_dir(path, history_len: int = HISTORY_LEN, future_len: int = FUTURE_LEN) -> list:
+    """Load every *.csv under a directory, in name order; the first file
+    load_csv cannot read raises, naming it."""
+    return [load_csv(file, history_len, future_len) for file in sorted(Path(path).glob("*.csv"))]
 
 
 def save_dataset(scenarios, out_dir, val_fraction: float = 0.2) -> Path:
@@ -417,14 +399,15 @@ def save_dataset(scenarios, out_dir, val_fraction: float = 0.2) -> Path:
     return manifest_path
 
 
-def load_manifest(manifest_path, split: str | None = None, strict: bool = False) -> list:
-    """Scenarios listed in a manifest, optionally filtered by split.
+def load_manifest(manifest_path, split: str | None = None) -> list:
+    """Scenarios listed in a manifest, optionally filtered by split; the
+    first file load_csv cannot read raises, naming it.
 
     The manifest is checked before any scenario loads, else MalformedManifest
     names it and what is wrong: it must be a JSON object with an integer
-    history_len >= 2 and future_len >= 1 and a "scenarios" list whose
-    entries are objects with a string "file" and "split", and every file of
-    the split must exist.
+    history_len >= 2 and future_len >= 1, a dt, if stated, that meets
+    `core.check_dt`, and a "scenarios" list whose entries are objects with a
+    string "file" and "split", and every file of the split must exist.
     """
     mpath = Path(manifest_path)
     try:
@@ -439,6 +422,10 @@ def load_manifest(manifest_path, split: str | None = None, strict: bool = False)
         if type(value) is not int or value < least:
             raise MalformedManifest(f"{mpath}: {key} must be an integer >= {least}, "
                                     f"got {value!r}")
+    try:
+        check_dt(manifest.get("dt", DT))
+    except ValueError as exc:
+        raise MalformedManifest(f"{mpath}: {exc}") from None
     entries = manifest.get("scenarios")
     if type(entries) is not list:
         raise MalformedManifest(f"{mpath}: scenarios must be a list, got {entries!r}")
@@ -452,7 +439,7 @@ def load_manifest(manifest_path, split: str | None = None, strict: bool = False)
     for file in files:
         if not file.is_file():
             raise MalformedManifest(f"{mpath}: listed file {file} does not exist")
-    return _load_all(files, manifest["history_len"], manifest["future_len"], strict)
+    return [load_csv(file, manifest["history_len"], manifest["future_len"]) for file in files]
 
 
 # ---------------------------------------------------------------------------

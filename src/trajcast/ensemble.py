@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DT, JSON_NUMBER_TYPES, PredictionSet, TargetSet, Trajectory, TrajcastError,
-                   check_confidences, json_number_pairs, target_arrays)
+                   check_confidences, check_dt, json_number_pairs, target_arrays)
 from .metrics import LengthMismatch
 
 
@@ -310,10 +310,11 @@ def _read_records(path, key: str, rule=None):
     line is read.
 
     Each record must hold a string scenario_id that no earlier line holds,
-    finite trajectories of one shape (n, T, 2) with n, T >= 1, one finite
-    value >= 0 per trajectory and, if given, a positive dt, all as JSON
-    numbers. `rule`, if given, checks the (n,) values first and raises a
-    ValueError naming what is wrong. A line that fails raises MalformedRecord.
+    finite trajectories of one shape (n, T, 2) with n, T >= 1 and one finite
+    value >= 0 per trajectory, all as JSON numbers, and a dt, if stated,
+    that meets `core.check_dt`. `rule`, if given, checks the (n,) values
+    first and raises a ValueError naming what is wrong. A line that fails
+    raises MalformedRecord.
     """
     first_line = {}
     with open(path, encoding="utf-8") as fh:
@@ -366,10 +367,19 @@ def _record_arrays(rec: dict, key: str, rule):
         rule(values)
     if not numbers or not np.all(np.isfinite(values)) or np.any(values < 0):
         raise ValueError(f"{key} must be finite and nonnegative numbers, got {rec[key]}")
-    dt = rec.get("dt", DT)
-    if not (type(dt) in JSON_NUMBER_TYPES and dt > 0):
-        raise ValueError(f"dt must be a positive number, got {dt!r}")
+    check_dt(rec.get("dt", DT))
     return trajs, values
+
+
+def _write_records(path, key: str, records) -> None:
+    """The format _read_records reads: one JSON line per (scenario_id,
+    (n, T, 2) trajectories, (n,) values) record, the values under `key`,
+    stating dt."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for sid, trajs, values in records:
+            rec = {"scenario_id": sid, "trajectories": trajs.tolist(), key: values.tolist(),
+                   "dt": DT}
+            fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
 def _malformed(path, number: int, sid, what: str) -> MalformedRecord:
@@ -378,17 +388,10 @@ def _malformed(path, number: int, sid, what: str) -> MalformedRecord:
 
 
 def save_pseudo_targets(path, results: dict) -> None:
-    """JSON-lines: one record per scenario with J trajectories + confidences."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for sid in sorted(results.keys()):
-            res = results[sid]
-            rec = {
-                "scenario_id": sid,
-                "trajectories": res.centroids.tolist(),
-                "confidences": res.scores.tolist(),
-                "dt": DT,
-            }
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    """JSON-lines: one record per scenario, in id order, with its J
+    trajectories (the cluster centroids) and their confidences."""
+    _write_records(path, "confidences",
+                   ((sid, results[sid].centroids, results[sid].scores) for sid in sorted(results)))
 
 
 def load_pseudo_targets(path) -> dict:
@@ -402,15 +405,7 @@ def load_pseudo_targets(path) -> dict:
 def save_prediction_dump(path, records) -> None:
     """JSON-lines dump of (scenario_id, (K, T, 2) world-frame trajectories,
     (K,) scores) records."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for sid, trajs, scores in records:
-            rec = {
-                "scenario_id": sid,
-                "trajectories": trajs.tolist(),
-                "scores": scores.tolist(),
-                "dt": DT,
-            }
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    _write_records(path, "scores", records)
 
 
 def load_prediction_dump(path) -> list:

@@ -13,7 +13,6 @@ import csv
 import dataclasses
 import json
 import math
-import os
 import typing
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,16 +20,14 @@ from pathlib import Path
 import numpy as np
 
 from . import losses, predictor
-from .core import TrajcastError, compose_frames, sample_transform
-from .data import (FUTURE_LEN, HISTORY_LEN, _batch_windows, _scenario_arrays, branch_futures,
-                   check_windows, make_shift_pair, make_window)
+from .core import FUTURE_LEN, HISTORY_LEN, TrajcastError, compose_frames, sample_transform
+from .data import (_batch_windows, _scenario_arrays, branch_futures, check_windows,
+                   make_shift_pair, make_window)
 from .matching import CRITERIA, STRATEGIES, match, similarity
 from .metrics import MISS_THRESHOLD_METERS, MetricReport, report
 from .predictor import (ModelConfig, ParamStore, backward, forward, init_params,
                         load_checkpoint, predict, refine_backward, refine_forward,
                         save_checkpoint)
-
-SEED_ENV_VAR = "TRAJCAST_SEED"
 
 
 class NonFiniteLoss(TrajcastError):
@@ -136,7 +133,7 @@ def _coerce(key: str, raw: str):
 
 
 def make_config(overrides: dict | None = None, config_path=None) -> TrainConfig:
-    """Config from defaults <- file <- overrides <- TRAJCAST_SEED env var."""
+    """Config from defaults <- file <- overrides."""
     values = {}
     if config_path is not None:
         for n, line in enumerate(Path(config_path).read_text(encoding="utf-8").splitlines(), 1):
@@ -157,9 +154,6 @@ def make_config(overrides: dict | None = None, config_path=None) -> TrainConfig:
         if key not in _FIELD_TYPES:
             raise ValueError(f"unknown config key {key!r}")
         values[key] = _coerce(key, val) if isinstance(val, str) else val
-    env_seed = os.environ.get(SEED_ENV_VAR)
-    if env_seed is not None:
-        values["seed"] = int(env_seed)
     return TrainConfig(**values)
 
 
@@ -230,13 +224,10 @@ def _scenario_step(params: ParamStore, model_cfg: ModelConfig, config: TrainConf
     if config.use_temp:
         # window B's refined outputs mapped into window A's frame
         frame_map = compose_frames(inputs.frames[n:], inputs.frames[:n])
-        matrix = frame_map.matrix[:, None]             # (B, 1, 2, 2)
-        offset = frame_map.offset[:, None, None]       # (B, 1, 1, 2)
-        refined_b_in_a = out["refined"][n:] @ matrix + offset
         l_temp, d_a_temp, d_b_in_a = losses._temporal_arrays(
-            refined, refined_b_in_a, s, config.strategy, config.criterion)
+            refined, frame_map.apply(out["refined"][n:]), s, config.strategy, config.criterion)
         d_ref = d_ref + d_a_temp
-        d_ref_b = d_b_in_a @ matrix.swapaxes(-1, -2)
+        d_ref_b = frame_map.backprop(d_b_in_a)
 
     upstream = {"completion": d_comp, "refined": d_ref, "probs": d_probs}
     if config.use_spatial:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PredictionSet, TrajcastError
+from .core import PredictionSet, TrajcastError, flip_scale_xy, softmax, softmax_backprop
 from .core import to_frame_xy  # noqa: F401  re-exported: callers use losses.to_frame_xy
 from .matching import pair_mask, pairwise_cost
 
@@ -35,27 +35,22 @@ class InvalidShift(TrajcastError):
 
 
 def _huber(diff: np.ndarray, delta: float = HUBER_DELTA):
-    """Elementwise Huber value and its derivative w.r.t. diff, from one
-    |diff| and one branch mask: quadratic where |diff| <= delta, linear
-    beyond."""
+    """Elementwise Huber value, quadratic where |diff| <= delta and linear
+    beyond, and its derivative w.r.t. diff: diff clipped to +-delta."""
     a = np.abs(diff)
-    small = a <= delta
-    return (np.where(small, 0.5 * diff * diff, delta * (a - 0.5 * delta)),
-            np.where(small, diff, delta * np.sign(diff)))
+    return (np.where(a <= delta, 0.5 * diff * diff, delta * (a - 0.5 * delta)),
+            np.clip(diff, -delta, delta))
 
 
 def softmin_scores(displacements, tau: float = SOFTMIN_TAU) -> np.ndarray:
-    """exp(-d/tau) normalized to probabilities over the last axis; max-shift
-    keeps it stable."""
-    d = np.asarray(displacements, dtype=np.float64)
-    z = -d / tau
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    """exp(-d/tau) normalized to probabilities over the last axis:
+    softmax(-d/tau)."""
+    return softmax(-np.asarray(displacements, dtype=np.float64) / tau)
 
 
 def _softmin_backprop(s: np.ndarray, d_s: np.ndarray, tau: float = SOFTMIN_TAU) -> np.ndarray:
     """Gradient w.r.t. the displacements given gradient w.r.t. the scores."""
-    return -s * (d_s - (d_s * s).sum(axis=-1, keepdims=True)) / tau
+    return -softmax_backprop(s, d_s) / tau
 
 
 # ---------------------------------------------------------------------------
@@ -175,10 +170,6 @@ def _temporal_arrays(stack_a: np.ndarray, stack_b: np.ndarray, s: int,
 # spatial consistency
 
 
-_MIRROR = np.array([1.0, -1.0])
-_KEEP = np.array([1.0, 1.0])
-
-
 @dataclass(frozen=True)
 class SpatialPermutation:
     """Input perturbation for the refinement head: optional reflection about
@@ -201,9 +192,7 @@ class SpatialPermutation:
 
     def _mirror(self, xy: np.ndarray) -> np.ndarray:
         """xy with its y coordinates negated wherever flip is set."""
-        flip = np.asarray(self.flip)
-        signs = np.where(flip[..., None], _MIRROR, _KEEP)
-        return xy * signs.reshape(flip.shape + (1,) * (xy.ndim - flip.ndim - 1) + (2,))
+        return flip_scale_xy(xy, self.flip)
 
     def apply(self, anchors: np.ndarray, history: np.ndarray):
         a, h = self._mirror(anchors), self._mirror(history)

@@ -23,8 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (DT, PredictionSet, ScenarioArrays, Trajectory, TrajcastError, Window,
-                   rotation_matrices, to_frame_xy)
+from .core import (DT, FUTURE_LEN, HISTORY_LEN, PredictionSet, ScenarioArrays, Trajectory,
+                   TrajcastError, Window, from_frame_xy, softmax, softmax_backprop, to_frame_xy)
 
 FEATURE_DIM = 5  # (x, y, t_rel_seconds, is_map, present)
 
@@ -41,10 +41,10 @@ class StaleTrace(TrajcastError):
 class ModelConfig:
     """Shapes and toggles of the predictor."""
 
-    n_modes: int = 6        # K
-    horizon: int = 30       # T
-    history_len: int = 20   # M
-    feature_dim: int = 64   # C
+    n_modes: int = 6                # K
+    horizon: int = FUTURE_LEN       # T
+    history_len: int = HISTORY_LEN  # M
+    feature_dim: int = 64           # C
     use_goal: bool = True
     use_refine: bool = True
 
@@ -158,17 +158,6 @@ def init_params(cfg: ModelConfig, seed: int) -> ParamStore:
 
 def _relu(z: np.ndarray) -> np.ndarray:
     return np.maximum(z, 0.0)
-
-
-def _softmax(z: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis."""
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def _softmax_backprop(p: np.ndarray, d_p: np.ndarray) -> np.ndarray:
-    return p * (d_p - (d_p * p).sum(axis=-1, keepdims=True))
 
 
 def encoder_rows(history_xy: np.ndarray, history_mask: np.ndarray, map_xy: np.ndarray,
@@ -363,7 +352,7 @@ def forward(params: ParamStore, cfg: ModelConfig, window):
         offsets = np.zeros_like(completion)
         refined = completion
         raw_cls = phi @ params["cls.w"] + params["cls.b"]
-    probs = _softmax(raw_cls)
+    probs = softmax(raw_cls)
 
     outputs = {
         "phi": phi, "goals": goals, "completion": completion,
@@ -410,7 +399,7 @@ def backward(params: ParamStore, trace: ForwardTrace, upstream: dict) -> ParamSt
     d_refined = grad_of("refined", (w, k, t, 2))
     d_completion = grad_of("completion", (w, k, t, 2))
     d_offsets = grad_of("offsets", (w, k, t, 2))
-    d_raw = _softmax_backprop(trace.probs, grad_of("probs", (w, k)))
+    d_raw = softmax_backprop(trace.probs, grad_of("probs", (w, k)))
 
     # refined = completion + offsets (refine mode) or refined = completion
     d_completion = d_completion + d_refined
@@ -487,11 +476,8 @@ def _predict_arrays(params: ParamStore, cfg: ModelConfig, batch: WindowBatch):
     for start in range(0, len(batch), _PREDICT_CHUNK):
         chunk = batch[start:start + _PREDICT_CHUNK]
         outputs, _ = forward(params, cfg, chunk)
-        # from_frame_xy for every window at once: p @ R(-rotation).T + origin
-        to_world = rotation_matrices([-f.rotation for f in chunk.frames]).swapaxes(-1, -2)
-        origins = np.array([f.origin for f in chunk.frames])
         end = start + len(chunk)
-        trajs[start:end] = outputs["refined"] @ to_world[:, None] + origins[:, None, None]
+        trajs[start:end] = from_frame_xy(outputs["refined"], chunk.frames)
         scores[start:end] = outputs["probs"]
     return trajs, scores
 

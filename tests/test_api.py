@@ -28,6 +28,7 @@ REMOVED = {
     "ensemble": ("pool",),
     "metrics": ("ade", "fde"),
     "matching": ("_points",),
+    "harness": ("SEED_ENV_VAR",),
 }
 
 
@@ -64,6 +65,8 @@ FIXED_PARAMETERS = {
     "metrics.report": ("threshold",),
     "harness.branch_coverage": ("threshold",),
     "harness.jitter_score": ("criterion",),
+    "data.load_dir": ("strict",),
+    "data.load_manifest": ("strict",),
 }
 
 

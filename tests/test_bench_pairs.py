@@ -1,5 +1,5 @@
-"""The summary arithmetic of tools/bench_pairs.py: quartiles, ratios and
-pair counts from hand-made runs."""
+"""The summary arithmetic of tools/bench_pairs.py: quartiles, ratios, pair
+counts and the verdicts against each metric's bound, from hand-made runs."""
 
 import importlib.util
 from pathlib import Path
@@ -16,6 +16,12 @@ def _run(workload, seed, side, rate, loss, attempted=10, failed=0):
     return {"workload": workload, "seed": seed, "side": side, "ran_first": True,
             "attempted": attempted, "failed": failed,
             "metrics": {"rate": rate, "loss": loss}}
+
+
+def _metrics(**better_and_bound):
+    """BENCHMARK.json's end_to_end list: name=(better, bound)."""
+    return [{"name": name, "better": better, "bound": bound}
+            for name, (better, bound) in better_and_bound.items()]
 
 
 def test_quartiles_use_the_inclusive_method():
@@ -37,7 +43,7 @@ def test_summary_counts_pairs_by_direction_and_skips_unpaired_seeds():
     runs.append(_run("w", 99, "parent", 1.0, 1.0))           # no change run: not a pair
     runs += [_run("v", 5, "change", 2.0, 1.0), _run("v", 5, "parent", 1.0, 1.0)]
 
-    summary = bench_pairs.summarize(runs, {"rate": "higher", "loss": "lower"})
+    summary = bench_pairs.summarize(runs, _metrics(rate=("higher", 0.25), loss=("lower", 0.2)))
     assert list(summary) == ["w", "v"]
     w = summary["w"]
     assert w["pairs"] == 4
@@ -59,6 +65,31 @@ def test_summary_counts_pairs_by_direction_and_skips_unpaired_seeds():
 
 
 def test_summary_of_a_workload_without_a_whole_pair_has_no_metrics():
-    summary = bench_pairs.summarize([_run("w", 1, "parent", 1.0, 1.0)], {"rate": "higher"})
+    summary = bench_pairs.summarize([_run("w", 1, "parent", 1.0, 1.0)],
+                                    _metrics(rate=("higher", 0.25)))
     assert summary == {"w": {"pairs": 0, "ops_failed": {
         "attempted": {"parent": 0, "change": 0}, "parent": 0, "change": 0}}}
+
+
+@pytest.mark.parametrize("parent, change, better, regressed, unresolved", [
+    # the median 13% lower against a 10% bound; no parent spread
+    ([100.0] * 4, [85.0, 86.0, 88.0, 90.0], "higher", True, False),
+    # the median 5% lower: inside the bound
+    ([100.0] * 4, [94.0, 95.0, 95.0, 96.0], "higher", False, False),
+    # the parent's quartiles 1.375-2.125 around 1.75: a 43% spread
+    ([1.0, 1.5, 2.0, 2.5], [1.0, 1.5, 2.0, 2.5], "lower", False, True),
+    # ... resolved when every change run beats every parent run
+    ([1.0, 1.5, 2.0, 2.5], [0.9, 0.95, 0.98, 0.99], "lower", False, False),
+    # a tie with the parent's best run is not a win
+    ([1.0, 1.5, 2.0, 2.5], [0.9, 0.95, 0.98, 1.0], "lower", False, True),
+    # worse beyond the bound and too spread to tell
+    ([1.0, 1.5, 2.0, 2.5], [3.0, 3.0, 3.0, 3.0], "lower", True, True),
+])
+def test_summary_gives_the_verdicts_against_the_bound(parent, change, better, regressed,
+                                                      unresolved):
+    runs = []
+    for seed, (p, c) in enumerate(zip(parent, change)):
+        runs += [_run("w", seed, "parent", p, 0.0), _run("w", seed, "change", c, 0.0)]
+    rate = bench_pairs.summarize(runs, _metrics(rate=(better, 0.1)))["w"]["rate"]
+    assert rate["bound"] == 0.1
+    assert (rate["regressed"], rate["unresolved"]) == (regressed, unresolved)

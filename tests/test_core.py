@@ -13,6 +13,7 @@ from trajcast.core import (AgentTrack, Frame, IDENTITY_FRAME, MissingTargetFrame
                            Window, apply_transform, compose_frames, from_frame_xy,
                            heading_frame, normalize_angle, rotate_xy, rotation_matrix,
                            sample_transform, to_frame_xy, track_frame)
+from trajcast.losses import SpatialPermutation
 
 
 def test_normalize_angle_range():
@@ -137,6 +138,63 @@ def test_compose_frames_property(src, dst, xy):
     two_step = to_frame_xy(from_frame_xy(xy, src), dst)
     np.testing.assert_allclose(compose_frames(src, dst).apply(xy), two_step,
                                rtol=0, atol=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_frames, _frames), min_size=1, max_size=4),
+       st.lists(st.integers(1, 3), max_size=2), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_stacked_frame_maps_equal_per_frame_calls(pairs, extra, n, seed):
+    """A stack of B frame maps, and to_frame_xy and from_frame_xy on B
+    frames, give row b of (B, ..., N, 2) points, with 0 to 2 axes between B
+    and N, the bits of the call on frame b alone."""
+    src, dst = [p[0] for p in pairs], [p[1] for p in pairs]
+    xy = np.random.default_rng(seed).uniform(-1e3, 1e3, size=(len(pairs), *extra, n, 2))
+    fmap = compose_frames(src, dst)
+    mapped, grad = fmap.apply(xy), fmap.backprop(xy)
+    local, world = to_frame_xy(xy, dst), from_frame_xy(xy, dst)
+    for b in range(len(pairs)):
+        single = compose_frames(src[b], dst[b])
+        assert np.array_equal(mapped[b], single.apply(xy[b]))
+        assert np.array_equal(grad[b], single.backprop(xy[b]))
+        assert np.array_equal(local[b], to_frame_xy(xy[b], dst[b]))
+        assert np.array_equal(world[b], from_frame_xy(xy[b], dst[b]))
+
+
+def _apply_xy_oracle(xy, flip, scale):
+    """SceneTransform.apply_xy as it stood before the flip rule was shared."""
+    xy = np.asarray(xy, dtype=np.float64)
+    scale = np.asarray(scale, dtype=np.float64)
+    factors = np.stack([scale, np.where(flip, -scale, scale)], axis=-1)
+    return xy * factors.reshape(scale.shape + (1,) * (xy.ndim - scale.ndim - 1) + (2,))
+
+
+def _mirror_oracle(xy, flip):
+    """SpatialPermutation._mirror as it stood before the flip rule was shared."""
+    flip = np.asarray(flip)
+    signs = np.where(flip[..., None], np.array([1.0, -1.0]), np.array([1.0, 1.0]))
+    return xy * signs.reshape(flip.shape + (1,) * (xy.ndim - flip.ndim - 1) + (2,))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), stacked=st.booleans(), g=st.integers(1, 4),
+       extra=st.lists(st.integers(1, 3), max_size=2))
+def test_flip_and_scale_equal_the_former_formulas(data, stacked, g, extra):
+    """The scene transform and the spatial permutation's mirror, one flip or
+    a (G,) stack of them, against their separate formulas bit for bit, at
+    +-0.0, +-inf and NaN too."""
+    lead = (g,) if stacked else ()
+    flip = data.draw(hnp.arrays(bool, lead)) if stacked else data.draw(st.booleans())
+    scale = data.draw(hnp.arrays(np.float64, lead, elements=st.floats(0.5, 2.0)))
+    if not stacked:
+        scale = float(scale)
+    special = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan])
+    xy = data.draw(hnp.arrays(np.float64, (*lead, *extra, 2),
+                              elements=st.one_of(special, st.floats(-1e6, 1e6))))
+    tf = SceneTransform(flip=flip, scale=scale)
+    for got, want in ((tf.apply_xy(xy), _apply_xy_oracle(xy, flip, scale)),
+                      (SpatialPermutation(flip=flip)._mirror(xy), _mirror_oracle(xy, flip))):
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_rigid_invariance_of_distances():

@@ -1,8 +1,8 @@
 """Synthetic generator behavior and CSV/manifest round trips."""
 
 import json
-import logging
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -210,7 +210,7 @@ def test_csv_pads_absent_frames_with_nearest(tmp_path):
     np.testing.assert_array_equal(other.xy[25], [200.0, 200.0])
 
 
-def test_load_dir_warns_and_skips(tmp_path, caplog):
+def test_load_dir_raises_on_the_first_file_it_cannot_load(tmp_path):
     sc = generate(_spec(mode_mix=_only("straight")))[0]
     save_csv(sc, tmp_path / "good.csv")
     _write_csv(tmp_path / "bad.csv", _full_rows(frames=10))
@@ -248,15 +248,13 @@ def test_load_dir_warns_and_skips(tmp_path, caplog):
                                        "timestamp 0 \\(line 2\\)$")]:
         with pytest.raises(MalformedRow, match=f"{name}: .*{reason}"):
             load_csv(tmp_path / name.removesuffix(".map.json"))
-    with caplog.at_level(logging.WARNING, logger="trajcast.data"):
-        scenarios = load_dir(tmp_path)
-    assert len(scenarios) == 1
-    for name in ("bad.csv", "two-agents.csv", "nan-map.csv", "no-polylines.csv", "list-map.csv",
-                 "string-map.csv", "bool-map.csv", "big-int-map.csv", "number-map.csv",
-                 "twice.csv"):
-        assert any(name in rec.getMessage() for rec in caplog.records)
-    with pytest.raises(WrongFrameCount):
-        load_dir(tmp_path, strict=True)
+    # name order puts bad.csv first
+    with pytest.raises(WrongFrameCount, match=f"^{re.escape(str(tmp_path / 'bad.csv'))}: "):
+        load_dir(tmp_path)
+    for file in tmp_path.glob("*.csv"):
+        if file.name != "good.csv":
+            file.unlink()
+    assert [s.scenario_id for s in load_dir(tmp_path)] == ["good"]
 
 
 # -- manifest -----------------------------------------------------------------

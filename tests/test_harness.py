@@ -24,8 +24,7 @@ from trajcast.core import (AgentTrack, MissingTargetFrame, Scenario, SceneTransf
                            to_frame_xy)
 from trajcast.data import (SyntheticSpec, _batch_windows, _scenario_arrays, generate,
                            make_shift_pair, make_window)
-from trajcast.harness import (Adam, NonFiniteLoss, SEED_ENV_VAR, ShapeMismatch,
-                              TrainConfig, _scenario_step,
+from trajcast.harness import (Adam, NonFiniteLoss, ShapeMismatch, TrainConfig, _scenario_step,
                               branch_coverage, evaluate, jitter_score, lr_at_epoch,
                               make_config, run_grid, table2_rows, train)
 from trajcast.metrics import EmptyDataset
@@ -130,8 +129,7 @@ def test_make_config_reports_bad_values_with_file_and_line(tmp_path):
 
 
 @pytest.mark.parametrize("field", dataclasses.fields(TrainConfig), ids=lambda f: f.name)
-def test_make_config_coerces_every_field_from_text(field, tmp_path, monkeypatch):
-    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+def test_make_config_coerces_every_field_from_text(field, tmp_path):
     default = getattr(TrainConfig(), field.name)
     texts = [str(default)] + ([str(not default)] if isinstance(default, bool) else [])
     # use_refine = False is only valid with the spatial loss off
@@ -144,13 +142,6 @@ def test_make_config_coerces_every_field_from_text(field, tmp_path, monkeypatch)
         for config in (make_config(overrides), make_config(config_path=path)):
             value = getattr(config, field.name)
             assert type(value) is type(default) and value == expected, (text, value)
-
-
-def test_env_seed_wins(monkeypatch):
-    monkeypatch.setenv(SEED_ENV_VAR, "77")
-    assert make_config({"seed": 5}).seed == 77
-    monkeypatch.delenv(SEED_ENV_VAR)
-    assert make_config({"seed": 5}).seed == 5
 
 
 def test_train_config_validation():
@@ -798,6 +789,29 @@ def test_inference_commands_match_recorded_outputs(tmp_path):
         assert json.loads(run("jitter", "--s", s)) == {"jitter": value, "s": s}
 
 
+# `cluster` on the dumps of two untrained checkpoints, as it wrote them before
+# the dump and pseudo-target files shared one record writer
+_GOLDEN_PSEUDO_SHA256 = "305502c25d9d241e18e2ae0444d6f32cb8473ada6a5b7a6bdc6bef6cdc5d3dba"
+
+
+def test_cluster_writes_the_recorded_pseudo_targets(tmp_path):
+    ds = tmp_path / "ds"
+    data.save_dataset(generate(SyntheticSpec(scenario_count=12, seed=31)), ds, val_fraction=0.0)
+    model_cfg = ModelConfig(feature_dim=16)
+    dumps = []
+    for seed in (5, 6):
+        ckpt, dump = tmp_path / f"model{seed}.json", tmp_path / f"dump{seed}.jsonl"
+        save_checkpoint(ckpt, init_params(model_cfg, seed=seed), model_cfg, seed=seed, epoch=0)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["ensemble-dump", "--checkpoint", str(ckpt), "--data", str(ds),
+                             "--out", str(dump)]) == 0
+        dumps += ["--dump", f"m{seed}={dump}"]
+    out = tmp_path / "pseudo.jsonl"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["cluster", *dumps, "--j", "3", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _GOLDEN_PSEUDO_SHA256
+
+
 def test_commands_cut_and_lay_out_no_window_on_its_own(tmp_path, monkeypatch):
     """evaluate, dump_checkpoint, jitter_checkpoint and branch_coverage take
     their windows from the list forms of make_window and make_shift_pair,
@@ -1179,6 +1193,8 @@ def _corrupt_line_2(rec: dict, how: str) -> str:
         rec[key] = [str(v) for v in rec[key]]
     elif how == "boolean dt":
         rec["dt"] = True
+    elif how == "dt 0.2":
+        rec["dt"] = 0.2
     elif how == "repeated scenario":
         rec["scenario_id"] = "s0"
     elif how == "number scenario id":
@@ -1198,7 +1214,8 @@ _CORRUPT = [
                            r"numbers$"),
     ("string scores", r"line 2 \(s1\): {what}s must be finite and nonnegative numbers, "
                       r"got \['0.\d+', '0.\d+'\]$"),
-    ("boolean dt", r"line 2 \(s1\): dt must be a positive number, got True$"),
+    ("boolean dt", r"line 2 \(s1\): dt must be 0.1, got True$"),
+    ("dt 0.2", r"line 2 \(s1\): dt must be 0.1, got 0.2$"),
     ("repeated scenario", r"line 2 \(s0\): scenario s0 is also on line 1$"),
     ("number scenario id", r"line 2 \(5\): scenario_id must be a string$"),
     ("29-step trajectory", r"line 2 \(s1\): all trajectories must share a length, "
@@ -1317,6 +1334,8 @@ def _break_manifest(manifest: Path, how: str) -> None:
         fields["history_len"] = "20"
     elif how == "entry without split":
         del fields["scenarios"][0]["split"]
+    elif how == "dt 0.2":
+        fields["dt"] = 0.2
     text = json.dumps(fields)
     manifest.write_text(text[:-1] if how == "undecodable JSON" else text)  # no closing brace
 
@@ -1327,6 +1346,7 @@ def _break_manifest(manifest: Path, how: str) -> None:
     ("entry without split",
      r"scenario entry 0 needs a string 'file' and 'split', got \{'file': 'straight-00000.csv'\}"),
     ("undecodable JSON", r"Expecting ',' delimiter: line 1 column \d+ \(char \d+\)"),
+    ("dt 0.2", "dt must be 0.1, got 0.2"),
 ])
 def test_cli_names_the_manifest_and_its_fault_before_any_scenario_loads(
         tmp_path, capsys, monkeypatch, how, message):
@@ -1342,15 +1362,16 @@ def test_cli_names_the_manifest_and_its_fault_before_any_scenario_loads(
 
 
 def test_cli_stops_on_a_scenario_file_it_cannot_load(tmp_path, capsys):
-    """Commands load strictly: a truncated CSV stops evaluate, naming the
-    file and line, where the library default warns and skips it."""
+    """A truncated CSV stops evaluate, naming the file and line, as it stops
+    load_manifest."""
     paths = _cli_inputs(tmp_path)
     bad = paths["ds"] / "straight-00003.csv"
     lines = bad.read_text().splitlines()[:30]
     lines[-1] = lines[-1][:lines[-1].rindex(",")]          # the last row cut short
     bad.write_text("\n".join(lines) + "\n")
     manifest = paths["ds"] / "manifest.json"
-    assert len(data.load_manifest(manifest, split="val")) == 1
+    with pytest.raises(data.MalformedRow, match=f"^{re.escape(str(bad))}: line 30: "):
+        data.load_manifest(manifest, split="val")
     with pytest.raises(SystemExit) as exc:
         cli.main(["evaluate", "--checkpoint", str(paths["ckpt"]), "--data", str(paths["ds"]),
                   "--report", str(paths["out"])])

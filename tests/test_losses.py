@@ -11,8 +11,8 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import line_trajectory, prediction_set
 from trajcast.losses import (HUBER_DELTA, InvalidShift, LossBreakdown,
-                             SpatialPermutation, _at_modes, _huber, _spatial_arrays,
-                             _temporal_arrays, _wta_targets,
+                             SpatialPermutation, _at_modes, _huber, _softmin_backprop,
+                             _spatial_arrays, _temporal_arrays, _wta_targets,
                              make_breakdown, sample_permutation,
                              softmin_scores, spatial_consistency,
                              target_losses, temporal_consistency)
@@ -75,6 +75,36 @@ def test_at_modes_equals_take_along_axis(seed, lead, k, j, t):
     got = _at_modes(stack, index)
     assert got.shape == (*lead, j, t, 2)
     assert np.array_equal(got, want)
+
+
+def _softmin_oracle(displacements, tau):
+    """softmin_scores as it stood before it called the shared softmax."""
+    z = -np.asarray(displacements, dtype=np.float64) / tau
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmin_backprop_oracle(s, d_s, tau):
+    """_softmin_backprop as it stood before it called the shared softmax
+    backprop."""
+    return -s * (d_s - (d_s * s).sum(axis=-1, keepdims=True)) / tau
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), tau=st.one_of(st.sampled_from([1.0, 0.5, 2.0]), st.floats(1e-2, 1e2)))
+def test_softmin_pair_equals_the_former_formulas(data, tau):
+    """softmin_scores and its backprop against their former formulas bit
+    for bit, for 0 to 2 leading axes, at ties and at +-0.0."""
+    shape = data.draw(hnp.array_shapes(min_dims=1, max_dims=3, max_side=6))
+    special = st.sampled_from([0.0, -0.0, 1.0])
+    d = data.draw(hnp.arrays(np.float64, shape, elements=st.one_of(special, st.floats(0, 1e3))))
+    d_s = data.draw(hnp.arrays(np.float64, shape,
+                               elements=st.one_of(special, st.floats(-1e3, 1e3))))
+    s = softmin_scores(d, tau)
+    for got, want in ((s, _softmin_oracle(d, tau)),
+                      (_softmin_backprop(s, d_s, tau), _softmin_backprop_oracle(s, d_s, tau))):
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_softmin_hand_values():

@@ -4,8 +4,10 @@ Runs `perfbench/run.py` in two checkouts, one pair of runs per seed, and
 swaps which side runs first from one pair to the next, so drift in the host
 falls on both sides alike. Writes one JSON file in the layout of the
 committed `BENCH_*.json` files: every run, then per workload and end-to-end
-metric each side's median and quartiles, the ratio of the medians and the
-number of pairs the change won.
+metric each side's median and quartiles, the ratio of the medians, the
+number of pairs the change won, and the two verdicts against the metric's
+bound: whether the change regressed, and whether the parent's own spread is
+too wide to tell.
 
     python tools/bench_pairs.py --parent ../parent --change . \\
         --workload train-mpt-aug --workload train-desk --first-seed 14001 \\
@@ -39,13 +41,18 @@ def quartiles(values) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(runs: list, better: dict) -> dict:
+def summarize(runs: list, end_to_end: list) -> dict:
     """Per workload: each metric's quartiles on both sides, the change's
-    median over the parent's, and in how many pairs (same workload and seed)
-    the change was better or tied; plus operations attempted and failed.
+    median over the parent's, in how many pairs (same workload and seed)
+    the change was better or tied, and two verdicts against the metric's
+    bound; plus operations attempted and failed.
 
-    `better` maps each metric to "higher" or "lower". Only seeds with a run
-    on both sides count.
+    `end_to_end` lists the metrics as BENCHMARK.json does: each has a name,
+    "better" ("higher" or "lower") and a relative "bound". `regressed`: the
+    change's median is worse than the parent's by more than bound times the
+    parent's median. `unresolved`: the parent's (q3 - q1) exceeds bound
+    times its median, and not every change run beats every parent run. Only
+    seeds with a run on both sides count.
     """
     summary = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
@@ -57,17 +64,23 @@ def summarize(runs: list, better: dict) -> dict:
         entry = {"pairs": len(pairs), "ops_failed": {
             "attempted": {side: sum(p[side]["attempted"] for p in pairs) for side in SIDES},
             **{side: sum(p[side]["failed"] for p in pairs) for side in SIDES}}}
-        for metric, direction in (better.items() if pairs else ()):
+        for spec in (end_to_end if pairs else ()):
+            metric, direction, bound = spec["name"], spec["better"], spec["bound"]
             values = {side: [p[side]["metrics"][metric] for p in pairs] for side in SIDES}
             sign = 1.0 if direction == "higher" else -1.0
             moves = [sign * (c - p) for p, c in zip(values["parent"], values["change"])]
             parent, change = quartiles(values["parent"]), quartiles(values["change"])
+            scale = bound * abs(parent["median"])
+            beats_all = all(sign * (c - p) > 0 for c in values["change"]
+                            for p in values["parent"])
             entry[metric] = {
-                "better": direction, "parent": parent, "change": change,
+                "better": direction, "bound": bound, "parent": parent, "change": change,
                 "change_over_parent": (change["median"] / parent["median"]
                                        if parent["median"] else None),
                 "change_better_in": sum(m > 0 for m in moves),
                 "ties": sum(m == 0 for m in moves),
+                "regressed": sign * (parent["median"] - change["median"]) > scale,
+                "unresolved": parent["q3"] - parent["q1"] > scale and not beats_all,
             }
         summary[workload] = entry
     return summary
@@ -108,7 +121,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     seeds = {w: [args.first_seed + 100 * i + p for p in range(PAIRS)]
@@ -133,7 +145,7 @@ def main(argv=None) -> int:
                     "python", "numpy", "blas", "blas_threads", "nproc")}}
                 report["runs"].append({**record, "ran_first": position == 0, "seed": seed,
                                        "side": side, "workload": workload})
-                report["summary"] = summarize(report["runs"], better)
+                report["summary"] = summarize(report["runs"], spec["end_to_end"])
                 args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n",
                                     encoding="utf-8")
                 print(f"pair {p} {workload} seed {seed} {side}: "
