@@ -23,7 +23,7 @@ def _parse_mode_mix(text: str) -> dict:
         try:
             mix[name.strip()] = float(weight)
         except ValueError:
-            raise SystemExit(f"--mode-mix expects name=weight pairs, got {part!r}") from None
+            raise ValueError(f"--mode-mix expects name=weight pairs, got {part!r}") from None
     return mix
 
 
@@ -32,15 +32,16 @@ def _parse_overrides(pairs) -> dict:
     for pair in pairs or []:
         key, sep, value = pair.partition("=")
         if not sep:
-            raise SystemExit(f"--set expects key=value, got {pair!r}")
+            raise ValueError(f"--set expects key=value, got {pair!r}")
         out[key.strip()] = value.strip()
     return out
 
 
-def _need(args, flag: str, path):
-    """path, unless it was given and does not exist: then exit naming the flag."""
+def _need(flag: str, path):
+    """path, unless it was given and does not exist: then refuse it, naming
+    the flag."""
     if path is not None and not Path(path).exists():
-        raise SystemExit(f"{args.command}: {flag} {path}: no such file or directory")
+        raise ValueError(f"{flag} {path}: no such file or directory")
     return path
 
 
@@ -48,11 +49,11 @@ def _load_split(args, split):
     """One split of the dataset --data names: a manifest, or a directory
     holding one. A scenario file that cannot be loaded, or a split that
     lists no scenario, stops the command."""
-    path = Path(_need(args, "--data", args.data))
-    manifest = _need(args, "--data", path / "manifest.json") if path.is_dir() else path
+    path = Path(_need("--data", args.data))
+    manifest = _need("--data", path / "manifest.json") if path.is_dir() else path
     scenarios = data.load_manifest(manifest, split=split)
     if not scenarios:
-        raise SystemExit(f"{args.command}: split {split!r} of {manifest} has no scenarios")
+        raise ValueError(f"split {split!r} of {manifest} has no scenarios")
     return scenarios
 
 
@@ -61,7 +62,7 @@ def cmd_generate(args) -> int:
     try:
         branch_probs = tuple(float(p) for p in args.branch_probs.split(","))
     except ValueError:
-        raise SystemExit(f"--branch-probs expects numbers, got {args.branch_probs!r}") from None
+        raise ValueError(f"--branch-probs expects numbers, got {args.branch_probs!r}") from None
     spec = data.SyntheticSpec(scenario_count=args.count, mode_mix=mix,
                               speed_range=(args.speed_lo, args.speed_hi),
                               noise_sigma=args.noise, seed=args.seed,
@@ -74,8 +75,8 @@ def cmd_generate(args) -> int:
 
 def cmd_train(args) -> int:
     config = harness.make_config(_parse_overrides(args.set),
-                                 config_path=_need(args, "--config", args.config))
-    _need(args, "--pseudo-targets", args.pseudo_targets)
+                                 config_path=_need("--config", args.config))
+    _need("--pseudo-targets", args.pseudo_targets)
     scenarios = _load_split(args, args.split)
     pseudo = ensemble.load_pseudo_targets(args.pseudo_targets) if args.pseudo_targets else None
     _, _, records = harness.train(config, scenarios, pseudo_targets=pseudo,
@@ -87,7 +88,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    _need(args, "--checkpoint", args.checkpoint)
+    _need("--checkpoint", args.checkpoint)
     scenarios = _load_split(args, args.split)
     rep = harness.evaluate_checkpoint(args.checkpoint, scenarios, dump_path=args.dump)
     text = rep.to_json()
@@ -98,7 +99,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_jitter(args) -> int:
-    _need(args, "--checkpoint", args.checkpoint)
+    _need("--checkpoint", args.checkpoint)
     scenarios = _load_split(args, args.split)
     score = harness.jitter_checkpoint(args.checkpoint, scenarios, args.s)
     print(json.dumps({"jitter": score, "s": args.s}, sort_keys=True))
@@ -106,7 +107,7 @@ def cmd_jitter(args) -> int:
 
 
 def cmd_ensemble_dump(args) -> int:
-    _need(args, "--checkpoint", args.checkpoint)
+    _need("--checkpoint", args.checkpoint)
     scenarios = _load_split(args, args.split)
     harness.dump_checkpoint(args.checkpoint, scenarios, args.out)
     print(args.out)
@@ -118,8 +119,8 @@ def cmd_cluster(args) -> int:
     for item in args.dump:
         tag, sep, path = item.partition("=")
         if not sep:
-            raise SystemExit(f"--dump expects tag=path, got {item!r}")
-        tagged.append((tag, _need(args, "--dump", path)))
+            raise ValueError(f"--dump expects tag=path, got {item!r}")
+        tagged.append((tag, _need("--dump", path)))
     bank = ensemble.bank_from_dumps(tagged)
     results = ensemble.cluster_bank(bank, args.j, seed=args.seed)
     ensemble.save_pseudo_targets(args.out, results)
@@ -128,15 +129,9 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    if args.spec:
-        grid = json.loads(Path(_need(args, "--spec", args.spec)).read_text(encoding="utf-8"))
-    elif args.preset == "table2":
-        grid = {"base": {}, "rows": harness.table2_rows()}
-    else:
-        raise SystemExit("grid needs --spec or --preset table2")
-    grid.setdefault("base", {}).update(_parse_overrides(args.set))
+    grid = {"base": _parse_overrides(args.set), "rows": harness.table2_rows()}
     harness.grid_configs(grid)
-    _need(args, "--pseudo-targets", args.pseudo_targets)
+    _need("--pseudo-targets", args.pseudo_targets)
     train_scenarios = _load_split(args, args.train_split)
     eval_scenarios = _load_split(args, args.eval_split)
     pseudo = ensemble.load_pseudo_targets(args.pseudo_targets) if args.pseudo_targets else None
@@ -192,26 +187,17 @@ def render_line_chart(series: dict, title: str, width: int = 720, height: int = 
 
 
 def cmd_report(args) -> int:
-    _need(args, "--log", args.log)
-    _need(args, "--jitter", args.jitter)
+    _need("--log", args.log)
     records = [json.loads(line) for line in Path(args.log).read_text(encoding="utf-8").splitlines()
                if line.strip()]
     if not records:
-        raise SystemExit(f"no records in {args.log}")
+        raise ValueError(f"no records in {args.log}")
     series = {key: [r[key] for r in records]
               for key in ("total", "l_reg", "l_cls", "l_temp", "l_spa")}
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(render_line_chart(series, "training loss per step"), encoding="utf-8")
-    written = [str(out)]
-    if args.jitter:
-        points = json.loads(Path(args.jitter).read_text(encoding="utf-8"))
-        values = [p["value"] if isinstance(p, dict) else float(p) for p in points]
-        jitter_out = out.with_name(out.stem + "-jitter.svg")
-        jitter_out.write_text(render_line_chart({"jitter": values}, "jitter score"),
-                              encoding="utf-8")
-        written.append(str(jitter_out))
-    print("\n".join(written))
+    print(out)
     return 0
 
 
@@ -274,8 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grid", help="train/evaluate a grid of configs")
     p.add_argument("--data", required=True)
-    p.add_argument("--spec", default=None, help="grid spec JSON")
-    p.add_argument("--preset", default=None, choices=("table2",))
+    p.add_argument("--preset", required=True, choices=("table2",))
     p.add_argument("--train-split", default="train")
     p.add_argument("--eval-split", default="val")
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
@@ -287,8 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="render SVG charts from a training log")
     p.add_argument("--log", required=True)
     p.add_argument("--out", required=True, help="SVG output path")
-    p.add_argument("--jitter", default=None,
-                   help="JSON array of jitter values for a second chart")
     p.set_defaults(func=cmd_report)
     return parser
 

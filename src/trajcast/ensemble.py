@@ -25,7 +25,8 @@ class UnknownScenario(TrajcastError):
 
 
 class TooFewTrajectories(TrajcastError):
-    """Fewer pooled trajectories than requested clusters."""
+    """Fewer pooled trajectories than requested clusters, or fewer than one
+    cluster requested."""
 
 
 class TooFewModels(TrajcastError):
@@ -133,8 +134,10 @@ def kmeans_trajectories(pooled, j: int, seed) -> ClusterResult:
     in assignment go to the lowest cluster index; an emptied cluster is
     reseeded from the point farthest from its current centroid.
     """
+    if j < 1:
+        raise TooFewTrajectories(f"j must be at least 1, got {j}")
     if isinstance(pooled, list):
-        if len(pooled) < j or j < 1:
+        if len(pooled) < j:
             raise TooFewTrajectories(f"need at least {j} pooled trajectories, got {len(pooled)}")
         trajs = np.stack([traj.points for traj, _ in pooled])[None]
         weights = np.array([[score for _, score in pooled]], dtype=np.float64)
@@ -144,7 +147,7 @@ def kmeans_trajectories(pooled, j: int, seed) -> ClusterResult:
 
 def _kmeans_stack(trajs: np.ndarray, weights: np.ndarray, j: int, seeds) -> ClusterResult:
     s, n, t, _ = trajs.shape
-    if n < j or j < 1:
+    if n < j:
         raise TooFewTrajectories(f"need at least {j} pooled trajectories, got {n}")
     if len(seeds) != s:
         raise ValueError(f"need one seed per scenario, got {len(seeds)} for {s}")

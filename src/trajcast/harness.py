@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import losses, predictor
+from . import losses
 from .core import FUTURE_LEN, HISTORY_LEN, TrajcastError, compose_frames, sample_transform
 from .data import (_batch_windows, _scenario_arrays, branch_futures, check_windows,
                    make_shift_pair, make_window)
@@ -340,13 +340,18 @@ def _training_arrays(config: TrainConfig, scenarios, pseudo_targets: dict | None
     return [_scenario_arrays(sc, shift, entry, n_pseudo) for sc, entry in zip(scenarios, entries)]
 
 
+# scenarios per run of the commands' window building, so windows per `predict`
+# call: bounds the encoder rows and stacked heads alive at once, and the
+# recorded outputs depend on it (a forward's bits depend on which windows it
+# stacks)
+_RUN_SIZE = 64
+
+
 def _chunks(scenarios) -> list:
-    """The scenarios in runs of `predictor._PREDICT_CHUNK`, the windows one
-    forward of `predict` takes. Commands build their windows a run at a
-    time, so the encoder rows alive at once do not grow with the split, and
-    each run's nominal (or shifted) windows are one forward."""
-    size = predictor._PREDICT_CHUNK
-    return [scenarios[start:start + size] for start in range(0, len(scenarios), size)]
+    """The scenarios in runs of `_RUN_SIZE`. Commands build their windows a
+    run at a time, so memory does not grow with the split, and each run's
+    nominal (or shifted) windows are one `predict` call, so one forward."""
+    return [scenarios[start:start + _RUN_SIZE] for start in range(0, len(scenarios), _RUN_SIZE)]
 
 
 def _nominal_predictions(params: ParamStore, model_cfg: ModelConfig, scenarios):
@@ -427,8 +432,7 @@ def jitter_score(predict_fn, scenarios, s: int) -> float:
         for preds_a, preds_b in zip(trajs_a, trajs_b):
             sim = similarity(preds_a, preds_b, criterion="ade", overlap=overlap)
             pairs = match(sim, "bidirectional").pairs
-            if pairs:
-                total += float(np.mean([sim.cost[i, j] for i, j in pairs]))
+            total += float(np.mean([sim.cost[i, j] for i, j in pairs]))
     return total / len(scenarios)
 
 

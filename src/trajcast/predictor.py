@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import (DT, FUTURE_LEN, HISTORY_LEN, PredictionSet, ScenarioArrays, Trajectory,
-                   TrajcastError, Window, from_frame_xy, softmax, softmax_backprop, to_frame_xy)
+                   TrajcastError, from_frame_xy, softmax, softmax_backprop, to_frame_xy)
 
 FEATURE_DIM = 5  # (x, y, t_rel_seconds, is_map, present)
 
@@ -240,16 +240,16 @@ class RefineTrace:
 class ForwardTrace:
     """The activations `backward` reads, tied to one parameter version.
 
-    Per window (encoder): the input rows and where the second layer's
-    pre-activations are positive. Backward recomputes the first layer (five
-    inputs wide, so cheap) rather than holding it for every window of a
-    minibatch. Stacked over the W windows (heads): everything else.
+    Per window (encoder): the input rows, the first layer's activations and
+    where the second layer's pre-activations are positive. Stacked over the
+    W windows (heads): everything else.
     """
 
     params_id: int
     params_version: int
     cfg: ModelConfig
     points: tuple
+    h1: list
     active2: list
     phi: np.ndarray
     g1: np.ndarray | None
@@ -257,12 +257,6 @@ class ForwardTrace:
     c1: np.ndarray
     refine: RefineTrace | None
     probs: np.ndarray
-
-
-def _encoder_layer1(params: ParamStore, points: np.ndarray) -> np.ndarray:
-    h1 = points @ params["enc.w1"]
-    h1 += params["enc.b1"]
-    return np.maximum(h1, 0.0, out=h1)
 
 
 def refine_forward(params: ParamStore, cfg: ModelConfig, anchors: np.ndarray,
@@ -326,9 +320,12 @@ def forward(params: ParamStore, cfg: ModelConfig, window):
     batch = window if isinstance(window, WindowBatch) else WindowBatch.of([window])
     w, k, t = len(batch.points), cfg.n_modes, cfg.horizon
     phi = np.empty((w, cfg.feature_dim))
-    active2 = []
+    h1s, active2 = [], []
     for i, points in enumerate(batch.points):
-        z2 = _encoder_layer1(params, points) @ params["enc.w2"]
+        h1 = points @ params["enc.w1"]
+        h1 += params["enc.b1"]
+        h1s.append(np.maximum(h1, 0.0, out=h1))
+        z2 = h1 @ params["enc.w2"]
         z2 += params["enc.b2"]
         active2.append(z2 > 0)
         phi[i] = np.maximum(z2, 0.0, out=z2).sum(axis=0)
@@ -362,7 +359,7 @@ def forward(params: ParamStore, cfg: ModelConfig, window):
         outputs = {name: None if v is None else v[0] for name, v in outputs.items()}
     trace = ForwardTrace(
         params_id=id(params), params_version=params.version, cfg=cfg,
-        points=batch.points, active2=active2, phi=phi, g1=g1,
+        points=batch.points, h1=h1s, active2=active2, phi=phi, g1=g1,
         comp_in=comp_in, c1=c1, refine=ref_trace,
         probs=probs,
     )
@@ -435,8 +432,7 @@ def backward(params: ParamStore, trace: ForwardTrace, upstream: dict) -> ParamSt
         d_phi = d_phi + d_z3 @ params["goal.w1"].T
 
     # encoder, window by window: phi = sum_n relu(h1 w2 + b2)[n]
-    for points, active2, d_phi_w in zip(trace.points, trace.active2, d_phi):
-        h1 = _encoder_layer1(params, points)
+    for points, h1, active2, d_phi_w in zip(trace.points, trace.h1, trace.active2, d_phi):
         d_z2 = active2 * d_phi_w
         grads["enc.w2"] += h1.T @ d_z2
         grads["enc.b2"] += d_z2.sum(axis=0)
@@ -447,39 +443,24 @@ def backward(params: ParamStore, trace: ForwardTrace, upstream: dict) -> ParamSt
     return grads
 
 
-# windows per forward in predict's batch case, and scenarios per run of the
-# commands' window building (harness._chunks); bounds the memory of the stacked
-# heads and of the encoder rows
-_PREDICT_CHUNK = 64
-
-
 def predict(params: ParamStore, cfg: ModelConfig, window):
     """Inference: K world-frame trajectories with normalized scores.
 
     One Window gives a PredictionSet. A WindowBatch of W windows (what
     `make_window` and `make_shift_pair` give on a list of scenarios) gives
-    arrays: ((W, K, T, 2) world-frame trajectories, (W, K) scores), from one
-    forward per chunk of at most 64 windows, mapped to the world frame
-    through the batch's frames.
+    arrays: ((W, K, T, 2) world-frame trajectories, (W, K) scores), mapped to
+    the world frame through the batch's frames. Either way it is one forward
+    over every window given; callers bound W (see `harness._chunks`).
     """
-    if isinstance(window, Window):
-        trajs, scores = _predict_arrays(params, cfg, WindowBatch.of([window]))
-        return PredictionSet(trajectories=tuple(Trajectory(points=p, dt=window.dt)
-                                                for p in trajs[0]),
-                             scores=scores[0])
-    return _predict_arrays(params, cfg, window)
-
-
-def _predict_arrays(params: ParamStore, cfg: ModelConfig, batch: WindowBatch):
-    trajs = np.empty((len(batch), cfg.n_modes, cfg.horizon, 2))
-    scores = np.empty((len(batch), cfg.n_modes))
-    for start in range(0, len(batch), _PREDICT_CHUNK):
-        chunk = batch[start:start + _PREDICT_CHUNK]
-        outputs, _ = forward(params, cfg, chunk)
-        end = start + len(chunk)
-        trajs[start:end] = from_frame_xy(outputs["refined"], chunk.frames)
-        scores[start:end] = outputs["probs"]
-    return trajs, scores
+    batch = window if isinstance(window, WindowBatch) else WindowBatch.of([window])
+    if not len(batch):
+        return np.empty((0, cfg.n_modes, cfg.horizon, 2)), np.empty((0, cfg.n_modes))
+    outputs, _ = forward(params, cfg, batch)
+    trajs = from_frame_xy(outputs["refined"], batch.frames)
+    if batch is window:
+        return trajs, outputs["probs"]
+    return PredictionSet(trajectories=tuple(Trajectory(points=p, dt=window.dt) for p in trajs[0]),
+                         scores=outputs["probs"][0])
 
 
 CHECKPOINT_VERSION = 1

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import straight_scenario
-from trajcast import cli, data, ensemble, harness, predictor
+from trajcast import cli, data, ensemble, harness
 from trajcast.core import (AgentTrack, MissingTargetFrame, Scenario, SceneTransform,
                            TargetSet, Trajectory, compose_frames, from_frame_xy, heading_frame,
                            to_frame_xy)
@@ -540,7 +540,7 @@ def test_list_forms_equal_the_single_window_path(case, chunk):
     make_shift_pair and featurize: several shape groups per run, missing
     history frames, stationary anchors, s = 0..3."""
     scenarios, s = case
-    with mock.patch.object(predictor, "_PREDICT_CHUNK", chunk):
+    with mock.patch.object(harness, "_RUN_SIZE", chunk):
         runs = harness._chunks(scenarios)
     assert [sc for run in runs for sc in run] == scenarios
     assert max(map(len, runs)) <= chunk
@@ -859,7 +859,7 @@ def test_commands_check_each_scenario_once_before_any_work(tmp_path, monkeypatch
     """Each command checks each scenario's windows once, and all of them
     before the first prediction or training step: 66 scenarios, so the bad
     one is in the second run of `_chunks`."""
-    scenarios = _dataset(count=predictor._PREDICT_CHUNK + 2)
+    scenarios = _dataset(count=harness._RUN_SIZE + 2)
     model_cfg = _tiny_config().model_config()
     ckpt = tmp_path / "model.json"
     save_checkpoint(ckpt, init_params(model_cfg, seed=0), model_cfg, seed=0, epoch=0)
@@ -1176,6 +1176,46 @@ def test_cli_rejects_bad_values_with_a_message(tmp_path, argv, message):
         cli.main(argv)
     assert "\n" not in str(exc.value)
     assert not paths["out"].exists() and not paths["log"].exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["cluster", "--dump", "{dump}", "--out", "{out}"],
+     r"^cluster: --dump expects tag=path, got '.*dump.jsonl'$"),
+    (["cluster", "--dump", "a={dump}", "--dump", "b={dump}", "--j", "0", "--out", "{out}"],
+     r"^cluster: j must be at least 1, got 0$"),
+    (["report", "--log", "{log}", "--out", "{out}"], r"^report: no records in .*log.jsonl$"),
+    (["train", "--data", "{ds}", "--out", "{out}", "--set", "epochs"],
+     r"^train: --set expects key=value, got 'epochs'$"),
+    (["grid", "--data", "{ds}", "--preset", "table2", "--out", "{out}", "--set", "epochs"],
+     r"^grid: --set expects key=value, got 'epochs'$"),
+    (["generate", "--out", "{out}", "--branch-probs", "0.5,x"],
+     r"^generate: --branch-probs expects numbers, got '0.5,x'$"),
+    (["generate", "--out", "{out}", "--mode-mix", "junction"],
+     r"^generate: --mode-mix expects name=weight pairs, got 'junction'$"),
+], ids=lambda v: " ".join(v[:1] + [a for a in v if a.startswith("--")]) if isinstance(v, list)
+   else None)
+def test_cli_bad_input_exits_name_the_command(tmp_path, capsys, argv, message):
+    """Every refused input exits with one `<command>: <message>` line and
+    writes nothing."""
+    paths = _cli_inputs(tmp_path)
+    ensemble.save_prediction_dump(paths["dump"], [("s0", np.zeros((2, 30, 2)),
+                                                   np.array([0.5, 0.5]))])
+    paths["log"].write_text("\n")
+    with pytest.raises(SystemExit, match=message) as exc:
+        cli.main([a.format(**paths) for a in argv])
+    assert "\n" not in str(exc.value)
+    assert not paths["out"].exists() and capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["grid", "--data", "ds"],
+    ["grid", "--data", "ds", "--spec", "spec.json"],
+    ["report", "--log", "log.jsonl", "--out", "out.svg", "--jitter", "jitter.json"],
+])
+def test_cli_parser_refuses_grid_without_preset_and_removed_flags(argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    assert exc.value.code == 2
 
 
 def _corrupt_line_2(rec: dict, how: str) -> str:

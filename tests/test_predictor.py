@@ -266,25 +266,23 @@ def _assert_predict_list_matches_per_window(params, cfg, batch, windows):
 
 
 @settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 2**16), n_scenarios=st.integers(1, 5), chunk=st.integers(1, 11),
-       use_goal=st.booleans(), use_refine=st.booleans())
-def test_predict_on_a_list_equals_per_window_predict(seed, n_scenarios, chunk, use_goal,
-                                                     use_refine):
-    """predict on a WindowBatch stacks what predict gives each window,
-    wherever the batch's chunks end; the nominal and shifted windows of
-    five-mode-mix scenarios, with heading jitter, vary the frames."""
+@given(seed=st.integers(0, 2**16), n_scenarios=st.integers(1, 5), use_goal=st.booleans(),
+       use_refine=st.booleans())
+def test_predict_on_a_list_equals_per_window_predict(seed, n_scenarios, use_goal, use_refine):
+    """predict on a WindowBatch stacks what predict gives each window; the
+    nominal and shifted windows of five-mode-mix scenarios, with heading
+    jitter, vary the frames."""
     cfg = ModelConfig(n_modes=3, horizon=30, history_len=20, feature_dim=8,
                       use_goal=use_goal, use_refine=use_refine)
     scenarios = data.generate(data.SyntheticSpec(scenario_count=n_scenarios, seed=seed))
     windows = [dataclasses.replace(w, frame=heading_frame(*w.history_xy[-2:], 0.3 * i))
                for i, sc in enumerate(scenarios) for w in data.make_shift_pair(sc, 1 + i % 5)]
-    with mock.patch.object(predictor, "_PREDICT_CHUNK", chunk):
-        _assert_predict_list_matches_per_window(init_params(cfg, seed=seed), cfg,
-                                                WindowBatch.of(windows), windows)
+    _assert_predict_list_matches_per_window(init_params(cfg, seed=seed), cfg,
+                                            WindowBatch.of(windows), windows)
 
 
 @pytest.mark.parametrize("n_windows", [1, 63, 64, 65, 130])
-def test_predict_on_a_list_runs_one_forward_per_64_windows(n_windows):
+def test_predict_runs_one_forward_per_call(n_windows):
     cfg = ModelConfig(n_modes=2, horizon=30, history_len=20, feature_dim=4)
     scenarios = data.generate(data.SyntheticSpec(scenario_count=n_windows, seed=n_windows))
     windows = [data.make_window(sc) for sc in scenarios]
@@ -292,7 +290,8 @@ def test_predict_on_a_list_runs_one_forward_per_64_windows(n_windows):
     batch = data.make_window(scenarios)
     with mock.patch.object(predictor, "forward", wraps=predictor.forward) as fwd:
         predict(params, cfg, batch)
-    assert fwd.call_count == math.ceil(n_windows / 64)
+        predict(params, cfg, windows[0])
+    assert fwd.call_count == 2
     _assert_predict_list_matches_per_window(params, cfg, batch, windows)
 
 
