@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import data, ensemble, harness
-from .core import TrajcastError
+from .core import JSON_NUMBER_TYPES, TrajcastError
 
 
 def _parse_mode_mix(text: str) -> dict:
@@ -186,14 +186,32 @@ def render_line_chart(series: dict, title: str, width: int = 720, height: int = 
     return "\n".join(parts)
 
 
+def _log_series(path) -> dict:
+    """The loss parts of a training log, key -> one value per record; each
+    non-blank line must be a JSON object holding every part as a JSON
+    number, else ValueError naming the file and line."""
+    series = {key: [] for key in ("total", "l_reg", "l_cls", "l_temp", "l_spa")}
+    for n, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: line {n}: not JSON: {exc.msg} "
+                             f"(column {exc.colno})") from None
+        for key, values in series.items():
+            if type(record) is not dict or type(record.get(key)) not in JSON_NUMBER_TYPES:
+                raise ValueError(f"{path}: line {n}: not a training log record: "
+                                 f"no number under {key!r}")
+            values.append(record[key])
+    if not series["total"]:
+        raise ValueError(f"no records in {path}")
+    return series
+
+
 def cmd_report(args) -> int:
     _need("--log", args.log)
-    records = [json.loads(line) for line in Path(args.log).read_text(encoding="utf-8").splitlines()
-               if line.strip()]
-    if not records:
-        raise ValueError(f"no records in {args.log}")
-    series = {key: [r[key] for r in records]
-              for key in ("total", "l_reg", "l_cls", "l_temp", "l_spa")}
+    series = _log_series(args.log)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(render_line_chart(series, "training loss per step"), encoding="utf-8")

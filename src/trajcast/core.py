@@ -8,7 +8,7 @@ use is safe.
 
 Conventions:
     - coordinates are meters in a flat 2-D plane, double precision throughout
-    - trajectories are (N, 2) arrays of waypoints with a fixed timestep dt
+    - trajectories are (N, 2) arrays of waypoints DT seconds apart
     - the agent frame puts the target agent at the origin at t=0 with its
       t=-1 -> t=0 displacement along the positive x-axis
 """
@@ -116,20 +116,17 @@ def rotate_xy(xy: np.ndarray, theta: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Ordered 2-D waypoint sequence with a fixed timestep.
+    """Ordered 2-D waypoint sequence, DT seconds apart.
 
-    points has shape (N, 2) with N >= 1; dt is seconds per step.
+    points has shape (N, 2) with N >= 1.
     """
 
     points: np.ndarray
-    dt: float = DT
 
     def __post_init__(self):
         pts = _frozen_array(self.points, "trajectory points")
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise ValueError(f"trajectory points must be (N, 2), got {pts.shape}")
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
         object.__setattr__(self, "points", pts)
 
     def __len__(self) -> int:
@@ -218,7 +215,7 @@ class Scenario:
     def gt_future(self) -> Trajectory:
         """Target agent's ground-truth future as a Trajectory."""
         xy = self.target.xy[self.history_len:]
-        return Trajectory(points=xy, dt=DT)
+        return Trajectory(points=xy)
 
 
 @dataclass(frozen=True)
@@ -458,7 +455,6 @@ class Window:
     frame: Frame
     gt_future: Trajectory | None = None
     shift: int = 0
-    dt: float = DT
 
     def __post_init__(self):
         # empty history is representable here; the encoder is where it errors

@@ -165,7 +165,7 @@ def generate(spec: SyntheticSpec) -> list:
         trail = world[np.clip(np.arange(TOTAL_FRAMES) - AV_FOLLOW_FRAMES, 0, None)]
         av = AgentTrack(track_id="av-0", object_type="av",
                         xy=trail + av_noise, present=full)
-        maps = tuple(Trajectory(points=rotate_xy(p, psi) + origin, dt=DT)
+        maps = tuple(Trajectory(points=rotate_xy(p, psi) + origin)
                      for p in polylines)
         scenarios.append(Scenario(scenario_id=f"{mode}-{i:05d}", agents=(agent, av),
                                   map_polylines=maps, target_track_id="agent-0",
@@ -182,7 +182,7 @@ def branch_futures(scenario: Scenario) -> list:
     if not scenario.scenario_id.startswith("junction"):
         return []
     m = scenario.history_len
-    return [Trajectory(points=p.points[m:], dt=p.dt) for p in scenario.map_polylines]
+    return [Trajectory(points=p.points[m:]) for p in scenario.map_polylines]
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +346,7 @@ def _map_polylines(text: str) -> tuple:
     flat = json_number_pairs(polylines)
     if flat is not None and all(polylines) and np.isfinite(flat).all():
         ends = list(accumulate(map(len, polylines)))
-        return tuple(Trajectory(points=flat[start:end], dt=DT)
+        return tuple(Trajectory(points=flat[start:end])
                      for start, end in zip([0, *ends], ends))
     # some rule is broken: name the first, in the order the docstring gives
     stack = [polylines]
@@ -361,7 +361,7 @@ def _map_polylines(text: str) -> tuple:
     out = []
     for p in polylines:
         try:
-            out.append(Trajectory(points=np.array(p), dt=DT))
+            out.append(Trajectory(points=np.array(p)))
         except OverflowError:  # an integer beyond float range
             raise ValueError("trajectory points contains non-finite values") from None
     return tuple(out)
@@ -474,7 +474,7 @@ def _cut_window(scenario: Scenario, s: int) -> Window:
                   history_xy=target.xy[s:m + s], history_mask=target.present[s:m + s],
                   map_polylines=scenario.map_polylines,
                   frame=track_frame(target, m + s - 1),
-                  gt_future=None if s else scenario.gt_future(), shift=s, dt=DT)
+                  gt_future=None if s else scenario.gt_future(), shift=s)
 
 
 def _scenario_arrays(scenario: Scenario, s: int, pseudo=None,

@@ -267,7 +267,7 @@ def build_target_set(cluster: ClusterResult | None, gt: Trajectory) -> TargetSet
                                  f"vs gt length {len(gt)}")
         trajs, confs = cluster.centroids, cluster.scores
     targets, confidences = target_arrays(gt.points, trajs, confs, len(trajs))
-    return TargetSet(targets=(gt, *(Trajectory(points=p, dt=gt.dt) for p in targets[1:])),
+    return TargetSet(targets=(gt, *(Trajectory(points=p) for p in targets[1:])),
                      confidences=confidences)
 
 

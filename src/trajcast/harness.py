@@ -25,7 +25,7 @@ from .data import (_batch_windows, _scenario_arrays, branch_futures, check_windo
                    make_shift_pair, make_window)
 from .matching import CRITERIA, STRATEGIES, match, similarity
 from .metrics import MISS_THRESHOLD_METERS, MetricReport, report
-from .predictor import (ModelConfig, ParamStore, backward, forward, init_params,
+from .predictor import (HEAD_BLOCK, ModelConfig, ParamStore, backward, forward, init_params,
                         load_checkpoint, predict, refine_backward, refine_forward,
                         save_checkpoint)
 
@@ -36,6 +36,11 @@ class NonFiniteLoss(TrajcastError):
 
 class ShapeMismatch(TrajcastError):
     """Checkpoint dimensions disagree with the dataset."""
+
+
+class NonFinitePrediction(TrajcastError):
+    """A model predicted a non-finite trajectory or score; message names the
+    scenario."""
 
 
 @dataclass(frozen=True)
@@ -340,25 +345,30 @@ def _training_arrays(config: TrainConfig, scenarios, pseudo_targets: dict | None
     return [_scenario_arrays(sc, shift, entry, n_pseudo) for sc, entry in zip(scenarios, entries)]
 
 
-# scenarios per run of the commands' window building, so windows per `predict`
-# call: bounds the encoder rows and stacked heads alive at once, and the
-# recorded outputs depend on it (a forward's bits depend on which windows it
-# stacks)
-_RUN_SIZE = 64
-
-
 def _chunks(scenarios) -> list:
-    """The scenarios in runs of `_RUN_SIZE`. Commands build their windows a
-    run at a time, so memory does not grow with the split, and each run's
-    nominal (or shifted) windows are one `predict` call, so one forward."""
-    return [scenarios[start:start + _RUN_SIZE] for start in range(0, len(scenarios), _RUN_SIZE)]
+    """The scenarios in runs of `HEAD_BLOCK`. Commands build their windows a
+    run at a time, so memory does not grow with the split; a full run's
+    nominal (or shifted) windows fill one of `predict`'s head blocks."""
+    return [scenarios[start:start + HEAD_BLOCK] for start in range(0, len(scenarios), HEAD_BLOCK)]
+
+
+def _finite(run, predictions):
+    """A run's predictions, ((S, K, T, 2) trajectories, (S, K) scores), once
+    checked to be finite; else NonFinitePrediction naming the run's first
+    scenario with a non-finite value."""
+    trajs, scores = predictions
+    finite = np.isfinite(trajs).all(axis=(1, 2, 3)) & np.isfinite(scores).all(axis=1)
+    if not finite.all():
+        raise NonFinitePrediction(f"{run[int(np.argmin(finite))].scenario_id}: "
+                                  f"the model predicts non-finite trajectories or scores")
+    return predictions
 
 
 def _nominal_predictions(params: ParamStore, model_cfg: ModelConfig, scenarios):
     """`predict` on each scenario's nominal window, once all are checked and
     stacked (`_scenario_arrays`), cut (`make_window`) and predicted a run
     (`_chunks`) at a time: ((S, K, T, 2) world-frame trajectories, (S, K)
-    scores)."""
+    scores). A non-finite prediction stops it (`_finite`)."""
     _check_lengths(model_cfg, scenarios)
     arrays = [_scenario_arrays(sc, 0) for sc in scenarios]
     trajs = np.empty((len(scenarios), model_cfg.n_modes, model_cfg.horizon, 2))
@@ -366,7 +376,8 @@ def _nominal_predictions(params: ParamStore, model_cfg: ModelConfig, scenarios):
     start = 0
     for chunk in _chunks(arrays):
         end = start + len(chunk)
-        trajs[start:end], scores[start:end] = predict(params, model_cfg, make_window(chunk))
+        trajs[start:end], scores[start:end] = _finite(
+            chunk, predict(params, model_cfg, make_window(chunk)))
         start = end
     return trajs, scores
 
@@ -414,8 +425,8 @@ def jitter_score(predict_fn, scenarios, s: int) -> float:
     trajectories, (W, K) scores), as `predict` does. Every scenario is
     checked and stacked first (`_scenario_arrays`); then the windows are cut
     a run of scenarios at a time (`make_shift_pair` on each of `_chunks`),
-    and predict_fn is called on each run's nominal windows, then on its
-    shifted ones.
+    and predict_fn is called on each run's nominal and shifted windows. A
+    non-finite prediction stops it (`_finite`).
     """
     if not scenarios:
         raise ValueError("jitter needs at least one scenario")
@@ -425,9 +436,8 @@ def jitter_score(predict_fn, scenarios, s: int) -> float:
     arrays = [_scenario_arrays(sc, s) for sc in scenarios]
     total = 0.0
     for chunk in _chunks(arrays):
-        batch_a, batch_b = make_shift_pair(chunk, s)
-        trajs_a, _ = predict_fn(batch_a)
-        trajs_b, _ = predict_fn(batch_b)
+        trajs_a, trajs_b = (_finite(chunk, predict_fn(batch))[0]
+                            for batch in make_shift_pair(chunk, s))
         overlap = trajs_a.shape[-2] - s
         for preds_a, preds_b in zip(trajs_a, trajs_b):
             sim = similarity(preds_a, preds_b, criterion="ade", overlap=overlap)

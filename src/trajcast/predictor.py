@@ -23,10 +23,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (DT, FUTURE_LEN, HISTORY_LEN, PredictionSet, ScenarioArrays, Trajectory,
-                   TrajcastError, from_frame_xy, softmax, softmax_backprop, to_frame_xy)
+from .core import (DT, FUTURE_LEN, HISTORY_LEN, IDENTITY_FRAME, PredictionSet, ScenarioArrays,
+                   Trajectory, TrajcastError, from_frame_xy, softmax, softmax_backprop,
+                   to_frame_xy)
 
 FEATURE_DIM = 5  # (x, y, t_rel_seconds, is_map, present)
+
+# windows per `forward` in `predict`: a matmul row's last bits depend on the
+# row count, so every prediction runs its heads on blocks of this many windows
+HEAD_BLOCK = 64
 
 
 class EmptyHistory(TrajcastError):
@@ -160,8 +165,8 @@ def _relu(z: np.ndarray) -> np.ndarray:
     return np.maximum(z, 0.0)
 
 
-def encoder_rows(history_xy: np.ndarray, history_mask: np.ndarray, map_xy: np.ndarray,
-                 dt: float) -> np.ndarray:
+def encoder_rows(history_xy: np.ndarray, history_mask: np.ndarray,
+                 map_xy: np.ndarray) -> np.ndarray:
     """A window's (N, 5) encoder input: its agent-frame history (M, 2), then
     its agent-frame map points (P, 2).
 
@@ -173,7 +178,7 @@ def encoder_rows(history_xy: np.ndarray, history_mask: np.ndarray, map_xy: np.nd
     points = np.zeros(history_xy.shape[:-2] + (m + map_xy.shape[-2], FEATURE_DIM))
     points[..., :m, :2] = history_xy
     points[..., m:, :2] = map_xy
-    points[..., :m, 2] = (np.arange(m) - (m - 1)) * dt
+    points[..., :m, 2] = (np.arange(m) - (m - 1)) * DT
     points[..., m:, 3] = 1.0
     points[..., :m, 4] = history_mask
     points[..., m:, 4] = 1.0
@@ -192,13 +197,13 @@ def featurize(window, shift: int = 0) -> np.ndarray:
     if isinstance(window, ScenarioArrays):
         m, xy = window.history_len, window.xy
         return encoder_rows(xy[:, shift:m + shift], window.present[:, shift:m + shift],
-                            xy[:, window.map_start:], DT)
+                            xy[:, window.map_start:])
     if window.history_len == 0:
         raise EmptyHistory(f"window for {window.scenario_id} has no history points")
     m = window.history_len
     xy = np.concatenate([window.history_xy, *(p.points for p in window.map_polylines)])
     xy = to_frame_xy(xy, window.frame)
-    return encoder_rows(xy[:m], window.history_mask, xy[m:], window.dt)
+    return encoder_rows(xy[:m], window.history_mask, xy[m:])
 
 
 @dataclass(frozen=True)
@@ -449,18 +454,29 @@ def predict(params: ParamStore, cfg: ModelConfig, window):
     One Window gives a PredictionSet. A WindowBatch of W windows (what
     `make_window` and `make_shift_pair` give on a list of scenarios) gives
     arrays: ((W, K, T, 2) world-frame trajectories, (W, K) scores), mapped to
-    the world frame through the batch's frames. Either way it is one forward
-    over every window given; callers bound W (see `harness._chunks`).
+    the world frame through the batch's frames. Either way one `forward`
+    runs per HEAD_BLOCK windows, a short last block padded with empty
+    windows whose rows are dropped, so a window's prediction has the same
+    bits whichever windows it is predicted with.
     """
     batch = window if isinstance(window, WindowBatch) else WindowBatch.of([window])
-    if not len(batch):
-        return np.empty((0, cfg.n_modes, cfg.horizon, 2)), np.empty((0, cfg.n_modes))
-    outputs, _ = forward(params, cfg, batch)
-    trajs = from_frame_xy(outputs["refined"], batch.frames)
+    refined = np.empty((len(batch), cfg.n_modes, cfg.horizon, 2))
+    probs = np.empty((len(batch), cfg.n_modes))
+    for start in range(0, len(batch), HEAD_BLOCK):
+        block = batch[start:start + HEAD_BLOCK]
+        n, pad = len(block), HEAD_BLOCK - len(block)
+        if pad:  # an empty window has no encoder rows, so phi = 0, and a zero history
+            block = WindowBatch(points=block.points + (np.zeros((0, FEATURE_DIM)),) * pad,
+                                hist_flat=np.pad(block.hist_flat, ((0, pad), (0, 0))),
+                                frames=block.frames + (IDENTITY_FRAME,) * pad)
+        outputs, _ = forward(params, cfg, block)
+        refined[start:start + n] = outputs["refined"][:n]
+        probs[start:start + n] = outputs["probs"][:n]
+    trajs = from_frame_xy(refined, batch.frames)
     if batch is window:
-        return trajs, outputs["probs"]
-    return PredictionSet(trajectories=tuple(Trajectory(points=p, dt=window.dt) for p in trajs[0]),
-                         scores=outputs["probs"][0])
+        return trajs, probs
+    return PredictionSet(trajectories=tuple(Trajectory(points=p) for p in trajs[0]),
+                         scores=probs[0])
 
 
 CHECKPOINT_VERSION = 1

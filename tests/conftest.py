@@ -27,20 +27,19 @@ def straight_scenario(speed=10.0, heading=0.0, start=(0.0, 0.0),
                       history_len=20, future_len=30, with_map=True):
     frames = history_len + future_len
     agent = straight_track(speed=speed, heading=heading, start=start, frames=frames)
-    maps = (Trajectory(points=agent.xy, dt=DT),) if with_map else ()
+    maps = (Trajectory(points=agent.xy),) if with_map else ()
     return Scenario(scenario_id="straight-test", agents=(agent,),
                     map_polylines=maps, target_track_id="agent-0",
                     history_len=history_len, future_len=future_len)
 
 
-def line_trajectory(start, step, n, dt=DT):
+def line_trajectory(start, step, n):
     t = np.arange(n)[:, None]
-    return Trajectory(points=np.asarray(start, dtype=float) + t * np.asarray(step, dtype=float),
-                      dt=dt)
+    return Trajectory(points=np.asarray(start, dtype=float) + t * np.asarray(step, dtype=float))
 
 
-def prediction_set(points_list, scores=None, dt=DT):
-    trajs = tuple(Trajectory(points=np.asarray(p, dtype=float), dt=dt) for p in points_list)
+def prediction_set(points_list, scores=None):
+    trajs = tuple(Trajectory(points=np.asarray(p, dtype=float)) for p in points_list)
     if scores is None:
         scores = np.full(len(trajs), 1.0 / len(trajs))
     return PredictionSet(trajectories=trajs, scores=np.asarray(scores, dtype=float))

@@ -1,6 +1,7 @@
 """The public surface: what `trajcast` exports, the names removed from it,
 and the README's library quick start run as written."""
 
+import dataclasses
 import importlib
 import inspect
 import re
@@ -98,7 +99,8 @@ def test_backward_takes_only_the_upstream_slots_training_sets():
 
 def test_the_timestep_is_stated_once():
     assert trajcast.data.DT is trajcast.core.DT
-    assert trajcast.core.Trajectory(points=[[0.0, 0.0]]).dt == trajcast.core.DT
+    for cls in (trajcast.core.Trajectory, trajcast.core.Window):
+        assert "dt" not in {field.name for field in dataclasses.fields(cls)}
 
 
 def test_readme_quick_start_runs(capsys):

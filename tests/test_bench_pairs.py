@@ -93,3 +93,15 @@ def test_summary_gives_the_verdicts_against_the_bound(parent, change, better, re
     rate = bench_pairs.summarize(runs, _metrics(rate=(better, 0.1)))["w"]["rate"]
     assert rate["bound"] == 0.1
     assert (rate["regressed"], rate["unresolved"]) == (regressed, unresolved)
+
+
+def test_summary_says_whether_both_sides_read_the_same_in_every_pair():
+    runs = []
+    for seed, (rate, loss) in enumerate([(100.0, 2.0), (90.0, 3.0), (95.0, 2.5)]):
+        runs += [_run("w", seed, "parent", rate, loss),
+                 _run("w", seed, "change", rate + (seed == 2), loss)]
+    runs.append(_run("w", 9, "change", 1.0, 7.0))           # unpaired: not compared
+    summary = bench_pairs.summarize(runs, _metrics(rate=("higher", 0.1), loss=("lower", 0.1)))
+    assert summary["w"]["loss"]["same_in_every_pair"] is True
+    assert summary["w"]["rate"]["same_in_every_pair"] is False
+    assert summary["w"]["rate"]["ties"] == 2

@@ -211,8 +211,6 @@ def test_trajectory_validation():
     with pytest.raises(ValueError):
         Trajectory(points=np.array([[0.0, np.nan]]))
     with pytest.raises(ValueError):
-        Trajectory(points=np.zeros((3, 2)), dt=0.0)
-    with pytest.raises(ValueError):
         Trajectory(points=np.zeros((3, 3)))
     traj = Trajectory(points=np.zeros((3, 2)))
     with pytest.raises(ValueError):

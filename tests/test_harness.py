@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -432,7 +433,7 @@ def _transformed(sc, tf):
     """The scenario with every track and map point flipped and scaled by tf."""
     agents = tuple(AgentTrack(track_id=a.track_id, object_type=a.object_type,
                               xy=tf.apply_xy(a.xy), present=a.present) for a in sc.agents)
-    maps = tuple(Trajectory(points=tf.apply_xy(p.points), dt=p.dt) for p in sc.map_polylines)
+    maps = tuple(Trajectory(points=tf.apply_xy(p.points)) for p in sc.map_polylines)
     return Scenario(scenario_id=sc.scenario_id, agents=agents, map_polylines=maps,
                     target_track_id=sc.target_track_id, history_len=sc.history_len,
                     future_len=sc.future_len)
@@ -540,7 +541,7 @@ def test_list_forms_equal_the_single_window_path(case, chunk):
     make_shift_pair and featurize: several shape groups per run, missing
     history frames, stationary anchors, s = 0..3."""
     scenarios, s = case
-    with mock.patch.object(harness, "_RUN_SIZE", chunk):
+    with mock.patch.object(harness, "HEAD_BLOCK", chunk):
         runs = harness._chunks(scenarios)
     assert [sc for run in runs for sc in run] == scenarios
     assert max(map(len, runs)) <= chunk
@@ -753,17 +754,17 @@ def test_an_absent_future_frame_stops_every_command_before_any_output(
     assert calls == [] and not out.exists()
 
 
-# the inference commands on 80 five-mode-mix scenarios (two runs of
-# harness._chunks) and an untrained checkpoint of the default model (at
-# C=64 a forward's bits depend on which windows it stacks), as the
-# per-window path wrote them: each window cut as a Window and laid out by
-# featurize on its own
+# the inference commands on 80 five-mode-mix scenarios (a run of 64 and a
+# run of 16, which predict pads to one head block) and an untrained
+# checkpoint of the default model; the report and jitter values are those
+# the per-window path wrote (each window cut as a Window and laid out by
+# featurize on its own), the dump digest is that of 64-window head blocks
 _GOLDEN_JITTER = {1: 30.874456478304477, 3: 28.07519889333845}
 _GOLDEN_REPORT = {"MR_1": 1.0, "MR_6": 1.0, "brier_minFDE_6": 20.56800442415979,
                   "minADE_1": 25.253547179922755, "minADE_6": 25.09982523923075,
                   "minFDE_1": 20.111788726158796, "minFDE_6": 19.882705417646726,
                   "n_scenarios": 80}
-_GOLDEN_DUMP_SHA256 = "274e31e95ae13dad4a4d677213ba0ba7c84e201f449e45e3a6830f4312367080"
+_GOLDEN_DUMP_SHA256 = "72c250b7a892f5e567266d04512d82a512d8e2c9f6119bb69e91be7b9e16c94d"
 
 
 def test_inference_commands_match_recorded_outputs(tmp_path):
@@ -810,6 +811,94 @@ def test_cluster_writes_the_recorded_pseudo_targets(tmp_path):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["cluster", *dumps, "--j", "3", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == _GOLDEN_PSEUDO_SHA256
+
+
+def test_library_and_cli_give_the_same_pseudo_targets(tmp_path):
+    """A bank of single-window `predict` calls, as the acceptance test builds
+    it, holds the `ensemble-dump` rows bit for bit, and `cluster_bank` on it
+    writes the file `trajcast cluster` writes: 70 scenarios, so the dump
+    predicts a run of 64 and a run of 6."""
+    ds = tmp_path / "ds"
+    data.save_dataset(generate(SyntheticSpec(scenario_count=70, seed=32)), ds, val_fraction=0.0)
+    scenarios = data.load_manifest(ds / "manifest.json", split="train")
+    model_cfg = ModelConfig()
+    bank, dumps = ensemble.EnsembleBank(), []
+    for seed in (5, 6):
+        params = init_params(model_cfg, seed=seed)
+        ckpt, dump = tmp_path / f"model{seed}.json", tmp_path / f"dump{seed}.jsonl"
+        save_checkpoint(ckpt, params, model_cfg, seed=seed, epoch=0)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["ensemble-dump", "--checkpoint", str(ckpt), "--data", str(ds),
+                             "--out", str(dump)]) == 0
+        rows = ensemble.load_prediction_dump(dump)
+        assert [sid for sid, _, _ in rows] == [sc.scenario_id for sc in scenarios]
+        for sc, (_, trajs, scores) in zip(scenarios, rows):
+            pset = predict(params, model_cfg, make_shift_pair(sc, 0)[0])
+            assert np.array_equal(pset.stacked(), trajs) and np.array_equal(pset.scores, scores)
+            bank.add(sc.scenario_id, f"m{seed}", pset)
+        dumps += ["--dump", f"m{seed}={dump}"]
+    ensemble.save_pseudo_targets(tmp_path / "library.jsonl",
+                                 ensemble.cluster_bank(bank, j=3, seed=7))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["cluster", *dumps, "--j", "3", "--seed", "7",
+                         "--out", str(tmp_path / "cli.jsonl")]) == 0
+    assert (tmp_path / "library.jsonl").read_bytes() == (tmp_path / "cli.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("evaluate", ["--report", "{out}", "--dump", "{dump}"]),
+    ("ensemble-dump", ["--out", "{out}"]),
+    ("jitter", ["--s", "1"]),
+])
+def test_commands_refuse_a_non_finite_prediction(tmp_path, capsys, command, flags):
+    """A checkpoint with one NaN in enc.w1 predicts NaN for every window:
+    each inference command stops naming the first scenario, writes nothing,
+    and numpy warns of nothing on the way."""
+    paths = _cli_inputs(tmp_path)
+    payload = json.loads(paths["ckpt"].read_text())
+    payload["params"]["enc.w1"][0][0] = float("nan")
+    paths["ckpt"].write_text(json.dumps(payload, sort_keys=True))
+    first = data.load_manifest(paths["ds"] / "manifest.json", split="val")[0].scenario_id
+    argv = [command, "--checkpoint", "{ckpt}", "--data", "{ds}", "--split", "val", *flags]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SystemExit, match=f"^{command}: {first}: the model predicts "
+                                             f"non-finite trajectories or scores$"):
+            cli.main([a.format(**paths) for a in argv])
+    assert not paths["out"].exists() and not paths["dump"].exists()
+    assert capsys.readouterr().out == ""
+
+
+def test_a_non_finite_prediction_is_refused_by_its_scenario(monkeypatch):
+    """The scenario named is the first whose trajectories or scores are not
+    finite, in any run: here the third of the second run, by its score in
+    evaluate and by its shifted window's trajectory in jitter."""
+    scenarios = _dataset(count=harness.HEAD_BLOCK + 4)
+    model_cfg = _tiny_config().model_config()
+    params = init_params(model_cfg, seed=0)
+    bad = harness.HEAD_BLOCK + 2
+
+    def inf_score_in_the_short_run(*args):
+        trajs, scores = predict(*args)
+        if len(scores) < harness.HEAD_BLOCK:
+            scores[2, 1] = np.inf
+        return trajs, scores
+
+    monkeypatch.setattr(harness, "predict", inf_score_in_the_short_run)
+    with pytest.raises(harness.NonFinitePrediction, match=f"^{scenarios[bad].scenario_id}: "):
+        evaluate(params, model_cfg, scenarios)
+    calls = []
+
+    def nan_in_the_second_shifted_run(batch):
+        trajs, scores = predict(params, model_cfg, batch)
+        calls.append(len(batch))
+        if len(calls) == 4:
+            trajs[2, 0, 5, 1] = np.nan
+        return trajs, scores
+
+    with pytest.raises(harness.NonFinitePrediction, match=f"^{scenarios[bad].scenario_id}: "):
+        jitter_score(nan_in_the_second_shifted_run, scenarios, 1)
+    assert calls == [harness.HEAD_BLOCK, harness.HEAD_BLOCK, 4, 4]
 
 
 def test_commands_cut_and_lay_out_no_window_on_its_own(tmp_path, monkeypatch):
@@ -859,7 +948,7 @@ def test_commands_check_each_scenario_once_before_any_work(tmp_path, monkeypatch
     """Each command checks each scenario's windows once, and all of them
     before the first prediction or training step: 66 scenarios, so the bad
     one is in the second run of `_chunks`."""
-    scenarios = _dataset(count=harness._RUN_SIZE + 2)
+    scenarios = _dataset(count=harness.HEAD_BLOCK + 2)
     model_cfg = _tiny_config().model_config()
     ckpt = tmp_path / "model.json"
     save_checkpoint(ckpt, init_params(model_cfg, seed=0), model_cfg, seed=0, epoch=0)
@@ -1203,6 +1292,34 @@ def test_cli_bad_input_exits_name_the_command(tmp_path, capsys, argv, message):
     paths["log"].write_text("\n")
     with pytest.raises(SystemExit, match=message) as exc:
         cli.main([a.format(**paths) for a in argv])
+    assert "\n" not in str(exc.value)
+    assert not paths["out"].exists() and capsys.readouterr().out == ""
+
+
+_LOG_RECORD = json.dumps({"epoch": 0, "step": 0, "lr": 1e-3, "total": 2.5, "l_reg": 2.0,
+                          "l_cls": 0.5, "l_temp": 0.0, "l_spa": 0.0})
+
+
+@pytest.mark.parametrize("log, message", [
+    ("{ckpt}", r"model.json: line 1: not a training log record: no number under 'total'$"),
+    ('{"a": 1}', r"log.jsonl: line 1: not a training log record: no number under 'total'$"),
+    (f"{_LOG_RECORD}\n\n[{_LOG_RECORD}]",
+     r"log.jsonl: line 3: not a training log record: no number under 'total'$"),
+    (_LOG_RECORD.replace("0.5", '"0.5"'),
+     r"log.jsonl: line 1: not a training log record: no number under 'l_cls'$"),
+    (f"{_LOG_RECORD}\n{_LOG_RECORD[:-9]}",
+     r"log.jsonl: line 2: not JSON: .+ \(column \d+\)$"),
+], ids=["checkpoint", "object", "list", "quoted number", "undecodable"])
+def test_report_refuses_a_file_that_is_not_a_training_log(tmp_path, capsys, log, message):
+    """`report --log` on anything but a training log exits with one
+    `report: <path>: line <n>: <what>` line and writes no chart."""
+    paths = _cli_inputs(tmp_path)
+    if log != "{ckpt}":
+        paths["log"].write_text(log + "\n")
+    argv = ["report", "--log", paths["ckpt"] if log == "{ckpt}" else paths["log"],
+            "--out", paths["out"]]
+    with pytest.raises(SystemExit, match=f"^report: .*{message}") as exc:
+        cli.main([str(a) for a in argv])
     assert "\n" not in str(exc.value)
     assert not paths["out"].exists() and capsys.readouterr().out == ""
 

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import straight_scenario
 from trajcast import data, predictor
@@ -28,7 +28,7 @@ def make_window(scenario=None, maps=None):
                   history_xy=sc.target.xy[:sc.history_len],
                   history_mask=sc.target.present[:sc.history_len],
                   map_polylines=polylines, frame=track_frame(sc.target, sc.history_len - 1),
-                  gt_future=sc.gt_future(), shift=0, dt=0.1)
+                  gt_future=sc.gt_future(), shift=0)
 
 
 def test_featurize_layout():
@@ -93,7 +93,7 @@ def test_bias_propagates_through_sum_pool():
 def test_map_polyline_order_invariance():
     sc = straight_scenario()
     poly_a = sc.map_polylines[0]
-    poly_b = Trajectory(points=sc.target.xy[:30] + np.array([0.0, 3.5]), dt=0.1)
+    poly_b = Trajectory(points=sc.target.xy[:30] + np.array([0.0, 3.5]))
     win_ab = make_window(sc, maps=(poly_a, poly_b))
     win_ba = make_window(sc, maps=(poly_b, poly_a))
     params = init_params(SMALL, seed=1)
@@ -249,11 +249,6 @@ def test_refine_ignores_anchors_when_anchor_rows_zeroed():
     assert np.all(d_anchor == 0.0)
 
 
-def _assert_close(got, want):
-    """Equal within 1e-12 of the largest magnitude in want."""
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
-
-
 def _assert_predict_list_matches_per_window(params, cfg, batch, windows):
     """predict on the batch stacks what predict gives each of its windows."""
     trajs, scores = predict(params, cfg, batch)
@@ -261,8 +256,8 @@ def _assert_predict_list_matches_per_window(params, cfg, batch, windows):
     assert scores.shape == (len(windows), cfg.n_modes)
     for i, window in enumerate(windows):
         pset = predict(params, cfg, window)
-        _assert_close(trajs[i], pset.stacked())
-        _assert_close(scores[i], pset.scores)
+        assert np.array_equal(trajs[i], pset.stacked())
+        assert np.array_equal(scores[i], pset.scores)
 
 
 @settings(max_examples=30, deadline=None)
@@ -281,8 +276,11 @@ def test_predict_on_a_list_equals_per_window_predict(seed, n_scenarios, use_goal
                                             WindowBatch.of(windows), windows)
 
 
-@pytest.mark.parametrize("n_windows", [1, 63, 64, 65, 130])
-def test_predict_runs_one_forward_per_call(n_windows):
+@pytest.mark.parametrize("n_windows, blocks", [(1, 1), (63, 1), (64, 1), (65, 2), (130, 3)])
+def test_predict_runs_one_forward_per_call(n_windows, blocks):
+    """One forward per HEAD_BLOCK (64) windows of the input, a short last
+    block included, and one for a single Window."""
+    assert predictor.HEAD_BLOCK == 64
     cfg = ModelConfig(n_modes=2, horizon=30, history_len=20, feature_dim=4)
     scenarios = data.generate(data.SyntheticSpec(scenario_count=n_windows, seed=n_windows))
     windows = [data.make_window(sc) for sc in scenarios]
@@ -290,9 +288,49 @@ def test_predict_runs_one_forward_per_call(n_windows):
     batch = data.make_window(scenarios)
     with mock.patch.object(predictor, "forward", wraps=predictor.forward) as fwd:
         predict(params, cfg, batch)
+        assert fwd.call_count == blocks
         predict(params, cfg, windows[0])
-    assert fwd.call_count == 2
+        assert fwd.call_count == blocks + 1
+    assert all(len(call.args[2]) == 64 for call in fwd.call_args_list)
     _assert_predict_list_matches_per_window(params, cfg, batch, windows)
+
+
+# a split of five-mode-mix scenarios, and default-model parameters at the
+# commands' feature_dim (64) and at 32
+_SPLIT = data.generate(data.SyntheticSpec(scenario_count=150, seed=20))
+_SPLIT_PARAMS = {c: init_params(ModelConfig(feature_dim=c), seed=c) for c in (64, 32)}
+
+
+@st.composite
+def _split_runs(draw):
+    """(n, run bounds 0 = b_0 < ... < b_r = n, a few window indices) for
+    the first n scenarios of _SPLIT."""
+    n = draw(st.integers(1, len(_SPLIT)))
+    cuts = draw(st.lists(st.integers(1, n), max_size=6))
+    picks = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
+    return n, sorted({0, n, *cuts}), picks
+
+
+@settings(max_examples=25, deadline=None)
+@given(_split_runs(), st.sampled_from([64, 32]))
+@example((150, [0, 64, 70, 150], [0, 69, 149]), 64)
+@example((130, [0, 1, 65, 130], [0, 64, 129]), 32)
+def test_a_windows_prediction_does_not_depend_on_its_run(case, feature_dim):
+    """Cut into any runs, a split's windows get from predict the rows, bit
+    for bit, that one call on the whole split gives them (over 64 windows it
+    takes several head blocks), and predict on one Window gives its row."""
+    n, bounds, picks = case
+    cfg, params = ModelConfig(feature_dim=feature_dim), _SPLIT_PARAMS[feature_dim]
+    scenarios = _SPLIT[:n]
+    trajs, scores = predict(params, cfg, data.make_window(scenarios))
+    for start, end in zip(bounds, bounds[1:]):
+        run_trajs, run_scores = predict(params, cfg, data.make_window(scenarios[start:end]))
+        assert np.array_equal(run_trajs, trajs[start:end])
+        assert np.array_equal(run_scores, scores[start:end])
+    for i in picks:
+        pset = predict(params, cfg, data.make_window(scenarios[i]))
+        assert np.array_equal(pset.stacked(), trajs[i])
+        assert np.array_equal(pset.scores, scores[i])
 
 
 def test_predict_on_an_empty_list_gives_empty_stacks():

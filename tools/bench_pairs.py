@@ -44,8 +44,10 @@ def quartiles(values) -> dict:
 def summarize(runs: list, end_to_end: list) -> dict:
     """Per workload: each metric's quartiles on both sides, the change's
     median over the parent's, in how many pairs (same workload and seed)
-    the change was better or tied, and two verdicts against the metric's
-    bound; plus operations attempted and failed.
+    the change was better or tied, whether it tied in every pair
+    (`same_in_every_pair`: a quality metric that a change must not move),
+    and two verdicts against the metric's bound; plus operations attempted
+    and failed.
 
     `end_to_end` lists the metrics as BENCHMARK.json does: each has a name,
     "better" ("higher" or "lower") and a relative "bound". `regressed`: the
@@ -79,6 +81,7 @@ def summarize(runs: list, end_to_end: list) -> dict:
                                        if parent["median"] else None),
                 "change_better_in": sum(m > 0 for m in moves),
                 "ties": sum(m == 0 for m in moves),
+                "same_in_every_pair": values["parent"] == values["change"],
                 "regressed": sign * (parent["median"] - change["median"]) > scale,
                 "unresolved": parent["q3"] - parent["q1"] > scale and not beats_all,
             }
