@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import data, ensemble, harness
-from .core import JSON_NUMBER_TYPES, TrajcastError
+from .core import JSON_NUMBER_TYPES, TrajcastError, text_input
 
 
 def _parse_mode_mix(text: str) -> dict:
@@ -191,7 +191,9 @@ def _log_series(path) -> dict:
     non-blank line must be a JSON object holding every part as a JSON
     number, else ValueError naming the file and line."""
     series = {key: [] for key in ("total", "l_reg", "l_cls", "l_temp", "l_spa")}
-    for n, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    with text_input(path) as fh:
+        lines = fh.read().splitlines()
+    for n, line in enumerate(lines, 1):
         if not line.strip():
             continue
         try:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 
@@ -48,6 +49,17 @@ def json_number_pairs(lists) -> np.ndarray | None:
         return np.fromiter(values, np.float64, len(values)).reshape(-1, 2)
     except OverflowError:  # an integer beyond float range
         return None
+
+
+@contextmanager
+def text_input(path):
+    """`path` open for reading as UTF-8 text. Bytes that do not decode, met
+    anywhere in the `with` body, raise ValueError naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def check_dt(dt) -> None:

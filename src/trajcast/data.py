@@ -24,7 +24,8 @@ import numpy as np
 from .core import (DT, FUTURE_LEN, HISTORY_LEN, JSON_NUMBER_TYPES, AgentTrack,
                    MissingTargetFrame, Scenario, ScenarioArrays, SceneTransform, Trajectory,
                    TrajcastError, Window, apply_transform, check_dt, heading_frame,
-                   json_number_pairs, rotate_xy, target_arrays, to_frame_xy, track_frame)
+                   json_number_pairs, rotate_xy, target_arrays, text_input, to_frame_xy,
+                   track_frame)
 from .predictor import WindowBatch, featurize
 
 MODES = ("straight", "turn-left", "turn-right", "lane-change", "junction")
@@ -220,10 +221,12 @@ def load_csv(path, history_len: int = HISTORY_LEN, future_len: int = FUTURE_LEN)
     are padded with its nearest observed waypoint (the earlier one on a
     tie). The ".map.json" sidecar, if there is one, must be a JSON object
     whose "polylines" are non-empty lists of [x, y] pairs of finite JSON
-    numbers (else MalformedRow naming the sidecar).
+    numbers (else MalformedRow naming the sidecar). Bytes of either file
+    that are not UTF-8 raise ValueError naming it (`core.text_input`).
     """
-    with open(path, encoding="utf-8") as fh:
-        numbers, stamps, track_ids, types, values = _columns(path, fh.read())
+    with text_input(path) as fh:
+        text = fh.read()
+    numbers, stamps, track_ids, types, values = _columns(path, text)
     total = history_len + future_len
     ordered = np.array(sorted(set(values[0].tolist())))
     if len(ordered) != total:
@@ -256,12 +259,15 @@ def load_csv(path, history_len: int = HISTORY_LEN, future_len: int = FUTURE_LEN)
 
     sidecar = f"{path}.map.json"
     try:
-        with open(sidecar, encoding="utf-8") as fh:
-            polylines = _map_polylines(fh.read())
+        with text_input(sidecar) as fh:
+            text = fh.read()
     except FileNotFoundError:
         polylines = ()
-    except ValueError as exc:
-        raise MalformedRow(f"{Path(sidecar)}: {exc}") from None
+    else:
+        try:
+            polylines = _map_polylines(text)
+        except ValueError as exc:
+            raise MalformedRow(f"{Path(sidecar)}: {exc}") from None
     try:
         return Scenario(scenario_id=Path(path).stem, agents=agents, map_polylines=polylines,
                         target_track_id=target_id, history_len=history_len,
@@ -365,12 +371,6 @@ def _map_polylines(text: str) -> tuple:
         except OverflowError:  # an integer beyond float range
             raise ValueError("trajectory points contains non-finite values") from None
     return tuple(out)
-
-
-def load_dir(path, history_len: int = HISTORY_LEN, future_len: int = FUTURE_LEN) -> list:
-    """Load every *.csv under a directory, in name order; the first file
-    load_csv cannot read raises, naming it."""
-    return [load_csv(file, history_len, future_len) for file in sorted(Path(path).glob("*.csv"))]
 
 
 def save_dataset(scenarios, out_dir, val_fraction: float = 0.2) -> Path:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DT, JSON_NUMBER_TYPES, PredictionSet, TargetSet, Trajectory, TrajcastError,
-                   check_confidences, check_dt, json_number_pairs, target_arrays)
+                   check_confidences, check_dt, json_number_pairs, target_arrays, text_input)
 from .metrics import LengthMismatch
 
 
@@ -320,7 +320,7 @@ def _read_records(path, key: str, rule=None):
     raises MalformedRecord.
     """
     first_line = {}
-    with open(path, encoding="utf-8") as fh:
+    with text_input(path) as fh:
         for number, line in enumerate(fh, 1):
             if not line.strip():
                 continue

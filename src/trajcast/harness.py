@@ -15,12 +15,12 @@ import json
 import math
 import typing
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import losses
-from .core import FUTURE_LEN, HISTORY_LEN, TrajcastError, compose_frames, sample_transform
+from .core import (FUTURE_LEN, HISTORY_LEN, TrajcastError, compose_frames, sample_transform,
+                   text_input)
 from .data import (_batch_windows, _scenario_arrays, branch_futures, check_windows,
                    make_shift_pair, make_window)
 from .matching import CRITERIA, STRATEGIES, match, similarity
@@ -141,7 +141,9 @@ def make_config(overrides: dict | None = None, config_path=None) -> TrainConfig:
     """Config from defaults <- file <- overrides."""
     values = {}
     if config_path is not None:
-        for n, line in enumerate(Path(config_path).read_text(encoding="utf-8").splitlines(), 1):
+        with text_input(config_path) as fh:
+            lines = fh.read().splitlines()
+        for n, line in enumerate(lines, 1):
             stripped = line.split("#", 1)[0].strip()
             if not stripped:
                 continue

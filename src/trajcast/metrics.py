@@ -118,10 +118,6 @@ class MetricReport:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "MetricReport":
-        return cls(**json.loads(text))
-
 
 def report(preds, gt, k_full: int = 6) -> MetricReport:
     """Aggregate S scenarios' predictions into a MetricReport.

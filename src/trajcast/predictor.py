@@ -8,9 +8,10 @@ raw classification scores.
 
 Forward passes cache the intermediates exact reverse-mode differentiation
 needs; `backward` consumes that trace. Both take one Window or a WindowBatch:
-the encoder runs window by window (point counts differ), the heads as one
-matmul over every window. No autograd framework is involved, which keeps
-training deterministic and the gradient path inspectable.
+the encoder runs on blocks of windows with the same row count (one BLAS call
+per window and layer, each with the shapes it would have on its own), the
+heads as one matmul over every window. No autograd framework is involved,
+which keeps training deterministic and the gradient path inspectable.
 """
 
 from __future__ import annotations
@@ -25,13 +26,18 @@ import numpy as np
 
 from .core import (DT, FUTURE_LEN, HISTORY_LEN, IDENTITY_FRAME, PredictionSet, ScenarioArrays,
                    Trajectory, TrajcastError, from_frame_xy, softmax, softmax_backprop,
-                   to_frame_xy)
+                   text_input, to_frame_xy)
 
 FEATURE_DIM = 5  # (x, y, t_rel_seconds, is_map, present)
 
 # windows per `forward` in `predict`: a matmul row's last bits depend on the
 # row count, so every prediction runs its heads on blocks of this many windows
 HEAD_BLOCK = 64
+
+# the encoder's block size rule: a block holds g = max(1, ENCODER_BLOCK // (N * C))
+# windows of N rows each. Of 2^13..2^16 this was fastest at C = 32 and 64: larger
+# (N, g, C) activations spill the cache, smaller ones make more calls per window.
+ENCODER_BLOCK = 2 ** 15
 
 
 class EmptyHistory(TrajcastError):
@@ -98,8 +104,9 @@ class ParamStore:
 
     All values live in one float64 vector `flat`; `arrays[name]` is a view
     into it, laid out in the order the names were given (`_layer_shapes`
-    order for a model). `zeros_like()` and `copy()` keep the layout, so
-    gradients and Adam state line up element for element with `flat`.
+    order for a model): `layout[name]` is its (slice of `flat`, shape).
+    `zeros_like()` and `copy()` keep the layout, so gradients and Adam state
+    line up element for element with `flat`.
 
     Traces record the version they were built against; mutating parameters
     through `bump()` (as the optimizer does once per step) invalidates them.
@@ -107,16 +114,15 @@ class ParamStore:
 
     def __init__(self, arrays: dict):
         arrays = {k: np.asarray(v, dtype=np.float64) for k, v in arrays.items()}
-        self._bind(np.concatenate([a.ravel() for a in arrays.values()]),
-                   {name: a.shape for name, a in arrays.items()})
+        layout, start = {}, 0
+        for name, a in arrays.items():
+            layout[name] = (slice(start, start + a.size), a.shape)
+            start += a.size
+        self._bind(np.concatenate([a.ravel() for a in arrays.values()]), layout)
 
-    def _bind(self, flat: np.ndarray, shapes: dict) -> None:
-        self.flat, self.arrays, start = flat, {}, 0
-        for name, shape in shapes.items():
-            size = math.prod(shape)
-            self.arrays[name] = flat[start:start + size].reshape(shape)
-            start += size
-        self.version = 0
+    def _bind(self, flat: np.ndarray, layout: dict) -> None:
+        self.flat, self.layout, self.version = flat, layout, 0
+        self.arrays = {name: flat[span].reshape(shape) for name, (span, shape) in layout.items()}
 
     def __getitem__(self, key: str) -> np.ndarray:
         return self.arrays[key]
@@ -145,7 +151,7 @@ class ParamStore:
     def _with_flat(self, flat: np.ndarray) -> "ParamStore":
         """A store over `flat` with this store's names and shapes."""
         store = object.__new__(ParamStore)
-        store._bind(flat, {name: a.shape for name, a in self.arrays.items()})
+        store._bind(flat, self.layout)
         return store
 
 
@@ -242,20 +248,43 @@ class RefineTrace:
 
 
 @dataclass
+class EncoderBlock:
+    """g windows of N encoder rows each, at batch positions `slots`, laid out
+    window-minor: their rows (N, g, 5), the first layer's activations
+    (N, g, C) and where the second layer's pre-activations are positive."""
+
+    slots: list
+    rows: np.ndarray
+    h1: np.ndarray
+    active2: np.ndarray
+
+
+def _encoder_blocks(points, c: int) -> list:
+    """The batch positions of each encoder block, ordered by their first: the
+    windows grouped by row count N, each group cut into runs of
+    `ENCODER_BLOCK` // (N * C) windows (at least one) in window order.
+    Windows without rows form one block."""
+    groups = {}
+    for slot, rows in enumerate(points):
+        groups.setdefault(len(rows), []).append(slot)
+    return sorted(slots[start:start + size]
+                  for n, slots in groups.items()
+                  for size in [max(1, ENCODER_BLOCK // max(n * c, 1))]
+                  for start in range(0, len(slots), size))
+
+
+@dataclass
 class ForwardTrace:
     """The activations `backward` reads, tied to one parameter version.
 
-    Per window (encoder): the input rows, the first layer's activations and
-    where the second layer's pre-activations are positive. Stacked over the
-    W windows (heads): everything else.
+    Per encoder block: its EncoderBlock. Stacked over the W windows (heads):
+    everything else.
     """
 
     params_id: int
     params_version: int
     cfg: ModelConfig
-    points: tuple
-    h1: list
-    active2: list
+    encoder: list
     phi: np.ndarray
     g1: np.ndarray | None
     comp_in: np.ndarray
@@ -319,21 +348,52 @@ def forward(params: ParamStore, cfg: ModelConfig, window):
     Returns (outputs, trace). outputs holds agent-frame arrays:
       phi (C,), goals (K, 2) or None, completion (K, T, 2),
       offsets (K, T, 2), refined (K, T, 2), raw_cls (K,), probs (K,);
-    for a WindowBatch of W windows each gains a leading (W,) axis. The
-    encoder runs window by window; the heads run once over all W windows.
+    for a WindowBatch of W windows each gains a leading (W,) axis.
+
+    The encoder runs on the blocks of `_encoder_blocks`, each laid out
+    window-minor: a layer is one batched matmul, which numpy runs as one BLAS
+    call per window with that window's own shapes, and bias, ReLU and the
+    pooled sum (over rows, in row order) run once per block. So a window's
+    phi has the same bits however the windows are blocked. The heads run
+    once over all W windows.
     """
+    return _forward(params, cfg, window, keep_trace=True)
+
+
+def _forward(params: ParamStore, cfg: ModelConfig, window, keep_trace: bool):
+    """`forward`; without `keep_trace` the trace is None and the encoder
+    keeps no activation past its block."""
     batch = window if isinstance(window, WindowBatch) else WindowBatch.of([window])
-    w, k, t = len(batch.points), cfg.n_modes, cfg.horizon
-    phi = np.empty((w, cfg.feature_dim))
-    h1s, active2 = [], []
-    for i, points in enumerate(batch.points):
-        h1 = points @ params["enc.w1"]
+    w, k, t, c = len(batch.points), cfg.n_modes, cfg.horizon, cfg.feature_dim
+    phi = np.empty((w, c))
+    encoder, blocks = [], _encoder_blocks(batch.points, c)
+    # With a trace, every block's h1 and active2 are views of one array each;
+    # without, space[1] holds each block's h1 in turn. space[0] holds each
+    # block's z2. The C allocator reuses a few large arrays from step to step,
+    # where it returned block-sized ones to the system and faulted their pages
+    # in again: about 1,000 page faults per desk step.
+    if keep_trace:
+        total = sum(len(points) for points in batch.points)
+        h1_all, active_all = np.empty((total, c)), np.empty((total, c), dtype=bool)
+    space = np.empty((2, max((len(batch.points[s[0]]) * len(s) for s in blocks), default=0) * c))
+    start = 0
+    for slots in blocks:
+        points = [batch.points[s] for s in slots]
+        n, g = len(points[0]), len(points)
+        rows = np.concatenate(points, axis=1).reshape(n, g, FEATURE_DIM)
+        end = start + n * g
+        h1 = (h1_all[start:end] if keep_trace else space[1, :n * g * c]).reshape(n, g, c)
+        np.matmul(rows.transpose(1, 0, 2), params["enc.w1"], out=h1.transpose(1, 0, 2))
         h1 += params["enc.b1"]
-        h1s.append(np.maximum(h1, 0.0, out=h1))
-        z2 = h1 @ params["enc.w2"]
+        np.maximum(h1, 0.0, out=h1)
+        z2 = space[0, :h1.size].reshape(h1.shape)
+        np.matmul(h1.transpose(1, 0, 2), params["enc.w2"], out=z2.transpose(1, 0, 2))
         z2 += params["enc.b2"]
-        active2.append(z2 > 0)
-        phi[i] = np.maximum(z2, 0.0, out=z2).sum(axis=0)
+        if keep_trace:
+            active2 = np.greater(z2, 0, out=active_all[start:end].reshape(n, g, c))
+            encoder.append(EncoderBlock(slots=slots, rows=rows, h1=h1, active2=active2))
+        phi[slots] = np.maximum(z2, 0.0, out=z2).sum(axis=0)
+        start = end
 
     if cfg.use_goal:
         g1 = _relu(phi @ params["goal.w1"] + params["goal.b1"])
@@ -362,9 +422,11 @@ def forward(params: ParamStore, cfg: ModelConfig, window):
     }
     if batch is not window:
         outputs = {name: None if v is None else v[0] for name, v in outputs.items()}
+    if not keep_trace:
+        return outputs, None
     trace = ForwardTrace(
         params_id=id(params), params_version=params.version, cfg=cfg,
-        points=batch.points, h1=h1s, active2=active2, phi=phi, g1=g1,
+        encoder=encoder, phi=phi, g1=g1,
         comp_in=comp_in, c1=c1, refine=ref_trace,
         probs=probs,
     )
@@ -391,7 +453,7 @@ def backward(params: ParamStore, trace: ForwardTrace, upstream: dict) -> ParamSt
     if unknown:
         raise ValueError(f"backward takes no upstream gradient for {sorted(unknown)}")
     cfg = trace.cfg
-    w, k, t, c = len(trace.points), cfg.n_modes, cfg.horizon, cfg.feature_dim
+    w, k, t, c = len(trace.phi), cfg.n_modes, cfg.horizon, cfg.feature_dim
     grads = params.zeros_like()
 
     def grad_of(name, shape):
@@ -436,15 +498,33 @@ def backward(params: ParamStore, trace: ForwardTrace, upstream: dict) -> ParamSt
         grads["goal.b1"] += d_z3.sum(axis=0)
         d_phi = d_phi + d_z3 @ params["goal.w1"].T
 
-    # encoder, window by window: phi = sum_n relu(h1 w2 + b2)[n]
-    for points, h1, active2, d_phi_w in zip(trace.points, trace.h1, trace.active2, d_phi):
-        d_z2 = active2 * d_phi_w
-        grads["enc.w2"] += h1.T @ d_z2
-        grads["enc.b2"] += d_z2.sum(axis=0)
-        d_z1 = d_z2 @ params["enc.w2"].T
-        d_z1 *= h1 > 0
-        grads["enc.w1"] += points.T @ d_z1
-        grads["enc.b1"] += d_z1.sum(axis=0)
+    # encoder, block by block: phi = sum_n relu(h1 w2 + b2)[n]. A window's enc.*
+    # gradients are one row, each layer at its `grads.layout` slice (the enc.*
+    # layers lead `flat`). Rows join the total in window order, as soon as every
+    # earlier window's has: the same sums as adding one window at a time.
+    w1, b1, w2, b2 = (grads.layout[f"enc.{name}"][0] for name in ("w1", "b1", "w2", "b2"))
+    assert (w1.start, w1.stop, b1.stop, w2.stop) == (0, b1.start, w2.start, b2.start), \
+        "the enc.* layers must lead ParamStore.flat in declared order"
+    total = grads.flat[:b2.stop]
+    pending, done = {}, 0
+    space = np.empty((2, max((block.h1.size for block in trace.encoder), default=0)))
+    for block in trace.encoder:  # space holds each block's d_z2 and d_z1, as in `forward`
+        (n, g, _), size = block.h1.shape, block.h1.size
+        out = np.empty((g, len(total)))
+        d_z2 = np.multiply(block.active2, d_phi[block.slots], out=space[0, :size].reshape(n, g, c))
+        np.matmul(block.h1.transpose(1, 2, 0), d_z2.transpose(1, 0, 2),
+                  out=out[:, w2].reshape(g, c, c))
+        d_z2.sum(axis=0, out=out[:, b2])
+        d_z1 = space[1, :size].reshape(n, g, c)
+        np.matmul(d_z2.transpose(1, 0, 2), params["enc.w2"].T, out=d_z1.transpose(1, 0, 2))
+        d_z1 *= block.h1 > 0
+        np.matmul(block.rows.transpose(1, 2, 0), d_z1.transpose(1, 0, 2),
+                  out=out[:, w1].reshape(g, FEATURE_DIM, c))
+        d_z1.sum(axis=0, out=out[:, b1])
+        pending.update(zip(block.slots, out))
+        while done in pending:
+            total += pending.pop(done)
+            done += 1
     return grads
 
 
@@ -454,10 +534,10 @@ def predict(params: ParamStore, cfg: ModelConfig, window):
     One Window gives a PredictionSet. A WindowBatch of W windows (what
     `make_window` and `make_shift_pair` give on a list of scenarios) gives
     arrays: ((W, K, T, 2) world-frame trajectories, (W, K) scores), mapped to
-    the world frame through the batch's frames. Either way one `forward`
-    runs per HEAD_BLOCK windows, a short last block padded with empty
-    windows whose rows are dropped, so a window's prediction has the same
-    bits whichever windows it is predicted with.
+    the world frame through the batch's frames. Either way one forward pass,
+    keeping no trace, runs per HEAD_BLOCK windows, a short last block padded
+    with empty windows whose rows are dropped, so a window's prediction has
+    the same bits whichever windows it is predicted with.
     """
     batch = window if isinstance(window, WindowBatch) else WindowBatch.of([window])
     refined = np.empty((len(batch), cfg.n_modes, cfg.horizon, 2))
@@ -469,7 +549,7 @@ def predict(params: ParamStore, cfg: ModelConfig, window):
             block = WindowBatch(points=block.points + (np.zeros((0, FEATURE_DIM)),) * pad,
                                 hist_flat=np.pad(block.hist_flat, ((0, pad), (0, 0))),
                                 frames=block.frames + (IDENTITY_FRAME,) * pad)
-        outputs, _ = forward(params, cfg, block)
+        outputs, _ = _forward(params, cfg, block, keep_trace=False)
         refined[start:start + n] = outputs["refined"][:n]
         probs[start:start + n] = outputs["probs"][:n]
     trajs = from_frame_xy(refined, batch.frames)
@@ -500,7 +580,8 @@ def save_checkpoint(path, params: ParamStore, cfg: ModelConfig, seed: int,
 def load_checkpoint(path):
     """Returns (params, cfg, meta) where meta has seed, epoch, extra; ValueError
     names the first stored layer that differs from `_layer_shapes(cfg)`."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    with text_input(path) as fh:
+        payload = json.loads(fh.read())
     if payload.get("format_version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {payload.get('format_version')}")
     cfg = ModelConfig(**payload["model"])

@@ -66,7 +66,6 @@ FIXED_PARAMETERS = {
     "metrics.report": ("threshold",),
     "harness.branch_coverage": ("threshold",),
     "harness.jitter_score": ("criterion",),
-    "data.load_dir": ("strict",),
     "data.load_manifest": ("strict",),
 }
 

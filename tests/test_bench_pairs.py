@@ -105,3 +105,40 @@ def test_summary_says_whether_both_sides_read_the_same_in_every_pair():
     assert summary["w"]["loss"]["same_in_every_pair"] is True
     assert summary["w"]["rate"]["same_in_every_pair"] is False
     assert summary["w"]["rate"]["ties"] == 2
+
+
+@pytest.mark.parametrize("parent, change, met", [
+    # 10 of 10 pairs won, and the medians 10 apart against a parent spread of 4.5
+    ([100.0 + i for i in range(10)], [110.0 + i for i in range(10)], True),
+    # the same gap, but one pair tied and one lost: 8 of 10
+    ([100.0 + i for i in range(10)], [110.0 + i for i in range(8)] + [108.0, 100.0], False),
+    # 9 of 10 won (one tie), but +4.1% (3652 to 3803) is a gap of 151 inside
+    # the parent's quartiles, 3570-3765
+    ([3450.0, 3500.0, 3560.0, 3600.0, 3650.0, 3654.0, 3720.0, 3780.0, 3850.0, 3900.0],
+     [3700.0, 3720.0, 3750.0, 3790.0, 3800.0, 3806.0, 3850.0, 3900.0, 3920.0, 3900.0], False),
+    # 9 of 10 won, well clear of the spread
+    ([100.0] * 10, [120.0] * 9 + [100.0], True),
+    # only 9 pairs: too few to claim anything
+    ([100.0] * 9, [120.0] * 9, False),
+])
+def test_claim_verdict_needs_nine_in_ten_pairs_and_a_gap_beyond_the_parents_spread(
+        parent, change, met):
+    runs = []
+    for seed, (p, c) in enumerate(zip(parent, change)):
+        runs += [_run("w", seed, "parent", p, 0.0), _run("w", seed, "change", c, 0.0)]
+    summary = bench_pairs.summarize(runs, _metrics(rate=("higher", 0.25), loss=("lower", 0.2)))
+    verdict = bench_pairs.claim_verdict(summary, "w", "rate")
+    assert verdict["claim_met"] is met
+    assert verdict["pairs"] == len(parent)
+    assert bench_pairs.claim_verdict(summary, "other", "rate") == {"claim_met": False, "pairs": 0}
+
+
+def test_claim_verdict_on_a_lower_is_better_metric():
+    runs = []
+    for seed in range(10):
+        runs += [_run("w", seed, "parent", 0.0, 2.0 + seed / 100),
+                 _run("w", seed, "change", 0.0, 1.5 + seed / 100)]
+    summary = bench_pairs.summarize(runs, _metrics(loss=("lower", 0.2)))
+    verdict = bench_pairs.claim_verdict(summary, "w", "loss")
+    assert verdict["claim_met"] is True and verdict["change_better_in"] == 10
+    assert verdict["median_gap"] == pytest.approx(0.5)

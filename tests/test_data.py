@@ -13,7 +13,7 @@ from trajcast.core import AgentTrack, MissingTargetFrame, Scenario, Trajectory, 
 from trajcast.data import (CSV_HEADER, DT, FUTURE_LEN, HISTORY_LEN, InsufficientFrames,
                            MalformedRow, MissingAgent, SyntheticSpec,
                            TOTAL_FRAMES, WrongFrameCount, branch_futures,
-                           check_windows, generate, load_csv, load_dir, load_manifest,
+                           check_windows, generate, load_csv, load_manifest,
                            make_shift_pair, make_window, save_csv,
                            save_dataset)
 
@@ -210,7 +210,7 @@ def test_csv_pads_absent_frames_with_nearest(tmp_path):
     np.testing.assert_array_equal(other.xy[25], [200.0, 200.0])
 
 
-def test_load_dir_raises_on_the_first_file_it_cannot_load(tmp_path):
+def test_load_csv_raises_naming_the_file_it_cannot_load(tmp_path):
     sc = generate(_spec(mode_mix=_only("straight")))[0]
     save_csv(sc, tmp_path / "good.csv")
     _write_csv(tmp_path / "bad.csv", _full_rows(frames=10))
@@ -248,13 +248,9 @@ def test_load_dir_raises_on_the_first_file_it_cannot_load(tmp_path):
                                        "timestamp 0 \\(line 2\\)$")]:
         with pytest.raises(MalformedRow, match=f"{name}: .*{reason}"):
             load_csv(tmp_path / name.removesuffix(".map.json"))
-    # name order puts bad.csv first
     with pytest.raises(WrongFrameCount, match=f"^{re.escape(str(tmp_path / 'bad.csv'))}: "):
-        load_dir(tmp_path)
-    for file in tmp_path.glob("*.csv"):
-        if file.name != "good.csv":
-            file.unlink()
-    assert [s.scenario_id for s in load_dir(tmp_path)] == ["good"]
+        load_csv(tmp_path / "bad.csv")
+    assert load_csv(tmp_path / "good.csv").scenario_id == "good"
 
 
 # -- manifest -----------------------------------------------------------------

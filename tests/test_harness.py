@@ -1296,6 +1296,28 @@ def test_cli_bad_input_exits_name_the_command(tmp_path, capsys, argv, message):
     assert not paths["out"].exists() and capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("argv, bad", [
+    (["cluster", "--dump", "a={dump}", "--dump", "b={dump}", "--out", "{out}"], "{dump}"),
+    (["train", "--data", "{ds}", "--out", "{out}", "--set", "use_mpt=true",
+      "--pseudo-targets", "{pseudo}"], "{pseudo}"),
+    (["report", "--log", "{log}", "--out", "{out}"], "{log}"),
+    (["evaluate", "--checkpoint", "{ckpt}", "--data", "{ds}"], "{ckpt}"),
+    (["train", "--data", "{ds}", "--out", "{out}", "--config", "{config}"], "{config}"),
+    (["train", "--data", "{ds}", "--out", "{out}"], "{ds}/straight-00000.csv"),
+    (["train", "--data", "{ds}", "--out", "{out}"], "{ds}/straight-00000.csv.map.json"),
+], ids=["dump", "pseudo targets", "log", "checkpoint", "config", "scenario", "map sidecar"])
+def test_cli_names_the_file_that_is_not_utf8(tmp_path, capsys, argv, bad):
+    """Each text reader refuses undecodable bytes with one `<command>: <path>:
+    not UTF-8 text (...)` line, and writes nothing."""
+    paths = {**_cli_inputs(tmp_path), "config": tmp_path / "train.cfg"}
+    bad = Path(bad.format(**paths))
+    bad.write_bytes(b"\xff\xfe")
+    with pytest.raises(SystemExit, match=f"^{argv[0]}: {re.escape(str(bad))}: "
+                                         r"not UTF-8 text \(invalid start byte\)$"):
+        cli.main([a.format(**paths) for a in argv])
+    assert not paths["out"].exists() and capsys.readouterr().out == ""
+
+
 _LOG_RECORD = json.dumps({"epoch": 0, "step": 0, "lr": 1e-3, "total": 2.5, "l_reg": 2.0,
                           "l_cls": 0.5, "l_temp": 0.0, "l_spa": 0.0})
 

@@ -11,7 +11,7 @@ from conftest import line_trajectory, prediction_set
 from trajcast.core import Trajectory
 from trajcast.matching import pairwise_cost
 from trajcast.metrics import (EmptyDataset, KTooLarge, LengthMismatch,
-                              MetricReport, MISS_THRESHOLD_METERS,
+                              MISS_THRESHOLD_METERS,
                               min_metrics, report, top_k_indices)
 
 
@@ -205,10 +205,8 @@ def test_report_empty_dataset():
         report((np.zeros((0, 6, 2, 2)), np.zeros((0, 6))), np.zeros((0, 2, 2)))
 
 
-def test_metric_report_json_roundtrip():
+def test_metric_report_json_has_sorted_keys():
     trajs, scores = _uniform([[0, 0], [1, 0]])
     rep = report((trajs[None], scores[None]), np.zeros((1, 2, 2)))
-    back = MetricReport.from_json(rep.to_json())
-    assert back == rep
     keys = list(json.loads(rep.to_json()).keys())
     assert keys == sorted(keys)  # stable serialization

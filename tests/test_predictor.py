@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import straight_scenario
 from trajcast import data, predictor
-from trajcast.core import Trajectory, Window, heading_frame, track_frame
+from trajcast.core import IDENTITY_FRAME, Trajectory, Window, heading_frame, track_frame
 from trajcast.predictor import (EmptyHistory, ModelConfig, StaleTrace, WindowBatch,
                                 _layer_shapes, backward, featurize, forward,
                                 init_params, load_checkpoint, predict,
@@ -278,20 +278,21 @@ def test_predict_on_a_list_equals_per_window_predict(seed, n_scenarios, use_goal
 
 @pytest.mark.parametrize("n_windows, blocks", [(1, 1), (63, 1), (64, 1), (65, 2), (130, 3)])
 def test_predict_runs_one_forward_per_call(n_windows, blocks):
-    """One forward per HEAD_BLOCK (64) windows of the input, a short last
-    block included, and one for a single Window."""
+    """One forward pass per HEAD_BLOCK (64) windows of the input, a short
+    last block included, and one for a single Window; none keeps a trace."""
     assert predictor.HEAD_BLOCK == 64
     cfg = ModelConfig(n_modes=2, horizon=30, history_len=20, feature_dim=4)
     scenarios = data.generate(data.SyntheticSpec(scenario_count=n_windows, seed=n_windows))
     windows = [data.make_window(sc) for sc in scenarios]
     params = init_params(cfg, seed=1)
     batch = data.make_window(scenarios)
-    with mock.patch.object(predictor, "forward", wraps=predictor.forward) as fwd:
+    with mock.patch.object(predictor, "_forward", wraps=predictor._forward) as fwd:
         predict(params, cfg, batch)
         assert fwd.call_count == blocks
         predict(params, cfg, windows[0])
         assert fwd.call_count == blocks + 1
     assert all(len(call.args[2]) == 64 for call in fwd.call_args_list)
+    assert all(call.kwargs == {"keep_trace": False} for call in fwd.call_args_list)
     _assert_predict_list_matches_per_window(params, cfg, batch, windows)
 
 
@@ -331,6 +332,45 @@ def test_a_windows_prediction_does_not_depend_on_its_run(case, feature_dim):
         pset = predict(params, cfg, data.make_window(scenarios[i]))
         assert np.array_equal(pset.stacked(), trajs[i])
         assert np.array_equal(pset.scores, scores[i])
+
+
+# five-mode windows (70, 120 and 170 rows), and the rows of a window without any
+_FIVE_MODE = data.make_window(_SPLIT[:40])
+_NO_ROWS = np.zeros((0, predictor.FEATURE_DIM))
+
+
+@settings(max_examples=30, deadline=None)
+@given(picks=st.lists(st.integers(-1, len(_FIVE_MODE) - 1), min_size=1, max_size=24),
+       feature_dim=st.sampled_from([8, 32, 64]), seed=st.integers(0, 2**16))
+def test_encoder_block_size_does_not_change_bits(picks, feature_dim, seed):
+    """forward's outputs and backward's gradients have the same bits whether
+    the encoder runs one window per block, each row-count group as one block,
+    or the default blocks. Pick -1 is a window without rows, as `predict`
+    pads a block with."""
+    batch = WindowBatch(
+        points=tuple(_NO_ROWS if i < 0 else _FIVE_MODE.points[i] for i in picks),
+        hist_flat=np.stack([0.0 * _FIVE_MODE.hist_flat[0] if i < 0 else _FIVE_MODE.hist_flat[i]
+                            for i in picks]),
+        frames=tuple(IDENTITY_FRAME if i < 0 else _FIVE_MODE.frames[i] for i in picks))
+    w, cfg = len(picks), ModelConfig(n_modes=3, feature_dim=feature_dim)
+    params = init_params(cfg, seed=seed)
+    rng = np.random.default_rng(seed)
+    upstream = {name: rng.normal(size=(w, 3, 30, 2)) for name in ("refined", "completion",
+                                                                   "offsets")}
+    upstream["probs"] = rng.normal(size=(w, 3))
+    runs = []
+    for block in (1, 2**62, predictor.ENCODER_BLOCK):
+        with mock.patch.object(predictor, "ENCODER_BLOCK", block):
+            out, trace = forward(params, cfg, batch)
+            runs.append((out, backward(params, trace, upstream).flat,
+                         [len(b.slots) for b in trace.encoder]))
+    (one_each, one_grads, sizes), (_, _, group_sizes), _ = runs
+    assert sizes == [1] * w
+    assert len(group_sizes) == len({len(p) for p in batch.points})
+    for out, grads, _ in runs[1:]:
+        for name, value in one_each.items():
+            assert np.array_equal(out[name], value), name
+        assert np.array_equal(grads, one_grads)
 
 
 def test_predict_on_an_empty_list_gives_empty_stacks():

@@ -7,7 +7,9 @@ committed `BENCH_*.json` files: every run, then per workload and end-to-end
 metric each side's median and quartiles, the ratio of the medians, the
 number of pairs the change won, and the two verdicts against the metric's
 bound: whether the change regressed, and whether the parent's own spread is
-too wide to tell.
+too wide to tell. Given `--claimed-metric` and `--claimed-workload`, it
+also says whether the pairs show that gain (`claimed.claim_met`, see
+`claim_verdict`).
 
     python tools/bench_pairs.py --parent ../parent --change . \\
         --workload train-mpt-aug --workload train-desk --first-seed 14001 \\
@@ -89,6 +91,24 @@ def summarize(runs: list, end_to_end: list) -> dict:
     return summary
 
 
+def claim_verdict(summary: dict, workload: str, metric: str) -> dict:
+    """Whether the pairs show a claimed gain on `metric` in `workload`: at
+    least PAIRS pairs, the change better in at least nine tenths of them
+    (a tie counts for neither side), and the change's median better than
+    the parent's by more than the parent's own spread, q3 - q1."""
+    entry = summary.get(workload, {})
+    stats = entry.get(metric)
+    if stats is None:
+        return {"claim_met": False, "pairs": entry.get("pairs", 0)}
+    sign = 1.0 if stats["better"] == "higher" else -1.0
+    gap = sign * (stats["change"]["median"] - stats["parent"]["median"])
+    spread = stats["parent"]["q3"] - stats["parent"]["q1"]
+    wins, pairs = stats["change_better_in"], entry["pairs"]
+    return {"claim_met": pairs >= PAIRS and wins >= 0.9 * pairs and gap > spread,
+            "pairs": entry["pairs"], "change_better_in": stats["change_better_in"],
+            "median_gap": gap, "parent_spread": spread}
+
+
 def _run(checkout: Path, workload: str, seed: int, seconds: float) -> tuple:
     """One benchmark run: its record fields, and the environment it printed."""
     out = subprocess.run(
@@ -149,6 +169,9 @@ def main(argv=None) -> int:
                 report["runs"].append({**record, "ran_first": position == 0, "seed": seed,
                                        "side": side, "workload": workload})
                 report["summary"] = summarize(report["runs"], spec["end_to_end"])
+                if args.claimed_metric:
+                    report["claimed"].update(claim_verdict(
+                        report["summary"], args.claimed_workload, args.claimed_metric))
                 args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n",
                                     encoding="utf-8")
                 print(f"pair {p} {workload} seed {seed} {side}: "
