@@ -428,7 +428,11 @@ def jitter_score(predict_fn, scenarios, s: int) -> float:
     checked and stacked first (`_scenario_arrays`); then the windows are cut
     a run of scenarios at a time (`make_shift_pair` on each of `_chunks`),
     and predict_fn is called on each run's nominal and shifted windows. A
-    non-finite prediction stops it (`_finite`).
+    non-finite prediction stops it (`_finite`). Each run's (S, K, K) cost
+    stack is built by one `similarity` and paired by one `match`; then each
+    scenario's matched costs, in pair order, are summed and divided by
+    their count, as `np.mean` does, so the score keeps the bits of one
+    `similarity`, `match` and `np.mean` per scenario.
     """
     if not scenarios:
         raise ValueError("jitter needs at least one scenario")
@@ -440,11 +444,12 @@ def jitter_score(predict_fn, scenarios, s: int) -> float:
     for chunk in _chunks(arrays):
         trajs_a, trajs_b = (_finite(chunk, predict_fn(batch))[0]
                             for batch in make_shift_pair(chunk, s))
-        overlap = trajs_a.shape[-2] - s
-        for preds_a, preds_b in zip(trajs_a, trajs_b):
-            sim = similarity(preds_a, preds_b, criterion="ade", overlap=overlap)
-            pairs = match(sim, "bidirectional").pairs
-            total += float(np.mean([sim.cost[i, j] for i, j in pairs]))
+        sim = similarity(trajs_a, trajs_b, criterion="ade", overlap=trajs_a.shape[-2] - s)
+        where = np.array(match(sim, "bidirectional").pairs).T  # scenario, row, column
+        costs = sim.cost[tuple(where)]
+        ends = np.cumsum(np.bincount(where[0], minlength=len(chunk))).tolist()
+        for start, end in zip([0, *ends], ends):
+            total += float(costs[start:end].sum() / (end - start))  # np.mean's bits
     return total / len(scenarios)
 
 

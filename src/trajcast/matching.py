@@ -3,6 +3,11 @@
 Forward matching picks the cheapest partner per row, backward per column,
 bidirectional keeps mutual nearest neighbors, and Hungarian solves the
 one-to-one linear assignment. Ties always resolve to the lowest index.
+
+Every function takes a stack as well as a single matrix: (..., K, L, 2)
+trajectory sets give a (..., K_a, K_b) cost stack, and each matrix of the
+stack is paired and costed as it would be on its own. A single matrix is a
+stack with no leading axes.
 """
 
 from __future__ import annotations
@@ -30,13 +35,16 @@ class NonFinite(TrajcastError):
 
 @dataclass(frozen=True, eq=False)
 class SimilarityMatrix:
-    cost: np.ndarray        # (K_a, K_b) meters
+    """A (..., K_a, K_b) stack of pairing costs, nonempty, finite and >= 0."""
+
+    cost: np.ndarray        # (..., K_a, K_b) meters
     criterion: str
 
     def __post_init__(self):
         cost = np.array(self.cost, dtype=np.float64)
-        if cost.ndim != 2 or cost.size == 0:
-            raise ValueError(f"cost must be a nonempty 2-D matrix, got shape {cost.shape}")
+        if cost.ndim < 2 or cost.size == 0:
+            raise ValueError(f"cost must be a nonempty (..., K_a, K_b) stack, "
+                             f"got shape {cost.shape}")
         if not np.all(np.isfinite(cost)) or np.any(cost < 0):
             raise ValueError("cost entries must be finite and >= 0")
         if self.criterion not in CRITERIA:
@@ -47,7 +55,7 @@ class SimilarityMatrix:
 
 @dataclass(frozen=True)
 class MatchResult:
-    pairs: tuple            # ((m_k, n_k), ...)
+    pairs: tuple            # ((matrix index..., m_k, n_k), ...)
     strategy: str
 
     def as_set(self) -> set:
@@ -56,7 +64,8 @@ class MatchResult:
 
 def similarity(set_a, set_b, criterion: str = "fde",
                overlap: int | None = None) -> SimilarityMatrix:
-    """Pairwise ADE or FDE between two (K, L, 2) trajectory sets.
+    """Pairwise ADE or FDE between two (..., K, L, 2) trajectory sets: one
+    (K_a, K_b) matrix per set of the stack, as `pairwise_cost` gives it.
 
     With `overlap` = L, the last L steps of each trajectory in set_a are
     compared against the first L steps of each trajectory in set_b; this is
@@ -65,16 +74,16 @@ def similarity(set_a, set_b, criterion: str = "fde",
     """
     if criterion not in CRITERIA:
         raise ValueError(f"criterion must be one of {CRITERIA}, got {criterion!r}")
-    if len(set_a) == 0 or len(set_b) == 0:
+    if set_a.size == 0 or set_b.size == 0:
         raise ValueError("both trajectory sets must be nonempty")
-    len_a, len_b = set_a.shape[1], set_b.shape[1]
+    len_a, len_b = set_a.shape[-2], set_b.shape[-2]
     if overlap is None:
         if len_a != len_b:
             raise EmptyOverlap(f"full comparison needs equal lengths, got {len_a} vs {len_b}")
         overlap = len_a
     if overlap < 1 or overlap > len_a or overlap > len_b:
         raise EmptyOverlap(f"overlap {overlap} incompatible with lengths {len_a}, {len_b}")
-    cost = pairwise_cost(set_a[:, len_a - overlap:], set_b[:, :overlap], criterion)
+    cost = pairwise_cost(set_a[..., len_a - overlap:, :], set_b[..., :overlap, :], criterion)
     return SimilarityMatrix(cost=cost, criterion=criterion)
 
 
@@ -118,13 +127,15 @@ def pair_mask(cost: np.ndarray, strategy: str) -> np.ndarray:
 
 
 def match(sim: SimilarityMatrix, strategy: str) -> MatchResult:
-    """The pairs `strategy` picks on one matrix, ordered by row (backward:
-    by column)."""
+    """The pairs `strategy` picks in each matrix of the stack, as (matrix
+    index..., i, j): ordered by matrix, then by row (backward: by column).
+    On a single matrix each pair is (i, j)."""
     mask = pair_mask(sim.cost, strategy)
     if strategy == "backward":
-        pairs = tuple((int(i), int(j)) for j, i in zip(*np.nonzero(mask.T)))
+        *matrix, j, i = np.nonzero(np.swapaxes(mask, -1, -2))
     else:
-        pairs = tuple((int(i), int(j)) for i, j in zip(*np.nonzero(mask)))
+        *matrix, i, j = np.nonzero(mask)
+    pairs = tuple(zip(*(index.tolist() for index in (*matrix, i, j))))
     return MatchResult(pairs=pairs, strategy=strategy)
 
 
@@ -147,13 +158,19 @@ def match_hungarian(sim: SimilarityMatrix) -> MatchResult:
     """Minimum-total-cost one-to-one assignment.
 
     Rectangular matrices are padded square with PAD_COST; pairs landing on
-    padding are discarded, so min(K_a, K_b) pairs are returned.
+    padding are discarded, so each matrix gives min(K_a, K_b) pairs.
     """
     return match(sim, "hungarian")
 
 
 def total_cost(sim: SimilarityMatrix, result: MatchResult) -> float:
-    return float(sum(sim.cost[i, j] for i, j in result.pairs))
+    """The cost of the matched pairs: each matrix's pairs summed in the order
+    `match` gives them, then the matrices' totals summed in stack order."""
+    totals = {}
+    for *matrix, i, j in result.pairs:
+        key = tuple(matrix)
+        totals[key] = totals.get(key, 0) + sim.cost[(*key, i, j)]
+    return float(sum(totals.values()))
 
 
 def _solve_assignment(a: np.ndarray) -> np.ndarray:

@@ -20,13 +20,14 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .core import (DT, FUTURE_LEN, HISTORY_LEN, IDENTITY_FRAME, PredictionSet, ScenarioArrays,
-                   Trajectory, TrajcastError, from_frame_xy, softmax, softmax_backprop,
-                   text_input, to_frame_xy)
+from .core import (DT, FUTURE_LEN, HISTORY_LEN, IDENTITY_FRAME, JSON_NUMBER_TYPES,
+                   PredictionSet, ScenarioArrays, Trajectory, TrajcastError, from_frame_xy,
+                   softmax, softmax_backprop, text_input, to_frame_xy)
 
 FEATURE_DIM = 5  # (x, y, t_rel_seconds, is_map, present)
 
@@ -46,6 +47,10 @@ class EmptyHistory(TrajcastError):
 
 class StaleTrace(TrajcastError):
     """Backward called with a trace from an older parameter state."""
+
+
+class MalformedCheckpoint(TrajcastError):
+    """A checkpoint file that does not hold what `save_checkpoint` writes."""
 
 
 @dataclass(frozen=True)
@@ -577,20 +582,95 @@ def save_checkpoint(path, params: ParamStore, cfg: ModelConfig, seed: int,
     Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
 
 
+# what `save_checkpoint` writes: each top-level key with the JSON type of its
+# value, and each model config key with that of its field
+_CHECKPOINT_KEYS = {"format_version": int, "model": dict, "layer_shapes": dict,
+                    "params": dict, "seed": int, "epoch": int, "extra": dict}
+_MODEL_KEYS = {field.name: type(field.default) for field in dataclasses.fields(ModelConfig)}
+_JSON_NAMES = {int: "an integer", bool: "true or false", dict: "an object"}
+
+
 def load_checkpoint(path):
-    """Returns (params, cfg, meta) where meta has seed, epoch, extra; ValueError
-    names the first stored layer that differs from `_layer_shapes(cfg)`."""
+    """Returns (params, cfg, meta) where meta has seed, epoch, extra.
+
+    The file must hold what `save_checkpoint` writes: a JSON object with
+    its keys and no other, a model config with every `ModelConfig` field
+    and no other, and each layer `_layer_shapes(cfg)` declares, and no
+    other, as nested lists of finite JSON numbers (`core.JSON_NUMBER_TYPES`:
+    a quoted number or `true` is refused) of the declared shape, which
+    `layer_shapes` lists. Else MalformedCheckpoint names the file and the
+    key or layer."""
     with text_input(path) as fh:
-        payload = json.loads(fh.read())
-    if payload.get("format_version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {payload.get('format_version')}")
-    cfg = ModelConfig(**payload["model"])
+        text = fh.read()
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MalformedCheckpoint(f"{path}: not JSON: {exc}") from None
+    if type(payload) is not dict:
+        raise MalformedCheckpoint(f"{path}: not a JSON object")
+    version = payload.get("format_version")
+    if type(version) is not int or version != CHECKPOINT_VERSION:
+        raise MalformedCheckpoint(f"{path}: unsupported checkpoint version {version!r}")
+    _check_keys(path, "", payload, _CHECKPOINT_KEYS)
+    _check_keys(path, "model: ", payload["model"], _MODEL_KEYS)
+    try:
+        cfg = ModelConfig(**payload["model"])
+    except ValueError as exc:
+        raise MalformedCheckpoint(f"{path}: model: {exc}") from None
     declared = dict(_layer_shapes(cfg))
-    arrays = {name: np.array(v, dtype=np.float64) for name, v in payload["params"].items()}
-    for name in [*declared, *sorted(arrays)]:
+    stored = payload["params"]
+    arrays = {}
+    for name in dict.fromkeys([*declared, *sorted(stored)]):
+        if name in stored:
+            arrays[name] = _layer_array(path, name, stored[name])
         found = arrays[name].shape if name in arrays else "absent"
         if found != declared.get(name):
-            raise ValueError(f"{path}: layer {name!r} is {found} in the checkpoint but "
-                             f"{declared.get(name, 'undeclared')} in its model config")
+            raise MalformedCheckpoint(f"{path}: layer {name!r} is {found} in the checkpoint "
+                                      f"but {declared.get(name, 'undeclared')} in its model config")
+    listed = payload["layer_shapes"]
+    for name in dict.fromkeys([*declared, *sorted(listed)]):
+        shape = list(declared[name]) if name in declared else "undeclared"
+        if json.dumps(listed.get(name)) != json.dumps(shape):  # so `true` is not 1
+            raise MalformedCheckpoint(f"{path}: layer_shapes gives {name!r} as "
+                                      f"{listed.get(name, 'absent')!r} but the layer is {shape}")
     meta = {"seed": payload["seed"], "epoch": payload["epoch"], "extra": payload["extra"]}
     return ParamStore({name: arrays[name] for name in declared}), cfg, meta
+
+
+def _check_keys(path, where: str, obj: dict, kinds: dict) -> None:
+    """MalformedCheckpoint unless obj has exactly the keys of `kinds`, each
+    holding a value of exactly its type (so `true` is not an integer)."""
+    for key in [*kinds, *sorted(obj)]:
+        if key not in obj:
+            raise MalformedCheckpoint(f"{path}: {where}no key {key!r}")
+        if key not in kinds:
+            raise MalformedCheckpoint(f"{path}: {where}unknown key {key!r}")
+        if type(obj[key]) is not kinds[key]:
+            raise MalformedCheckpoint(f"{path}: {where}{key!r} must be {_JSON_NAMES[kinds[key]]}, "
+                                      f"got {obj[key]!r}")
+
+
+def _layer_array(path, name: str, value) -> np.ndarray:
+    """A stored layer as a float array, once its nested lists are found to
+    be regular and to hold only finite JSON numbers; else
+    MalformedCheckpoint naming the layer."""
+    leaves, kinds, shape = [value], {type(value)}, []
+    while kinds == {list}:
+        lengths = set(map(len, leaves))
+        if len(lengths) > 1:
+            raise MalformedCheckpoint(f"{path}: layer {name!r} has rows of unequal lengths")
+        shape.append(lengths.pop())
+        leaves = list(chain.from_iterable(leaves))
+        kinds = set(map(type, leaves))
+    if not kinds <= JSON_NUMBER_TYPES:
+        bad = next(v for v in leaves if type(v) not in JSON_NUMBER_TYPES)
+        raise MalformedCheckpoint(f"{path}: layer {name!r} must hold only lists and JSON "
+                                  f"numbers, got {bad!r}")
+    try:
+        arr = np.fromiter(leaves, np.float64, len(leaves)).reshape(shape)
+    except OverflowError:  # an integer beyond float range
+        raise MalformedCheckpoint(f"{path}: layer {name!r} holds a number beyond float range") \
+            from None
+    if not np.isfinite(arr).all():
+        raise MalformedCheckpoint(f"{path}: layer {name!r} holds a non-finite value")
+    return arr

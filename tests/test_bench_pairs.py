@@ -2,6 +2,7 @@
 counts and the verdicts against each metric's bound, from hand-made runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -142,3 +143,42 @@ def test_claim_verdict_on_a_lower_is_better_metric():
     verdict = bench_pairs.claim_verdict(summary, "w", "loss")
     assert verdict["claim_met"] is True and verdict["change_better_in"] == 10
     assert verdict["median_gap"] == pytest.approx(0.5)
+
+
+def test_trace_seed_adds_one_traced_run_per_side_and_a_layers_block(tmp_path, monkeypatch):
+    """With --trace-seed, the pairs come first; then each workload gets one
+    --trace 1 run per side on that seed, and `layers` holds every per-layer
+    metric of BENCHMARK.json on both sides (None where a side lacks it)."""
+    spec = {"run_seconds": 5, "end_to_end": [{"name": "rate", "better": "higher", "bound": 0.25}],
+            "per_layer": [{"name": "m.similarity.calls"}, {"name": "m.gone.calls"}]}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds, trace=0):
+        side = "parent" if checkout.name == "parent" else "change"
+        calls.append((workload, seed, side, trace))
+        metrics = ({"m.similarity.calls": 256.0 if side == "parent" else 4.0}
+                   if trace else {"rate": 1.0})
+        if trace and side == "parent":
+            metrics["m.gone.calls"] = 1.0
+        return {"attempted": 1, "failed": 0, "metrics": metrics}, {}
+
+    monkeypatch.setattr(bench_pairs, "_run", fake_run)
+    monkeypatch.setattr(bench_pairs, "PAIRS", 2)
+    (tmp_path / "parent").mkdir()
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path),
+                             "--workload", "a", "--workload", "b", "--first-seed", "10",
+                             "--trace-seed", "99", "--out", str(out)]) == 0
+    assert [c for c in calls if c[3] == 0] == [
+        ("a", 10, "parent", 0), ("a", 10, "change", 0), ("b", 110, "parent", 0),
+        ("b", 110, "change", 0), ("a", 11, "change", 0), ("a", 11, "parent", 0),
+        ("b", 111, "change", 0), ("b", 111, "parent", 0)]
+    assert calls[8:] == [("a", 99, "parent", 1), ("a", 99, "change", 1),
+                         ("b", 99, "parent", 1), ("b", 99, "change", 1)]
+    report = json.loads(out.read_text())
+    assert report["layers"] == {w: {"m.similarity.calls": {"parent": 256.0, "change": 4.0},
+                                    "m.gone.calls": {"parent": 1.0, "change": None}}
+                                for w in ("a", "b")}
+    assert report["trace_command"].endswith("--seed 99 --seconds 5 --trace 1")
+    assert report["summary"]["a"]["pairs"] == 2

@@ -3,6 +3,7 @@ and the CLI workflow end to end."""
 
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -28,9 +29,10 @@ from trajcast.data import (SyntheticSpec, _batch_windows, _scenario_arrays, gene
 from trajcast.harness import (Adam, NonFiniteLoss, ShapeMismatch, TrainConfig, _scenario_step,
                               branch_coverage, evaluate, jitter_score, lr_at_epoch,
                               make_config, run_grid, table2_rows, train)
+from trajcast.matching import SimilarityMatrix, match
 from trajcast.metrics import EmptyDataset
-from trajcast.predictor import (ModelConfig, ParamStore, WindowBatch, init_params, predict,
-                                save_checkpoint)
+from trajcast.predictor import (ModelConfig, ParamStore, WindowBatch, init_params,
+                                load_checkpoint, predict, save_checkpoint)
 
 TINY = {"epochs": 2, "batch_size": 4, "k": 2, "feature_dim": 8, "j": 2}
 
@@ -691,6 +693,67 @@ def test_jitter_hand_value():
         jitter_score(jumpy, [], s=1)
 
 
+def _jitter_reference(predict_fn, scenarios, s):
+    """jitter_score as one cost matrix and one match per scenario: each
+    matrix is np.linalg.norm's mean overlap ADE, and each scenario adds
+    np.mean of a list of its matched costs."""
+    total = 0.0
+    for chunk in harness._chunks([_scenario_arrays(sc, s) for sc in scenarios]):
+        trajs_a, trajs_b = (predict_fn(batch)[0] for batch in make_shift_pair(chunk, s))
+        for preds_a, preds_b in zip(trajs_a, trajs_b):
+            tail, head = preds_a[:, s:], preds_b[:, :-s]
+            cost = np.linalg.norm(tail[:, None] - head[None], axis=-1).mean(axis=-1)
+            pairs = match(SimilarityMatrix(cost=cost, criterion="ade"), "bidirectional").pairs
+            total += float(np.mean([cost[i, j] for i, j in pairs]))
+    return total / len(scenarios)
+
+
+def _noisy_predictor(k, spacing=1.0):
+    """K modes `spacing` m apart that each move by a random amount from one
+    call to the next, from 1e-3 to 3 m, so a scenario pairs anywhere from 1
+    to K modes (all K when the modes are far apart), with costs of many
+    sizes. Each call draws from its own seed, the call's index, so two runs
+    of the same calls see the same trajectories."""
+    calls = []
+
+    def predict_fn(batch):
+        rng = np.random.default_rng(len(calls))
+        calls.append(len(batch))
+        base = (np.arange(k)[:, None, None] * np.array([1.0, 0.5]) * spacing
+                + np.linspace(0, 30, 30)[:, None])
+        sigma = 10.0 ** rng.uniform(-3.0, 0.5, (len(batch), k, 1, 1))
+        return (base + sigma * rng.normal(size=(len(batch), k, 30, 2)),
+                np.ones((len(batch), k)))
+    return predict_fn
+
+
+@functools.lru_cache(maxsize=None)
+def _jitter_scenarios(kind):
+    mix = {"five-mode": {m: 0.2 for m in data.MODES}, "junction": {"junction": 1.0}}[kind]
+    return generate(SyntheticSpec(scenario_count=150, mode_mix=mix, seed=41))
+
+
+@pytest.mark.parametrize("s", [1, 3])
+@pytest.mark.parametrize("count", [1, 63, 64, 65, 150])
+@pytest.mark.parametrize("kind", ["five-mode", "junction", "nine modes", "twelve far modes"])
+def test_jitter_score_equals_one_mean_per_scenario(kind, count, s):
+    """The stacked scoring of each run gives, to the bit, the score of one
+    similarity, one match and one np.mean per scenario, added in scenario
+    order, for runs that fill, underfill and overflow a head block. Twelve
+    modes far apart pair all twelve, which np.mean adds pairwise."""
+    scenarios = _jitter_scenarios("junction" if "modes" in kind else kind)[:count]
+    if kind == "nine modes":
+        predict_fns = _noisy_predictor(9), _noisy_predictor(9)
+    elif kind == "twelve far modes":
+        predict_fns = _noisy_predictor(12, spacing=1e3), _noisy_predictor(12, spacing=1e3)
+    else:
+        model_cfg = ModelConfig(feature_dim=8)
+        params = init_params(model_cfg, seed=3)
+        predict_fns = (lambda batch: predict(params, model_cfg, batch),) * 2
+    assert (jitter_score(predict_fns[0], scenarios, s)
+            == _jitter_reference(predict_fns[1], scenarios, s))
+
+
 def test_branch_coverage_bounds():
     scenarios = _dataset(mode="junction", count=4)
     params, model_cfg, _ = train(_tiny_config(epochs=1), scenarios)
@@ -850,14 +913,20 @@ def test_library_and_cli_give_the_same_pseudo_targets(tmp_path):
     ("ensemble-dump", ["--out", "{out}"]),
     ("jitter", ["--s", "1"]),
 ])
-def test_commands_refuse_a_non_finite_prediction(tmp_path, capsys, command, flags):
-    """A checkpoint with one NaN in enc.w1 predicts NaN for every window:
-    each inference command stops naming the first scenario, writes nothing,
-    and numpy warns of nothing on the way."""
+def test_commands_refuse_a_non_finite_prediction(tmp_path, monkeypatch, capsys, command,
+                                                 flags):
+    """Parameters with one NaN in enc.w1 predict NaN for every window: each
+    inference command stops naming the first scenario, writes nothing, and
+    numpy warns of nothing on the way. The NaN is put in after loading, as
+    the checkpoint reader refuses a file that holds one."""
     paths = _cli_inputs(tmp_path)
-    payload = json.loads(paths["ckpt"].read_text())
-    payload["params"]["enc.w1"][0][0] = float("nan")
-    paths["ckpt"].write_text(json.dumps(payload, sort_keys=True))
+
+    def load_with_a_nan(path):
+        params, model_cfg, meta = load_checkpoint(path)
+        params["enc.w1"][0, 0] = np.nan
+        return params, model_cfg, meta
+
+    monkeypatch.setattr(harness, "load_checkpoint", load_with_a_nan)
     first = data.load_manifest(paths["ds"] / "manifest.json", split="val")[0].scenario_id
     argv = [command, "--checkpoint", "{ckpt}", "--data", "{ds}", "--split", "val", *flags]
     with warnings.catch_warnings():
@@ -1315,6 +1384,43 @@ def test_cli_names_the_file_that_is_not_utf8(tmp_path, capsys, argv, bad):
     with pytest.raises(SystemExit, match=f"^{argv[0]}: {re.escape(str(bad))}: "
                                          r"not UTF-8 text \(invalid start byte\)$"):
         cli.main([a.format(**paths) for a in argv])
+    assert not paths["out"].exists() and capsys.readouterr().out == ""
+
+
+def _edited(change):
+    """The checkpoint text with `change` made to its parsed payload."""
+    def edit(text):
+        payload = json.loads(text)
+        change(payload)
+        return json.dumps(payload, sort_keys=True)
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda text: text[:31], r"not JSON: Unterminated string starting at: line 1 column 27 "
+                             r"\(char 26\)"),
+    (_edited(lambda p: p.pop("params")), "no key 'params'"),
+    (_edited(lambda p: p.pop("seed")), "no key 'seed'"),
+    (_edited(lambda p: p["model"].update(bogus=1)), "model: unknown key 'bogus'"),
+    (_edited(lambda p: p["params"]["enc.b1"].__setitem__(3, "1.5")),
+     "layer 'enc.b1' must hold only lists and JSON numbers, got '1.5'"),
+    (_edited(lambda p: p["params"]["enc.w2"][2].__setitem__(1, True)),
+     "layer 'enc.w2' must hold only lists and JSON numbers, got True"),
+    (_edited(lambda p: p["params"]["ref.w0"][0].__setitem__(0, float("nan"))),
+     "layer 'ref.w0' holds a non-finite value"),
+], ids=["31-byte prefix", "no params", "no seed", "unknown model key", "quoted number",
+        "true", "NaN"])
+def test_evaluate_refuses_a_malformed_checkpoint_naming_the_file(tmp_path, capsys, edit,
+                                                                message):
+    """A checkpoint that does not hold what save_checkpoint writes stops
+    `evaluate` with one `evaluate: <file>: <key or layer>: <what>` line,
+    before any report."""
+    paths = _cli_inputs(tmp_path)
+    ckpt = paths["ckpt"]
+    ckpt.write_text(edit(ckpt.read_text()))
+    with pytest.raises(SystemExit, match=f"^evaluate: {re.escape(str(ckpt))}: {message}$"):
+        cli.main(["evaluate", "--checkpoint", str(ckpt), "--data", str(paths["ds"]),
+                  "--split", "val", "--report", str(paths["out"])])
     assert not paths["out"].exists() and capsys.readouterr().out == ""
 
 

@@ -207,3 +207,73 @@ def test_similarity_matrix_validation():
         SimilarityMatrix(cost=np.array([[1.0]]), criterion="dtw")
     with pytest.raises(ValueError):
         SimilarityMatrix(cost=np.zeros((0, 3)), criterion="fde")
+
+
+# -- the stack rule -------------------------------------------------------------
+
+@st.composite
+def _set_stacks(draw):
+    """Two (..., K, L, 2) stacks of trajectory sets with 0 to 2 leading axes,
+    coordinates in steps of 0.5 (so costs tie exactly) or any float, and an
+    overlap that fits both lengths, or None where the lengths are equal."""
+    lead = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    k_a, k_b = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    len_a = draw(st.integers(1, 5))
+    overlap = draw(st.none() | st.integers(1, len_a))
+    len_b = len_a if overlap is None else draw(st.integers(overlap, 5))
+    coords = st.one_of(st.integers(0, 4).map(lambda v: v / 2),
+                       st.floats(-10, 10, allow_subnormal=False))
+    set_a = draw(hnp.arrays(np.float64, lead + (k_a, len_a, 2), elements=coords))
+    set_b = draw(hnp.arrays(np.float64, lead + (k_b, len_b, 2), elements=coords))
+    return set_a, set_b, overlap
+
+
+@settings(max_examples=200, deadline=None)
+@given(_set_stacks(), st.sampled_from(("ade", "fde")))
+def test_similarity_match_and_total_cost_on_a_stack_equal_the_per_matrix_calls_property(
+        sets, criterion):
+    set_a, set_b, overlap = sets
+    sim = similarity(set_a, set_b, criterion=criterion, overlap=overlap)
+    lead = set_a.shape[:-3]
+    assert sim.cost.shape == lead + (set_a.shape[-3], set_b.shape[-3])
+    per = {idx: similarity(set_a[idx], set_b[idx], criterion=criterion, overlap=overlap)
+           for idx in np.ndindex(lead)}
+    for idx, one in per.items():
+        assert np.array_equal(sim.cost[idx], one.cost)
+    for strategy in STRATEGIES:
+        result = match(sim, strategy)
+        assert result.strategy == strategy
+        assert result.pairs == tuple((*idx, i, j) for idx, one in per.items()
+                                     for i, j in match(one, strategy).pairs)
+        expected = 0.0
+        for one in per.values():
+            expected += total_cost(one, match(one, strategy))
+        assert total_cost(sim, result) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(_cost_stacks, st.sampled_from((np.nan, np.inf, -0.5)), st.data())
+def test_similarity_matrix_refuses_a_stack_with_one_bad_cost_property(cost, bad, data):
+    SimilarityMatrix(cost=cost, criterion="ade")
+    with pytest.raises(ValueError, match="criterion"):
+        SimilarityMatrix(cost=cost, criterion="dtw")
+    cost = cost.copy()
+    cost[tuple(data.draw(st.integers(0, n - 1)) for n in cost.shape)] = bad
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        SimilarityMatrix(cost=cost, criterion="fde")
+
+
+@pytest.mark.parametrize("shape", [(0, 2, 2), (2, 0, 2), (2, 3, 0), (3,)])
+def test_similarity_matrix_refuses_an_empty_stack_or_a_vector(shape):
+    with pytest.raises(ValueError, match=r"nonempty \(\.\.\., K_a, K_b\) stack"):
+        SimilarityMatrix(cost=np.ones(shape), criterion="fde")
+
+
+def test_match_on_a_stack_orders_pairs_by_matrix_then_row_or_column():
+    cost = np.ones((2, 3, 3))
+    sim = SimilarityMatrix(cost=cost, criterion="fde")
+    assert match(sim, "forward").pairs == ((0, 0, 0), (0, 1, 0), (0, 2, 0),
+                                           (1, 0, 0), (1, 1, 0), (1, 2, 0))
+    assert match(sim, "backward").pairs == ((0, 0, 0), (0, 0, 1), (0, 0, 2),
+                                            (1, 0, 0), (1, 0, 1), (1, 0, 2))
+    assert total_cost(sim, match(sim, "hungarian")) == 6.0

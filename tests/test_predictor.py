@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -12,7 +13,8 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import straight_scenario
 from trajcast import data, predictor
 from trajcast.core import IDENTITY_FRAME, Trajectory, Window, heading_frame, track_frame
-from trajcast.predictor import (EmptyHistory, ModelConfig, StaleTrace, WindowBatch,
+from trajcast.predictor import (EmptyHistory, MalformedCheckpoint, ModelConfig, StaleTrace,
+                                WindowBatch,
                                 _layer_shapes, backward, featurize, forward,
                                 init_params, load_checkpoint, predict,
                                 refine_backward, refine_forward,
@@ -464,7 +466,7 @@ def test_checkpoint_rejects_missing_or_unknown_layers(tmp_path, change, layer):
     path = tmp_path / "model.json"
     save_checkpoint(path, init_params(SMALL, seed=0), SMALL, seed=0, epoch=0)
     _rewrite_checkpoint(path, change)
-    with pytest.raises(ValueError, match=f"layer '{layer}'"):
+    with pytest.raises(MalformedCheckpoint, match=f"layer '{layer}'"):
         load_checkpoint(path)
 
 
@@ -472,7 +474,7 @@ def test_checkpoint_rejects_a_config_its_arrays_disagree_with(tmp_path):
     path = tmp_path / "model.json"
     save_checkpoint(path, init_params(SMALL, seed=0), SMALL, seed=0, epoch=0)
     _rewrite_checkpoint(path, lambda p: p["model"].update(feature_dim=9))
-    with pytest.raises(ValueError, match=r"layer 'enc.w1' is \(5, 8\).*\(5, 9\)"):
+    with pytest.raises(MalformedCheckpoint, match=r"layer 'enc.w1' is \(5, 8\).*\(5, 9\)"):
         load_checkpoint(path)
 
 
@@ -481,5 +483,49 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
     save_checkpoint(path, init_params(SMALL, seed=0), SMALL, seed=0, epoch=0)
     text = path.read_text().replace('"format_version": 1', '"format_version": 99')
     path.write_text(text)
-    with pytest.raises(ValueError):
+    with pytest.raises(MalformedCheckpoint, match="unsupported checkpoint version 99$"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda p: [p], "not a JSON object"),
+    (lambda p: {**p, "format_version": True}, "unsupported checkpoint version True"),
+    (lambda p: {**p, "note": 1}, "unknown key 'note'"),
+    (lambda p: {**p, "epoch": "0"}, "'epoch' must be an integer, got '0'"),
+    (lambda p: {**p, "extra": None}, "'extra' must be an object, got None"),
+    (lambda p: {**p, "model": {**p["model"], "use_goal": 1}},
+     "model: 'use_goal' must be true or false, got 1"),
+    (lambda p: {**p, "model": {**p["model"], "n_modes": 2.0}},
+     "model: 'n_modes' must be an integer, got 2.0"),
+    (lambda p: {**p, "model": {k: v for k, v in p["model"].items() if k != "horizon"}},
+     "model: no key 'horizon'"),
+    (lambda p: {**p, "model": {**p["model"], "feature_dim": 0}},
+     "model: all model dimensions must be >= 1"),
+    (lambda p: {**p, "params": {**p["params"], "enc.w1": p["params"]["enc.w1"][:-1] + [[0.0]]}},
+     "layer 'enc.w1' has rows of unequal lengths"),
+    (lambda p: {**p, "params": {**p["params"], "enc.b1": [None] + p["params"]["enc.b1"][1:]}},
+     "layer 'enc.b1' must hold only lists and JSON numbers, got None"),
+    (lambda p: {**p, "params": {**p["params"], "enc.b1": [10 ** 400] + p["params"]["enc.b1"][1:]}},
+     "layer 'enc.b1' holds a number beyond float range"),
+    (lambda p: {**p, "params": {**p["params"], "ref.bcls": [float("-inf")]}},
+     "layer 'ref.bcls' holds a non-finite value"),
+    (lambda p: {**p, "layer_shapes": {}},
+     r"layer_shapes gives 'enc.w1' as 'absent' but the layer is \[5, 8\]"),
+    (lambda p: {**p, "layer_shapes": {**p["layer_shapes"], "enc.w1": [5, 9]}},
+     r"layer_shapes gives 'enc.w1' as \[5, 9\] but the layer is \[5, 8\]"),
+    (lambda p: {**p, "layer_shapes": {**p["layer_shapes"], "enc.b1": [8.0]}},
+     r"layer_shapes gives 'enc.b1' as \[8.0\] but the layer is \[8\]"),
+    (lambda p: {**p, "layer_shapes": {**p["layer_shapes"], "extra.w": [1]}},
+     r"layer_shapes gives 'extra.w' as \[1\] but the layer is undeclared"),
+], ids=["list", "version true", "unknown key", "quoted epoch", "null extra", "integer flag",
+        "float size", "missing model key", "zero size", "ragged", "null", "huge integer",
+        "infinity", "no layer shapes", "wrong layer shape", "float layer shape",
+        "undeclared layer shape"])
+def test_checkpoint_refuses_what_save_checkpoint_does_not_write(tmp_path, change, message):
+    """One reader rule: MalformedCheckpoint names the file and the key or
+    layer for every way a file can differ from what save_checkpoint writes."""
+    path = tmp_path / "model.json"
+    save_checkpoint(path, init_params(SMALL, seed=0), SMALL, seed=0, epoch=0)
+    path.write_text(json.dumps(change(json.loads(path.read_text())), sort_keys=True))
+    with pytest.raises(MalformedCheckpoint, match=f"^{re.escape(str(path))}: {message}$"):
         load_checkpoint(path)

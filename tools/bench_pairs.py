@@ -9,11 +9,13 @@ number of pairs the change won, and the two verdicts against the metric's
 bound: whether the change regressed, and whether the parent's own spread is
 too wide to tell. Given `--claimed-metric` and `--claimed-workload`, it
 also says whether the pairs show that gain (`claimed.claim_met`, see
-`claim_verdict`).
+`claim_verdict`). Given `--trace-seed`, it then makes one `--trace 1` run
+per side and workload on that seed, and reports each per-layer metric of
+BENCHMARK.json on both sides (`layers`), to show where a saving sits.
 
     python tools/bench_pairs.py --parent ../parent --change . \\
         --workload train-mpt-aug --workload train-desk --first-seed 14001 \\
-        --out BENCH_14.json
+        --trace-seed 14999 --out BENCH_14.json
 
 Each run lasts the `run_seconds` of the change's BENCHMARK.json. Workload i
 runs seeds first_seed + 100 * i + p for pairs p = 0..PAIRS-1.
@@ -109,11 +111,22 @@ def claim_verdict(summary: dict, workload: str, metric: str) -> dict:
             "median_gap": gap, "parent_spread": spread}
 
 
-def _run(checkout: Path, workload: str, seed: int, seconds: float) -> tuple:
+def layers(traced: dict, per_layer: list) -> dict:
+    """Per workload, each per-layer metric of `per_layer` (BENCHMARK.json's
+    list) as both sides' traced runs read it, {"parent": v, "change": v}; a
+    side that did not report the metric reads None. `traced` holds each
+    workload's traced metrics per side."""
+    return {workload: {spec["name"]: {side: sides.get(side, {}).get(spec["name"])
+                                      for side in SIDES}
+                       for spec in per_layer}
+            for workload, sides in traced.items()}
+
+
+def _run(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> tuple:
     """One benchmark run: its record fields, and the environment it printed."""
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True, check=True).stdout.splitlines()
     result = json.loads(out[-1])
     env = next((json.loads(line.split(":", 1)[1]) for line in out
@@ -140,6 +153,8 @@ def main(argv=None) -> int:
     parser.add_argument("--first-seed", type=int, required=True)
     parser.add_argument("--claimed-metric", default=None)
     parser.add_argument("--claimed-workload", default=None)
+    parser.add_argument("--trace-seed", type=int, default=None,
+                        help="after the pairs, one traced run per side and workload")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
@@ -172,11 +187,25 @@ def main(argv=None) -> int:
                 if args.claimed_metric:
                     report["claimed"].update(claim_verdict(
                         report["summary"], args.claimed_workload, args.claimed_metric))
-                args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n",
-                                    encoding="utf-8")
+                _write(args.out, report)
                 print(f"pair {p} {workload} seed {seed} {side}: "
                       f"{json.dumps(record['metrics'], sort_keys=True)}", flush=True)
+    if args.trace_seed is not None:
+        traced = {}
+        report["trace_command"] = (f"python3 perfbench/run.py --workload <workload> "
+                                   f"--seed {args.trace_seed} --seconds {seconds:g} --trace 1")
+        for workload in args.workload:
+            for side in SIDES:
+                record, _ = _run(checkouts[side], workload, args.trace_seed, seconds, trace=1)
+                traced.setdefault(workload, {})[side] = record["metrics"]
+                report["layers"] = layers(traced, spec["per_layer"])
+                _write(args.out, report)
+                print(f"traced {workload} seed {args.trace_seed} {side}", flush=True)
     return 0
+
+
+def _write(path: Path, report: dict) -> None:
+    path.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":
