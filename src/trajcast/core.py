@@ -30,25 +30,46 @@ HISTORY_LEN = 20  # frames up to and including t=0
 FUTURE_LEN = 30   # frames after t=0
 
 JSON_NUMBER_TYPES = frozenset({int, float})  # the types json.loads gives JSON numbers
+_JSON_KINDS = JSON_NUMBER_TYPES | {list}
 
 
-def json_number_pairs(lists) -> np.ndarray | None:
-    """The [x, y] pairs of a parsed JSON list of lists of them, stacked into
-    one (n, 2) float array; None unless every pair holds two JSON numbers
-    (a float dtype alone would also read numeric strings and booleans) that
-    fit a float."""
-    if type(lists) is not list or not set(map(type, lists)) <= {list}:
-        return None
-    pairs = list(chain.from_iterable(lists))
-    if not set(map(type, pairs)) <= {list} or not set(map(len, pairs)) <= {2}:
-        return None
-    values = list(chain.from_iterable(pairs))
-    if not set(map(type, values)) <= JSON_NUMBER_TYPES:
-        return None
+def json_array(value, what: str) -> np.ndarray:
+    """The float64 array of a parsed JSON value: a JSON number, or a regular
+    nested list of them. Else ValueError starting with `what`, naming the
+    first fault in this order:
+
+    1. a value that is neither a list nor a JSON number (one of
+       `JSON_NUMBER_TYPES`, so a quoted number, `true` and `null` are
+       refused), the shallowest first, then in file order;
+    2. lists and numbers at one depth, or lists of unequal lengths;
+    3. a number beyond float range;
+    4. a non-finite value.
+    """
+    level, shape, uneven = [value], [], None
+    while True:
+        kinds = set(map(type, level))
+        if not kinds <= _JSON_KINDS:
+            bad = next(v for v in level if type(v) not in _JSON_KINDS)
+            raise ValueError(f"{what} must hold only lists and JSON numbers, got {bad!r}")
+        if list not in kinds:
+            break
+        if len(kinds) > 1:
+            uneven = uneven or f"{what} mixes lists and numbers at one depth"
+            level = [v for v in level if type(v) is list]
+        lengths = set(map(len, level))
+        if len(lengths) > 1:
+            uneven = uneven or f"{what} has rows of unequal lengths, got {sorted(lengths)}"
+        shape.append(len(level[0]))
+        level = list(chain.from_iterable(level))
+    if uneven:
+        raise ValueError(uneven)
     try:
-        return np.fromiter(values, np.float64, len(values)).reshape(-1, 2)
+        arr = np.fromiter(level, np.float64, len(level)).reshape(shape)
     except OverflowError:  # an integer beyond float range
-        return None
+        raise ValueError(f"{what} holds a number beyond float range") from None
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} holds a non-finite value")
+    return arr
 
 
 @contextmanager

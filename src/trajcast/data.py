@@ -21,11 +21,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (DT, FUTURE_LEN, HISTORY_LEN, JSON_NUMBER_TYPES, AgentTrack,
-                   MissingTargetFrame, Scenario, ScenarioArrays, SceneTransform, Trajectory,
-                   TrajcastError, Window, apply_transform, check_dt, heading_frame,
-                   json_number_pairs, rotate_xy, target_arrays, text_input, to_frame_xy,
-                   track_frame)
+from .core import (DT, FUTURE_LEN, HISTORY_LEN, AgentTrack, MissingTargetFrame, Scenario,
+                   ScenarioArrays, SceneTransform, Trajectory, TrajcastError, Window,
+                   apply_transform, check_dt, heading_frame, json_array, rotate_xy,
+                   target_arrays, text_input, to_frame_xy, track_frame)
 from .predictor import WindowBatch, featurize
 
 MODES = ("straight", "turn-left", "turn-right", "lane-change", "junction")
@@ -220,9 +219,10 @@ def load_csv(path, history_len: int = HISTORY_LEN, future_len: int = FUTURE_LEN)
     A track's object type is that of its first row, and its absent frames
     are padded with its nearest observed waypoint (the earlier one on a
     tie). The ".map.json" sidecar, if there is one, must be a JSON object
-    whose "polylines" are non-empty lists of [x, y] pairs of finite JSON
-    numbers (else MalformedRow naming the sidecar). Bytes of either file
-    that are not UTF-8 raise ValueError naming it (`core.text_input`).
+    whose "polylines" are non-empty lists of [x, y] points, read by the
+    JSON-array rule `core.json_array` (else MalformedRow naming the
+    sidecar). Bytes of either file that are not UTF-8 raise ValueError
+    naming it (`core.text_input`).
     """
     with text_input(path) as fh:
         text = fh.read()
@@ -342,35 +342,25 @@ def _pad_absent(xy: np.ndarray, present: np.ndarray) -> None:
 
 def _map_polylines(text: str) -> tuple:
     """The Trajectories of a sidecar's "polylines"; raises ValueError for
-    text that is not a JSON object with that key, then for a value in it that
-    is not a list or a JSON number, then for the first polyline that is
-    empty, ragged, not (N, 2) or not finite."""
+    text that is not a JSON object with that key, then for polylines that
+    are not a list of non-empty lists, then for what the JSON-array rule
+    (`core.json_array`, one call over every polyline's points) refuses, then
+    for points that are not [x, y] pairs."""
     data = json.loads(text)
     if not isinstance(data, dict) or "polylines" not in data:
         raise ValueError("expected a JSON object with a 'polylines' key")
     polylines = data["polylines"]
-    flat = json_number_pairs(polylines)
-    if flat is not None and all(polylines) and np.isfinite(flat).all():
-        ends = list(accumulate(map(len, polylines)))
-        return tuple(Trajectory(points=flat[start:end])
-                     for start, end in zip([0, *ends], ends))
-    # some rule is broken: name the first, in the order the docstring gives
-    stack = [polylines]
-    while stack:
-        value = stack.pop()
-        if type(value) is list:
-            stack.extend(reversed(value))
-        elif type(value) not in JSON_NUMBER_TYPES:
-            raise ValueError(f"polylines must hold only lists and JSON numbers, got {value!r}")
     if type(polylines) is not list:
         raise ValueError(f"polylines must be a list, got {polylines!r}")
-    out = []
-    for p in polylines:
-        try:
-            out.append(Trajectory(points=np.array(p)))
-        except OverflowError:  # an integer beyond float range
-            raise ValueError("trajectory points contains non-finite values") from None
-    return tuple(out)
+    for i, polyline in enumerate(polylines):
+        if type(polyline) is not list or not polyline:
+            raise ValueError(f"polyline {i} must be a non-empty list, got {polyline!r}")
+    points = json_array(list(chain.from_iterable(polylines)), "polylines")
+    if polylines and points.shape[1:] != (2,):
+        raise ValueError(f"polylines must hold [x, y] points, got points of shape "
+                         f"{points.shape[1:]}")
+    ends = list(accumulate(map(len, polylines)))
+    return tuple(Trajectory(points=points[start:end]) for start, end in zip([0, *ends], ends))
 
 
 def save_dataset(scenarios, out_dir, val_fraction: float = 0.2) -> Path:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DT, JSON_NUMBER_TYPES, PredictionSet, TargetSet, Trajectory, TrajcastError,
-                   check_confidences, check_dt, json_number_pairs, target_arrays, text_input)
+from .core import (DT, PredictionSet, TargetSet, Trajectory, TrajcastError, check_confidences,
+                   check_dt, json_array, target_arrays, text_input)
 from .metrics import LengthMismatch
 
 
@@ -313,11 +313,12 @@ def _read_records(path, key: str, rule=None):
     line is read.
 
     Each record must hold a string scenario_id that no earlier line holds,
-    finite trajectories of one shape (n, T, 2) with n, T >= 1 and one finite
-    value >= 0 per trajectory, all as JSON numbers, and a dt, if stated,
-    that meets `core.check_dt`. `rule`, if given, checks the (n,) values
-    first and raises a ValueError naming what is wrong. A line that fails
-    raises MalformedRecord.
+    trajectories and values that the JSON-array rule `core.json_array`
+    reads, the trajectories (n, T, 2) with n, T >= 1 and the values (n,)
+    and >= 0, and a dt, if stated, that meets `core.check_dt`. `rule`, if
+    given, checks the (n,) values before the >= 0 check and raises a
+    ValueError naming what is wrong. A line that fails raises
+    MalformedRecord.
     """
     first_line = {}
     with text_input(path) as fh:
@@ -335,7 +336,7 @@ def _read_records(path, key: str, rule=None):
                 record = (number, rec["scenario_id"], *_record_arrays(rec, key, rule))
                 if first_line.setdefault(sid, number) != number:
                     raise ValueError(f"scenario {sid} is also on line {first_line[sid]}")
-            except (ValueError, TypeError, OverflowError) as exc:  # OverflowError: a huge int
+            except ValueError as exc:
                 raise _malformed(path, number, sid, str(exc)) from None
             except KeyError as exc:
                 raise _malformed(path, number, sid, f"missing key {exc}") from None
@@ -343,33 +344,17 @@ def _read_records(path, key: str, rule=None):
 
 
 def _record_arrays(rec: dict, key: str, rule):
-    raw = rec["trajectories"]
-    flat = json_number_pairs(raw)
-    if flat is not None and len(flat) and len(set(map(len, raw))) == 1:
-        trajs = flat.reshape(len(raw), -1, 2)
-    else:
-        # an object array keeps each value's JSON type, to name what is wrong
-        points = np.array(raw, dtype=object)
-        if points.ndim != 3 or points.shape[2] != 2 or 0 in points.shape:
-            lengths = sorted({len(t) for t in raw if isinstance(t, list)}) if points.ndim else []
-            if len(lengths) > 1:
-                raise ValueError(f"all trajectories must share a length, got {lengths}")
-            raise ValueError(f"trajectories must be (n, T, 2) with n, T >= 1, "
-                             f"got {points.shape}")
-        if not set(map(type, points.ravel())) <= JSON_NUMBER_TYPES:
-            raise ValueError("trajectories must be an (n, T, 2) array of numbers")
-        trajs = points.astype(np.float64)
-    if not np.all(np.isfinite(trajs)):
-        raise ValueError("trajectory points contain non-finite values")
-    values = np.array(rec[key], dtype=np.float64)
+    trajs = json_array(rec["trajectories"], "trajectories")
+    if trajs.ndim != 3 or trajs.shape[2] != 2 or 0 in trajs.shape:
+        raise ValueError(f"trajectories must be (n, T, 2) with n, T >= 1, got {trajs.shape}")
+    values = json_array(rec[key], key)
     if values.shape != trajs.shape[:1]:
-        raise ValueError(f"need one {key[:-1]} per trajectory, "
-                         f"got {values.size} for {trajs.shape[0]}")
-    numbers = set(map(type, rec[key])) <= JSON_NUMBER_TYPES
-    if numbers and rule is not None:
+        raise ValueError(f"need one {key[:-1]} per trajectory: {key} must be "
+                         f"{trajs.shape[:1]}, got {values.shape}")
+    if rule is not None:
         rule(values)
-    if not numbers or not np.all(np.isfinite(values)) or np.any(values < 0):
-        raise ValueError(f"{key} must be finite and nonnegative numbers, got {rec[key]}")
+    if np.any(values < 0):
+        raise ValueError(f"{key} must be nonnegative, got {rec[key]}")
     check_dt(rec.get("dt", DT))
     return trajs, values
 

@@ -84,8 +84,10 @@ class TrainConfig:
     spatial_noise: float = 0.2
 
     def __post_init__(self):
-        if self.epochs < 0 or self.batch_size < 1 or self.lr < 0:
-            raise ValueError("need epochs >= 0, batch_size >= 1, lr >= 0")
+        if self.epochs < 0 or self.batch_size < 1:
+            raise ValueError("need epochs >= 0, batch_size >= 1")
+        if not 0 <= self.lr < math.inf:
+            raise ValueError(f"need 0 <= lr < inf, got {self.lr}")
         if not (0 < self.lr_decay <= 1) or self.lr_decay_every < 1:
             raise ValueError("need 0 < lr_decay <= 1 and lr_decay_every >= 1")
         if self.k < 1 or self.j < 0 or self.feature_dim < 1:
@@ -110,8 +112,8 @@ class TrainConfig:
         if not 0 <= self.spatial_flip_prob <= 1:
             raise ValueError(f"need 0 <= spatial_flip_prob <= 1, "
                              f"got spatial_flip_prob={self.spatial_flip_prob}")
-        if not self.spatial_noise >= 0:
-            raise ValueError(f"need spatial_noise >= 0, got {self.spatial_noise}")
+        if not 0 <= self.spatial_noise < math.inf:
+            raise ValueError(f"need 0 <= spatial_noise < inf, got {self.spatial_noise}")
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(n_modes=self.k, horizon=self.horizon,

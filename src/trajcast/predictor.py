@@ -20,13 +20,12 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .core import (DT, FUTURE_LEN, HISTORY_LEN, IDENTITY_FRAME, JSON_NUMBER_TYPES,
-                   PredictionSet, ScenarioArrays, Trajectory, TrajcastError, from_frame_xy,
+from .core import (DT, FUTURE_LEN, HISTORY_LEN, IDENTITY_FRAME, PredictionSet,
+                   ScenarioArrays, Trajectory, TrajcastError, from_frame_xy, json_array,
                    softmax, softmax_backprop, text_input, to_frame_xy)
 
 FEATURE_DIM = 5  # (x, y, t_rel_seconds, is_map, present)
@@ -547,17 +546,20 @@ def predict(params: ParamStore, cfg: ModelConfig, window):
     batch = window if isinstance(window, WindowBatch) else WindowBatch.of([window])
     refined = np.empty((len(batch), cfg.n_modes, cfg.horizon, 2))
     probs = np.empty((len(batch), cfg.n_modes))
-    for start in range(0, len(batch), HEAD_BLOCK):
-        block = batch[start:start + HEAD_BLOCK]
-        n, pad = len(block), HEAD_BLOCK - len(block)
-        if pad:  # an empty window has no encoder rows, so phi = 0, and a zero history
-            block = WindowBatch(points=block.points + (np.zeros((0, FEATURE_DIM)),) * pad,
-                                hist_flat=np.pad(block.hist_flat, ((0, pad), (0, 0))),
-                                frames=block.frames + (IDENTITY_FRAME,) * pad)
-        outputs, _ = _forward(params, cfg, block, keep_trace=False)
-        refined[start:start + n] = outputs["refined"][:n]
-        probs[start:start + n] = outputs["probs"][:n]
-    trajs = from_frame_xy(refined, batch.frames)
+    # finite parameters whose products overflow predict inf or NaN; numpy
+    # does not warn, as every caller refuses such a prediction by scenario
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(batch), HEAD_BLOCK):
+            block = batch[start:start + HEAD_BLOCK]
+            n, pad = len(block), HEAD_BLOCK - len(block)
+            if pad:  # an empty window has no encoder rows, so phi = 0, and a zero history
+                block = WindowBatch(points=block.points + (np.zeros((0, FEATURE_DIM)),) * pad,
+                                    hist_flat=np.pad(block.hist_flat, ((0, pad), (0, 0))),
+                                    frames=block.frames + (IDENTITY_FRAME,) * pad)
+            outputs, _ = _forward(params, cfg, block, keep_trace=False)
+            refined[start:start + n] = outputs["refined"][:n]
+            probs[start:start + n] = outputs["probs"][:n]
+        trajs = from_frame_xy(refined, batch.frames)
     if batch is window:
         return trajs, probs
     return PredictionSet(trajectories=tuple(Trajectory(points=p) for p in trajs[0]),
@@ -596,10 +598,10 @@ def load_checkpoint(path):
     The file must hold what `save_checkpoint` writes: a JSON object with
     its keys and no other, a model config with every `ModelConfig` field
     and no other, and each layer `_layer_shapes(cfg)` declares, and no
-    other, as nested lists of finite JSON numbers (`core.JSON_NUMBER_TYPES`:
-    a quoted number or `true` is refused) of the declared shape, which
-    `layer_shapes` lists. Else MalformedCheckpoint names the file and the
-    key or layer."""
+    other, read by the one JSON-array rule, `core.json_array`, and of the
+    declared shape, which `layer_shapes` lists. Else MalformedCheckpoint
+    names the file and the key or layer: `layer '<name>'` and the rule's
+    message, for a layer the rule refuses."""
     with text_input(path) as fh:
         text = fh.read()
     try:
@@ -622,7 +624,10 @@ def load_checkpoint(path):
     arrays = {}
     for name in dict.fromkeys([*declared, *sorted(stored)]):
         if name in stored:
-            arrays[name] = _layer_array(path, name, stored[name])
+            try:
+                arrays[name] = json_array(stored[name], f"layer {name!r}")
+            except ValueError as exc:
+                raise MalformedCheckpoint(f"{path}: {exc}") from None
         found = arrays[name].shape if name in arrays else "absent"
         if found != declared.get(name):
             raise MalformedCheckpoint(f"{path}: layer {name!r} is {found} in the checkpoint "
@@ -648,29 +653,3 @@ def _check_keys(path, where: str, obj: dict, kinds: dict) -> None:
         if type(obj[key]) is not kinds[key]:
             raise MalformedCheckpoint(f"{path}: {where}{key!r} must be {_JSON_NAMES[kinds[key]]}, "
                                       f"got {obj[key]!r}")
-
-
-def _layer_array(path, name: str, value) -> np.ndarray:
-    """A stored layer as a float array, once its nested lists are found to
-    be regular and to hold only finite JSON numbers; else
-    MalformedCheckpoint naming the layer."""
-    leaves, kinds, shape = [value], {type(value)}, []
-    while kinds == {list}:
-        lengths = set(map(len, leaves))
-        if len(lengths) > 1:
-            raise MalformedCheckpoint(f"{path}: layer {name!r} has rows of unequal lengths")
-        shape.append(lengths.pop())
-        leaves = list(chain.from_iterable(leaves))
-        kinds = set(map(type, leaves))
-    if not kinds <= JSON_NUMBER_TYPES:
-        bad = next(v for v in leaves if type(v) not in JSON_NUMBER_TYPES)
-        raise MalformedCheckpoint(f"{path}: layer {name!r} must hold only lists and JSON "
-                                  f"numbers, got {bad!r}")
-    try:
-        arr = np.fromiter(leaves, np.float64, len(leaves)).reshape(shape)
-    except OverflowError:  # an integer beyond float range
-        raise MalformedCheckpoint(f"{path}: layer {name!r} holds a number beyond float range") \
-            from None
-    if not np.isfinite(arr).all():
-        raise MalformedCheckpoint(f"{path}: layer {name!r} holds a non-finite value")
-    return arr

@@ -20,12 +20,13 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 # are what callers use instead; _huber gives the Huber value and gradient
 # together. The augmentation settings live in TrainConfig alone, and
 # sample_transform draws the heading jitter with the flip and scale.
+# JSON numbers are read by one rule, core.json_array.
 REMOVED = {
     "losses": ("huber", "wta_target_loss", "_wta_arrays", "total_loss", "_huber_elem",
                "_huber_grad"),
     "core": ("Waypoint", "agent_frame", "to_frame", "from_frame", "AugmentSpec",
-             "IDENTITY_AUGMENT", "sample_heading_jitter"),
-    "predictor": ("zero_params",),
+             "IDENTITY_AUGMENT", "sample_heading_jitter", "json_number_pairs"),
+    "predictor": ("zero_params", "_layer_array"),
     "ensemble": ("pool",),
     "metrics": ("ade", "fde"),
     "matching": ("_points",),

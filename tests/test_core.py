@@ -1,6 +1,10 @@
 """Domain types, agent frames, and augmentation."""
 
+import copy
+import json
 import math
+import re
+from collections import Counter
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -11,9 +15,13 @@ from conftest import prediction_set, straight_scenario, straight_track
 from trajcast.core import (AgentTrack, Frame, IDENTITY_FRAME, MissingTargetFrame, Scenario,
                            ScenarioArrays, SceneTransform, TargetSet, Trajectory,
                            Window, apply_transform, compose_frames, from_frame_xy,
-                           heading_frame, normalize_angle, rotate_xy, rotation_matrix,
-                           sample_transform, to_frame_xy, track_frame)
+                           heading_frame, json_array, normalize_angle, rotate_xy,
+                           rotation_matrix, sample_transform, to_frame_xy, track_frame)
+from trajcast.data import MalformedRow, load_csv, save_csv
+from trajcast.ensemble import MalformedRecord, load_prediction_dump
 from trajcast.losses import SpatialPermutation
+from trajcast.predictor import (MalformedCheckpoint, ModelConfig, init_params, load_checkpoint,
+                                save_checkpoint)
 
 
 def test_normalize_angle_range():
@@ -350,3 +358,143 @@ def test_identity_frame_is_noop():
     xy = np.array([[1.0, 2.0], [3.0, 4.0]])
     assert np.array_equal(to_frame_xy(xy, IDENTITY_FRAME), xy)
     assert np.allclose(rotate_xy(xy, 0.0), xy)
+
+
+# -- the JSON-array rule --------------------------------------------------------
+
+def _nest(flat, shape):
+    """flat as nested lists of the given shape."""
+    if len(shape) == 1:
+        return list(flat)
+    n = math.prod(shape[1:])
+    return [_nest(flat[i * n:(i + 1) * n], shape[1:]) for i in range(shape[0])]
+
+
+def _nodes(value, path=()):
+    """(path, value) of value and every list item under it, depth first."""
+    yield path, value
+    if isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _nodes(item, path + (i,))
+
+
+def _set(value, path, new):
+    if not path:
+        return new
+    node = value
+    for i in path[:-1]:
+        node = node[i]
+    node[path[-1]] = new
+    return value
+
+
+@st.composite
+def _json_arrays(draw):
+    """A regular nested list of ints and floats, depth 1-4, and maybe one
+    fault put in at a random place, with the message the rule gives."""
+    shape = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+    number = st.one_of(st.integers(-2 ** 70, 2 ** 70),
+                       st.floats(allow_nan=False, allow_infinity=False))
+    size = math.prod(shape)
+    value = _nest(draw(st.lists(number, min_size=size, max_size=size)), shape)
+    nodes = list(_nodes(value))
+    leaves = [path for path, node in nodes if not isinstance(node, list)]
+    per_depth = Counter(len(path) for path, _ in nodes)
+    crowded = [(path, node) for path, node in nodes if per_depth[len(path)] > 1]
+    rows = [node for _, node in crowded if isinstance(node, list)]
+    fault = draw(st.sampled_from([fault for fault, possible in [
+        ("none", True), ("value", True), ("huge", leaves), ("non-finite", leaves),
+        ("mixed", crowded), ("ragged", rows)] if possible]))
+    if fault == "none":
+        return value, None
+    if fault == "value":
+        bad = draw(st.sampled_from(["1.5", True, None, {"a": 1}]))
+        path = draw(st.sampled_from([path for path, _ in nodes]))
+        return _set(value, path, bad), f"v must hold only lists and JSON numbers, got {bad!r}"
+    if fault == "huge":
+        huge = draw(st.sampled_from([10 ** 400, -(10 ** 400)]))
+        return _set(value, draw(st.sampled_from(leaves)), huge), \
+            "v holds a number beyond float range"
+    if fault == "non-finite":
+        bad = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        return _set(value, draw(st.sampled_from(leaves)), bad), "v holds a non-finite value"
+    if fault == "mixed":  # a number where its depth holds lists, or a list among numbers
+        path, node = crowded[draw(st.integers(0, len(crowded) - 1))]
+        return (_set(value, path, 0.5 if isinstance(node, list) else [node]),
+                "v mixes lists and numbers at one depth")
+    row = rows[draw(st.integers(0, len(rows) - 1))]
+    lengths = [len(row), len(row) + 1]
+    row.append(copy.deepcopy(row[0]) if row else 0.5)
+    return value, f"v has rows of unequal lengths, got {lengths}"
+
+
+@settings(max_examples=400, deadline=None)
+@given(_json_arrays())
+def test_json_array_reads_what_np_array_reads_and_names_a_fault(case):
+    value, message = case
+    if message is None:
+        expected = np.array(value, dtype=np.float64)
+        arr = json_array(value, "v")
+        assert arr.dtype == np.float64 and arr.shape == expected.shape
+        assert np.array_equal(arr, expected)
+        return
+    with pytest.raises(ValueError) as exc:
+        json_array(value, "v")
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("value, message", [
+    ([[10 ** 400, math.nan], ["x"]], "must hold only lists and JSON numbers, got 'x'"),
+    ([[[None]], [0.0, True]], "must hold only lists and JSON numbers, got True"),
+    ([[math.nan], [10 ** 400, 0.0]], "has rows of unequal lengths, got [1, 2]"),
+    ([[0.0, [0.0]], [0.0, 0.0]], "mixes lists and numbers at one depth"),
+    ([[0.0, 0.0], [0.0, 0.0, 0.0], 0.0], "mixes lists and numbers at one depth"),
+    ([math.inf, 10 ** 400], "holds a number beyond float range"),
+    (math.nan, "holds a non-finite value"),
+], ids=["value before shape", "shallowest value first", "shape before range",
+        "mixed below", "mixed before unequal", "range before finite", "scalar"])
+def test_json_array_names_the_first_fault_in_its_order(value, message):
+    with pytest.raises(ValueError, match=f"^v {re.escape(message)}$"):
+        json_array(value, "v")
+
+
+_FAULTY_POINTS = {
+    "string": ([[0.0, 0.0], [0.0, "1.5"]], "must hold only lists and JSON numbers, got '1.5'"),
+    "true": ([[0.0, True]], "must hold only lists and JSON numbers, got True"),
+    "null": ([[None, 0.0]], "must hold only lists and JSON numbers, got None"),
+    "huge integer": ([[10 ** 400, 0.0]], "holds a number beyond float range"),
+    "NaN": ([[0.0, math.nan]], "holds a non-finite value"),
+    "ragged": ([[0.0, 0.0], [0.0]], "has rows of unequal lengths, got [1, 2]"),
+    "mixed depth": ([[0.1, 0.2], 0.3], "mixes lists and numbers at one depth"),
+}
+
+
+@pytest.mark.parametrize("fault", list(_FAULTY_POINTS))
+def test_every_json_reader_gives_a_fault_one_wording(tmp_path, fault):
+    """The same faulty points, as a checkpoint layer, as a dump record's
+    trajectories and as a sidecar's polylines, get one message after each
+    reader's own prefix."""
+    points, tail = _FAULTY_POINTS[fault]
+    ckpt = tmp_path / "model.json"
+    cfg = ModelConfig(n_modes=2, horizon=3, history_len=20, feature_dim=8)
+    save_checkpoint(ckpt, init_params(cfg, seed=0), cfg, seed=0, epoch=0)
+    payload = json.loads(ckpt.read_text())
+    payload["params"]["enc.w1"] = points
+    ckpt.write_text(json.dumps(payload))
+    with pytest.raises(MalformedCheckpoint, match=f"^{re.escape(f'{ckpt}: layer ')}'enc.w1' "
+                                                  f"{re.escape(tail)}$"):
+        load_checkpoint(ckpt)
+
+    dump = tmp_path / "dump.jsonl"
+    dump.write_text(json.dumps({"scenario_id": "s0", "trajectories": [points],
+                                "scores": [1.0]}) + "\n")
+    with pytest.raises(MalformedRecord, match=f"^{re.escape(f'{dump}: line 1 (s0): ')}"
+                                              f"trajectories {re.escape(tail)}$"):
+        load_prediction_dump(dump)
+
+    csv = tmp_path / "scenario.csv"
+    save_csv(straight_scenario(), csv)
+    (tmp_path / "scenario.csv.map.json").write_text(json.dumps({"polylines": [points]}))
+    with pytest.raises(MalformedRow, match=f"^{re.escape(f'{csv}.map.json: ')}"
+                                           f"polylines {re.escape(tail)}$"):
+        load_csv(csv)

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from trajcast.core import AgentTrack, MissingTargetFrame, Scenario, Trajectory, TrajcastError
+from trajcast.core import (AgentTrack, MissingTargetFrame, Scenario, Trajectory, TrajcastError,
+                          json_array)
 from trajcast.data import (CSV_HEADER, DT, FUTURE_LEN, HISTORY_LEN, InsufficientFrames,
                            MalformedRow, MissingAgent, SyntheticSpec,
                            TOTAL_FRAMES, WrongFrameCount, branch_futures,
@@ -242,7 +243,8 @@ def test_load_csv_raises_naming_the_file_it_cannot_load(tmp_path):
                           "polylines must hold only lists and JSON numbers, got '1.5'$"),
                          ("bool-map.csv.map.json",
                           "polylines must hold only lists and JSON numbers, got True$"),
-                         ("big-int-map.csv.map.json", "non-finite"),
+                         ("big-int-map.csv.map.json",
+                          "polylines holds a number beyond float range$"),
                          ("number-map.csv.map.json", "polylines must be a list, got 5$"),
                          ("twice.csv", "line 4: track agent-0 already has a row at "
                                        "timestamp 0 \\(line 2\\)$")]:
@@ -398,9 +400,10 @@ def test_window_requires_target_presence_at_frame_edge():
 def _row_loop_load_csv(path, history_len=HISTORY_LEN, future_len=FUTURE_LEN):
     """The row-by-row reader load_csv replaced, kept as its reference: the
     same files give the same arrays, or the same error. It differs on two
-    rules only, which it lacks: a second row for one track and timestamp
-    (it keeps the later row) and a map value that is not a JSON number (it
-    reads numeric strings and booleans as numbers)."""
+    rules only: a second row for one track and timestamp (it keeps the later
+    row) and the sidecar's polylines, which it reads one polyline at a time
+    with np.array, so that it reads numeric strings and booleans as numbers
+    and gives numpy's and Trajectory's messages."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0].strip() != CSV_HEADER:
         raise MalformedRow(f"{path}: line 1: expected header {CSV_HEADER!r}")
@@ -566,26 +569,30 @@ def _sidecar_text(draw):
     return text
 
 
-def _first_non_number(polylines):
-    """The message load_csv gives for a sidecar whose "polylines" hold a
-    value that is neither a list nor a JSON number, or are not a list;
-    None when neither happens."""
-    stack = [polylines]
-    while stack:
-        value = stack.pop()
-        if isinstance(value, list):
-            stack.extend(reversed(value))
-        elif type(value) not in (int, float):
-            return f"polylines must hold only lists and JSON numbers, got {value!r}"
+def _sidecar_message(polylines):
+    """The message load_csv gives for a sidecar's "polylines" that break
+    the README's rule, checked in its order: a list, of non-empty lists,
+    whose points together the JSON-array rule reads, as [x, y] pairs; None
+    when none is broken."""
     if not isinstance(polylines, list):
         return f"polylines must be a list, got {polylines!r}"
+    for i, polyline in enumerate(polylines):
+        if not isinstance(polyline, list) or not polyline:
+            return f"polyline {i} must be a non-empty list, got {polyline!r}"
+    try:
+        points = json_array([point for polyline in polylines for point in polyline], "polylines")
+    except ValueError as exc:
+        return str(exc)
+    if polylines and points.shape[1:] != (2,):
+        return f"polylines must hold [x, y] points, got points of shape {points.shape[1:]}"
     return None
 
 
 def _expected_load(path, lines, sidecar_text):
     """What load_csv should give: the reference's result or error, except
-    that a second row for a track and timestamp, then a map value that is not
-    a JSON number, is rejected at the stage where load_csv checks it."""
+    that a second row for a track and timestamp, then polylines that break
+    the sidecar rule (`_sidecar_message`), are rejected at the stage where
+    load_csv checks them."""
     try:
         expected = _row_loop_load_csv(path, *_SMALL)
     except (TrajcastError, TypeError) as exc:
@@ -608,7 +615,7 @@ def _expected_load(path, lines, sidecar_text):
     except ValueError:
         return expected
     if isinstance(document, dict) and "polylines" in document:
-        message = _first_non_number(document["polylines"])
+        message = _sidecar_message(document["polylines"])
         if message is not None:
             return MalformedRow(f"{path}.map.json: {message}")
     return expected

@@ -434,30 +434,37 @@ _GOOD_RECORD = {"scenario_id": "s1", "trajectories": [[[0.0, 0.0], [1.0, 0.5]],
 
 @pytest.mark.parametrize("change, message", [
     ({"scores": [0.5, 0.25]}, r" \(s1\): scores must sum to 1, got 0.75$"),
-    ({"scores": [1.25, -0.25]}, r" \(s1\): scores must be finite and nonnegative"),
-    ({"scores": [0.5, float("inf")]}, r" \(s1\): scores must be finite and nonnegative"),
-    ({"scores": [1.0]}, r" \(s1\): need one score per trajectory, got 1 for 2$"),
+    ({"scores": [1.25, -0.25]}, r" \(s1\): scores must be nonnegative, got \[1.25, -0.25\]$"),
+    ({"scores": [0.5, float("inf")]}, r" \(s1\): scores holds a non-finite value$"),
+    ({"scores": [1.0]}, r" \(s1\): need one score per trajectory: scores must be \(2,\), "
+                        r"got \(1,\)$"),
+    ({"scores": [[0.5], [0.5]]}, r" \(s1\): need one score per trajectory: scores must be "
+                                 r"\(2,\), got \(2, 1\)$"),
+    ({"scores": "ab"}, r" \(s1\): scores must hold only lists and JSON numbers, got 'ab'$"),
+    ({"scores": {"a": 1}},
+     r" \(s1\): scores must hold only lists and JSON numbers, got \{'a': 1\}$"),
+    ({"scores": [10 ** 400, 0.0]}, r" \(s1\): scores holds a number beyond float range$"),
     ({"trajectories": []}, r" \(s1\): trajectories must be \(n, T, 2\) with n, T >= 1, "
                            r"got \(0,\)$"),
     ({"trajectories": [[[0.0, 0.0, 1.0]], [[1.0, 0.0, 1.0]]]},
      r" \(s1\): trajectories must be \(n, T, 2\) with n, T >= 1, got \(2, 1, 3\)$"),
     ({"trajectories": [[[0.0, "x"]], [[1.0, 0.0]]]},
-     r" \(s1\): trajectories must be an \(n, T, 2\) array of numbers$"),
+     r" \(s1\): trajectories must hold only lists and JSON numbers, got 'x'$"),
     ({"trajectories": [[["1.5", "0"]], [["2", "1"]]]},
-     r" \(s1\): trajectories must be an \(n, T, 2\) array of numbers$"),
+     r" \(s1\): trajectories must hold only lists and JSON numbers, got '1.5'$"),
     ({"trajectories": [[[True, 0.0]], [[1.0, False]]]},
-     r" \(s1\): trajectories must be an \(n, T, 2\) array of numbers$"),
+     r" \(s1\): trajectories must hold only lists and JSON numbers, got True$"),
     ({"scores": ["0.5", "0.5"]},
-     r" \(s1\): scores must be finite and nonnegative numbers, got \['0.5', '0.5'\]$"),
+     r" \(s1\): scores must hold only lists and JSON numbers, got '0.5'$"),
     ({"scores": [True, False]},
-     r" \(s1\): scores must be finite and nonnegative numbers, got \[True, False\]$"),
+     r" \(s1\): scores must hold only lists and JSON numbers, got True$"),
     ({"dt": 0}, r" \(s1\): dt must be 0.1, got 0$"),
     ({"dt": True}, r" \(s1\): dt must be 0.1, got True$"),
     ({"scenario_id": "s0"}, r" \(s0\): scenario s0 is also on line 1$"),
     ({"scenario_id": None}, r": missing key 'scenario_id'$"),
     ({"scenario_id": 5}, r" \(5\): scenario_id must be a string$"),
     ({"trajectories": [[[10 ** 400, 0.0]], [[1.0, 0.0]]]},
-     r" \(s1\): int too large to convert to float$"),
+     r" \(s1\): trajectories holds a number beyond float range$"),
     ({"dt": 0.2}, r" \(s1\): dt must be 0.1, got 0.2$"),
 ])
 def test_prediction_dump_rejects_a_bad_record_naming_file_line_and_scenario(

@@ -177,8 +177,9 @@ _BAD_AUGMENT_KEYS = [
     ({"spatial_flip_prob": 1.5}, "need 0 <= spatial_flip_prob <= 1, got spatial_flip_prob=1.5"),
     ({"spatial_flip_prob": -0.5},
      "need 0 <= spatial_flip_prob <= 1, got spatial_flip_prob=-0.5"),
-    ({"spatial_noise": -1.0}, "need spatial_noise >= 0, got -1.0"),
-    ({"spatial_noise": float("nan")}, "need spatial_noise >= 0, got nan"),
+    ({"spatial_noise": -1.0}, "need 0 <= spatial_noise < inf, got -1.0"),
+    ({"spatial_noise": float("nan")}, "need 0 <= spatial_noise < inf, got nan"),
+    ({"spatial_noise": float("inf")}, "need 0 <= spatial_noise < inf, got inf"),
 ]
 
 
@@ -272,7 +273,8 @@ def test_train_rejects_bad_pseudo_targets_before_step_0(tmp_path, bad, message):
 def test_every_reader_of_a_target_set_refuses_a_confidence_by_one_rule(tmp_path, reader, bad):
     """TargetSet, train (through _scenario_arrays) and the pseudo-target
     file reader all refuse a confidence outside [0, 1], NaN too, with the
-    one rule, core.check_confidences."""
+    one rule, core.check_confidences; in a file, a NaN is refused first by
+    the rule that reads every number there, core.json_array."""
     scenarios = _dataset(count=2)
     trajs = np.stack([sc.gt_future().points for sc in scenarios])
     confs = [0.5, bad]
@@ -290,6 +292,8 @@ def test_every_reader_of_a_target_set_refuses_a_confidence_by_one_rule(tmp_path,
         path = tmp_path / "pseudo.jsonl"
         path.write_text(json.dumps({"scenario_id": "s1", "trajectories": trajs.tolist(),
                                     "confidences": confs}) + "\n")
+        if np.isnan(bad):
+            rule = "confidences holds a non-finite value$"
         with pytest.raises(ensemble.MalformedRecord, match=f"^{path}: line 1 \\(s1\\): " + rule):
             ensemble.load_pseudo_targets(path)
 
@@ -913,20 +917,22 @@ def test_library_and_cli_give_the_same_pseudo_targets(tmp_path):
     ("ensemble-dump", ["--out", "{out}"]),
     ("jitter", ["--s", "1"]),
 ])
+@pytest.mark.parametrize("value", [np.nan, 1e308])
 def test_commands_refuse_a_non_finite_prediction(tmp_path, monkeypatch, capsys, command,
-                                                 flags):
-    """Parameters with one NaN in enc.w1 predict NaN for every window: each
-    inference command stops naming the first scenario, writes nothing, and
-    numpy warns of nothing on the way. The NaN is put in after loading, as
-    the checkpoint reader refuses a file that holds one."""
+                                                 flags, value):
+    """Parameters with one NaN in enc.w1, or one value whose products
+    overflow, predict NaN or inf for every window: each inference command
+    stops naming the first scenario, writes nothing, and numpy warns of
+    nothing on the way. The value is put in after loading, as the checkpoint
+    reader refuses a file that holds a NaN."""
     paths = _cli_inputs(tmp_path)
 
-    def load_with_a_nan(path):
+    def load_with_a_bad_value(path):
         params, model_cfg, meta = load_checkpoint(path)
-        params["enc.w1"][0, 0] = np.nan
+        params["enc.w1"][0, 0] = value
         return params, model_cfg, meta
 
-    monkeypatch.setattr(harness, "load_checkpoint", load_with_a_nan)
+    monkeypatch.setattr(harness, "load_checkpoint", load_with_a_bad_value)
     first = data.load_manifest(paths["ds"] / "manifest.json", split="val")[0].scenario_id
     argv = [command, "--checkpoint", "{ckpt}", "--data", "{ds}", "--split", "val", *flags]
     with warnings.catch_warnings():
@@ -1310,7 +1316,10 @@ def _cli_inputs(tmp_path) -> dict:
     (["grid", "--preset", "table2", "--set", "epochs=abc"], "'epochs'"),
     (["grid", "--preset", "table2", "--set", "bogus=1"], "'bogus'"),
     (["train", "--set", "aug_flip=2"], r"^train: need 0 <= aug_flip <= 1, got aug_flip=2.0$"),
-    (["train", "--set", "spatial_noise=-1"], r"^train: need spatial_noise >= 0, got -1.0$"),
+    (["train", "--set", "spatial_noise=-1"], r"^train: need 0 <= spatial_noise < inf, got -1.0$"),
+    (["train", "--set", "spatial_noise=inf"], r"^train: need 0 <= spatial_noise < inf, got inf$"),
+    (["train", "--set", "lr=nan"], r"^train: need 0 <= lr < inf, got nan$"),
+    (["train", "--set", "lr=inf"], r"^train: need 0 <= lr < inf, got inf$"),
     (["grid", "--preset", "table2", "--set", "spatial_flip_prob=1.5"],
      r"^grid: need 0 <= spatial_flip_prob <= 1, got spatial_flip_prob=1.5$"),
     (["train", "--data", "{gappy}", "--split", "val"],
@@ -1493,17 +1502,18 @@ def _corrupt_line_2(rec: dict, how: str) -> str:
 
 _CORRUPT = [
     ("bad JSON", r"line 2: Expecting"),
-    ("NaN", r"line 2 \(s1\): trajectory points contain non-finite values$"),
-    ("short score list", r"line 2 \(s1\): need one {what} per trajectory, got 1 for 2$"),
-    ("string coordinates", r"line 2 \(s1\): trajectories must be an \(n, T, 2\) array of "
-                           r"numbers$"),
-    ("string scores", r"line 2 \(s1\): {what}s must be finite and nonnegative numbers, "
-                      r"got \['0.\d+', '0.\d+'\]$"),
+    ("NaN", r"line 2 \(s1\): trajectories holds a non-finite value$"),
+    ("short score list", r"line 2 \(s1\): need one {what} per trajectory: {what}s must be "
+                         r"\(2,\), got \(1,\)$"),
+    ("string coordinates", r"line 2 \(s1\): trajectories must hold only lists and JSON "
+                           r"numbers, got '-?\d\.\d+'$"),
+    ("string scores", r"line 2 \(s1\): {what}s must hold only lists and JSON numbers, "
+                      r"got '0.\d+'$"),
     ("boolean dt", r"line 2 \(s1\): dt must be 0.1, got True$"),
     ("dt 0.2", r"line 2 \(s1\): dt must be 0.1, got 0.2$"),
     ("repeated scenario", r"line 2 \(s0\): scenario s0 is also on line 1$"),
     ("number scenario id", r"line 2 \(5\): scenario_id must be a string$"),
-    ("29-step trajectory", r"line 2 \(s1\): all trajectories must share a length, "
+    ("29-step trajectory", r"line 2 \(s1\): trajectories has rows of unequal lengths, "
                            r"got \[29, 30\]$"),
 ]
 

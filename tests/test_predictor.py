@@ -502,7 +502,7 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
     (lambda p: {**p, "model": {**p["model"], "feature_dim": 0}},
      "model: all model dimensions must be >= 1"),
     (lambda p: {**p, "params": {**p["params"], "enc.w1": p["params"]["enc.w1"][:-1] + [[0.0]]}},
-     "layer 'enc.w1' has rows of unequal lengths"),
+     r"layer 'enc.w1' has rows of unequal lengths, got \[1, 8\]"),
     (lambda p: {**p, "params": {**p["params"], "enc.b1": [None] + p["params"]["enc.b1"][1:]}},
      "layer 'enc.b1' must hold only lists and JSON numbers, got None"),
     (lambda p: {**p, "params": {**p["params"], "enc.b1": [10 ** 400] + p["params"]["enc.b1"][1:]}},
