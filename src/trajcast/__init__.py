@@ -11,7 +11,7 @@ from .core import (AgentTrack, Frame, IDENTITY_FRAME, PredictionSet, Scenario, T
 from .data import SyntheticSpec, generate, load_csv, make_shift_pair, make_window, save_csv
 from .ensemble import EnsembleBank, build_target_set, kmeans_trajectories
 from .harness import Adam, TrainConfig, evaluate, jitter_score, run_grid, train
-from .losses import LossBreakdown, softmin_scores, temporal_consistency
+from .losses import softmin_scores, temporal_consistency
 from .matching import match, similarity
 from .metrics import MetricReport, min_metrics, report
 from .predictor import ModelConfig, ParamStore, backward, forward, init_params, predict
@@ -24,7 +24,7 @@ __all__ = [
     "SyntheticSpec", "generate", "load_csv", "make_shift_pair", "make_window", "save_csv",
     "EnsembleBank", "build_target_set", "kmeans_trajectories",
     "Adam", "TrainConfig", "evaluate", "jitter_score", "run_grid", "train",
-    "LossBreakdown", "softmin_scores", "temporal_consistency",
+    "softmin_scores", "temporal_consistency",
     "match", "similarity",
     "MetricReport", "min_metrics", "report",
     "ModelConfig", "ParamStore", "backward", "forward", "init_params", "predict",

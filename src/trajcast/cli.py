@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import data, ensemble, harness
-from .core import JSON_NUMBER_TYPES, TrajcastError, text_input
+from .core import TrajcastError, json_array, text_input
 
 
 def _parse_mode_mix(text: str) -> dict:
@@ -187,10 +187,12 @@ def render_line_chart(series: dict, title: str, width: int = 720, height: int = 
 
 
 def _log_series(path) -> dict:
-    """The loss parts of a training log, key -> one value per record; each
-    non-blank line must be a JSON object holding every part as a JSON
-    number, else ValueError naming the file and line."""
-    series = {key: [] for key in ("total", "l_reg", "l_cls", "l_temp", "l_spa")}
+    """The loss keys of a training log (`harness.LOSS_KEYS`), key -> one
+    value per record. Each non-blank line must be a JSON object holding a
+    number under every loss key, read by the JSON-array rule
+    (`core.json_array`), so a non-finite value is refused; else ValueError
+    naming the file and line."""
+    series = {key: [] for key in harness.LOSS_KEYS}
     with text_input(path) as fh:
         lines = fh.read().splitlines()
     for n, line in enumerate(lines, 1):
@@ -201,14 +203,25 @@ def _log_series(path) -> dict:
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: line {n}: not JSON: {exc.msg} "
                              f"(column {exc.colno})") from None
-        for key, values in series.items():
-            if type(record) is not dict or type(record.get(key)) not in JSON_NUMBER_TYPES:
-                raise ValueError(f"{path}: line {n}: not a training log record: "
-                                 f"no number under {key!r}")
-            values.append(record[key])
+        try:
+            for key, values in series.items():
+                values.append(_log_number(record, key))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {n}: not a training log record: {exc}") from None
     if not series["total"]:
         raise ValueError(f"no records in {path}")
     return series
+
+
+def _log_number(record, key: str) -> float:
+    """The number under `key` of a parsed log line, by `core.json_array`;
+    else ValueError saying what is wrong."""
+    if type(record) is not dict or key not in record:
+        raise ValueError(f"no number under {key!r}")
+    value = json_array(record[key], repr(key))
+    if value.ndim:
+        raise ValueError(f"no number under {key!r}")
+    return float(value)
 
 
 def cmd_report(args) -> int:

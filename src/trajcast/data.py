@@ -12,7 +12,6 @@ significant digits so save -> load -> save is byte-identical.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
@@ -366,8 +365,12 @@ def _map_polylines(text: str) -> tuple:
 def save_dataset(scenarios, out_dir, val_fraction: float = 0.2) -> Path:
     """Write one CSV per scenario plus a manifest; returns the manifest path.
 
-    The trailing val_fraction of the list becomes the val split.
+    The trailing val_fraction of the list becomes the val split; a
+    val_fraction outside [0, 1] (NaN too) raises ValueError naming it before
+    anything is written.
     """
+    if not 0 <= val_fraction <= 1:
+        raise ValueError(f"need 0 <= val_fraction <= 1, got val_fraction={val_fraction}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     n_val = int(round(len(scenarios) * val_fraction))
@@ -500,7 +503,8 @@ def _batch_windows(batch, shifts, tfs=None):
     jitter to the windows' agent frames.
 
     Same-shape scenarios are stacked; per shift, each stack is framed,
-    rotated (one `to_frame_xy`) and laid out (one `featurize`) at once.
+    rotated (one `to_frame_xy`) and laid out (one `featurize` of its
+    windows' history rows, presence flags and map rows) at once.
     Returns (WindowBatch of len(shifts) * B windows, and the (B, J+1, T, 2)
     targets in the frames of the first shift's windows).
     """
@@ -527,15 +531,16 @@ def _batch_windows(batch, shifts, tfs=None):
             frames_w = [heading_frame(p_prev, p_now, jitter) for p_prev, p_now, jitter
                         in zip(group.xy[:, anchor - 1].tolist(), group.xy[:, anchor].tolist(),
                                jitters)]
-            in_frame = dataclasses.replace(group, xy=to_frame_xy(group.xy, frames_w))
-            rows = featurize(in_frame, shift)
+            xy = to_frame_xy(group.xy, frames_w)
+            history = xy[:, shift:m + shift]
+            rows = featurize(history, group.present[:, shift:m + shift], xy[:, map_start:])
             slots = [w * n + i for i in members]
-            hist_flat[slots] = in_frame.xy[:, shift:m + shift].reshape(len(members), -1)
+            hist_flat[slots] = history.reshape(len(members), -1)
             for slot, window_rows, frame in zip(slots, rows, frames_w):
                 points[slot] = window_rows
                 frames[slot] = frame
             if w == 0:
-                targets[members] = in_frame.xy[:, m:map_start].reshape(len(members), -1, t, 2)
+                targets[members] = xy[:, m:map_start].reshape(len(members), -1, t, 2)
     return WindowBatch(points=tuple(points), hist_flat=hist_flat, frames=tuple(frames)), targets
 
 

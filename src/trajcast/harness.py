@@ -264,6 +264,11 @@ def _scenario_step(params: ParamStore, model_cfg: ModelConfig, config: TrainConf
     return parts, grads
 
 
+# a step record's keys; `trajcast report` charts its loss keys, in this order
+LOSS_KEYS = ("total", "l_reg", "l_cls", "l_temp", "l_spa")
+STEP_KEYS = ("epoch", "step", "lr", *LOSS_KEYS, "grad_norm", "param_norm")
+
+
 def train(config: TrainConfig, scenarios, pseudo_targets: dict | None = None,
           log_path=None, checkpoint_path=None, initial_params: ParamStore | None = None):
     """Run the optimization; returns (params, model_cfg, log record list).
@@ -272,9 +277,11 @@ def train(config: TrainConfig, scenarios, pseudo_targets: dict | None = None,
     ScenarioArrays before step 0 (`_training_arrays`). Per-epoch shuffling,
     augmentation, and spatial permutations come from a single generator
     seeded by config.seed.
-    Each log record is one optimizer step: batch-mean loss parts, the norm of
-    the batch-mean gradient and the parameter norm after the step; the same
-    records go to log_path as JSON lines when given.
+    Each log record is one optimizer step, a dict with the `STEP_KEYS`:
+    the batch-mean loss parts, their total (l_reg + l_cls + l_temp + l_spa,
+    added in that order), the norm of the batch-mean gradient and the
+    parameter norm after the step; the same records go to log_path as JSON
+    lines when given.
     """
     if not scenarios:
         raise ValueError("cannot train on an empty dataset")
@@ -299,9 +306,10 @@ def train(config: TrainConfig, scenarios, pseudo_targets: dict | None = None,
                 grads.flat /= n
                 grad_norm = _norm(grads.flat)
                 optimizer.step(params, grads, lr)
-                mean = losses.make_breakdown(*(parts.sum(axis=0) / n).tolist())
-                record = {"epoch": epoch, "step": step, "lr": lr, **mean.to_dict(),
-                          "grad_norm": grad_norm, "param_norm": _norm(params.flat)}
+                l_reg, l_cls, l_temp, l_spa = (parts.sum(axis=0) / n).tolist()
+                record = dict(zip(STEP_KEYS, (
+                    epoch, step, lr, l_reg + l_cls + l_temp + l_spa, l_reg, l_cls, l_temp, l_spa,
+                    grad_norm, _norm(params.flat))))
                 records.append(record)
                 if log_file:
                     log_file.write(json.dumps(record, sort_keys=True) + "\n")
@@ -336,14 +344,17 @@ def _training_arrays(config: TrainConfig, scenarios, pseudo_targets: dict | None
     """The ScenarioArrays that `train` steps on, built in the pass it makes
     over its inputs before step 0. use_mpt needs pseudo targets (else
     ValueError), and only use_mpt reads them; every scenario must have the
-    model's lengths (`_check_lengths`), and `_scenario_arrays` checks its
-    windows and its pseudo-target entry, padded to the largest entry. The
-    first scenario that fails is named."""
+    model's lengths (`_check_lengths`); with use_mpt, some scenario must have
+    a pseudo-target entry (else ValueError: the run would be a plain one);
+    and `_scenario_arrays` checks each scenario's windows and its entry,
+    padded to the largest entry. The first scenario that fails is named."""
     if config.use_mpt and pseudo_targets is None:
         raise ValueError("use_mpt needs pseudo targets")
     _check_lengths(config.model_config(), scenarios)
     entries = [pseudo_targets.get(sc.scenario_id) if config.use_mpt else None
                for sc in scenarios]
+    if config.use_mpt and all(entry is None for entry in entries):
+        raise ValueError("use_mpt: no training scenario has a pseudo-target entry")
     n_pseudo = max((len(e[0]) for e in entries if e is not None), default=0)
     shift = config.s if config.use_temp else 0
     return [_scenario_arrays(sc, shift, entry, n_pseudo) for sc, entry in zip(scenarios, entries)]

@@ -1,5 +1,6 @@
 """Training objectives: winner-takes-all regression and classification per
-supervision target, temporal and spatial consistency terms, and the total.
+supervision target, and temporal and spatial consistency terms. The step's
+total is added where its record is built, in `harness.train`.
 
 The kernels `_wta_targets`, `_temporal_arrays` and `_spatial_arrays` return
 each loss with its exact derivatives w.r.t. the predictor outputs it consumes,
@@ -12,8 +13,6 @@ constant, which is exact away from argmin ties.
 
 from __future__ import annotations
 
-import dataclasses
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -247,37 +246,7 @@ def _spatial_arrays(offsets: np.ndarray, mapped: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# total
-
-
-@dataclass(frozen=True)
-class LossBreakdown:
-    """Per-step objective parts; total is their plain sum."""
-
-    l_reg: float
-    l_cls: float
-    l_temp: float
-    l_spa: float
-    total: float
-
-    def __post_init__(self):
-        parts = (self.l_reg, self.l_cls, self.l_temp, self.l_spa, self.total)
-        if not all(np.isfinite(parts)):
-            raise ValueError(f"loss parts must be finite, got {parts}")
-        if abs(self.total - (self.l_reg + self.l_cls + self.l_temp + self.l_spa)) > 1e-9:
-            raise ValueError("total must equal the sum of its parts")
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-
-def make_breakdown(l_reg: float, l_cls: float, l_temp: float = 0.0,
-                   l_spa: float = 0.0) -> LossBreakdown:
-    return LossBreakdown(l_reg=l_reg, l_cls=l_cls, l_temp=l_temp, l_spa=l_spa,
-                         total=l_reg + l_cls + l_temp + l_spa)
+# supervision total
 
 
 def target_losses(completion: np.ndarray, refined: np.ndarray, probs: np.ndarray,

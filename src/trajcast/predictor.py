@@ -10,7 +10,9 @@ Forward passes cache the intermediates exact reverse-mode differentiation
 needs; `backward` consumes that trace. Both take one Window or a WindowBatch:
 the encoder runs on blocks of windows with the same row count (one BLAS call
 per window and layer, each with the shapes it would have on its own), the
-heads as one matmul over every window. No autograd framework is involved,
+heads as one matmul over every window. The goal and completion heads are
+one two-layer rule, `_mlp`, whose backward pass, `_mlp_backward`, serves
+the refinement head's residual block too. No autograd framework is involved,
 which keeps training deterministic and the gradient path inspectable.
 """
 
@@ -25,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import (DT, FUTURE_LEN, HISTORY_LEN, IDENTITY_FRAME, PredictionSet,
-                   ScenarioArrays, Trajectory, TrajcastError, from_frame_xy, json_array,
+                   Trajectory, TrajcastError, from_frame_xy, json_array,
                    softmax, softmax_backprop, text_input, to_frame_xy)
 
 FEATURE_DIM = 5  # (x, y, t_rel_seconds, is_map, present)
@@ -175,8 +177,8 @@ def _relu(z: np.ndarray) -> np.ndarray:
     return np.maximum(z, 0.0)
 
 
-def encoder_rows(history_xy: np.ndarray, history_mask: np.ndarray,
-                 map_xy: np.ndarray) -> np.ndarray:
+def featurize(history_xy: np.ndarray, history_mask: np.ndarray,
+              map_xy: np.ndarray) -> np.ndarray:
     """A window's (N, 5) encoder input: its agent-frame history (M, 2), then
     its agent-frame map points (P, 2).
 
@@ -195,32 +197,32 @@ def encoder_rows(history_xy: np.ndarray, history_mask: np.ndarray,
     return points
 
 
-def featurize(window, shift: int = 0) -> np.ndarray:
-    """Stack history and map points into the (N, 5) encoder input, in the
-    window's agent frame (see `encoder_rows`).
+def _mlp(params: ParamStore, head: str, x: np.ndarray):
+    """A two-layer head on rows x: (hidden, relu(x w1 + b1) w2 + b2)."""
+    hidden = _relu(x @ params[f"{head}.w1"] + params[f"{head}.b1"])
+    return hidden, hidden @ params[f"{head}.w2"] + params[f"{head}.b2"]
 
-    Given stacked ScenarioArrays whose rows are already in their windows'
-    agent frames, the (G, N, 5) rows of each one's window ending `shift`
-    frames after t=0: the layout step of the batch window builder
-    (`data.make_window` and `data.make_shift_pair` on lists).
-    """
-    if isinstance(window, ScenarioArrays):
-        m, xy = window.history_len, window.xy
-        return encoder_rows(xy[:, shift:m + shift], window.present[:, shift:m + shift],
-                            xy[:, window.map_start:])
-    if window.history_len == 0:
-        raise EmptyHistory(f"window for {window.scenario_id} has no history points")
-    m = window.history_len
-    xy = np.concatenate([window.history_xy, *(p.points for p in window.map_polylines)])
-    xy = to_frame_xy(xy, window.frame)
-    return encoder_rows(xy[:m], window.history_mask, xy[m:])
+
+def _mlp_backward(params: ParamStore, grads: ParamStore, head: str, x: np.ndarray,
+                  hidden: np.ndarray, d_out: np.ndarray) -> np.ndarray:
+    """Backprop through `_mlp(params, head, x)`, whose hidden layer was
+    `hidden`: adds the head's gradients, summed over the rows, into grads
+    and returns the gradient w.r.t. x."""
+    d_hidden = d_out @ params[f"{head}.w2"].T
+    grads[f"{head}.w2"] += hidden.T @ d_out
+    grads[f"{head}.b2"] += d_out.sum(axis=0)
+    d_z = d_hidden * (hidden > 0)
+    grads[f"{head}.w1"] += x.T @ d_z
+    grads[f"{head}.b1"] += d_z.sum(axis=0)
+    return d_z @ params[f"{head}.w1"].T
 
 
 @dataclass(frozen=True)
 class WindowBatch:
     """Encoder inputs of W windows: each window's (N_w, 5) `featurize` rows
     (N_w may differ), its agent-frame history flattened, (W, 2M), and its
-    agent Frame. Slicing gives the batch of a run of its windows."""
+    agent Frame. Slicing gives the batch of a run of its windows; the batch
+    window builder, `data._batch_windows`, gives it for stacked scenarios."""
 
     points: tuple
     hist_flat: np.ndarray
@@ -228,9 +230,17 @@ class WindowBatch:
 
     @classmethod
     def of(cls, windows) -> "WindowBatch":
-        """The batch of Window objects, each laid out on its own."""
-        points = tuple(featurize(w) for w in windows)
-        return cls(points=points,
+        """The batch of Window objects, each framed (one `to_frame_xy` call)
+        and laid out on its own."""
+        points = []
+        for w in windows:
+            m = w.history_len
+            if m == 0:
+                raise EmptyHistory(f"window for {w.scenario_id} has no history points")
+            xy = to_frame_xy(np.concatenate([w.history_xy, *(p.points for p in w.map_polylines)]),
+                             w.frame)
+            points.append(featurize(xy[:m], w.history_mask, xy[m:]))
+        return cls(points=tuple(points),
                    hist_flat=np.stack([p[:w.history_len, :2].reshape(-1)
                                        for p, w in zip(points, windows)]),
                    frames=tuple(w.frame for w in windows))
@@ -310,6 +320,8 @@ def refine_forward(params: ParamStore, cfg: ModelConfig, anchors: np.ndarray,
     hist = np.repeat(hist_flat.reshape(-1, hist_flat.shape[-1]), k, axis=0)
     r_in = np.concatenate([rows, hist], axis=1)
     h0 = r_in @ params["ref.w0"] + params["ref.b0"]
+    # the residual block is `_mlp` "ref" on h0, added left to right:
+    # h0 + (a5 w2 + b2) rounds differently
     a5 = _relu(h0 @ params["ref.w1"] + params["ref.b1"])
     h = h0 + a5 @ params["ref.w2"] + params["ref.b2"]
     offsets = (h @ params["ref.wreg"] + params["ref.breg"]).reshape(anchors.shape)
@@ -334,13 +346,7 @@ def refine_backward(params: ParamStore, cfg: ModelConfig, trace: RefineTrace,
     grads["ref.wcls"] += trace.h.T @ d_raw_col
     grads["ref.bcls"] += d_raw_col.sum(axis=0)
     # residual block: h = h0 + relu(h0 w1 + b1) w2 + b2
-    d_a5 = d_h @ params["ref.w2"].T
-    grads["ref.w2"] += trace.a5.T @ d_h
-    grads["ref.b2"] += d_h.sum(axis=0)
-    d_z5 = d_a5 * (trace.a5 > 0)
-    grads["ref.w1"] += trace.h0.T @ d_z5
-    grads["ref.b1"] += d_z5.sum(axis=0)
-    d_h0 = d_h + d_z5 @ params["ref.w1"].T
+    d_h0 = d_h + _mlp_backward(params, grads, "ref", trace.h0, trace.a5, d_h)
     grads["ref.w0"] += trace.r_in.T @ d_h0
     grads["ref.b0"] += d_h0.sum(axis=0)
     return (d_h0 @ params["ref.w0"][: 2 * t].T).reshape(d_offsets.shape)
@@ -400,15 +406,15 @@ def _forward(params: ParamStore, cfg: ModelConfig, window, keep_trace: bool):
         start = end
 
     if cfg.use_goal:
-        g1 = _relu(phi @ params["goal.w1"] + params["goal.b1"])
-        goals = (g1 @ params["goal.w2"] + params["goal.b2"]).reshape(w, k, 2)
+        g1, goals = _mlp(params, "goal", phi)
+        goals = goals.reshape(w, k, 2)
         comp_in = np.concatenate([np.broadcast_to(phi[:, None, :], (w, k, phi.shape[1])),
                                   goals], axis=2).reshape(w * k, -1)
     else:
         g1 = goals = None
         comp_in = phi  # one row per window decodes all K modes
-    c1 = _relu(comp_in @ params["comp.w1"] + params["comp.b1"])
-    completion = (c1 @ params["comp.w2"] + params["comp.b2"]).reshape(w, k, t, 2)
+    c1, completion = _mlp(params, "comp", comp_in)
+    completion = completion.reshape(w, k, t, 2)
 
     if cfg.use_refine:
         offsets, raw_cls, ref_trace = refine_forward(params, cfg, completion, batch.hist_flat)
@@ -482,25 +488,13 @@ def backward(params: ParamStore, trace: ForwardTrace, upstream: dict) -> ParamSt
         d_phi = d_raw @ params["cls.w"].T
 
     # completion head; without goals comp_in is phi, one row per window
-    d_flat = d_completion.reshape(trace.comp_in.shape[0], -1)
-    d_c1 = d_flat @ params["comp.w2"].T
-    grads["comp.w2"] += trace.c1.T @ d_flat
-    grads["comp.b2"] += d_flat.sum(axis=0)
-    d_z4 = d_c1 * (trace.c1 > 0)
-    grads["comp.w1"] += trace.comp_in.T @ d_z4
-    grads["comp.b1"] += d_z4.sum(axis=0)
-    d_comp_in = (d_z4 @ params["comp.w1"].T).reshape(w, -1, trace.comp_in.shape[1])
+    d_comp_in = _mlp_backward(params, grads, "comp", trace.comp_in, trace.c1,
+                              d_completion.reshape(trace.comp_in.shape[0], -1))
+    d_comp_in = d_comp_in.reshape(w, -1, trace.comp_in.shape[1])
     d_phi = d_phi + d_comp_in[:, :, :c].sum(axis=1)
     if cfg.use_goal:
-        # goal head
-        d_goal_flat = d_comp_in[:, :, c:].reshape(w, 2 * k)
-        d_g1 = d_goal_flat @ params["goal.w2"].T
-        grads["goal.w2"] += trace.g1.T @ d_goal_flat
-        grads["goal.b2"] += d_goal_flat.sum(axis=0)
-        d_z3 = d_g1 * (trace.g1 > 0)
-        grads["goal.w1"] += trace.phi.T @ d_z3
-        grads["goal.b1"] += d_z3.sum(axis=0)
-        d_phi = d_phi + d_z3 @ params["goal.w1"].T
+        d_phi = d_phi + _mlp_backward(params, grads, "goal", trace.phi, trace.g1,
+                                      d_comp_in[:, :, c:].reshape(w, 2 * k))
 
     # encoder, block by block: phi = sum_n relu(h1 w2 + b2)[n]. A window's enc.*
     # gradients are one row, each layer at its `grads.layout` slice (the enc.*

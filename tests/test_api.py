@@ -20,13 +20,15 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 # are what callers use instead; _huber gives the Huber value and gradient
 # together. The augmentation settings live in TrainConfig alone, and
 # sample_transform draws the heading jitter with the flip and scale.
-# JSON numbers are read by one rule, core.json_array.
+# JSON numbers are read by one rule, core.json_array. A step record is built
+# from one key tuple, harness.STEP_KEYS, and a window's encoder rows are laid
+# out by one function, predictor.featurize.
 REMOVED = {
     "losses": ("huber", "wta_target_loss", "_wta_arrays", "total_loss", "_huber_elem",
-               "_huber_grad"),
+               "_huber_grad", "LossBreakdown", "make_breakdown"),
     "core": ("Waypoint", "agent_frame", "to_frame", "from_frame", "AugmentSpec",
              "IDENTITY_AUGMENT", "sample_heading_jitter", "json_number_pairs"),
-    "predictor": ("zero_params", "_layer_array"),
+    "predictor": ("zero_params", "_layer_array", "encoder_rows"),
     "ensemble": ("pool",),
     "metrics": ("ade", "fde"),
     "matching": ("_points",),
@@ -53,6 +55,10 @@ def test_removed_names_are_gone_from_the_package_and_the_readme():
     assert not hasattr(trajcast.core.apply_transform, "register")   # one plain function
     assert "dt" not in inspect.signature(trajcast.ensemble.save_pseudo_targets).parameters
     assert not hasattr(trajcast.harness.TrainConfig, "augment_spec")
+    # the layout of cached scenario rows is known to core and data alone, and
+    # which JSON values are numbers to core alone
+    assert not hasattr(trajcast.predictor, "ScenarioArrays")
+    assert not hasattr(importlib.import_module("trajcast.cli"), "JSON_NUMBER_TYPES")
 
 
 # parameters that every caller left at one value; each is now a constant

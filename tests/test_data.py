@@ -271,6 +271,22 @@ def test_save_dataset_and_manifest_splits(tmp_path):
     assert train[0].scenario_id == scenarios[0].scenario_id
 
 
+@pytest.mark.parametrize("fraction", [1.5, -1.0, math.nan, math.inf])
+def test_save_dataset_refuses_a_val_fraction_outside_0_1(tmp_path, fraction):
+    """1.5 would put every scenario in val and -1 none, and NaN failed as a
+    float conversion naming no key; each is refused before anything is
+    written. Both ends of [0, 1] stay legal."""
+    scenarios = generate(_spec(scenario_count=2))
+    with pytest.raises(ValueError, match=rf"^need 0 <= val_fraction <= 1, "
+                                         rf"got val_fraction={fraction}$"):
+        save_dataset(scenarios, tmp_path / "ds", val_fraction=fraction)
+    assert not (tmp_path / "ds").exists()
+    for fraction, n_val in ((0.0, 0), (1.0, 2)):
+        manifest = json.loads(save_dataset(scenarios, tmp_path / str(fraction),
+                                           val_fraction=fraction).read_text())
+        assert [e["split"] for e in manifest["scenarios"]].count("val") == n_val
+
+
 # -- windows ------------------------------------------------------------------
 
 def test_make_window_fields():

@@ -268,6 +268,28 @@ def test_train_rejects_bad_pseudo_targets_before_step_0(tmp_path, bad, message):
     assert not log.exists()
 
 
+@pytest.mark.parametrize("named", [{}, {"other-00000"}], ids=["empty", "no-training-id"])
+def test_use_mpt_refuses_pseudo_targets_that_cover_no_scenario(tmp_path, named):
+    """use_mpt with pseudo targets for no training scenario would log, bit
+    for bit, what a use_mpt=false run logs; train and every use_mpt grid row
+    refuse it before step 0. One covered scenario is enough."""
+    scenarios = _dataset(count=4)
+    entry = _pseudo_for(scenarios[:1])[scenarios[0].scenario_id]
+    pseudo = {name: entry for name in named}
+    log = tmp_path / "log.jsonl"
+    message = "use_mpt: no training scenario has a pseudo-target entry$"
+    with pytest.raises(ValueError, match=f"^{message}"):
+        train(_tiny_config(use_mpt=True), scenarios, pseudo_targets=pseudo, log_path=log)
+    assert not log.exists()
+    grid = {"base": {**TINY, "epochs": 1},
+            "rows": [{"label": "plain"}, {"label": "mpt", "use_mpt": True}]}
+    with pytest.raises(ValueError, match=f"^row 'mpt': {message}"):
+        run_grid(grid, scenarios, scenarios, pseudo_targets=pseudo)
+    records = train(_tiny_config(use_mpt=True, epochs=1), scenarios,
+                    pseudo_targets={**pseudo, scenarios[0].scenario_id: entry})[2]
+    assert len(records) == 1
+
+
 @pytest.mark.parametrize("bad", [1.5, np.nan], ids=["above-one", "nan"])
 @pytest.mark.parametrize("reader", ["TargetSet", "train", "load_pseudo_targets"])
 def test_every_reader_of_a_target_set_refuses_a_confidence_by_one_rule(tmp_path, reader, bad):
@@ -596,6 +618,21 @@ def test_train_golden_records():
         [golden[:2] for golden in _GOLDEN_RECORDS]
     np.testing.assert_allclose([[r[key] for key in keys[2:]] for r in records],
                                [golden[2:] for golden in _GOLDEN_RECORDS], rtol=1e-12)
+
+
+def test_step_records_are_built_from_one_key_tuple(tmp_path):
+    """Each record holds the `STEP_KEYS`, in order, and its total is l_reg +
+    l_cls + l_temp + l_spa added in that order; the log holds the same
+    records with sorted keys, and `report` reads back their `LOSS_KEYS`."""
+    log = tmp_path / "log.jsonl"
+    records = train(_tiny_config(), _dataset(count=4), log_path=log)[2]
+    assert len(records) == 2
+    for r in records:
+        assert tuple(r) == harness.STEP_KEYS
+        assert r["total"] == r["l_reg"] + r["l_cls"] + r["l_temp"] + r["l_spa"]
+        assert r["l_temp"] > 0 and r["l_spa"] > 0
+    assert log.read_text().splitlines() == [json.dumps(r, sort_keys=True) for r in records]
+    assert cli._log_series(log) == {key: [r[key] for r in records] for key in harness.LOSS_KEYS}
 
 
 def _desk_like_run():
@@ -1311,6 +1348,10 @@ def _cli_inputs(tmp_path) -> dict:
 @pytest.mark.parametrize("argv, message", [
     (["generate", "--branch-probs", "0.5,x"], "--branch-probs"),
     (["generate", "--mode-mix", "junction=0.5"], "mode_mix"),
+    (["generate", "--val-fraction", "1.5"],
+     r"^generate: need 0 <= val_fraction <= 1, got val_fraction=1.5$"),
+    (["generate", "--val-fraction", "nan"],
+     r"^generate: need 0 <= val_fraction <= 1, got val_fraction=nan$"),
     (["train", "--set", "epochs=abc"], "'epochs'"),
     (["train", "--set", "bogus=1"], "'bogus'"),
     (["grid", "--preset", "table2", "--set", "epochs=abc"], "'epochs'"),
@@ -1443,7 +1484,8 @@ _LOG_RECORD = json.dumps({"epoch": 0, "step": 0, "lr": 1e-3, "total": 2.5, "l_re
     (f"{_LOG_RECORD}\n\n[{_LOG_RECORD}]",
      r"log.jsonl: line 3: not a training log record: no number under 'total'$"),
     (_LOG_RECORD.replace("0.5", '"0.5"'),
-     r"log.jsonl: line 1: not a training log record: no number under 'l_cls'$"),
+     r"log.jsonl: line 1: not a training log record: 'l_cls' must hold only lists and "
+     r"JSON numbers, got '0.5'$"),
     (f"{_LOG_RECORD}\n{_LOG_RECORD[:-9]}",
      r"log.jsonl: line 2: not JSON: .+ \(column \d+\)$"),
 ], ids=["checkpoint", "object", "list", "quoted number", "undecodable"])
@@ -1459,6 +1501,20 @@ def test_report_refuses_a_file_that_is_not_a_training_log(tmp_path, capsys, log,
         cli.main([str(a) for a in argv])
     assert "\n" not in str(exc.value)
     assert not paths["out"].exists() and capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_report_refuses_a_non_finite_loss_value(tmp_path, capsys, value):
+    """json.loads reads NaN, Infinity and an out-of-range literal as floats;
+    the JSON-array rule refuses them, naming the line and the key, before
+    a chart with `nan` coordinates is written."""
+    log, out = tmp_path / "log.jsonl", tmp_path / "out.svg"
+    log.write_text(f"{_LOG_RECORD}\n{_LOG_RECORD.replace('0.5', value)}\n")
+    with pytest.raises(SystemExit, match=f"^report: {re.escape(str(log))}: line 2: not a "
+                                         "training log record: 'l_cls' holds a non-finite "
+                                         "value$"):
+        cli.main(["report", "--log", str(log), "--out", str(out)])
+    assert not out.exists() and capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("argv", [

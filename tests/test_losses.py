@@ -1,7 +1,6 @@
-"""Loss values and hand gradients: WTA supervision, temporal and spatial
-consistency, and the assembled breakdown."""
+"""Loss values and hand gradients: WTA supervision summed over targets,
+and temporal and spatial consistency."""
 
-import json
 import math
 
 import numpy as np
@@ -10,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import line_trajectory, prediction_set
-from trajcast.losses import (HUBER_DELTA, InvalidShift, LossBreakdown,
+from trajcast.losses import (HUBER_DELTA, InvalidShift,
                              SpatialPermutation, _at_modes, _huber, _softmin_backprop,
                              _spatial_arrays, _temporal_arrays, _wta_targets,
-                             make_breakdown, sample_permutation,
+                             sample_permutation,
                              softmin_scores, spatial_consistency,
                              target_losses, temporal_consistency)
 from trajcast.matching import CRITERIA, STRATEGIES
@@ -482,19 +481,7 @@ def test_sample_permutation_determinism():
     assert np.all(np.abs(a.noise) <= 0.2)
 
 
-# -- breakdown / target losses ------------------------------------------------
-
-def test_breakdown_validation_and_json():
-    bd = make_breakdown(1.0, 0.5, 0.25, 0.125)
-    assert bd.total == 1.875
-    data = json.loads(bd.to_json())
-    assert list(data.keys()) == sorted(data.keys())
-    assert data["total"] == 1.875
-    with pytest.raises(ValueError):
-        LossBreakdown(l_reg=1.0, l_cls=0.0, l_temp=0.0, l_spa=0.0, total=2.0)
-    with pytest.raises(ValueError):
-        LossBreakdown(l_reg=math.nan, l_cls=0.0, l_temp=0.0, l_spa=0.0, total=math.nan)
-
+# -- target losses -------------------------------------------------------------
 
 def test_total_loss_hand_case():
     """Perfect regression, equal end errors, probs (0.7, 0.3): only the
@@ -503,22 +490,22 @@ def test_total_loss_hand_case():
     other = np.array(gt)
     other[1] = (0.0, 5.0)                   # same endpoint, different body
     completion = np.stack([gt, other])
-    bd = make_breakdown(*target_losses(completion, completion, np.array([0.7, 0.3]),
-                                       gt[None], np.array([1.0]))[:2])
-    assert bd.l_reg == 0.0
-    assert bd.l_cls == pytest.approx(0.02, rel=1e-12)
-    assert bd.l_temp == 0.0 and bd.l_spa == 0.0
-    assert bd.total == pytest.approx(0.02, rel=1e-12)
+    l_reg, l_cls = target_losses(completion, completion, np.array([0.7, 0.3]),
+                                 gt[None], np.array([1.0]))[:2]
+    assert l_reg == 0.0
+    assert l_cls == pytest.approx(0.02, rel=1e-12)
 
 
-def test_total_loss_passes_consistency_terms_through():
+def test_perfect_even_prediction_has_no_supervision_loss():
+    """Two perfect modes scored evenly: no regression or classification
+    term, and every gradient is zero."""
     gt = line_trajectory((0, 0), (1, 0), 4).points
     completion = np.stack([gt, gt])
-    l_reg, l_cls = target_losses(completion, completion, np.array([0.5, 0.5]),
-                                 gt[None], np.array([1.0]))[:2]
-    bd = make_breakdown(l_reg, l_cls, l_temp=0.25, l_spa=0.5)
-    assert bd.l_temp == 0.25 and bd.l_spa == 0.5
-    assert bd.total == 0.75
+    l_reg, l_cls, *grads = target_losses(completion, completion, np.array([0.5, 0.5]),
+                                         gt[None], np.array([1.0]))
+    assert l_reg == 0.0 and l_cls == 0.0
+    for grad in grads:
+        assert not np.any(grad)
 
 
 def test_zero_confidence_extras_change_nothing():

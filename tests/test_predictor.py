@@ -15,7 +15,7 @@ from trajcast import data, predictor
 from trajcast.core import IDENTITY_FRAME, Trajectory, Window, heading_frame, track_frame
 from trajcast.predictor import (EmptyHistory, MalformedCheckpoint, ModelConfig, StaleTrace,
                                 WindowBatch,
-                                _layer_shapes, backward, featurize, forward,
+                                _layer_shapes, backward, forward,
                                 init_params, load_checkpoint, predict,
                                 refine_backward, refine_forward,
                                 save_checkpoint)
@@ -35,7 +35,7 @@ def make_window(scenario=None, maps=None):
 
 def test_featurize_layout():
     win = make_window()
-    points = featurize(win)
+    points = WindowBatch.of([win]).points[0]
     assert points.shape == (20 + 50, 5)       # history rows then one 50-point polyline
     np.testing.assert_allclose(points[:20, 2], (np.arange(20) - 19) * 0.1)
     assert np.all(points[:20, 3] == 0.0) and np.all(points[20:, 3] == 1.0)
