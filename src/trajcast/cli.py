@@ -146,11 +146,12 @@ def cmd_grid(args) -> int:
 # SVG report
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+CHART_WIDTH, CHART_HEIGHT = 720, 360  # pixels
 
 
-def render_line_chart(series: dict, title: str, width: int = 720, height: int = 360) -> str:
+def render_line_chart(series: dict, title: str) -> str:
     """Minimal SVG line chart; series maps label -> list of y values."""
-    margin = 50.0
+    width, height, margin = CHART_WIDTH, CHART_HEIGHT, 50.0
     plot_w, plot_h = width - 2 * margin, height - 2 * margin
     ys = [y for values in series.values() for y in values]
     if not ys:

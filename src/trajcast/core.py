@@ -130,21 +130,12 @@ def normalize_angle(theta: float) -> float:
     return wrapped
 
 
-def rotation_matrix(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]])
-
-
 def rotation_matrices(thetas) -> np.ndarray:
-    """(W, 2, 2) stack of rotation_matrix(theta), one per angle: the same
-    cos and sin values, written into one array from one list of floats."""
+    """(W, 2, 2) stack of the rotation matrices [[cos, -sin], [sin, cos]],
+    one per angle; every rotation here is built by it. Points are rows, so
+    a point p rotates to p @ R.T."""
     cos_sin = [(math.cos(theta), math.sin(theta)) for theta in thetas]
     return np.array([(c, -s, s, c) for c, s in cos_sin]).reshape(-1, 2, 2)
-
-
-def rotate_xy(xy: np.ndarray, theta: float) -> np.ndarray:
-    # row-vector convention: each point p maps to R(theta) @ p
-    return np.asarray(xy, dtype=np.float64) @ rotation_matrix(theta).T
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,22 +300,22 @@ def _per_row(stack: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 
 def to_frame_xy(xy: np.ndarray, frame) -> np.ndarray:
-    """xy (..., 2) re-expressed in a Frame; given a sequence of W frames, xy
-    is (W, ..., 2) and row w holds points of frame w (one stacked matmul,
-    whose rows have the bits of W separate calls)."""
+    """xy (W, ..., N, 2) re-expressed in a sequence of W frames, row w in
+    frame w (one stacked matmul, whose rows have the bits of W separate
+    calls). A single Frame is the stack of one and takes xy (..., N, 2)."""
     xy = np.asarray(xy, dtype=np.float64)
     if isinstance(frame, Frame):
-        return rotate_xy(xy - np.array(frame.origin), frame.rotation)
+        return to_frame_xy(xy[None], [frame])[0]
     origins = np.array([f.origin for f in frame]).reshape(-1, 2)
     rotations = rotation_matrices([f.rotation for f in frame]).swapaxes(-1, -2)
     return (xy - _per_row(origins, xy)) @ _per_row(rotations, xy)
 
 
 def from_frame_xy(xy: np.ndarray, frame) -> np.ndarray:
-    """Inverse of to_frame_xy: xy (..., 2) in a Frame, or (W, ..., 2) in a
-    sequence of W frames, back in the world frame."""
+    """Inverse of to_frame_xy: xy (W, ..., N, 2) in a sequence of W frames,
+    or (..., N, 2) in a single Frame, back in the world frame."""
     if isinstance(frame, Frame):
-        return rotate_xy(xy, -frame.rotation) + np.array(frame.origin)
+        return from_frame_xy(np.asarray(xy)[None], [frame])[0]
     return FrameMap(matrix=rotation_matrices([-f.rotation for f in frame]).swapaxes(-1, -2),
                     offset=np.array([f.origin for f in frame]).reshape(-1, 2)).apply(xy)
 
@@ -380,13 +371,11 @@ class PredictionSet:
         lengths = {len(t) for t in trajs}
         if len(lengths) != 1:
             raise ValueError(f"all trajectories must share a length, got {sorted(lengths)}")
-        scores = _frozen_array(self.scores, "scores")
+        scores = np.array(self.scores, dtype=np.float64)
         if scores.shape != (len(trajs),):
             raise ValueError("need one score per trajectory")
-        if np.any(scores < 0):
-            raise ValueError("scores must be nonnegative")
-        if abs(float(scores.sum()) - 1.0) > 1e-6:
-            raise ValueError(f"scores must sum to 1, got {scores.sum()}")
+        check_probabilities(scores, "scores")
+        scores.setflags(write=False)
         object.__setattr__(self, "trajectories", trajs)
         object.__setattr__(self, "scores", scores)
 
@@ -401,6 +390,19 @@ class PredictionSet:
     def stacked(self) -> np.ndarray:
         """(K, T, 2) view of the trajectories."""
         return np.stack([t.points for t in self.trajectories])
+
+
+def check_probabilities(p: np.ndarray, what: str) -> None:
+    """The rule of a probability vector (prediction scores, mode and branch
+    weights): else ValueError starting with `what`, for the first fault in
+    this order: a non-finite entry, a negative entry, a sum more than 1e-9
+    away from 1. numpy's `Generator.choice` refuses a sum off by ~1.5e-8."""
+    if not np.isfinite(p).all():
+        raise ValueError(f"{what} holds a non-finite value")
+    if (p < 0).any():
+        raise ValueError(f"{what} must be nonnegative, got {p.tolist()}")
+    if abs(float(p.sum()) - 1.0) > 1e-9:
+        raise ValueError(f"{what} must sum to 1, got {float(p.sum())}")
 
 
 def check_confidences(confidences: np.ndarray) -> None:

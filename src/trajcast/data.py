@@ -22,8 +22,8 @@ import numpy as np
 
 from .core import (DT, FUTURE_LEN, HISTORY_LEN, AgentTrack, MissingTargetFrame, Scenario,
                    ScenarioArrays, SceneTransform, Trajectory, TrajcastError, Window,
-                   apply_transform, check_dt, heading_frame, json_array, rotate_xy,
-                   target_arrays, text_input, to_frame_xy, track_frame)
+                   apply_transform, check_dt, check_probabilities, heading_frame, json_array,
+                   rotation_matrices, target_arrays, text_input, to_frame_xy, track_frame)
 from .predictor import WindowBatch, featurize
 
 MODES = ("straight", "turn-left", "turn-right", "lane-change", "junction")
@@ -78,17 +78,19 @@ class SyntheticSpec:
         unknown = set(self.mode_mix) - set(MODES)
         if unknown:
             raise ValueError(f"unknown modes in mode_mix: {sorted(unknown)}")
-        probs = np.array([self.mode_mix.get(m, 0.0) for m in MODES])
-        if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-9:
-            raise ValueError("mode_mix must be nonnegative and sum to 1")
+        check_probabilities(self.mode_probs(), "mode_mix")
         lo, hi = self.speed_range
-        if not (0.0 < lo <= hi):
-            raise ValueError("speed_range must satisfy 0 < lo <= hi")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
-        bp = np.array(self.branch_probs)
-        if bp.size < 2 or np.any(bp < 0) or abs(bp.sum() - 1.0) > 1e-9:
-            raise ValueError("branch_probs needs >= 2 nonnegative entries summing to 1")
+        if not 0.0 < lo <= hi < math.inf:
+            raise ValueError(f"speed_range must satisfy 0 < lo <= hi < inf, "
+                             f"got {self.speed_range}")
+        # -0.0 too: numpy refuses a normal draw whose scale has its sign bit set
+        noise = self.noise_sigma
+        if not 0.0 <= noise < math.inf or math.copysign(1.0, noise) < 0:
+            raise ValueError(f"noise_sigma must satisfy 0 <= noise_sigma < inf, got {noise}")
+        if len(self.branch_probs) < 2:
+            raise ValueError(f"branch_probs needs at least 2 entries, "
+                             f"got {len(self.branch_probs)}")
+        check_probabilities(np.array(self.branch_probs), "branch_probs")
 
     def mode_probs(self) -> np.ndarray:
         return np.array([self.mode_mix.get(m, 0.0) for m in MODES])
@@ -157,15 +159,15 @@ def generate(spec: SyntheticSpec) -> list:
         av_noise = rng.normal(0.0, spec.noise_sigma, size=(TOTAL_FRAMES, 2))
 
         path, polylines = _canonical_paths(mode, speed, branch_idx, lane_sign, n_branches)
-        world = rotate_xy(path, psi) + origin
+        rotation = rotation_matrices([psi])[0].T  # points are rows: p -> p @ R.T
+        world = path @ rotation + origin
         full = np.ones(TOTAL_FRAMES, dtype=bool)
         agent = AgentTrack(track_id="agent-0", object_type="agent",
                            xy=world + agent_noise, present=full)
         trail = world[np.clip(np.arange(TOTAL_FRAMES) - AV_FOLLOW_FRAMES, 0, None)]
         av = AgentTrack(track_id="av-0", object_type="av",
                         xy=trail + av_noise, present=full)
-        maps = tuple(Trajectory(points=rotate_xy(p, psi) + origin)
-                     for p in polylines)
+        maps = tuple(Trajectory(points=p @ rotation + origin) for p in polylines)
         scenarios.append(Scenario(scenario_id=f"{mode}-{i:05d}", agents=(agent, av),
                                   map_polylines=maps, target_track_id="agent-0",
                                   history_len=HISTORY_LEN, future_len=FUTURE_LEN))
@@ -392,15 +394,16 @@ def save_dataset(scenarios, out_dir, val_fraction: float = 0.2) -> Path:
     return manifest_path
 
 
-def load_manifest(manifest_path, split: str | None = None) -> list:
-    """Scenarios listed in a manifest, optionally filtered by split; the
-    first file load_csv cannot read raises, naming it.
+def load_manifest(manifest_path, split: str) -> list:
+    """The scenarios of one split of a manifest; the first file load_csv
+    cannot read raises, naming it.
 
     The manifest is checked before any scenario loads, else MalformedManifest
     names it and what is wrong: it must be a JSON object with an integer
     history_len >= 2 and future_len >= 1, a dt, if stated, that meets
     `core.check_dt`, and a "scenarios" list whose entries are objects with a
-    string "file" and "split", and every file of the split must exist.
+    string "file" and "split", no two of whose files give one scenario id
+    (the file stem), and every file of the split must exist.
     """
     mpath = Path(manifest_path)
     try:
@@ -422,13 +425,18 @@ def load_manifest(manifest_path, split: str | None = None) -> list:
     entries = manifest.get("scenarios")
     if type(entries) is not list:
         raise MalformedManifest(f"{mpath}: scenarios must be a list, got {entries!r}")
+    first_entry = {}
     for n, entry in enumerate(entries):
         if not (isinstance(entry, dict) and type(entry.get("file")) is str
                 and type(entry.get("split")) is str):
             raise MalformedManifest(f"{mpath}: scenario entry {n} needs a string 'file' "
                                     f"and 'split', got {entry!r}")
-    files = [mpath.parent / entry["file"] for entry in entries
-             if split is None or entry["split"] == split]
+        sid = Path(entry["file"]).stem
+        first = first_entry.setdefault(sid, n)
+        if first != n:
+            raise MalformedManifest(f"{mpath}: scenario entries {first} and {n} both give "
+                                    f"scenario {sid}: {entries[first]!r} and {entry!r}")
+    files = [mpath.parent / entry["file"] for entry in entries if entry["split"] == split]
     for file in files:
         if not file.is_file():
             raise MalformedManifest(f"{mpath}: listed file {file} does not exist")

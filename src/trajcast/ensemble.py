@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DT, PredictionSet, TargetSet, Trajectory, TrajcastError, check_confidences,
-                   check_dt, json_array, target_arrays, text_input)
+                   check_dt, check_probabilities, json_array, target_arrays, text_input)
 from .metrics import LengthMismatch
 
 
@@ -306,18 +306,16 @@ def cluster_bank(bank: EnsembleBank, j: int, seed: int) -> dict:
 # file formats
 
 
-def _read_records(path, key: str, rule=None):
-    """Yields (line number, scenario_id, (n, T, 2) trajectories, (n,) values)
+def _read_records(path, key: str, rule):
+    """Yields (scenario_id, (n, T, 2) trajectories, (n,) values) records
     from a JSON-lines file whose per-trajectory values are under `key`, one
-    line at a time, so a caller's own check on a record runs before the next
-    line is read.
+    line at a time.
 
     Each record must hold a string scenario_id that no earlier line holds,
     trajectories and values that the JSON-array rule `core.json_array`
     reads, the trajectories (n, T, 2) with n, T >= 1 and the values (n,)
-    and >= 0, and a dt, if stated, that meets `core.check_dt`. `rule`, if
-    given, checks the (n,) values before the >= 0 check and raises a
-    ValueError naming what is wrong. A line that fails raises
+    and meeting `rule`, which raises a ValueError naming what is wrong, and
+    a dt, if stated, that meets `core.check_dt`. A line that fails raises
     MalformedRecord.
     """
     first_line = {}
@@ -333,7 +331,7 @@ def _read_records(path, key: str, rule=None):
                 sid = rec.get("scenario_id")
                 if not isinstance(rec["scenario_id"], str):
                     raise ValueError("scenario_id must be a string")
-                record = (number, rec["scenario_id"], *_record_arrays(rec, key, rule))
+                record = (rec["scenario_id"], *_record_arrays(rec, key, rule))
                 if first_line.setdefault(sid, number) != number:
                     raise ValueError(f"scenario {sid} is also on line {first_line[sid]}")
             except ValueError as exc:
@@ -351,10 +349,7 @@ def _record_arrays(rec: dict, key: str, rule):
     if values.shape != trajs.shape[:1]:
         raise ValueError(f"need one {key[:-1]} per trajectory: {key} must be "
                          f"{trajs.shape[:1]}, got {values.shape}")
-    if rule is not None:
-        rule(values)
-    if np.any(values < 0):
-        raise ValueError(f"{key} must be nonnegative, got {rec[key]}")
+    rule(values)
     check_dt(rec.get("dt", DT))
     return trajs, values
 
@@ -387,7 +382,7 @@ def load_pseudo_targets(path) -> dict:
     record's confidences must meet the target-set rule,
     `core.check_confidences`."""
     return {sid: (trajs, confs)
-            for _, sid, trajs, confs in _read_records(path, "confidences", check_confidences)}
+            for sid, trajs, confs in _read_records(path, "confidences", check_confidences)}
 
 
 def save_prediction_dump(path, records) -> None:
@@ -398,15 +393,9 @@ def save_prediction_dump(path, records) -> None:
 
 def load_prediction_dump(path) -> list:
     """Inverse of save_prediction_dump: [(scenario_id, (K, T, 2) trajectories,
-    (K,) scores), ...]; each record's scores must also sum to 1, checked
-    after the reader's finite-and-nonnegative check and before the next line
-    is read, so the first bad line is the one named."""
-    out = []
-    for number, sid, trajs, scores in _read_records(path, "scores"):
-        if abs(float(scores.sum()) - 1.0) > 1e-6:
-            raise _malformed(path, number, sid, f"scores must sum to 1, got {scores.sum()}")
-        out.append((sid, trajs, scores))
-    return out
+    (K,) scores), ...]; each record's scores must meet the probability rule,
+    `core.check_probabilities`."""
+    return list(_read_records(path, "scores", lambda s: check_probabilities(s, "scores")))
 
 
 def bank_from_dumps(tagged_paths) -> EnsembleBank:

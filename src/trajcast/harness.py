@@ -49,7 +49,9 @@ class TrainConfig:
 
     Field names double as the config-file key vocabulary. Every field is
     checked here, so a bad value stops a command before it reads any data;
-    each message names the key.
+    each message names the key. A bool field takes a bool, an int field an
+    int that is not a bool, a float field an int or a float that is not a
+    bool, and a str field a str.
 
     No training code reads `j`: with use_mpt, training pads every scenario
     to the largest entry of its pseudo targets, whose count `trajcast
@@ -84,6 +86,11 @@ class TrainConfig:
     spatial_noise: float = 0.2
 
     def __post_init__(self):
+        for key, kind in _FIELD_TYPES.items():
+            value, kinds = getattr(self, key), (int, float) if kind is float else kind
+            if not isinstance(value, kinds) or (isinstance(value, bool) and kind is not bool):
+                raise ValueError(f"config key {key!r}: expected {kind.__name__}, "
+                                 f"got {value!r}")
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("need epochs >= 0, batch_size >= 1")
         if not 0 <= self.lr < math.inf:
@@ -270,7 +277,7 @@ STEP_KEYS = ("epoch", "step", "lr", *LOSS_KEYS, "grad_norm", "param_norm")
 
 
 def train(config: TrainConfig, scenarios, pseudo_targets: dict | None = None,
-          log_path=None, checkpoint_path=None, initial_params: ParamStore | None = None):
+          log_path=None, checkpoint_path=None):
     """Run the optimization; returns (params, model_cfg, log record list).
 
     Every scenario (and its pseudo-target entry) is checked and stacked into
@@ -288,7 +295,7 @@ def train(config: TrainConfig, scenarios, pseudo_targets: dict | None = None,
     model_cfg = config.model_config()
     cached = _training_arrays(config, scenarios, pseudo_targets)
 
-    params = initial_params if initial_params is not None else init_params(model_cfg, config.seed)
+    params = init_params(model_cfg, config.seed)
     optimizer = Adam(params)
     rng = np.random.default_rng(config.seed)
 

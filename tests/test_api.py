@@ -22,12 +22,14 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 # sample_transform draws the heading jitter with the flip and scale.
 # JSON numbers are read by one rule, core.json_array. A step record is built
 # from one key tuple, harness.STEP_KEYS, and a window's encoder rows are laid
-# out by one function, predictor.featurize.
+# out by one function, predictor.featurize. Every rotation is built by
+# core.rotation_matrices, and a single Frame is the stack of one.
 REMOVED = {
     "losses": ("huber", "wta_target_loss", "_wta_arrays", "total_loss", "_huber_elem",
                "_huber_grad", "LossBreakdown", "make_breakdown"),
     "core": ("Waypoint", "agent_frame", "to_frame", "from_frame", "AugmentSpec",
-             "IDENTITY_AUGMENT", "sample_heading_jitter", "json_number_pairs"),
+             "IDENTITY_AUGMENT", "sample_heading_jitter", "json_number_pairs", "rotate_xy",
+             "rotation_matrix"),
     "predictor": ("zero_params", "_layer_array", "encoder_rows"),
     "ensemble": ("pool",),
     "metrics": ("ade", "fde"),
@@ -74,6 +76,8 @@ FIXED_PARAMETERS = {
     "harness.branch_coverage": ("threshold",),
     "harness.jitter_score": ("criterion",),
     "data.load_manifest": ("strict",),
+    "harness.train": ("initial_params",),
+    "cli.render_line_chart": ("width", "height"),
 }
 
 
@@ -84,6 +88,11 @@ def test_fixed_parameters_are_gone(qualname):
     parameters = inspect.signature(func).parameters
     for param in FIXED_PARAMETERS[qualname]:
         assert param not in parameters, f"{qualname}({param})"
+
+
+def test_load_manifest_always_names_a_split():
+    split = inspect.signature(trajcast.data.load_manifest).parameters["split"]
+    assert split.default is inspect.Parameter.empty
 
 
 def test_backward_takes_only_the_upstream_slots_training_sets():

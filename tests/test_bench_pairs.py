@@ -49,7 +49,8 @@ def test_summary_counts_pairs_by_direction_and_skips_unpaired_seeds():
     w = summary["w"]
     assert w["pairs"] == 4
     assert w["ops_failed"] == {"attempted": {"parent": 40, "change": 44},
-                               "parent": 1, "change": 0}
+                               "parent": 1, "change": 0,
+                               "share": {"parent": 1 / 40, "change": 0.0}, "share_rose": False}
     rate = w["rate"]
     assert rate["better"] == "higher"
     assert rate["parent"] == {"median": 115.0, "q1": 107.5, "q3": 122.5}
@@ -69,7 +70,27 @@ def test_summary_of_a_workload_without_a_whole_pair_has_no_metrics():
     summary = bench_pairs.summarize([_run("w", 1, "parent", 1.0, 1.0)],
                                     _metrics(rate=("higher", 0.25)))
     assert summary == {"w": {"pairs": 0, "ops_failed": {
-        "attempted": {"parent": 0, "change": 0}, "parent": 0, "change": 0}}}
+        "attempted": {"parent": 0, "change": 0}, "parent": 0, "change": 0,
+        "share": {"parent": 0.0, "change": 0.0}, "share_rose": False}}}
+
+
+@pytest.mark.parametrize("parent, change, rose", [
+    ((10, 0), (10, 1), True),       # from none failed to one
+    ((10, 1), (20, 1), False),      # more failures counted, but a smaller share
+    ((10, 1), (10, 1), False),      # the same share
+    ((20, 1), (10, 1), True),       # as many failures in fewer operations
+    ((10, 2), (10, 1), False),
+])
+def test_summary_says_whether_the_failed_share_rose(parent, change, rose):
+    """The share, not the count, of failed operations is what must not
+    rise; each side sums its attempts and failures over the pairs."""
+    runs = []
+    for seed in range(2):
+        runs += [_run("w", seed, "parent", 1.0, 1.0, attempted=parent[0], failed=parent[1]),
+                 _run("w", seed, "change", 1.0, 1.0, attempted=change[0], failed=change[1])]
+    ops = bench_pairs.summarize(runs, _metrics(rate=("higher", 0.25)))["w"]["ops_failed"]
+    assert ops["share"] == {"parent": parent[1] / parent[0], "change": change[1] / change[0]}
+    assert ops["share_rose"] is rose
 
 
 @pytest.mark.parametrize("parent, change, better, regressed, unresolved", [

@@ -12,12 +12,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import prediction_set, straight_scenario, straight_track
-from trajcast.core import (AgentTrack, Frame, IDENTITY_FRAME, MissingTargetFrame, Scenario,
-                           ScenarioArrays, SceneTransform, TargetSet, Trajectory,
-                           Window, apply_transform, compose_frames, from_frame_xy,
-                           heading_frame, json_array, normalize_angle, rotate_xy,
-                           rotation_matrix, sample_transform, to_frame_xy, track_frame)
-from trajcast.data import MalformedRow, load_csv, save_csv
+from trajcast.core import (AgentTrack, Frame, IDENTITY_FRAME, MissingTargetFrame,
+                           PredictionSet, Scenario, ScenarioArrays, SceneTransform, TargetSet,
+                           Trajectory, Window, apply_transform, check_probabilities,
+                           compose_frames, from_frame_xy, heading_frame, json_array,
+                           normalize_angle, rotation_matrices, sample_transform, to_frame_xy,
+                           track_frame)
+from trajcast.data import MODES, MalformedRow, SyntheticSpec, load_csv, save_csv
 from trajcast.ensemble import MalformedRecord, load_prediction_dump
 from trajcast.losses import SpatialPermutation
 from trajcast.predictor import (MalformedCheckpoint, ModelConfig, init_params, load_checkpoint,
@@ -40,7 +41,7 @@ def test_normalize_angle_boundary():
 
 
 def test_rotation_matrix_orthonormal():
-    r = rotation_matrix(0.7)
+    [r] = rotation_matrices([0.7])
     assert np.allclose(r @ r.T, np.eye(2), atol=1e-15)
     assert np.isclose(np.linalg.det(r), 1.0)
 
@@ -154,7 +155,8 @@ def test_compose_frames_property(src, dst, xy):
 def test_stacked_frame_maps_equal_per_frame_calls(pairs, extra, n, seed):
     """A stack of B frame maps, and to_frame_xy and from_frame_xy on B
     frames, give row b of (B, ..., N, 2) points, with 0 to 2 axes between B
-    and N, the bits of the call on frame b alone."""
+    and N, the bits of the call on frame b alone; the frame conversions also
+    give the bits of the one-frame formulas they replaced (`_rotate_oracle`)."""
     src, dst = [p[0] for p in pairs], [p[1] for p in pairs]
     xy = np.random.default_rng(seed).uniform(-1e3, 1e3, size=(len(pairs), *extra, n, 2))
     fmap = compose_frames(src, dst)
@@ -166,6 +168,16 @@ def test_stacked_frame_maps_equal_per_frame_calls(pairs, extra, n, seed):
         assert np.array_equal(grad[b], single.backprop(xy[b]))
         assert np.array_equal(local[b], to_frame_xy(xy[b], dst[b]))
         assert np.array_equal(world[b], from_frame_xy(xy[b], dst[b]))
+        origin = np.array(dst[b].origin)
+        assert np.array_equal(local[b], _rotate_oracle(xy[b] - origin, dst[b].rotation))
+        assert np.array_equal(world[b], _rotate_oracle(xy[b], -dst[b].rotation) + origin)
+
+
+def _rotate_oracle(xy, theta):
+    """The one-frame rotation as it stood before every rotation was built by
+    `rotation_matrices`: p -> R(theta) @ p for row points p."""
+    c, s = math.cos(theta), math.sin(theta)
+    return np.asarray(xy, dtype=np.float64) @ np.array([[c, -s], [s, c]]).T
 
 
 def _apply_xy_oracle(xy, flip, scale):
@@ -235,6 +247,56 @@ def test_prediction_set_validation():
         prediction_set([[[0, 0]], [[1, 1]]], scores=[-0.1, 1.1])
     with pytest.raises(ValueError):
         prediction_set([[[0, 0]], [[1, 1], [2, 2]]])
+
+
+@pytest.mark.parametrize("p, message", [
+    ([math.nan, -1.0, 3.0], "holds a non-finite value"),
+    ([0.5, math.inf], "holds a non-finite value"),
+    ([-0.5, 0.5], "must be nonnegative, got [-0.5, 0.5]"),
+    ([1.25, -0.25], "must be nonnegative, got [1.25, -0.25]"),
+    ([0.5, 0.25], "must sum to 1, got 0.75"),
+    ([0.5, 0.5 + 5e-7], f"must sum to 1, got {0.5 + (0.5 + 5e-7)}"),
+    ([0.5, 0.5 + 5e-10], None),
+    ([1.0 / 3.0] * 3, None),
+], ids=["non-finite before negative", "inf", "negative before sum", "negative",
+        "sum", "sum off by 5e-7", "sum off by 5e-10", "thirds"])
+def test_check_probabilities_names_the_first_fault_in_its_order(p, message):
+    """Non-finite, then negative, then a sum more than 1e-9 away from 1."""
+    if message is None:
+        check_probabilities(np.array(p), "p")
+        return
+    with pytest.raises(ValueError, match=f"^p {re.escape(message)}$"):
+        check_probabilities(np.array(p), "p")
+
+
+_BAD_PROBABILITIES = {
+    "NaN": ([math.nan, 0.25, 0.25, 0.25, 0.25], "holds a non-finite value"),
+    "negative": ([1.25, -0.25, 0.0, 0.0, 0.0], "must be nonnegative, got "
+                                               "[1.25, -0.25, 0.0, 0.0, 0.0]"),
+    "bad sum": ([0.5, 0.25, 0.0, 0.0, 0.0], "must sum to 1, got 0.75"),
+}
+
+
+@pytest.mark.parametrize("fault", list(_BAD_PROBABILITIES))
+def test_every_probability_vector_gives_a_fault_one_wording(tmp_path, fault):
+    """The same faulty vector, as a mode mix, as branch probabilities, as
+    PredictionSet scores and as a dump line's scores, gets one message after
+    each caller's own prefix (in a dump the JSON-array rule refuses NaN, in
+    the same words)."""
+    p, tail = _BAD_PROBABILITIES[fault]
+    with pytest.raises(ValueError, match=f"^mode_mix {re.escape(tail)}$"):
+        SyntheticSpec(mode_mix=dict(zip(MODES, p)))
+    with pytest.raises(ValueError, match=f"^branch_probs {re.escape(tail)}$"):
+        SyntheticSpec(branch_probs=tuple(p))
+    trajs = [Trajectory(points=[[float(i), 0.0]]) for i in range(len(p))]
+    with pytest.raises(ValueError, match=f"^scores {re.escape(tail)}$"):
+        PredictionSet(trajectories=trajs, scores=p)
+    dump = tmp_path / "dump.jsonl"
+    dump.write_text(json.dumps({"scenario_id": "s0", "trajectories": [[[0.0, 0.0]]] * len(p),
+                                "scores": p}) + "\n")
+    with pytest.raises(MalformedRecord, match=f"^{re.escape(f'{dump}: line 1 (s0): ')}"
+                                              f"scores {re.escape(tail)}$"):
+        load_prediction_dump(dump)
 
 
 def test_target_set_gt_confidence_exact():
@@ -357,7 +419,7 @@ def test_window_accessors():
 def test_identity_frame_is_noop():
     xy = np.array([[1.0, 2.0], [3.0, 4.0]])
     assert np.array_equal(to_frame_xy(xy, IDENTITY_FRAME), xy)
-    assert np.allclose(rotate_xy(xy, 0.0), xy)
+    assert np.array_equal(from_frame_xy(xy, IDENTITY_FRAME), xy)
 
 
 # -- the JSON-array rule --------------------------------------------------------

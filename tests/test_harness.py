@@ -191,6 +191,35 @@ def test_train_config_checks_every_augmentation_and_spatial_key(values, message)
         TrainConfig(**values)
 
 
+_WRONG_TYPES = [
+    ({"epochs": 1.5}, "config key 'epochs': expected int, got 1.5"),
+    ({"batch_size": 2.5}, "config key 'batch_size': expected int, got 2.5"),
+    ({"k": 2.0}, "config key 'k': expected int, got 2.0"),
+    ({"s": 1.0}, "config key 's': expected int, got 1.0"),
+    ({"k": True}, "config key 'k': expected int, got True"),
+    ({"use_temp": "no"}, "config key 'use_temp': expected bool, got 'no'"),
+    ({"use_mpt": 1}, "config key 'use_mpt': expected bool, got 1"),
+    ({"lr": True}, "config key 'lr': expected float, got True"),
+    ({"lr": "0.1"}, "config key 'lr': expected float, got '0.1'"),
+    ({"strategy": None}, "config key 'strategy': expected str, got None"),
+]
+
+
+@pytest.mark.parametrize("values, message", _WRONG_TYPES,
+                         ids=[",".join(f"{k}={v!r}" for k, v in values.items())
+                              for values, _ in _WRONG_TYPES])
+def test_train_config_refuses_a_value_of_the_wrong_type(values, message):
+    """A float count ended in a bare TypeError or IndexError midway through
+    train, "no" read as a true toggle and True as a one-mode model.
+    make_config passes on what is not text as it is (text it coerces)."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TrainConfig(**values)
+    if not any(isinstance(v, str) for v in values.values()):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make_config(values)
+    assert TrainConfig(lr=1, aug_scale_hi=2).lr == 1     # a float field takes an int
+
+
 # -- training -----------------------------------------------------------------
 
 def test_train_records_and_toggles():
@@ -232,14 +261,19 @@ def test_train_is_deterministic(tmp_path):
         np.testing.assert_array_equal(stores[0][key], stores[1][key])
 
 
-def test_train_nonfinite_loss_names_scenario():
+def test_train_nonfinite_loss_names_scenario(monkeypatch):
     scenarios = _dataset(count=3)
     # temporal off: its matcher validates costs and would reject inf first
     config = _tiny_config(use_temp=False)
-    params = init_params(config.model_config(), config.seed)
-    params.arrays["enc.w1"][:] = np.inf
+
+    def infinite_params(model_cfg, seed):
+        params = init_params(model_cfg, seed)
+        params.arrays["enc.w1"][:] = np.inf
+        return params
+
+    monkeypatch.setattr(harness, "init_params", infinite_params)
     with pytest.raises(NonFiniteLoss, match="straight-"), np.errstate(invalid="ignore"):
-        train(config, scenarios, initial_params=params)
+        train(config, scenarios)
 
 
 def _pseudo_for(scenarios, j=2, seed=1):
@@ -1386,6 +1420,30 @@ def test_cli_rejects_bad_values_with_a_message(tmp_path, argv, message):
     assert not paths["out"].exists() and not paths["log"].exists()
 
 
+_NON_FINITE_SETTINGS = [
+    ("--noise", "nan", "noise_sigma must satisfy 0 <= noise_sigma < inf, got nan"),
+    ("--noise", "inf", "noise_sigma must satisfy 0 <= noise_sigma < inf, got inf"),
+    ("--noise", "-0.0", "noise_sigma must satisfy 0 <= noise_sigma < inf, got -0.0"),
+    ("--speed-hi", "inf", "speed_range must satisfy 0 < lo <= hi < inf, got (5.0, inf)"),
+    ("--speed-lo", "nan", "speed_range must satisfy 0 < lo <= hi < inf, got (nan, 15.0)"),
+    ("--branch-probs", "0.5,0.5,nan", "branch_probs holds a non-finite value"),
+    ("--mode-mix", "straight=nan,junction=1", "mode_mix holds a non-finite value"),
+]
+
+
+@pytest.mark.parametrize("flag, value, message", _NON_FINITE_SETTINGS,
+                         ids=[f"{flag} {value}" for flag, value, _ in _NON_FINITE_SETTINGS])
+def test_generate_refuses_a_non_finite_setting_naming_the_field(tmp_path, capsys, flag, value,
+                                                                message):
+    """Each of these reached numpy's draws: a non-finite track, numpy's own
+    "scale < 0" or "Probabilities contain NaN", or an OverflowError."""
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["generate", "--out", str(out), "--count", "2", flag, value])
+    assert str(exc.value) == f"generate: {message}"
+    assert not out.exists() and capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("argv, message", [
     (["cluster", "--dump", "{dump}", "--out", "{out}"],
      r"^cluster: --dump expects tag=path, got '.*dump.jsonl'$"),
@@ -1687,6 +1745,10 @@ def _break_manifest(manifest: Path, how: str) -> None:
         del fields["scenarios"][0]["split"]
     elif how == "dt 0.2":
         fields["dt"] = 0.2
+    elif how == "scenario listed twice":
+        fields["scenarios"].append({"file": "straight-00000.csv", "split": "val"})
+    elif how == "one stem in two directories":
+        fields["scenarios"].append({"file": "sub/straight-00003.csv", "split": "train"})
     text = json.dumps(fields)
     manifest.write_text(text[:-1] if how == "undecodable JSON" else text)  # no closing brace
 
@@ -1698,6 +1760,13 @@ def _break_manifest(manifest: Path, how: str) -> None:
      r"scenario entry 0 needs a string 'file' and 'split', got \{'file': 'straight-00000.csv'\}"),
     ("undecodable JSON", r"Expecting ',' delimiter: line 1 column \d+ \(char \d+\)"),
     ("dt 0.2", "dt must be 0.1, got 0.2"),
+    ("scenario listed twice", r"scenario entries 0 and 4 both give scenario straight-00000: "
+                              r"\{'file': 'straight-00000.csv', 'split': 'train'\} and "
+                              r"\{'file': 'straight-00000.csv', 'split': 'val'\}"),
+    ("one stem in two directories",
+     r"scenario entries 3 and 4 both give scenario straight-00003: "
+     r"\{'file': 'straight-00003.csv', 'split': 'val'\} and "
+     r"\{'file': 'sub/straight-00003.csv', 'split': 'train'\}"),
 ])
 def test_cli_names_the_manifest_and_its_fault_before_any_scenario_loads(
         tmp_path, capsys, monkeypatch, how, message):

@@ -51,7 +51,9 @@ def summarize(runs: list, end_to_end: list) -> dict:
     the change was better or tied, whether it tied in every pair
     (`same_in_every_pair`: a quality metric that a change must not move),
     and two verdicts against the metric's bound; plus operations attempted
-    and failed.
+    and failed: each side's counts, its failed share (0 when it attempted
+    none), and `share_rose`, whether the change's share exceeds the
+    parent's, which a change must not do.
 
     `end_to_end` lists the metrics as BENCHMARK.json does: each has a name,
     "better" ("higher" or "lower") and a relative "bound". `regressed`: the
@@ -67,9 +69,13 @@ def summarize(runs: list, end_to_end: list) -> dict:
             if r["workload"] == workload:
                 by_seed.setdefault(r["seed"], {})[r["side"]] = r
         pairs = [p for p in by_seed.values() if set(p) == set(SIDES)]
+        attempted = {side: sum(p[side]["attempted"] for p in pairs) for side in SIDES}
+        failed = {side: sum(p[side]["failed"] for p in pairs) for side in SIDES}
+        share = {side: failed[side] / attempted[side] if attempted[side] else 0.0
+                 for side in SIDES}
         entry = {"pairs": len(pairs), "ops_failed": {
-            "attempted": {side: sum(p[side]["attempted"] for p in pairs) for side in SIDES},
-            **{side: sum(p[side]["failed"] for p in pairs) for side in SIDES}}}
+            "attempted": attempted, **failed, "share": share,
+            "share_rose": share["change"] > share["parent"]}}
         for spec in (end_to_end if pairs else ()):
             metric, direction, bound = spec["name"], spec["better"], spec["bound"]
             values = {side: [p[side]["metrics"][metric] for p in pairs] for side in SIDES}
