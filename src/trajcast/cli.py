@@ -115,6 +115,8 @@ def cmd_ensemble_dump(args) -> int:
 
 
 def cmd_cluster(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"need seed >= 0, got seed={args.seed}")
     tagged = []
     for item in args.dump:
         tag, sep, path = item.partition("=")

@@ -112,9 +112,9 @@ class MissingTargetFrame(TrajcastError):
     """Target agent is absent at a frame required to build the agent frame."""
 
 
-def _frozen_array(values, shape_hint: str, allow_empty: bool = False) -> np.ndarray:
+def _frozen_array(values, shape_hint: str) -> np.ndarray:
     arr = np.array(values, dtype=np.float64)
-    if not allow_empty and arr.size == 0:
+    if arr.size == 0:
         raise ValueError(f"{shape_hint} must not be empty")
     if not np.isfinite(arr).all():
         raise ValueError(f"{shape_hint} contains non-finite values")
@@ -476,36 +476,27 @@ class TargetSet:
 
 @dataclass(frozen=True, eq=False)
 class Window:
-    """Model input cut from a scenario: target history, maps, and the frame.
+    """Model input cut from a scenario. `batch` is its one-window
+    `predictor.WindowBatch` (encoder rows, agent-frame history, agent
+    frame), from the batch window builder, `data._batch_windows`.
 
     `shift` records how many frames past the scenario's nominal t=0 the
-    window ends; gt_future is attached only where supervision is defined.
-    All coordinates are world-frame; callers re-express via `frame`.
+    window ends; gt_future, world-frame, is attached only where supervision
+    is defined.
     """
 
     scenario_id: str
-    history_xy: np.ndarray      # (M, 2) world frame
-    history_mask: np.ndarray    # (M,) bool
-    map_polylines: tuple
-    frame: Frame
+    batch: WindowBatch
     gt_future: Trajectory | None = None
     shift: int = 0
 
-    def __post_init__(self):
-        # empty history is representable here; the encoder is where it errors
-        xy = _frozen_array(self.history_xy, "window history", allow_empty=True)
-        mask = np.array(self.history_mask, dtype=bool)
-        mask.setflags(write=False)
-        object.__setattr__(self, "history_xy", xy)
-        object.__setattr__(self, "history_mask", mask)
-        object.__setattr__(self, "map_polylines", tuple(self.map_polylines))
-
     @property
-    def history_len(self) -> int:
-        return self.history_xy.shape[0]
+    def frame(self) -> Frame:
+        return self.batch.frames[0]
 
     def history_in_frame(self) -> np.ndarray:
-        return to_frame_xy(self.history_xy, self.frame)
+        """(M, 2) agent-frame history."""
+        return self.batch.hist_flat[0].reshape(-1, 2)
 
 
 def flip_scale_xy(xy: np.ndarray, flip, scale=1.0) -> np.ndarray:

@@ -23,7 +23,7 @@ import numpy as np
 from .core import (DT, FUTURE_LEN, HISTORY_LEN, AgentTrack, MissingTargetFrame, Scenario,
                    ScenarioArrays, SceneTransform, Trajectory, TrajcastError, Window,
                    apply_transform, check_dt, check_probabilities, heading_frame, json_array,
-                   rotation_matrices, target_arrays, text_input, to_frame_xy, track_frame)
+                   rotation_matrices, target_arrays, text_input, to_frame_xy)
 from .predictor import WindowBatch, featurize
 
 MODES = ("straight", "turn-left", "turn-right", "lane-change", "junction")
@@ -33,6 +33,11 @@ TOTAL_FRAMES = HISTORY_LEN + FUTURE_LEN
 TURN_FRAMES = 15          # frames over which a turn sweeps its full angle
 LANE_WIDTH = 3.5          # meters between adjacent lane centerlines
 AV_FOLLOW_FRAMES = 8      # the AV trails the agent by this many frames
+# bounds on finite settings whose arithmetic would overflow past them: a
+# generated speed in m/s, and a noise scale in meters (the generator's
+# noise_sigma and training's spatial_noise)
+MAX_SPEED = 1e6
+MAX_NOISE = 1e6
 
 CSV_HEADER = "TIMESTAMP,TRACK_ID,OBJECT_TYPE,X,Y,CITY_NAME"
 
@@ -75,6 +80,8 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.scenario_count < 0:
             raise ValueError("scenario_count must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         unknown = set(self.mode_mix) - set(MODES)
         if unknown:
             raise ValueError(f"unknown modes in mode_mix: {sorted(unknown)}")
@@ -83,10 +90,16 @@ class SyntheticSpec:
         if not 0.0 < lo <= hi < math.inf:
             raise ValueError(f"speed_range must satisfy 0 < lo <= hi < inf, "
                              f"got {self.speed_range}")
+        if hi > MAX_SPEED:
+            raise ValueError(f"speed_range must satisfy hi <= {MAX_SPEED:g}, "
+                             f"got {self.speed_range}")
         # -0.0 too: numpy refuses a normal draw whose scale has its sign bit set
         noise = self.noise_sigma
         if not 0.0 <= noise < math.inf or math.copysign(1.0, noise) < 0:
             raise ValueError(f"noise_sigma must satisfy 0 <= noise_sigma < inf, got {noise}")
+        if noise > MAX_NOISE:
+            raise ValueError(f"noise_sigma must satisfy noise_sigma <= {MAX_NOISE:g}, "
+                             f"got {noise}")
         if len(self.branch_probs) < 2:
             raise ValueError(f"branch_probs needs at least 2 entries, "
                              f"got {len(self.branch_probs)}")
@@ -467,17 +480,6 @@ def check_windows(scenario: Scenario, s: int = 0) -> None:
                                  f"absent at frame {m - 2 + int(needed.argmin())}")
 
 
-def _cut_window(scenario: Scenario, s: int) -> Window:
-    """The window ending s frames after t=0, in its own agent frame; only the
-    nominal window (s = 0) carries the ground truth."""
-    m, target = scenario.history_len, scenario.target
-    return Window(scenario_id=scenario.scenario_id,
-                  history_xy=target.xy[s:m + s], history_mask=target.present[s:m + s],
-                  map_polylines=scenario.map_polylines,
-                  frame=track_frame(target, m + s - 1),
-                  gt_future=None if s else scenario.gt_future(), shift=s)
-
-
 def _scenario_arrays(scenario: Scenario, s: int, pseudo=None,
                      n_pseudo: int = 0) -> ScenarioArrays:
     """A scenario's world-frame rows, stacked once, for the batch window
@@ -513,7 +515,7 @@ def _batch_windows(batch, shifts, tfs=None):
     Same-shape scenarios are stacked; per shift, each stack is framed,
     rotated (one `to_frame_xy`) and laid out (one `featurize` of its
     windows' history rows, presence flags and map rows) at once.
-    Returns (WindowBatch of len(shifts) * B windows, and the (B, J+1, T, 2)
+    Returns (a WindowBatch holding len(shifts) * B windows, and the (B, J+1, T, 2)
     targets in the frames of the first shift's windows).
     """
     if not batch:
@@ -568,12 +570,12 @@ def make_window(scenario):
     raises as check_windows(scenario) does.
 
     Given a list of scenarios, checks each one and returns their nominal
-    windows as one WindowBatch, from the batch window builder. The list may
-    hold their ScenarioArrays instead (`_list_arrays`).
+    windows as one WindowBatch. The list may hold their ScenarioArrays
+    instead (`_list_arrays`). Either way the windows come from the batch
+    window builder.
     """
     if isinstance(scenario, Scenario):
-        check_windows(scenario)
-        return _cut_window(scenario, 0)
+        return make_shift_pair(scenario, 0)[0]
     return _batch_windows(_list_arrays(scenario, 0), (0,))[0]
 
 
@@ -582,7 +584,8 @@ def make_shift_pair(scenario, s: int):
 
     Window A is the nominal window (with GT); window B slides the history s
     frames forward and gets its own agent frame, no GT. s = 0 gives window A
-    twice. Raises as check_windows(scenario, s) does.
+    twice. Raises as check_windows(scenario, s) does. Each Window holds its
+    one-window batch from the batch window builder.
 
     Given a list of scenarios, checks each one and returns two WindowBatch
     objects, every window A and then every window B, from the batch window
@@ -590,9 +593,11 @@ def make_shift_pair(scenario, s: int):
     hold their ScenarioArrays instead (`_list_arrays`).
     """
     if isinstance(scenario, Scenario):
-        check_windows(scenario, s)
-        window_a = _cut_window(scenario, 0)
-        return window_a, (window_a if s == 0 else _cut_window(scenario, s))
+        batch = _batch_windows([_scenario_arrays(scenario, s)], (0, s) if s else (0,))[0]
+        window_a = Window(scenario_id=scenario.scenario_id, batch=batch[:1],
+                          gt_future=scenario.gt_future())
+        return window_a, (Window(scenario_id=scenario.scenario_id, batch=batch[1:], shift=s)
+                          if s else window_a)
     arrays = _list_arrays(scenario, s)
     batch = _batch_windows(arrays, (0, s))[0]
     return batch[:len(arrays)], batch[len(arrays):]

@@ -10,6 +10,7 @@ checkpoints, and reports.
 from __future__ import annotations
 
 import csv
+import ctypes
 import dataclasses
 import json
 import math
@@ -21,7 +22,7 @@ import numpy as np
 from . import losses
 from .core import (FUTURE_LEN, HISTORY_LEN, TrajcastError, compose_frames, sample_transform,
                    text_input)
-from .data import (_batch_windows, _scenario_arrays, branch_futures, check_windows,
+from .data import (MAX_NOISE, _batch_windows, _scenario_arrays, branch_futures, check_windows,
                    make_shift_pair, make_window)
 from .matching import CRITERIA, STRATEGIES, match, similarity
 from .metrics import MISS_THRESHOLD_METERS, MetricReport, report
@@ -97,6 +98,8 @@ class TrainConfig:
             raise ValueError(f"need 0 <= lr < inf, got {self.lr}")
         if not (0 < self.lr_decay <= 1) or self.lr_decay_every < 1:
             raise ValueError("need 0 < lr_decay <= 1 and lr_decay_every >= 1")
+        if self.seed < 0:
+            raise ValueError(f"need seed >= 0, got seed={self.seed}")
         if self.k < 1 or self.j < 0 or self.feature_dim < 1:
             raise ValueError("need k >= 1, j >= 0, feature_dim >= 1")
         if not (1 <= self.s < self.horizon):
@@ -121,6 +124,8 @@ class TrainConfig:
                              f"got spatial_flip_prob={self.spatial_flip_prob}")
         if not 0 <= self.spatial_noise < math.inf:
             raise ValueError(f"need 0 <= spatial_noise < inf, got {self.spatial_noise}")
+        if self.spatial_noise > MAX_NOISE:
+            raise ValueError(f"need spatial_noise <= {MAX_NOISE:g}, got {self.spatial_noise}")
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(n_modes=self.k, horizon=self.horizon,
@@ -202,6 +207,36 @@ class Adam:
 def lr_at_epoch(config: TrainConfig, epoch: int) -> float:
     """Step decay: lr * decay^(epoch // every), epoch counted from 0."""
     return config.lr * config.lr_decay ** (epoch // config.lr_decay_every)
+
+
+# glibc's mallopt parameters, and the values `train` gives them: the largest
+# mmap threshold glibc accepts on 64-bit, and a trim threshold well above a
+# training step's working set
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+HEAP_MMAP_THRESHOLD = 32 << 20
+HEAP_TRIM_THRESHOLD = 64 << 20
+
+
+def _steady_heap() -> None:
+    """Fix the C heap's thresholds for the process, so each training step
+    takes its arrays from the heap as the step before did.
+
+    By default glibc maps an allocation above a threshold afresh, and the
+    system zero-fills its pages as they are first touched; it returns a
+    free heap top above a second threshold to the system; and it raises
+    both thresholds when a mapped block is freed. Whether a step's arrays
+    are mapped and faulted in anew each step then depends on what the
+    process freed before: on the desk config a step took 0 or about 1,400
+    minor page faults by that alone, and the training rate moved with them.
+    A C library without mallopt is left as it is.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, HEAP_MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, HEAP_TRIM_THRESHOLD)
 
 
 def _scenario_step(params: ParamStore, model_cfg: ModelConfig, config: TrainConfig,
@@ -288,12 +323,14 @@ def train(config: TrainConfig, scenarios, pseudo_targets: dict | None = None,
     the batch-mean loss parts, their total (l_reg + l_cls + l_temp + l_spa,
     added in that order), the norm of the batch-mean gradient and the
     parameter norm after the step; the same records go to log_path as JSON
-    lines when given.
+    lines when given. The C heap's thresholds are fixed for the process
+    first (`_steady_heap`).
     """
     if not scenarios:
         raise ValueError("cannot train on an empty dataset")
     model_cfg = config.model_config()
     cached = _training_arrays(config, scenarios, pseudo_targets)
+    _steady_heap()
 
     params = init_params(model_cfg, config.seed)
     optimizer = Adam(params)
@@ -443,7 +480,7 @@ def jitter_score(predict_fn, scenarios, s: int) -> float:
     1 <= s < future_len; every scenario is checked before the first
     prediction.
 
-    predict_fn maps a WindowBatch of W windows to ((W, K, T, 2) world-frame
+    predict_fn maps a W-window WindowBatch to ((W, K, T, 2) world-frame
     trajectories, (W, K) scores), as `predict` does. Every scenario is
     checked and stacked first (`_scenario_arrays`); then the windows are cut
     a run of scenarios at a time (`make_shift_pair` on each of `_chunks`),

@@ -7,10 +7,11 @@ the completed trajectories as anchors and regresses per-anchor offsets plus
 raw classification scores.
 
 Forward passes cache the intermediates exact reverse-mode differentiation
-needs; `backward` consumes that trace. Both take one Window or a WindowBatch:
-the encoder runs on blocks of windows with the same row count (one BLAS call
-per window and layer, each with the shapes it would have on its own), the
-heads as one matmul over every window. The goal and completion heads are
+needs; `backward` consumes that trace. `forward` and `predict` take a
+WindowBatch, or one Window, which holds its one-window batch. The encoder
+runs on blocks of windows with the same row count (one BLAS call per window
+and layer, each with the shapes it would have on its own), the heads as one
+matmul over every window. The goal and completion heads are
 one two-layer rule, `_mlp`, whose backward pass, `_mlp_backward`, serves
 the refinement head's residual block too. No autograd framework is involved,
 which keeps training deterministic and the gradient path inspectable.
@@ -28,7 +29,7 @@ import numpy as np
 
 from .core import (DT, FUTURE_LEN, HISTORY_LEN, IDENTITY_FRAME, PredictionSet,
                    Trajectory, TrajcastError, from_frame_xy, json_array,
-                   softmax, softmax_backprop, text_input, to_frame_xy)
+                   softmax, softmax_backprop, text_input)
 
 FEATURE_DIM = 5  # (x, y, t_rel_seconds, is_map, present)
 
@@ -40,10 +41,6 @@ HEAD_BLOCK = 64
 # windows of N rows each. Of 2^13..2^16 this was fastest at C = 32 and 64: larger
 # (N, g, C) activations spill the cache, smaller ones make more calls per window.
 ENCODER_BLOCK = 2 ** 15
-
-
-class EmptyHistory(TrajcastError):
-    """Encoder input has no history points."""
 
 
 class StaleTrace(TrajcastError):
@@ -221,29 +218,13 @@ def _mlp_backward(params: ParamStore, grads: ParamStore, head: str, x: np.ndarra
 class WindowBatch:
     """Encoder inputs of W windows: each window's (N_w, 5) `featurize` rows
     (N_w may differ), its agent-frame history flattened, (W, 2M), and its
-    agent Frame. Slicing gives the batch of a run of its windows; the batch
-    window builder, `data._batch_windows`, gives it for stacked scenarios."""
+    agent Frame. Slicing gives the batch of a run of its windows. The batch
+    window builder, `data._batch_windows`, gives it for stacked scenarios,
+    and so for the one window a `core.Window` holds."""
 
     points: tuple
     hist_flat: np.ndarray
     frames: tuple
-
-    @classmethod
-    def of(cls, windows) -> "WindowBatch":
-        """The batch of Window objects, each framed (one `to_frame_xy` call)
-        and laid out on its own."""
-        points = []
-        for w in windows:
-            m = w.history_len
-            if m == 0:
-                raise EmptyHistory(f"window for {w.scenario_id} has no history points")
-            xy = to_frame_xy(np.concatenate([w.history_xy, *(p.points for p in w.map_polylines)]),
-                             w.frame)
-            points.append(featurize(xy[:m], w.history_mask, xy[m:]))
-        return cls(points=tuple(points),
-                   hist_flat=np.stack([p[:w.history_len, :2].reshape(-1)
-                                       for p, w in zip(points, windows)]),
-                   frames=tuple(w.frame for w in windows))
 
     def __len__(self) -> int:
         return len(self.points)
@@ -353,12 +334,13 @@ def refine_backward(params: ParamStore, cfg: ModelConfig, trace: RefineTrace,
 
 
 def forward(params: ParamStore, cfg: ModelConfig, window):
-    """Full two-stage forward pass over one Window or a WindowBatch.
+    """Full two-stage forward pass over a WindowBatch, or one Window (its
+    one-window batch).
 
     Returns (outputs, trace). outputs holds agent-frame arrays:
       phi (C,), goals (K, 2) or None, completion (K, T, 2),
       offsets (K, T, 2), refined (K, T, 2), raw_cls (K,), probs (K,);
-    for a WindowBatch of W windows each gains a leading (W,) axis.
+    for a W-window WindowBatch each gains a leading (W,) axis.
 
     The encoder runs on the blocks of `_encoder_blocks`, each laid out
     window-minor: a layer is one batched matmul, which numpy runs as one BLAS
@@ -373,7 +355,7 @@ def forward(params: ParamStore, cfg: ModelConfig, window):
 def _forward(params: ParamStore, cfg: ModelConfig, window, keep_trace: bool):
     """`forward`; without `keep_trace` the trace is None and the encoder
     keeps no activation past its block."""
-    batch = window if isinstance(window, WindowBatch) else WindowBatch.of([window])
+    batch = window if isinstance(window, WindowBatch) else window.batch
     w, k, t, c = len(batch.points), cfg.n_modes, cfg.horizon, cfg.feature_dim
     phi = np.empty((w, c))
     encoder, blocks = [], _encoder_blocks(batch.points, c)
@@ -529,15 +511,15 @@ def backward(params: ParamStore, trace: ForwardTrace, upstream: dict) -> ParamSt
 def predict(params: ParamStore, cfg: ModelConfig, window):
     """Inference: K world-frame trajectories with normalized scores.
 
-    One Window gives a PredictionSet. A WindowBatch of W windows (what
-    `make_window` and `make_shift_pair` give on a list of scenarios) gives
-    arrays: ((W, K, T, 2) world-frame trajectories, (W, K) scores), mapped to
+    One Window gives a PredictionSet of its one-window batch. A WindowBatch
+    of W windows (what `make_window` and `make_shift_pair` give on a list of
+    scenarios) gives arrays: ((W, K, T, 2) world-frame trajectories, (W, K) scores), mapped to
     the world frame through the batch's frames. Either way one forward pass,
     keeping no trace, runs per HEAD_BLOCK windows, a short last block padded
     with empty windows whose rows are dropped, so a window's prediction has
     the same bits whichever windows it is predicted with.
     """
-    batch = window if isinstance(window, WindowBatch) else WindowBatch.of([window])
+    batch = window if isinstance(window, WindowBatch) else window.batch
     refined = np.empty((len(batch), cfg.n_modes, cfg.horizon, 2))
     probs = np.empty((len(batch), cfg.n_modes))
     # finite parameters whose products overflow predict inf or NaN; numpy

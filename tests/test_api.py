@@ -23,18 +23,21 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 # JSON numbers are read by one rule, core.json_array. A step record is built
 # from one key tuple, harness.STEP_KEYS, and a window's encoder rows are laid
 # out by one function, predictor.featurize. Every rotation is built by
-# core.rotation_matrices, and a single Frame is the stack of one.
+# core.rotation_matrices, and a single Frame is the stack of one. A Window
+# holds its one-window batch from the batch window builder, so no window is
+# cut or laid out on its own, and its history is never empty.
 REMOVED = {
     "losses": ("huber", "wta_target_loss", "_wta_arrays", "total_loss", "_huber_elem",
                "_huber_grad", "LossBreakdown", "make_breakdown"),
     "core": ("Waypoint", "agent_frame", "to_frame", "from_frame", "AugmentSpec",
              "IDENTITY_AUGMENT", "sample_heading_jitter", "json_number_pairs", "rotate_xy",
              "rotation_matrix"),
-    "predictor": ("zero_params", "_layer_array", "encoder_rows"),
+    "predictor": ("zero_params", "_layer_array", "encoder_rows", "EmptyHistory"),
     "ensemble": ("pool",),
     "metrics": ("ade", "fde"),
     "matching": ("_points",),
     "harness": ("SEED_ENV_VAR",),
+    "data": ("_cut_window",),
 }
 
 
@@ -61,6 +64,9 @@ def test_removed_names_are_gone_from_the_package_and_the_readme():
     # which JSON values are numbers to core alone
     assert not hasattr(trajcast.predictor, "ScenarioArrays")
     assert not hasattr(importlib.import_module("trajcast.cli"), "JSON_NUMBER_TYPES")
+    assert not hasattr(trajcast.predictor.WindowBatch, "of")
+    window_fields = {f.name for f in dataclasses.fields(trajcast.core.Window)}
+    assert not window_fields & {"history_xy", "history_mask", "map_polylines"}
 
 
 # parameters that every caller left at one value; each is now a constant

@@ -14,11 +14,11 @@ from hypothesis import given, settings, strategies as st
 from conftest import prediction_set, straight_scenario, straight_track
 from trajcast.core import (AgentTrack, Frame, IDENTITY_FRAME, MissingTargetFrame,
                            PredictionSet, Scenario, ScenarioArrays, SceneTransform, TargetSet,
-                           Trajectory, Window, apply_transform, check_probabilities,
+                           Trajectory, apply_transform, check_probabilities,
                            compose_frames, from_frame_xy, heading_frame, json_array,
                            normalize_angle, rotation_matrices, sample_transform, to_frame_xy,
                            track_frame)
-from trajcast.data import MODES, MalformedRow, SyntheticSpec, load_csv, save_csv
+from trajcast.data import MODES, MalformedRow, SyntheticSpec, load_csv, make_window, save_csv
 from trajcast.ensemble import MalformedRecord, load_prediction_dump
 from trajcast.losses import SpatialPermutation
 from trajcast.predictor import (MalformedCheckpoint, ModelConfig, init_params, load_checkpoint,
@@ -404,13 +404,10 @@ def test_sample_transform_respects_spec():
 
 def test_window_accessors():
     sc = straight_scenario(heading=1.0)
-    frame = track_frame(sc.target, sc.history_len - 1)
-    win = Window(scenario_id=sc.scenario_id, history_xy=sc.target.xy[:20],
-                 history_mask=sc.target.present[:20],
-                 map_polylines=sc.map_polylines, frame=frame,
-                 gt_future=sc.gt_future())
-    assert win.history_len == 20
+    win = make_window(sc)
+    assert win.frame == track_frame(sc.target, sc.history_len - 1)
     hist = win.history_in_frame()
+    assert np.array_equal(hist, to_frame_xy(sc.target.xy[:20], win.frame))
     assert np.allclose(hist[-1], [0.0, 0.0], atol=1e-12)
     # heading aligned: previous step sits on the -x axis
     assert hist[-2][0] < 0 and abs(hist[-2][1]) < 1e-9

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from trajcast.core import (AgentTrack, MissingTargetFrame, Scenario, Trajectory, TrajcastError,
-                          json_array)
+                          json_array, to_frame_xy)
 from trajcast.data import (CSV_HEADER, DT, FUTURE_LEN, HISTORY_LEN, InsufficientFrames,
                            MalformedRow, MissingAgent, SyntheticSpec,
                            TOTAL_FRAMES, WrongFrameCount, branch_futures,
@@ -123,6 +123,13 @@ def test_spec_validation():
         SyntheticSpec(branch_probs=(1.0,))
     with pytest.raises(ValueError):
         SyntheticSpec(scenario_count=-1)
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        SyntheticSpec(seed=-1)
+    # finite, but a path integral or a noise draw past the bound overflows
+    with pytest.raises(ValueError, match=r"^speed_range must satisfy hi <= 1e\+06"):
+        SyntheticSpec(speed_range=(5.0, 1e308))
+    with pytest.raises(ValueError, match=r"^noise_sigma must satisfy noise_sigma <= 1e\+06"):
+        SyntheticSpec(noise_sigma=1e308)
 
 
 # -- CSV ----------------------------------------------------------------------
@@ -292,8 +299,8 @@ def test_make_window_fields():
     sc = generate(_spec(mode_mix=_only("straight")))[0]
     win = make_window(sc)
     assert win.scenario_id == sc.scenario_id
-    assert win.history_len == HISTORY_LEN
-    np.testing.assert_array_equal(win.history_xy, sc.target.xy[:HISTORY_LEN])
+    np.testing.assert_array_equal(win.history_in_frame(),
+                                  to_frame_xy(sc.target.xy[:HISTORY_LEN], win.frame))
     assert len(win.gt_future) == FUTURE_LEN
     assert win.shift == 0
     # frame's origin sits on the last history point
@@ -308,8 +315,8 @@ def test_make_shift_pair():
     a, b = make_shift_pair(sc, s=2)
     assert a.shift == 0 and b.shift == 2
     assert b.gt_future is None
-    np.testing.assert_array_equal(b.history_xy,
-                                  sc.target.xy[2:HISTORY_LEN + 2])
+    np.testing.assert_array_equal(b.history_in_frame(),
+                                  to_frame_xy(sc.target.xy[2:HISTORY_LEN + 2], b.frame))
     np.testing.assert_array_equal(np.array(b.frame.origin),
                                   sc.target.xy[HISTORY_LEN + 1])
     with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ import hashlib
 import io
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -23,7 +24,7 @@ from conftest import straight_scenario
 from trajcast import cli, data, ensemble, harness
 from trajcast.core import (AgentTrack, MissingTargetFrame, Scenario, SceneTransform,
                            TargetSet, Trajectory, compose_frames, from_frame_xy, heading_frame,
-                           to_frame_xy)
+                           to_frame_xy, track_frame)
 from trajcast.data import (SyntheticSpec, _batch_windows, _scenario_arrays, generate,
                            make_shift_pair, make_window)
 from trajcast.harness import (Adam, NonFiniteLoss, ShapeMismatch, TrainConfig, _scenario_step,
@@ -31,7 +32,7 @@ from trajcast.harness import (Adam, NonFiniteLoss, ShapeMismatch, TrainConfig, _
                               make_config, run_grid, table2_rows, train)
 from trajcast.matching import SimilarityMatrix, match
 from trajcast.metrics import EmptyDataset
-from trajcast.predictor import (ModelConfig, ParamStore, WindowBatch, init_params,
+from trajcast.predictor import (ModelConfig, ParamStore, featurize, init_params,
                                 load_checkpoint, predict, save_checkpoint)
 
 TINY = {"epochs": 2, "batch_size": 4, "k": 2, "feature_dim": 8, "j": 2}
@@ -180,6 +181,7 @@ _BAD_AUGMENT_KEYS = [
     ({"spatial_noise": -1.0}, "need 0 <= spatial_noise < inf, got -1.0"),
     ({"spatial_noise": float("nan")}, "need 0 <= spatial_noise < inf, got nan"),
     ({"spatial_noise": float("inf")}, "need 0 <= spatial_noise < inf, got inf"),
+    ({"spatial_noise": 1e308}, "need spatial_noise <= 1e+06, got 1e+308"),
 ]
 
 
@@ -535,40 +537,61 @@ def _windowed_batches(draw):
     return scenarios, entries, tfs, s
 
 
+def _window_oracle(sc, s, heading_jitter=None):
+    """The window of sc ending s frames after t=0, framed and laid out on its
+    own: the agent frame (`track_frame`, or `heading_frame` with the heading
+    jitter), one `to_frame_xy` of its history and map rows, then
+    `featurize`. Returns (encoder rows, flattened history, frame)."""
+    m, target = sc.history_len, sc.target
+    end = m + s - 1
+    frame = (track_frame(target, end) if heading_jitter is None
+             else heading_frame(target.xy[end - 1], target.xy[end], heading_jitter))
+    xy = to_frame_xy(np.concatenate([target.xy[s:m + s], *(p.points for p in sc.map_polylines)]),
+                     frame)
+    return featurize(xy[:m], target.present[s:m + s], xy[m:]), xy[:m].reshape(-1), frame
+
+
+def _assert_windows_are(batches, expected):
+    """The windows of the WindowBatch runs `batches`, in order, have exactly
+    the rows, flattened history and frame of each `_window_oracle` entry."""
+    points = [p for batch in batches for p in batch.points]
+    assert len(points) == len(expected)
+    assert all(np.array_equal(p, rows) for p, (rows, _, _) in zip(points, expected))
+    assert np.array_equal(np.concatenate([batch.hist_flat for batch in batches]),
+                          np.stack([hist for _, hist, _ in expected]))
+    assert tuple(f for batch in batches for f in batch.frames) == tuple(
+        frame for _, _, frame in expected)
+
+
 @settings(max_examples=60, deadline=None)
 @given(_windowed_batches())
-def test_batch_windows_match_the_window_path(case):
-    """Every window the batch builder makes, with its history, targets and
-    frame, is what the flipped and scaled Scenario gives through
-    make_shift_pair and featurize, to 1e-12, and so is the frame map the
-    step builds from its frames with compose_frames: mixed row
+def test_batch_windows_match_the_window_oracle(case):
+    """Every window the batch builder makes has exactly the rows, history
+    and frame that `_window_oracle` gives the flipped and scaled Scenario,
+    and its targets, and the frame map the step builds from its frames with
+    compose_frames, are those of the oracle's frames to 1e-12: mixed row
     counts, pseudo targets on some scenarios, every flip, scale and heading
     jitter, missing history frames, and stationary anchors (the
     STATIONARY_EPS fallback)."""
     scenarios, entries, tfs, s = case
     n_pseudo = max(0 if e is None else len(e[0]) for e in entries)
     batch = [_scenario_arrays(sc, s, e, n_pseudo) for sc, e in zip(scenarios, entries)]
-    inputs, targets = _batch_windows(batch, (0, s) if s else (0,), tfs)
+    shifts = (0, s) if s else (0,)
+    inputs, targets = _batch_windows(batch, shifts, tfs)
     frame_map = (compose_frames(inputs.frames[len(batch):], inputs.frames[:len(batch)])
                  if s else None)
-    pairs = [[dataclasses.replace(w, frame=heading_frame(*w.history_xy[-2:], tf.heading_jitter))
-              for w in make_shift_pair(_transformed(sc, tf), s)]
-             for sc, tf in zip(scenarios, tfs)]
-    windows = [a for a, _ in pairs] + ([b for _, b in pairs] if s else [])
-    expected = WindowBatch.of(windows)
-    assert len(inputs.points) == len(windows)
-    for got, want in zip(inputs.points, expected.points):
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(inputs.hist_flat, expected.hist_flat, rtol=1e-12, atol=1e-12)
-    assert inputs.frames == expected.frames
-    for i, (entry, tf, (window_a, window_b)) in enumerate(zip(entries, tfs, pairs)):
-        gt = window_a.gt_future.points
+    moved = [_transformed(sc, tf) for sc, tf in zip(scenarios, tfs)]
+    expected = [_window_oracle(sc, shift, tf.heading_jitter)
+                for shift in shifts for sc, tf in zip(moved, tfs)]
+    _assert_windows_are([inputs], expected)
+    for i, (entry, tf, sc) in enumerate(zip(entries, tfs, moved)):
+        frame_a, frame_b = expected[i][2], expected[-len(batch) + i][2]
+        gt = sc.gt_future().points
         pseudo = [] if entry is None else [tf.apply_xy(p) for p in entry[0]]
-        want = [to_frame_xy(p, window_a.frame)
-                for p in [gt, *pseudo, *([gt] * (n_pseudo - len(pseudo)))]]
+        want = [to_frame_xy(p, frame_a) for p in [gt, *pseudo, *([gt] * (n_pseudo - len(pseudo)))]]
         np.testing.assert_allclose(targets[i], want, rtol=1e-12, atol=1e-12)
         if s:
-            fmap = compose_frames(window_b.frame, window_a.frame)
+            fmap = compose_frames(frame_b, frame_a)
             np.testing.assert_allclose(frame_map.matrix[i], fmap.matrix, rtol=1e-12,
                                        atol=1e-12)
             np.testing.assert_allclose(frame_map.offset[i], fmap.offset, rtol=1e-12,
@@ -596,28 +619,27 @@ def _scenario_lists(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(_scenario_lists(), st.integers(1, 11))
-def test_list_forms_equal_the_single_window_path(case, chunk):
-    """make_window and make_shift_pair on each run of scenarios the commands
-    build at a time (`harness._chunks`, 1 to 11 per run here) give exactly
-    the rows, hist_flat and frames of each scenario's own windows through
-    make_shift_pair and featurize: several shape groups per run, missing
-    history frames, stationary anchors, s = 0..3."""
+def test_window_forms_equal_the_window_oracle(case, chunk):
+    """make_window and make_shift_pair, on each run of scenarios the
+    commands build at a time (`harness._chunks`, 1 to 11 per run here) and
+    on each scenario alone, give exactly the rows, hist_flat and frames
+    `_window_oracle` gives each scenario's windows: several shape groups per
+    run, missing history frames, stationary anchors, s = 0..3."""
     scenarios, s = case
     with mock.patch.object(harness, "HEAD_BLOCK", chunk):
         runs = harness._chunks(scenarios)
     assert [sc for run in runs for sc in run] == scenarios
     assert max(map(len, runs)) <= chunk
-    pairs = [make_shift_pair(sc, s) for sc in scenarios]
-    want_a = WindowBatch.of([a for a, _ in pairs])
-    want_b = WindowBatch.of([b for _, b in pairs])
+    want_a = [_window_oracle(sc, 0) for sc in scenarios]
+    want_b = [_window_oracle(sc, s) for sc in scenarios]
     run_pairs = [make_shift_pair(run, s) for run in runs]
+    pairs = [make_shift_pair(sc, s) for sc in scenarios]
     for got, want in (([make_window(run) for run in runs], want_a),
-                      ([a for a, _ in run_pairs], want_a), ([b for _, b in run_pairs], want_b)):
-        points = [p for batch in got for p in batch.points]
-        assert len(points) == len(want.points)
-        assert all(np.array_equal(p, q) for p, q in zip(points, want.points))
-        assert np.array_equal(np.concatenate([batch.hist_flat for batch in got]), want.hist_flat)
-        assert tuple(f for batch in got for f in batch.frames) == want.frames
+                      ([a for a, _ in run_pairs], want_a), ([b for _, b in run_pairs], want_b),
+                      ([make_window(sc).batch for sc in scenarios], want_a),
+                      ([a.batch for a, _ in pairs], want_a),
+                      ([b.batch for _, b in pairs], want_b)):
+        _assert_windows_are(got, want)
 
 
 # every record of a small run (augmentation, pseudo targets on every other
@@ -1050,18 +1072,17 @@ def test_a_non_finite_prediction_is_refused_by_its_scenario(monkeypatch):
 def test_commands_cut_and_lay_out_no_window_on_its_own(tmp_path, monkeypatch):
     """evaluate, dump_checkpoint, jitter_checkpoint and branch_coverage take
     their windows from the list forms of make_window and make_shift_pair,
-    never from a Window cut or laid out one at a time."""
+    never from the single-scenario forms, which build one Window at a time."""
     scenarios = _dataset(mode="junction", count=5)
     model_cfg = _tiny_config().model_config()
     params = init_params(model_cfg, seed=0)
     ckpt = tmp_path / "model.json"
     save_checkpoint(ckpt, params, model_cfg, seed=0, epoch=0)
 
-    def refuse(*args):
-        raise AssertionError("a window was cut or laid out on its own")
+    def refuse(*args, **kwargs):
+        raise AssertionError("a window was cut and laid out on its own")
 
-    monkeypatch.setattr(data, "_cut_window", refuse)
-    monkeypatch.setattr(WindowBatch, "of", refuse)
+    monkeypatch.setattr(data, "Window", refuse)
     assert evaluate(params, model_cfg, scenarios).n_scenarios == 5
     harness.dump_checkpoint(ckpt, scenarios, tmp_path / "dump.jsonl")
     assert harness.jitter_checkpoint(ckpt, scenarios, 2) >= 0.0
@@ -1321,6 +1342,37 @@ def test_inference_commands_leave_numpy_ma_unimported(tmp_path):
     assert (paths["out"] / "pseudo.jsonl").exists()
 
 
+# Trains on four scenarios, then runs ten rounds of a training step's
+# allocation pattern (40 arrays of 200 KiB, written, then all freed) and
+# prints each round's minor page faults.
+_HEAP_ROUNDS = """
+import resource
+import numpy as np
+from trajcast import data, harness
+
+spec = data.SyntheticSpec(scenario_count=4, mode_mix={"straight": 1.0}, seed=0)
+harness.train(harness.make_config({"k": 2, "feature_dim": 4, "batch_size": 4, "epochs": 1}),
+              data.generate(spec))
+for _ in range(10):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    arrays = [np.ones(25_600) for _ in range(40)]
+    del arrays
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="fixes glibc's thresholds")
+def test_after_train_freed_arrays_stay_in_the_heap(tmp_path):
+    """With glibc's default thresholds each round gives its 8 MB back and
+    faults it in again, about 1,900 faults a round; after `train` fixes
+    them, only the first round faults."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    result = subprocess.run([sys.executable, "-c", _HEAP_ROUNDS], env=env, check=True,
+                            capture_output=True, text=True, timeout=300)
+    faults = [int(n) for n in result.stdout.split()]
+    assert len(faults) == 10 and sum(faults[2:]) < 800, faults
+
+
 @pytest.mark.parametrize("mix", ["junction", "junction=1,straight"])
 def test_cli_generate_rejects_mode_mix_without_weight(tmp_path, mix):
     with pytest.raises(SystemExit, match="--mode-mix expects name=weight"):
@@ -1441,6 +1493,36 @@ def test_generate_refuses_a_non_finite_setting_naming_the_field(tmp_path, capsys
     with pytest.raises(SystemExit) as exc:
         cli.main(["generate", "--out", str(out), "--count", "2", flag, value])
     assert str(exc.value) == f"generate: {message}"
+    assert not out.exists() and capsys.readouterr().out == ""
+
+
+_REFUSED_UP_FRONT = [
+    (["generate", "--seed", "-1"], "generate: seed must be >= 0, got -1"),
+    (["train", "--set", "seed=-1"], "train: need seed >= 0, got seed=-1"),
+    (["cluster", "--seed", "-1"], "cluster: need seed >= 0, got seed=-1"),
+    (["generate", "--speed-lo", "1e308", "--speed-hi", "1e308"],
+     "generate: speed_range must satisfy hi <= 1e+06, got (1e+308, 1e+308)"),
+    (["generate", "--noise", "1e308"],
+     "generate: noise_sigma must satisfy noise_sigma <= 1e+06, got 1e+308"),
+    (["train", "--set", "spatial_noise=1e308"], "train: need spatial_noise <= 1e+06, got 1e+308"),
+]
+
+
+@pytest.mark.parametrize("argv, message", _REFUSED_UP_FRONT,
+                         ids=[" ".join(argv) for argv, _ in _REFUSED_UP_FRONT])
+def test_a_negative_seed_or_an_overflowing_setting_is_refused_before_any_file_is_read(
+        tmp_path, capsys, argv, message):
+    """Each of these failed late: numpy's "expected non-negative integer",
+    after train had read the dataset and cluster every dump, an overflow in
+    the generator's path integral, or numpy's "high - low range exceeds valid
+    bounds" in the spatial noise draw. Now each names its key, before the
+    missing input is looked at."""
+    missing, out = tmp_path / "missing", tmp_path / "out"
+    where = {"generate": [], "train": ["--data", str(missing)],
+             "cluster": ["--dump", f"a={missing}"]}[argv[0]]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv[:1] + ["--out", str(out)] + where + argv[1:])
+    assert str(exc.value) == message
     assert not out.exists() and capsys.readouterr().out == ""
 
 

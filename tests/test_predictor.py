@@ -12,8 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import straight_scenario
 from trajcast import data, predictor
-from trajcast.core import IDENTITY_FRAME, Trajectory, Window, heading_frame, track_frame
-from trajcast.predictor import (EmptyHistory, MalformedCheckpoint, ModelConfig, StaleTrace,
+from trajcast.core import IDENTITY_FRAME, SceneTransform, Trajectory, Window
+from trajcast.predictor import (MalformedCheckpoint, ModelConfig, StaleTrace,
                                 WindowBatch,
                                 _layer_shapes, backward, forward,
                                 init_params, load_checkpoint, predict,
@@ -25,17 +25,13 @@ SMALL = ModelConfig(n_modes=2, horizon=3, history_len=20, feature_dim=8)
 
 def make_window(scenario=None, maps=None):
     sc = scenario or straight_scenario()
-    polylines = sc.map_polylines if maps is None else tuple(maps)
-    return Window(scenario_id=sc.scenario_id,
-                  history_xy=sc.target.xy[:sc.history_len],
-                  history_mask=sc.target.present[:sc.history_len],
-                  map_polylines=polylines, frame=track_frame(sc.target, sc.history_len - 1),
-                  gt_future=sc.gt_future(), shift=0)
+    maps = sc.map_polylines if maps is None else tuple(maps)
+    return data.make_window(dataclasses.replace(sc, map_polylines=maps))
 
 
 def test_featurize_layout():
     win = make_window()
-    points = WindowBatch.of([win]).points[0]
+    points = win.batch.points[0]
     assert points.shape == (20 + 50, 5)       # history rows then one 50-point polyline
     np.testing.assert_allclose(points[:20, 2], (np.arange(20) - 19) * 0.1)
     assert np.all(points[:20, 3] == 0.0) and np.all(points[20:, 3] == 1.0)
@@ -43,15 +39,6 @@ def test_featurize_layout():
     # straight track at 10 m/s: agent-frame history runs -19..0 along x
     np.testing.assert_allclose(points[:20, 0], np.arange(-19.0, 1.0), atol=1e-12)
     np.testing.assert_allclose(points[:20, 1], 0.0, atol=1e-12)
-
-
-def test_empty_history_raises():
-    sc = straight_scenario()
-    win = Window(scenario_id="empty", history_xy=np.zeros((0, 2)),
-                 history_mask=np.zeros(0, dtype=bool),
-                 map_polylines=sc.map_polylines, frame=track_frame(sc.target, sc.history_len - 1))
-    with pytest.raises(EmptyHistory):
-        forward(init_params(SMALL, 0), SMALL, win)[0]["phi"]
 
 
 def test_init_params_bounds_shapes_determinism():
@@ -153,7 +140,7 @@ def test_batched_forward_backward_equal_per_window_calls(seed, n_windows, use_go
                 "completion": rng.normal(size=(n_windows, 3, 30, 2)),
                 "probs": rng.normal(size=(n_windows, 3))}
 
-    out, trace = forward(params, cfg, WindowBatch.of(windows))
+    out, trace = forward(params, cfg, data.make_window(scenarios))
     grads = backward(params, trace, upstream).flat
     summed = np.zeros_like(grads)
     for i, window in enumerate(windows):
@@ -267,15 +254,16 @@ def _assert_predict_list_matches_per_window(params, cfg, batch, windows):
        use_refine=st.booleans())
 def test_predict_on_a_list_equals_per_window_predict(seed, n_scenarios, use_goal, use_refine):
     """predict on a WindowBatch stacks what predict gives each window; the
-    nominal and shifted windows of five-mode-mix scenarios, with heading
-    jitter, vary the frames."""
+    windows of five-mode-mix scenarios at shifts 0 to 5, with a heading
+    jitter per scenario, vary the frames."""
     cfg = ModelConfig(n_modes=3, horizon=30, history_len=20, feature_dim=8,
                       use_goal=use_goal, use_refine=use_refine)
     scenarios = data.generate(data.SyntheticSpec(scenario_count=n_scenarios, seed=seed))
-    windows = [dataclasses.replace(w, frame=heading_frame(*w.history_xy[-2:], 0.3 * i))
-               for i, sc in enumerate(scenarios) for w in data.make_shift_pair(sc, 1 + i % 5)]
-    _assert_predict_list_matches_per_window(init_params(cfg, seed=seed), cfg,
-                                            WindowBatch.of(windows), windows)
+    tfs = [SceneTransform(heading_jitter=0.3 * i) for i in range(n_scenarios)]
+    batch = data._batch_windows([data._scenario_arrays(sc, 5) for sc in scenarios],
+                                range(6), tfs)[0]
+    windows = [Window(scenario_id=str(i), batch=batch[i:i + 1]) for i in range(len(batch))]
+    _assert_predict_list_matches_per_window(init_params(cfg, seed=seed), cfg, batch, windows)
 
 
 @pytest.mark.parametrize("n_windows, blocks", [(1, 1), (63, 1), (64, 1), (65, 2), (130, 3)])
