@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import data, ensemble, harness
-from .core import TrajcastError, json_array, text_input
+from .core import TrajcastError, check_range, json_array, text_input
 
 
 def _parse_mode_mix(text: str) -> dict:
@@ -99,6 +99,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_jitter(args) -> int:
+    check_range("s", args.s, *harness.CONFIG_RANGES["s"])  # and s < future_len, on the data
     _need("--checkpoint", args.checkpoint)
     scenarios = _load_split(args, args.split)
     score = harness.jitter_checkpoint(args.checkpoint, scenarios, args.s)
@@ -115,8 +116,8 @@ def cmd_ensemble_dump(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    if args.seed < 0:
-        raise ValueError(f"need seed >= 0, got seed={args.seed}")
+    check_range("seed", args.seed, *harness.CONFIG_RANGES["seed"])
+    check_range("j", args.j, 1)
     tagged = []
     for item in args.dump:
         tag, sep, path = item.partition("=")

@@ -91,6 +91,18 @@ def check_dt(dt) -> None:
         raise ValueError(f"dt must be {DT}, got {dt!r}")
 
 
+def check_range(key: str, value, lo=None, hi=None, open_lo=False) -> None:
+    """The range rule of a numeric setting: lo <= value <= hi, lo < value with
+    open_lo, and value < inf for hi = inf; None leaves a side unbounded. Else
+    ValueError `need LO <= KEY <= HI, got KEY=VALUE` with the missing side left
+    out. NaN lies in no range with a bound."""
+    if not ((lo is None or (lo < value if open_lo else lo <= value))
+            and (hi is None or (value < hi if hi == math.inf else value <= hi))):
+        left = "" if lo is None else f"{lo:g} {'<' if open_lo else '<='} "
+        right = "" if hi is None else f" {'<' if hi == math.inf else '<='} {hi:g}"
+        raise ValueError(f"need {left}{key}{right}, got {key}={value}")
+
+
 def softmax(z: np.ndarray) -> np.ndarray:
     """Softmax over the last axis; the max-shift keeps it stable."""
     shifted = z - z.max(axis=-1, keepdims=True)

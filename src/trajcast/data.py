@@ -22,8 +22,8 @@ import numpy as np
 
 from .core import (DT, FUTURE_LEN, HISTORY_LEN, AgentTrack, MissingTargetFrame, Scenario,
                    ScenarioArrays, SceneTransform, Trajectory, TrajcastError, Window,
-                   apply_transform, check_dt, check_probabilities, heading_frame, json_array,
-                   rotation_matrices, target_arrays, text_input, to_frame_xy)
+                   apply_transform, check_dt, check_probabilities, check_range, heading_frame,
+                   json_array, rotation_matrices, target_arrays, text_input, to_frame_xy)
 from .predictor import WindowBatch, featurize
 
 MODES = ("straight", "turn-left", "turn-right", "lane-change", "junction")
@@ -34,10 +34,17 @@ TURN_FRAMES = 15          # frames over which a turn sweeps its full angle
 LANE_WIDTH = 3.5          # meters between adjacent lane centerlines
 AV_FOLLOW_FRAMES = 8      # the AV trails the agent by this many frames
 # bounds on finite settings whose arithmetic would overflow past them: a
-# generated speed in m/s, and a noise scale in meters (the generator's
-# noise_sigma and training's spatial_noise)
+# generated speed in m/s, a noise scale in meters (the generator's
+# noise_sigma and training's spatial_noise), training's augmentation scale
+# (aug_scale_lo/hi) and its learning rate
 MAX_SPEED = 1e6
 MAX_NOISE = 1e6
+MAX_SCALE = 1e6
+MAX_LR = 1.0
+# SyntheticSpec's int or float field name -> its (lo, hi, open_lo) for
+# core.check_range; each end of speed_range lies in SPEED_RANGE
+SPEC_RANGES = {"scenario_count": (0,), "noise_sigma": (0.0, MAX_NOISE), "seed": (0,)}
+SPEED_RANGE = (0.0, MAX_SPEED, True)
 
 CSV_HEADER = "TIMESTAMP,TRACK_ID,OBJECT_TYPE,X,Y,CITY_NAME"
 
@@ -78,28 +85,19 @@ class SyntheticSpec:
     branch_probs: tuple = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
 
     def __post_init__(self):
-        if self.scenario_count < 0:
-            raise ValueError("scenario_count must be >= 0")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for key, bounds in SPEC_RANGES.items():
+            check_range(key, getattr(self, key), *bounds)
         unknown = set(self.mode_mix) - set(MODES)
         if unknown:
             raise ValueError(f"unknown modes in mode_mix: {sorted(unknown)}")
         check_probabilities(self.mode_probs(), "mode_mix")
-        lo, hi = self.speed_range
-        if not 0.0 < lo <= hi < math.inf:
-            raise ValueError(f"speed_range must satisfy 0 < lo <= hi < inf, "
-                             f"got {self.speed_range}")
-        if hi > MAX_SPEED:
-            raise ValueError(f"speed_range must satisfy hi <= {MAX_SPEED:g}, "
-                             f"got {self.speed_range}")
-        # -0.0 too: numpy refuses a normal draw whose scale has its sign bit set
-        noise = self.noise_sigma
-        if not 0.0 <= noise < math.inf or math.copysign(1.0, noise) < 0:
-            raise ValueError(f"noise_sigma must satisfy 0 <= noise_sigma < inf, got {noise}")
-        if noise > MAX_NOISE:
-            raise ValueError(f"noise_sigma must satisfy noise_sigma <= {MAX_NOISE:g}, "
-                             f"got {noise}")
+        for end, speed in enumerate(self.speed_range):
+            check_range(f"speed_range[{end}]", speed, *SPEED_RANGE)
+        if self.speed_range[0] > self.speed_range[1]:
+            raise ValueError("need speed_range[0] <= speed_range[1], got speed_range[0]={}, "
+                             "speed_range[1]={}".format(*self.speed_range))
+        if math.copysign(1.0, self.noise_sigma) < 0:  # numpy's normal draw refuses it
+            raise ValueError("need noise_sigma without a sign bit, got noise_sigma=-0.0")
         if len(self.branch_probs) < 2:
             raise ValueError(f"branch_probs needs at least 2 entries, "
                              f"got {len(self.branch_probs)}")
@@ -384,8 +382,7 @@ def save_dataset(scenarios, out_dir, val_fraction: float = 0.2) -> Path:
     val_fraction outside [0, 1] (NaN too) raises ValueError naming it before
     anything is written.
     """
-    if not 0 <= val_fraction <= 1:
-        raise ValueError(f"need 0 <= val_fraction <= 1, got val_fraction={val_fraction}")
+    check_range("val_fraction", val_fraction, 0.0, 1.0)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     n_val = int(round(len(scenarios) * val_fraction))

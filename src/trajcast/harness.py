@@ -20,14 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import losses
-from .core import (FUTURE_LEN, HISTORY_LEN, TrajcastError, compose_frames, sample_transform,
-                   text_input)
-from .data import (MAX_NOISE, _batch_windows, _scenario_arrays, branch_futures, check_windows,
-                   make_shift_pair, make_window)
+from .core import (FUTURE_LEN, HISTORY_LEN, TrajcastError, check_range, compose_frames,
+                   sample_transform, text_input)
+from .data import (MAX_LR, MAX_NOISE, MAX_SCALE, _batch_windows, _scenario_arrays, branch_futures,
+                   check_windows, make_shift_pair, make_window)
 from .matching import CRITERIA, STRATEGIES, match, similarity
 from .metrics import MISS_THRESHOLD_METERS, MetricReport, report
-from .predictor import (HEAD_BLOCK, ModelConfig, ParamStore, backward, forward, init_params,
-                        load_checkpoint, predict, refine_backward, refine_forward,
+from .predictor import (HEAD_BLOCK, MODEL_RANGES, ModelConfig, ParamStore, backward, forward,
+                        init_params, load_checkpoint, predict, refine_backward, refine_forward,
                         save_checkpoint)
 
 
@@ -50,9 +50,9 @@ class TrainConfig:
 
     Field names double as the config-file key vocabulary. Every field is
     checked here, so a bad value stops a command before it reads any data;
-    each message names the key. A bool field takes a bool, an int field an
-    int that is not a bool, a float field an int or a float that is not a
-    bool, and a str field a str.
+    each message names the key. A bool field takes a bool, a str field a
+    str, an int field an int that is not a bool and a float field an int or
+    a float that is not a bool; each int and float lies in `CONFIG_RANGES`.
 
     No training code reads `j`: with use_mpt, training pads every scenario
     to the largest entry of its pseudo targets, whose count `trajcast
@@ -92,40 +92,19 @@ class TrainConfig:
             if not isinstance(value, kinds) or (isinstance(value, bool) and kind is not bool):
                 raise ValueError(f"config key {key!r}: expected {kind.__name__}, "
                                  f"got {value!r}")
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ValueError("need epochs >= 0, batch_size >= 1")
-        if not 0 <= self.lr < math.inf:
-            raise ValueError(f"need 0 <= lr < inf, got {self.lr}")
-        if not (0 < self.lr_decay <= 1) or self.lr_decay_every < 1:
-            raise ValueError("need 0 < lr_decay <= 1 and lr_decay_every >= 1")
-        if self.seed < 0:
-            raise ValueError(f"need seed >= 0, got seed={self.seed}")
-        if self.k < 1 or self.j < 0 or self.feature_dim < 1:
-            raise ValueError("need k >= 1, j >= 0, feature_dim >= 1")
-        if not (1 <= self.s < self.horizon):
-            raise ValueError(f"need 1 <= s < {self.horizon}, got s={self.s}")
+        for key, bounds in CONFIG_RANGES.items():
+            check_range(key, getattr(self, key), *bounds)
+        if self.s >= self.horizon:
+            raise ValueError(f"need s < horizon, got s={self.s}, horizon={self.horizon}")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"strategy must be one of {STRATEGIES}")
         if self.criterion not in CRITERIA:
             raise ValueError(f"criterion must be one of {CRITERIA}")
         if self.use_spatial and not self.use_refine:
             raise ValueError("spatial consistency needs the refinement head enabled")
-        if not 0 <= self.aug_flip <= 1:
-            raise ValueError(f"need 0 <= aug_flip <= 1, got aug_flip={self.aug_flip}")
-        # an infinite bound would overflow the uniform draw of sample_transform
-        if not 0 < self.aug_scale_lo <= self.aug_scale_hi < math.inf:
-            raise ValueError(f"need 0 < aug_scale_lo <= aug_scale_hi < inf, got aug_scale_lo="
+        if self.aug_scale_lo > self.aug_scale_hi:
+            raise ValueError(f"need aug_scale_lo <= aug_scale_hi, got aug_scale_lo="
                              f"{self.aug_scale_lo}, aug_scale_hi={self.aug_scale_hi}")
-        if not 0 <= self.heading_jitter_deg < math.inf:
-            raise ValueError(f"need 0 <= heading_jitter_deg < inf, "
-                             f"got {self.heading_jitter_deg}")
-        if not 0 <= self.spatial_flip_prob <= 1:
-            raise ValueError(f"need 0 <= spatial_flip_prob <= 1, "
-                             f"got spatial_flip_prob={self.spatial_flip_prob}")
-        if not 0 <= self.spatial_noise < math.inf:
-            raise ValueError(f"need 0 <= spatial_noise < inf, got {self.spatial_noise}")
-        if self.spatial_noise > MAX_NOISE:
-            raise ValueError(f"need spatial_noise <= {MAX_NOISE:g}, got {self.spatial_noise}")
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(n_modes=self.k, horizon=self.horizon,
@@ -138,6 +117,16 @@ class TrainConfig:
 
 # field name -> type; dataclasses.fields gives the types as strings here
 _FIELD_TYPES = typing.get_type_hints(TrainConfig)
+# int or float field name -> its (lo, hi, open_lo) for core.check_range; the
+# model's sizes share ModelConfig's
+CONFIG_RANGES = {
+    "epochs": (0,), "batch_size": (1,), "lr": (0.0, MAX_LR), "lr_decay": (0.0, 1.0, True),
+    "lr_decay_every": (1,), "k": MODEL_RANGES["n_modes"], "j": (0,), "s": (1,), "seed": (0,),
+    "feature_dim": MODEL_RANGES["feature_dim"], "horizon": MODEL_RANGES["horizon"],
+    "history_len": MODEL_RANGES["history_len"], "aug_flip": (0.0, 1.0),
+    "aug_scale_lo": (0.0, MAX_SCALE, True), "aug_scale_hi": (0.0, MAX_SCALE, True),
+    "heading_jitter_deg": (0.0, math.inf), "spatial_flip_prob": (0.0, 1.0),
+    "spatial_noise": (0.0, MAX_NOISE)}
 _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
           "0": False, "false": False, "no": False, "off": False}
 
@@ -493,9 +482,7 @@ def jitter_score(predict_fn, scenarios, s: int) -> float:
     """
     if not scenarios:
         raise ValueError("jitter needs at least one scenario")
-    horizon = min(sc.future_len for sc in scenarios)
-    if not 1 <= s < horizon:
-        raise ValueError(f"jitter needs 1 <= s < {horizon}, got s={s}")
+    check_range("s", s, 1, min(sc.future_len for sc in scenarios) - 1)
     arrays = [_scenario_arrays(sc, s) for sc in scenarios]
     total = 0.0
     for chunk in _chunks(arrays):

@@ -212,9 +212,9 @@ class SpatialPermutation:
 
 def sample_permutation(rng: np.random.Generator, shape, p_flip: float = 0.5,
                        noise_scale: float = 0.2) -> SpatialPermutation:
-    """Random flip plus uniform anchor noise in [-noise_scale, noise_scale]."""
+    """Random flip plus uniform anchor noise in [-noise_scale, noise_scale]; -0.0 reads as 0."""
     flip = bool(rng.random() < p_flip)
-    noise = rng.uniform(-noise_scale, noise_scale, size=shape)
+    noise = rng.uniform(-abs(noise_scale), abs(noise_scale), size=shape)
     return SpatialPermutation(flip=flip, noise=noise)
 
 

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import PredictionSet, TrajcastError
+from .core import PredictionSet, TrajcastError, check_range
 
 MISS_THRESHOLD_METERS = 2.0
 
@@ -74,8 +74,7 @@ def _min_metrics_arrays(trajs: np.ndarray, scores: np.ndarray, gt: np.ndarray,
                         k: int) -> MinMetrics:
     if k > trajs.shape[-3]:
         raise KTooLarge(f"k={k} exceeds prediction count {trajs.shape[-3]}")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    check_range("k", k, 1)
     if trajs.shape[-2] != gt.shape[-2]:
         raise LengthMismatch(f"trajectory lengths differ: {trajs.shape[-2]} vs {gt.shape[-2]}")
     # in mode order, so a tie for the minimum goes to the lowest mode index

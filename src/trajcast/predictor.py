@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import (DT, FUTURE_LEN, HISTORY_LEN, IDENTITY_FRAME, PredictionSet,
-                   Trajectory, TrajcastError, from_frame_xy, json_array,
+                   Trajectory, TrajcastError, check_range, from_frame_xy, json_array,
                    softmax, softmax_backprop, text_input)
 
 FEATURE_DIM = 5  # (x, y, t_rel_seconds, is_map, present)
@@ -42,6 +42,10 @@ HEAD_BLOCK = 64
 # (N, g, C) activations spill the cache, smaller ones make more calls per window.
 ENCODER_BLOCK = 2 ** 15
 
+# ModelConfig's int field name -> its (lo,) for core.check_range: a Scenario
+# has history_len >= 2, and a shift s needs 1 <= s < horizon
+MODEL_RANGES = {"n_modes": (1,), "horizon": (2,), "history_len": (2,), "feature_dim": (1,)}
+
 
 class StaleTrace(TrajcastError):
     """Backward called with a trace from an older parameter state."""
@@ -53,7 +57,7 @@ class MalformedCheckpoint(TrajcastError):
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Shapes and toggles of the predictor."""
+    """Shapes and toggles of the predictor; sizes lie in `MODEL_RANGES`."""
 
     n_modes: int = 6                # K
     horizon: int = FUTURE_LEN       # T
@@ -63,8 +67,8 @@ class ModelConfig:
     use_refine: bool = True
 
     def __post_init__(self):
-        if min(self.n_modes, self.horizon, self.history_len, self.feature_dim) < 1:
-            raise ValueError("all model dimensions must be >= 1")
+        for key, bounds in MODEL_RANGES.items():
+            check_range(key, getattr(self, key), *bounds)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -123,12 +123,12 @@ def test_spec_validation():
         SyntheticSpec(branch_probs=(1.0,))
     with pytest.raises(ValueError):
         SyntheticSpec(scenario_count=-1)
-    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+    with pytest.raises(ValueError, match=r"^need 0 <= seed, got seed=-1$"):
         SyntheticSpec(seed=-1)
     # finite, but a path integral or a noise draw past the bound overflows
-    with pytest.raises(ValueError, match=r"^speed_range must satisfy hi <= 1e\+06"):
+    with pytest.raises(ValueError, match=r"^need 0 < speed_range\[1\] <= 1e\+06"):
         SyntheticSpec(speed_range=(5.0, 1e308))
-    with pytest.raises(ValueError, match=r"^noise_sigma must satisfy noise_sigma <= 1e\+06"):
+    with pytest.raises(ValueError, match=r"^need 0 <= noise_sigma <= 1e\+06"):
         SyntheticSpec(noise_sigma=1e308)
 
 

@@ -167,21 +167,21 @@ def test_train_config_validation():
 _BAD_AUGMENT_KEYS = [
     ({"aug_flip": -0.1}, "need 0 <= aug_flip <= 1, got aug_flip=-0.1"),
     ({"aug_flip": 1.5}, "need 0 <= aug_flip <= 1, got aug_flip=1.5"),
-    ({"aug_scale_lo": 0.0}, "need 0 < aug_scale_lo <= aug_scale_hi < inf, "
-                            "got aug_scale_lo=0.0, aug_scale_hi=1.0"),
+    ({"aug_scale_lo": 0.0}, "need 0 < aug_scale_lo <= 1e+06, got aug_scale_lo=0.0"),
     ({"aug_scale_lo": 1.3, "aug_scale_hi": 1.2},
-     "need 0 < aug_scale_lo <= aug_scale_hi < inf, got aug_scale_lo=1.3, aug_scale_hi=1.2"),
-    ({"aug_scale_hi": float("inf")},
-     "need 0 < aug_scale_lo <= aug_scale_hi < inf, got aug_scale_lo=1.0, aug_scale_hi=inf"),
-    ({"heading_jitter_deg": -5.0}, "need 0 <= heading_jitter_deg < inf, got -5.0"),
-    ({"heading_jitter_deg": float("inf")}, "need 0 <= heading_jitter_deg < inf, got inf"),
+     "need aug_scale_lo <= aug_scale_hi, got aug_scale_lo=1.3, aug_scale_hi=1.2"),
+    ({"aug_scale_hi": float("inf")}, "need 0 < aug_scale_hi <= 1e+06, got aug_scale_hi=inf"),
+    ({"heading_jitter_deg": -5.0},
+     "need 0 <= heading_jitter_deg < inf, got heading_jitter_deg=-5.0"),
+    ({"heading_jitter_deg": float("inf")},
+     "need 0 <= heading_jitter_deg < inf, got heading_jitter_deg=inf"),
     ({"spatial_flip_prob": 1.5}, "need 0 <= spatial_flip_prob <= 1, got spatial_flip_prob=1.5"),
     ({"spatial_flip_prob": -0.5},
      "need 0 <= spatial_flip_prob <= 1, got spatial_flip_prob=-0.5"),
-    ({"spatial_noise": -1.0}, "need 0 <= spatial_noise < inf, got -1.0"),
-    ({"spatial_noise": float("nan")}, "need 0 <= spatial_noise < inf, got nan"),
-    ({"spatial_noise": float("inf")}, "need 0 <= spatial_noise < inf, got inf"),
-    ({"spatial_noise": 1e308}, "need spatial_noise <= 1e+06, got 1e+308"),
+    ({"spatial_noise": -1.0}, "need 0 <= spatial_noise <= 1e+06, got spatial_noise=-1.0"),
+    ({"spatial_noise": float("nan")}, "need 0 <= spatial_noise <= 1e+06, got spatial_noise=nan"),
+    ({"spatial_noise": float("inf")}, "need 0 <= spatial_noise <= 1e+06, got spatial_noise=inf"),
+    ({"spatial_noise": 1e308}, "need 0 <= spatial_noise <= 1e+06, got spatial_noise=1e+308"),
 ]
 
 
@@ -1443,10 +1443,12 @@ def _cli_inputs(tmp_path) -> dict:
     (["grid", "--preset", "table2", "--set", "epochs=abc"], "'epochs'"),
     (["grid", "--preset", "table2", "--set", "bogus=1"], "'bogus'"),
     (["train", "--set", "aug_flip=2"], r"^train: need 0 <= aug_flip <= 1, got aug_flip=2.0$"),
-    (["train", "--set", "spatial_noise=-1"], r"^train: need 0 <= spatial_noise < inf, got -1.0$"),
-    (["train", "--set", "spatial_noise=inf"], r"^train: need 0 <= spatial_noise < inf, got inf$"),
-    (["train", "--set", "lr=nan"], r"^train: need 0 <= lr < inf, got nan$"),
-    (["train", "--set", "lr=inf"], r"^train: need 0 <= lr < inf, got inf$"),
+    (["train", "--set", "spatial_noise=-1"],
+     r"^train: need 0 <= spatial_noise <= 1e\+06, got spatial_noise=-1.0$"),
+    (["train", "--set", "spatial_noise=inf"],
+     r"^train: need 0 <= spatial_noise <= 1e\+06, got spatial_noise=inf$"),
+    (["train", "--set", "lr=nan"], r"^train: need 0 <= lr <= 1, got lr=nan$"),
+    (["train", "--set", "lr=inf"], r"^train: need 0 <= lr <= 1, got lr=inf$"),
     (["grid", "--preset", "table2", "--set", "spatial_flip_prob=1.5"],
      r"^grid: need 0 <= spatial_flip_prob <= 1, got spatial_flip_prob=1.5$"),
     (["train", "--data", "{gappy}", "--split", "val"],
@@ -1454,10 +1456,10 @@ def _cli_inputs(tmp_path) -> dict:
     (["train", "--set", "use_mpt=true"], r"^train: use_mpt needs pseudo targets$"),
     (["train", "--set", "use_mpt=true", "--pseudo-targets", "{pseudo}"],
      r"^train: pseudo targets for straight-00000: trajectory 0 must be finite \(30, 2\)"),
-    (["jitter", "--s", "0"], r"^jitter: jitter needs 1 <= s < 30, got s=0$"),
-    (["jitter", "--s=-1"], r"^jitter: jitter needs 1 <= s < 30, got s=-1$"),
-    (["jitter", "--s", "30"], r"^jitter: jitter needs 1 <= s < 30, got s=30$"),
-    (["jitter", "--s", "31"], r"^jitter: jitter needs 1 <= s < 30, got s=31$"),
+    (["jitter", "--s", "0"], r"^jitter: need 1 <= s, got s=0$"),
+    (["jitter", "--s=-1"], r"^jitter: need 1 <= s, got s=-1$"),
+    (["jitter", "--s", "30"], r"^jitter: need 1 <= s <= 29, got s=30$"),
+    (["jitter", "--s", "31"], r"^jitter: need 1 <= s <= 29, got s=31$"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_cli_rejects_bad_values_with_a_message(tmp_path, argv, message):
     paths = _cli_inputs(tmp_path)
@@ -1473,11 +1475,11 @@ def test_cli_rejects_bad_values_with_a_message(tmp_path, argv, message):
 
 
 _NON_FINITE_SETTINGS = [
-    ("--noise", "nan", "noise_sigma must satisfy 0 <= noise_sigma < inf, got nan"),
-    ("--noise", "inf", "noise_sigma must satisfy 0 <= noise_sigma < inf, got inf"),
-    ("--noise", "-0.0", "noise_sigma must satisfy 0 <= noise_sigma < inf, got -0.0"),
-    ("--speed-hi", "inf", "speed_range must satisfy 0 < lo <= hi < inf, got (5.0, inf)"),
-    ("--speed-lo", "nan", "speed_range must satisfy 0 < lo <= hi < inf, got (nan, 15.0)"),
+    ("--noise", "nan", "need 0 <= noise_sigma <= 1e+06, got noise_sigma=nan"),
+    ("--noise", "inf", "need 0 <= noise_sigma <= 1e+06, got noise_sigma=inf"),
+    ("--noise", "-0.0", "need noise_sigma without a sign bit, got noise_sigma=-0.0"),
+    ("--speed-hi", "inf", "need 0 < speed_range[1] <= 1e+06, got speed_range[1]=inf"),
+    ("--speed-lo", "nan", "need 0 < speed_range[0] <= 1e+06, got speed_range[0]=nan"),
     ("--branch-probs", "0.5,0.5,nan", "branch_probs holds a non-finite value"),
     ("--mode-mix", "straight=nan,junction=1", "mode_mix holds a non-finite value"),
 ]
@@ -1497,14 +1499,24 @@ def test_generate_refuses_a_non_finite_setting_naming_the_field(tmp_path, capsys
 
 
 _REFUSED_UP_FRONT = [
-    (["generate", "--seed", "-1"], "generate: seed must be >= 0, got -1"),
-    (["train", "--set", "seed=-1"], "train: need seed >= 0, got seed=-1"),
-    (["cluster", "--seed", "-1"], "cluster: need seed >= 0, got seed=-1"),
+    (["generate", "--seed", "-1"], "generate: need 0 <= seed, got seed=-1"),
+    (["train", "--set", "seed=-1"], "train: need 0 <= seed, got seed=-1"),
+    (["cluster", "--seed", "-1"], "cluster: need 0 <= seed, got seed=-1"),
     (["generate", "--speed-lo", "1e308", "--speed-hi", "1e308"],
-     "generate: speed_range must satisfy hi <= 1e+06, got (1e+308, 1e+308)"),
+     "generate: need 0 < speed_range[0] <= 1e+06, got speed_range[0]=1e+308"),
     (["generate", "--noise", "1e308"],
-     "generate: noise_sigma must satisfy noise_sigma <= 1e+06, got 1e+308"),
-    (["train", "--set", "spatial_noise=1e308"], "train: need spatial_noise <= 1e+06, got 1e+308"),
+     "generate: need 0 <= noise_sigma <= 1e+06, got noise_sigma=1e+308"),
+    (["train", "--set", "spatial_noise=1e308"],
+     "train: need 0 <= spatial_noise <= 1e+06, got spatial_noise=1e+308"),
+    (["train", "--set", "history_len=0"], "train: need 2 <= history_len, got history_len=0"),
+    (["train", "--set", "horizon=0"], "train: need 2 <= horizon, got horizon=0"),
+    (["train", "--set", "lr=1e308"], "train: need 0 <= lr <= 1, got lr=1e+308"),
+    (["train", "--set", "aug_scale_lo=1e300", "--set", "aug_scale_hi=1e300"],
+     "train: need 0 < aug_scale_lo <= 1e+06, got aug_scale_lo=1e+300"),
+    (["cluster", "--j", "0"], "cluster: need 1 <= j, got j=0"),
+    (["cluster", "--j=-2"], "cluster: need 1 <= j, got j=-2"),
+    (["jitter", "--s", "0"], "jitter: need 1 <= s, got s=0"),
+    (["jitter", "--s=-1"], "jitter: need 1 <= s, got s=-1"),
 ]
 
 
@@ -1515,13 +1527,17 @@ def test_a_negative_seed_or_an_overflowing_setting_is_refused_before_any_file_is
     """Each of these failed late: numpy's "expected non-negative integer",
     after train had read the dataset and cluster every dump, an overflow in
     the generator's path integral, or numpy's "high - low range exceeds valid
-    bounds" in the spatial noise draw. Now each names its key, before the
-    missing input is looked at."""
+    bounds" in the spatial noise draw. A zero history_len or horizon, a j or
+    s below 1, an lr or a scale past its bound were refused after the data was
+    read, or not at all. Now each names its key, before the missing input is
+    looked at."""
     missing, out = tmp_path / "missing", tmp_path / "out"
-    where = {"generate": [], "train": ["--data", str(missing)],
-             "cluster": ["--dump", f"a={missing}"]}[argv[0]]
+    where = {"generate": ["--out", str(out)],
+             "train": ["--out", str(out), "--data", str(missing)],
+             "cluster": ["--out", str(out), "--dump", f"a={missing}"],
+             "jitter": ["--checkpoint", str(missing), "--data", str(missing)]}[argv[0]]
     with pytest.raises(SystemExit) as exc:
-        cli.main(argv[:1] + ["--out", str(out)] + where + argv[1:])
+        cli.main(argv[:1] + where + argv[1:])
     assert str(exc.value) == message
     assert not out.exists() and capsys.readouterr().out == ""
 
@@ -1530,7 +1546,7 @@ def test_a_negative_seed_or_an_overflowing_setting_is_refused_before_any_file_is
     (["cluster", "--dump", "{dump}", "--out", "{out}"],
      r"^cluster: --dump expects tag=path, got '.*dump.jsonl'$"),
     (["cluster", "--dump", "a={dump}", "--dump", "b={dump}", "--j", "0", "--out", "{out}"],
-     r"^cluster: j must be at least 1, got 0$"),
+     r"^cluster: need 1 <= j, got j=0$"),
     (["report", "--log", "{log}", "--out", "{out}"], r"^report: no records in .*log.jsonl$"),
     (["train", "--data", "{ds}", "--out", "{out}", "--set", "epochs"],
      r"^train: --set expects key=value, got 'epochs'$"),

@@ -488,7 +488,9 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
     (lambda p: {**p, "model": {k: v for k, v in p["model"].items() if k != "horizon"}},
      "model: no key 'horizon'"),
     (lambda p: {**p, "model": {**p["model"], "feature_dim": 0}},
-     "model: all model dimensions must be >= 1"),
+     "model: need 1 <= feature_dim, got feature_dim=0"),
+    (lambda p: {**p, "model": {**p["model"], "history_len": 1}},
+     "model: need 2 <= history_len, got history_len=1"),
     (lambda p: {**p, "params": {**p["params"], "enc.w1": p["params"]["enc.w1"][:-1] + [[0.0]]}},
      r"layer 'enc.w1' has rows of unequal lengths, got \[1, 8\]"),
     (lambda p: {**p, "params": {**p["params"], "enc.b1": [None] + p["params"]["enc.b1"][1:]}},
@@ -506,8 +508,8 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
     (lambda p: {**p, "layer_shapes": {**p["layer_shapes"], "extra.w": [1]}},
      r"layer_shapes gives 'extra.w' as \[1\] but the layer is undeclared"),
 ], ids=["list", "version true", "unknown key", "quoted epoch", "null extra", "integer flag",
-        "float size", "missing model key", "zero size", "ragged", "null", "huge integer",
-        "infinity", "no layer shapes", "wrong layer shape", "float layer shape",
+        "float size", "missing model key", "zero size", "one history frame", "ragged", "null",
+        "huge integer", "infinity", "no layer shapes", "wrong layer shape", "float layer shape",
         "undeclared layer shape"])
 def test_checkpoint_refuses_what_save_checkpoint_does_not_write(tmp_path, change, message):
     """One reader rule: MalformedCheckpoint names the file and the key or
